@@ -29,7 +29,6 @@ from .solvers import (
     immigration_exponent_integral,
     mean_with_immigration,
     solve_exponent,
-    solve_exponent_renewal_boundary,
     solve_mean,
     stationary_laplace,
     survival_lower_bound,

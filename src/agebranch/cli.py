@@ -26,8 +26,8 @@ from .solvers import (
     SolverGrid,
     ergodicity_check,
     exponential_tail_identity,
-    solve_exponent,
-    solve_mean,
+    march_exponent,
+    march_mean,
     stationary_laplace,
 )
 from .validate import (
@@ -226,42 +226,23 @@ def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def _solution_tables(sol, grid: SolverGrid, out: Path, value_name: str) -> None:
+def _cmd_solve(cfg: RunConfig, out: Path, march, value_name: str) -> int:
+    """solve-u / solve-pi: the boundary trace and a coarse (t, x) table, from one fan march."""
+    grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
     times = grid.times()
-    write_csv(
-        out / "boundary.csv",
-        ["t", value_name],
-        [[t, v] for t, v in zip(times, sol.boundary)],
-    )
     # coarse (t, x, value) table: at most ~40 nodes per axis to keep files small
     stride = max(1, len(times) // 40)
+    coarse = times[::stride]
+    boundary, rays, _ = march(cfg.model, cfg.f, grid, coarse)
+    write_csv(out / "boundary.csv", ["t", value_name], [[t, v] for t, v in zip(times, boundary)])
     rows = []
-    for x in times[::stride]:
-        ray = sol.along_ray(float(x))
-        rows.extend([float(t), float(x), float(v)] for t, v in zip(times[::stride], ray[::stride]))
+    for x, ray in zip(coarse, rays):
+        rows.extend([float(t), float(x), float(v)] for t, v in zip(coarse, ray[::stride]))
     write_csv(out / "lattice.csv", ["t", "x", value_name], rows)
-
-
-def _cmd_solve_u(cfg: RunConfig, out: Path) -> int:
-    grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
-    sol = solve_exponent(cfg.model, cfg.f, grid)
-    _solution_tables(sol, grid, out, "exponent")
     write_summary(
         out / "summary.txt",
         [f"t_end={_fmt(cfg.t_end)}", f"dt={_fmt(cfg.grid_dt)}", f"quadrature={cfg.quadrature}",
-         f"boundary_at_t_end={_fmt(sol.boundary[-1])}"],
-    )
-    return 0
-
-
-def _cmd_solve_pi(cfg: RunConfig, out: Path) -> int:
-    grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
-    sol = solve_mean(cfg.model, cfg.f, grid)
-    _solution_tables(sol, grid, out, "mean")
-    write_summary(
-        out / "summary.txt",
-        [f"t_end={_fmt(cfg.t_end)}", f"dt={_fmt(cfg.grid_dt)}", f"quadrature={cfg.quadrature}",
-         f"boundary_at_t_end={_fmt(sol.boundary[-1])}"],
+         f"boundary_at_t_end={_fmt(boundary[-1])}"],
     )
     return 0
 
@@ -439,9 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(cfg, out, args.parallelism)
         if args.command == "solve-u":
-            return _cmd_solve_u(cfg, out)
+            return _cmd_solve(cfg, out, march_exponent, "exponent")
         if args.command == "solve-pi":
-            return _cmd_solve_pi(cfg, out)
+            return _cmd_solve(cfg, out, march_mean, "mean")
         if args.command == "validate":
             return _cmd_validate(cfg, out, args.parallelism, args.ci)
         if args.command == "ergodic":

@@ -20,20 +20,30 @@ characteristic form is ``d phi/dt = alpha(y-t) [mean(y-t) m_b(t) - phi(t)]``:
 offspring are born at age zero, so the reproduction term feeds on the
 boundary trace while the compensation carries the ray value (this is the
 field-derivative of the exponent equation, and the pure-death closed form
-``f(y) exp(-cumulative hazard)`` solves it exactly).  The default integration
-uses the survival-discounted renewal shape
+``f(y) exp(-cumulative hazard)`` solves it exactly).  It is integrated in the
+survival-discounted renewal shape
 
     phi_y(t) = exp(-A_y(t)) [ f(y) + integral_0^t exp(A_y(r)) alpha m  m_b(r) dr ]
 
 with ``A_y(t)`` the cumulative hazard along the ray.  This form is exact for
 models whose mean offspring number vanishes (the integral term is zero), which
 a plain quadrature of the bare characteristic ODE cannot achieve at the same
-step size; the bare form remains available as ``form="direct"`` and the two
-are cross-checked in the test suite.
+step size.
+
+One march serves every ray.  The labels form a block: row 0 holds the
+boundary family ``t_0..t_N``, and a ray at the grid-aligned age ``x = K dt``
+is the same characteristics shifted in time, so it is read from entry
+``i + K`` of that row after step ``i`` (the row is extended to
+``N = n + max K``).  Any other age ``x`` gets a row of labels ``x + t_j``,
+marched in the same loop against the boundary value closed in it.  Only the
+requested entries are gathered at each step, into a ``(rays, n + 1)`` table
+(``rays``); the per-step state is never stored unless the lattice is asked
+for.
 
 Quadrature is rectangle (left endpoint, first order) or trapezoid (second
 order, implicit endpoints solved exactly or by fixed point).  Interpolation of
-boundary traces between nodes is linear throughout.
+boundary traces between nodes (``boundary_at``) is linear; ``at`` and ``rays``
+answer only at grid times.
 """
 
 from __future__ import annotations
@@ -50,8 +60,9 @@ __all__ = [
     "SolverGrid",
     "ExponentSolution",
     "MeanSolution",
+    "march_exponent",
+    "march_mean",
     "solve_exponent",
-    "solve_exponent_renewal_boundary",
     "solve_mean",
     "survival_lower_bound",
     "immigration_exponent_integral",
@@ -66,6 +77,7 @@ __all__ = [
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
 _LATTICE_MAX_STEPS = 4096
+_RAY_ROW_FACTOR = 4  # grid-aligned rays extend the boundary row up to 4 horizons
 
 
 @dataclass(frozen=True)
@@ -127,108 +139,201 @@ def _clip_unit(w: float) -> float:
     return min(max(w, 1e-300), 1.0)
 
 
-def _march_exponent_fan(
+def _ray_offsets(offsets) -> np.ndarray:
+    arr = np.asarray(offsets, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("ray offsets must be a one-dimensional sequence of ages")
+    bad = ~(np.isfinite(arr) & (arr >= 0))
+    if bad.any():
+        raise ValueError(f"ray offsets must be finite ages >= 0, got {arr[bad]}")
+    return arr
+
+
+def _grid_node(grid: SolverGrid, t: float) -> int:
+    i = round(t / grid.dt) if math.isfinite(t) else -1
+    if not 0 <= i <= grid.n_steps or abs(i * grid.dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(
+            f"time {t} is not a node of the solved grid (dt={grid.dt}, horizon={grid.horizon})"
+        )
+    return i
+
+
+def _ray_labels(grid: SolverGrid, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label block of one fan march, and where each ray is read from it.
+
+    Row 0 is the boundary family ``t_0..t_N``.  An offset ``x = K dt`` (within
+    SolverGrid's 1e-9 relative tolerance, and ``K <= _RAY_ROW_FACTOR * n`` so
+    the row stays bounded) lies on it: the ray at age x reads entry ``i + K``
+    after step i, and the row is extended to ``N = n + max K``.  Every other
+    distinct offset gets its own row of labels ``x + t_j``, read at entry i.
+    Returns the label ages (rows, N + 1) and each ray's row and column shift.
+    """
+    n, dt = grid.n_steps, grid.dt
+    ks = np.rint(offsets / dt)
+    on_row = (np.abs(ks * dt - offsets) <= 1e-9 * np.maximum(1.0, offsets)) & (
+        ks <= _RAY_ROW_FACTOR * n
+    )
+    starts, inverse = np.unique(offsets[~on_row], return_inverse=True)
+    rows = np.zeros(len(offsets), dtype=np.intp)
+    rows[~on_row] = 1 + inverse
+    cols = np.where(on_row, ks, 0.0).astype(np.intp)
+    ages = np.concatenate(([0.0], starts))[:, None] + dt * np.arange(n + 1 + cols.max(initial=0))
+    # own rows need labels x + t_0..t_n only; the padding repeats the last one
+    # so that it cannot trip a guard
+    ages[1:, n + 1 :] = ages[1:, n : n + 1]
+    return ages, rows, cols
+
+
+def march_exponent(
     model: BranchingModel,
     f: ScalarField,
     grid: SolverGrid,
-    offset: float = 0.0,
-    boundary_w: np.ndarray | None = None,
+    offsets=(),
     keep_lattice: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """March the exponent fan with ray labels ``offset + t_j``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """March the exponent fan once, for the boundary and every requested ray.
 
-    Returns the diagonal values ``w[j] = exp(-u_{t_j} f(offset))`` and, when
-    requested, the full triangular lattice ``L[i, j] = exp(-u_{r_i} f(offset +
-    (j - i) dt))`` for ``j >= i``.  When ``boundary_w`` is None this *is* the
-    boundary fan (offset must be 0) and the diagonal doubles as the boundary.
+    Returns ``(boundary, rays, lattice_w)``: the exponent at age 0 for every
+    grid time, the exponent at age ``offsets[r]`` for every grid time (row r),
+    and, when requested, ``L[i, j] = exp(-u_{t_i} f((j - i) dt))`` for
+    ``j >= i`` (NaN below the diagonal).
     """
-    is_boundary = boundary_w is None
-    if is_boundary and offset != 0.0:
-        raise ValueError("the boundary fan must have offset 0")
     _check_contraction(model, grid)
-    n = grid.n_steps
-    dt = grid.dt
+    n, dt = grid.n_steps, grid.dt
     trapezoid = grid.quadrature == "trapezoid"
-    alpha, offspring = model.alpha, model.offspring
-
-    ages = offset + dt * np.arange(n + 1)
-    alpha_g = np.asarray(alpha(ages), dtype=np.float64)
+    offspring = model.offspring
+    ages, rows, cols = _ray_labels(grid, _ray_offsets(offsets))
+    width = ages.shape[1]
+    alpha_g = np.asarray(model.alpha(ages), dtype=np.float64)
     ridx = offspring.regime_indices(ages)
     W = np.exp(-np.asarray(f(ages), dtype=np.float64))
     diag = np.empty(n + 1)
-    diag[0] = W[0]
+    diag[0] = W[0, 0]
+    table = np.empty((len(rows), n + 1))
+    table[:, 0] = W[rows, cols]
     lattice = None
     if keep_lattice:
         if n > _LATTICE_MAX_STEPS:
             raise ValueError(f"lattice storage capped at {_LATTICE_MAX_STEPS} steps")
         lattice = np.full((n + 1, n + 1), np.nan)
-        lattice[0] = W
+        lattice[0] = W[0, : n + 1]
 
-    # boundary trace as w-values: the fan reads exp(-b(r_i)) at every step
-    if is_boundary:
-        zb_arr = np.empty(n + 1)
-        zb_arr[0] = _clip_unit(W[0])
-    else:
-        zb_arr = np.exp(-np.asarray(boundary_w, dtype=np.float64))
-        if len(zb_arr) != n + 1:
-            raise ValueError("boundary trace length does not match the grid")
-    g_at = offspring.g_by_regime(float(zb_arr[0]))[ridx]
-
+    # g at the boundary value, by label; only the labels still ahead are kept
+    g_at = offspring.g_by_regime(float(_clip_unit(W[0, 0])))[ridx]
     for i in range(n):
-        m = n - i
-        w_slice = W[i + 1 :]
-        F_left = alpha_g[1 : m + 1] * (g_at[1 : m + 1] - w_slice)
+        m = width - 1 - i
+        w = W[:, i + 1 :]
+        F_left = alpha_g[:, 1 : m + 1] * (g_at[:, 1 : m + 1] - w)
         if not trapezoid:
-            W[i + 1 :] = w_slice + dt * F_left
-            if is_boundary:
-                zb_arr[i + 1] = _clip_unit(float(W[i + 1]))
-            g_at = offspring.g_by_regime(float(zb_arr[i + 1]))[ridx]
+            W[:, i + 1 :] = w + dt * F_left
+            g_at = offspring.g_by_regime(_clip_unit(float(W[0, i + 1])))[ridx[:, :m]]
         else:
-            if is_boundary:
-                # diagonal: the new boundary value appears inside its own
-                # endpoint term g(0, w+) and as the unknown itself
-                c_known = float(w_slice[0] + (dt / 2.0) * F_left[0])
-                a0 = float(alpha_g[0])
-                denom = 1.0 + (dt / 2.0) * a0
-                regime0 = offspring.regimes[int(ridx[0])]
-                w_plus = min(max(c_known / denom, 0.0), 1.0)
-                for _ in range(_FIXED_POINT_MAX_ITER):
-                    w_next = (c_known + (dt / 2.0) * a0 * regime0.g(min(max(w_plus, 0.0), 1.0))) / denom
-                    if abs(w_next - w_plus) <= _FIXED_POINT_TOL:
-                        w_plus = w_next
-                        break
+            # diagonal: the new boundary value appears inside its own
+            # endpoint term g(0, w+) and as the unknown itself
+            c_known = float(w[0, 0] + (dt / 2.0) * F_left[0, 0])
+            a0 = float(alpha_g[0, 0])
+            denom = 1.0 + (dt / 2.0) * a0
+            regime0 = offspring.regimes[int(ridx[0, 0])]
+            w_plus = min(max(c_known / denom, 0.0), 1.0)
+            for _ in range(_FIXED_POINT_MAX_ITER):
+                w_next = (c_known + (dt / 2.0) * a0 * regime0.g(min(max(w_plus, 0.0), 1.0))) / denom
+                if abs(w_next - w_plus) <= _FIXED_POINT_TOL:
                     w_plus = w_next
-                else:
-                    raise RuntimeError(
-                        "boundary fixed point did not converge; use a smaller dt"
-                    )
-                zb_arr[i + 1] = _clip_unit(w_plus)
-            g_at = offspring.g_by_regime(float(zb_arr[i + 1]))[ridx]
-            W[i + 1 :] = (
-                w_slice + (dt / 2.0) * (F_left + alpha_g[0:m] * g_at[0:m])
-            ) / (1.0 + (dt / 2.0) * alpha_g[0:m])
-            if is_boundary:
-                W[i + 1] = zb_arr[i + 1]
-        diag[i + 1] = W[i + 1]
+                    break
+                w_plus = w_next
+            else:
+                raise RuntimeError("boundary fixed point did not converge; use a smaller dt")
+            zb = _clip_unit(w_plus)
+            g_at = offspring.g_by_regime(zb)[ridx[:, :m]]
+            W[:, i + 1 :] = (w + (dt / 2.0) * (F_left + alpha_g[:, :m] * g_at)) / (
+                1.0 + (dt / 2.0) * alpha_g[:, :m]
+            )
+            W[0, i + 1] = zb
+        diag[i + 1] = W[0, i + 1]
+        if rows.size:
+            table[:, i + 1] = W[rows, i + 1 + cols]
         if lattice is not None:
-            lattice[i + 1, i + 1 :] = W[i + 1 :]
-    return diag, lattice
+            lattice[i + 1, i + 1 :] = W[0, i + 1 : n + 1]
+    return -np.log(np.maximum(diag, 1e-300)), -np.log(np.maximum(table, 1e-300)), lattice
+
+
+def march_mean(
+    model: BranchingModel,
+    f: ScalarField,
+    grid: SolverGrid,
+    offsets=(),
+    keep_lattice: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """March the first-moment fan once, for the boundary and every requested ray.
+
+    Returns ``(boundary, rays, lattice)`` laid out as in ``march_exponent``,
+    with the lattice holding the kernel's values themselves.
+    """
+    _check_contraction(model, grid)
+    n, dt = grid.n_steps, grid.dt
+    trapezoid = grid.quadrature == "trapezoid"
+    offspring = model.offspring
+    ages, rows, cols = _ray_labels(grid, _ray_offsets(offsets))
+    width = ages.shape[1]
+    alpha_g = np.asarray(model.alpha(ages), dtype=np.float64)
+    mean_g = offspring.mean_by_regime()[offspring.regime_indices(ages)]
+    am = alpha_g * mean_g
+    fvals = np.asarray(f(ages), dtype=np.float64)
+    mb = np.empty(n + 1)
+    mb[0] = fvals[0, 0]
+    table = np.empty((len(rows), n + 1))
+    table[:, 0] = fvals[rows, cols]
+    lattice = None
+    if keep_lattice:
+        if n > _LATTICE_MAX_STEPS:
+            raise ValueError(f"lattice storage capped at {_LATTICE_MAX_STEPS} steps")
+        lattice = np.full((n + 1, n + 1), np.nan)
+        lattice[0] = fvals[0, : n + 1]
+
+    if am.max() * dt / 2.0 >= 0.95:
+        raise ValueError("dt too large for the implicit moment endpoint; use a smaller dt")
+    if alpha_g.max() * grid.horizon * max(1.0, mean_g.max()) > 600.0:
+        raise ValueError(
+            "cumulative hazard exceeds the floating-point range of the "
+            "discounted form; reduce the horizon or split the solve"
+        )
+    A = np.zeros_like(ages)  # cumulative hazard along each ray
+    J = np.zeros_like(ages)  # discount-weighted source integral along each ray
+    for i in range(n):
+        m = width - 1 - i
+        k_l = slice(1, m + 1)  # age indices at the left endpoint, labels i+1..
+        k_r = slice(0, m)  # age indices at the right endpoint
+        h_left = np.exp(A[:, i + 1 :]) * am[:, k_l] * mb[i]
+        if trapezoid:
+            A_new = A[:, i + 1 :] + (dt / 2.0) * (alpha_g[:, k_l] + alpha_g[:, k_r])
+            # diagonal: exp(-A_new) * exp(A_new) = 1 on the endpoint term
+            known = math.exp(-A_new[0, 0]) * (fvals[0, i + 1] + J[0, i + 1] + (dt / 2.0) * h_left[0, 0])
+            mb[i + 1] = known / (1.0 - (dt / 2.0) * am[0, 0])
+            h_right = np.exp(A_new) * am[:, k_r] * mb[i + 1]
+            J[:, i + 1 :] += (dt / 2.0) * (h_left + h_right)
+        else:
+            A_new = A[:, i + 1 :] + dt * alpha_g[:, k_l]
+            J[:, i + 1 :] += dt * h_left
+            mb[i + 1] = math.exp(-A_new[0, 0]) * (fvals[0, i + 1] + J[0, i + 1])
+        A[:, i + 1 :] = A_new
+        if rows.size:
+            node = (rows, i + 1 + cols)
+            table[:, i + 1] = np.exp(-A[node]) * (fvals[node] + J[node])
+        if lattice is not None:
+            live = slice(i + 1, n + 1)
+            lattice[i + 1, live] = np.exp(-A[0, live]) * (fvals[0, live] + J[0, live])
+    table[(rows == 0) & (cols == 0)] = mb  # the ray at age 0 is the boundary trace
+    return mb, table, lattice
 
 
 @dataclass(frozen=True)
-class ExponentSolution:
-    """The exponent of the population Laplace functional on a grid.
-
-    ``boundary[j]`` is the exponent at age 0 and time ``j * dt``; arbitrary
-    points are reached by integrating along the ray through them, reading the
-    boundary trace (linearly interpolated between nodes).
-    """
+class _FanSolution:
+    """A solved boundary trace, with the model, field and grid to march rays."""
 
     model: BranchingModel
     f: ScalarField
     grid: SolverGrid
     boundary: np.ndarray
-    lattice_w: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -239,46 +344,34 @@ class ExponentSolution:
             raise ValueError(f"time {t} outside the solved horizon {self.grid.horizon}")
         return float(np.interp(t, self.grid.times(), self.boundary))
 
+    def rays(self, offsets) -> np.ndarray:
+        """Values at each fixed age in ``offsets`` (rows) for every grid time, in one march."""
+        offsets = _ray_offsets(offsets)
+        if not offsets.any():  # age-0 rays are the boundary trace: nothing to march
+            return np.tile(self.boundary, (len(offsets), 1))
+        return self._march(self.model, self.f, self.grid, offsets)[1]
+
     def along_ray(self, offset: float) -> np.ndarray:
-        """Exponent at a fixed age ``offset`` for every grid time."""
-        if offset == 0.0:
-            return self.boundary.copy()
-        diag, _ = _march_exponent_fan(
-            self.model, self.f, self.grid, offset=offset, boundary_w=self.boundary
-        )
-        return -np.log(np.maximum(diag, 1e-300))
+        """Value at the fixed age ``offset`` for every grid time."""
+        return self.rays([offset])[0]
 
     def at(self, t: float, x: float) -> float:
-        """Exponent value at time t and age x; deterministic ray integration."""
-        if t < 0 or x < 0:
-            raise ValueError("t and x must be >= 0")
-        if t == 0.0:
-            return float(self.f(x))
-        if t > self.grid.horizon * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the solved horizon {self.grid.horizon}")
-        if x == 0.0:
-            return self.boundary_at(t)
-        dt = self.grid.dt
-        trapezoid = self.grid.quadrature == "trapezoid"
-        alpha, offspring = self.model.alpha, self.model.offspring
-        y = x + t
-        w = math.exp(-float(self.f(y)))
-        r = 0.0
-        while r < t - 1e-15:
-            h = min(dt, t - r)
-            age_l = y - r
-            zb_l = math.exp(-self.boundary_at(r))
-            F_l = float(alpha(age_l)) * (offspring.g(age_l, zb_l) - w)
-            if not trapezoid:
-                w = w + h * F_l
-            else:
-                age_r = y - (r + h)
-                a_r = float(alpha(age_r))
-                zb_r = math.exp(-self.boundary_at(r + h))
-                g_r = offspring.g(age_r, min(max(zb_r, 0.0), 1.0))
-                w = (w + (h / 2.0) * (F_l + a_r * g_r)) / (1.0 + (h / 2.0) * a_r)
-            r += h
-        return -math.log(_clip_unit(w))
+        """Value at grid time ``t`` and age ``x``; a time off the grid is refused."""
+        offsets = _ray_offsets([x])
+        i = _grid_node(self.grid, t)
+        return float(self.f(offsets[0])) if i == 0 else float(self.rays(offsets)[0, i])
+
+
+@dataclass(frozen=True)
+class ExponentSolution(_FanSolution):
+    """The exponent of the population Laplace functional on a grid.
+
+    ``boundary[j]`` is the exponent at age 0 and time ``j * dt``; other ages
+    are reached through ``rays``, which re-marches the fan with their labels.
+    """
+
+    lattice_w: np.ndarray | None = None
+    _march = staticmethod(march_exponent)
 
     def lattice_exponents(self) -> np.ndarray:
         """Exponent values on the triangular (time, age) lattice, NaN outside."""
@@ -295,240 +388,16 @@ def solve_exponent(
     The returned evaluator is deterministic; the exponent is nonnegative with
     ``u_0 f = f`` exactly by construction.
     """
-    diag, lattice = _march_exponent_fan(model, f, grid, keep_lattice=keep_lattice)
-    boundary = -np.log(np.maximum(diag, 1e-300))
+    boundary, _, lattice = march_exponent(model, f, grid, keep_lattice=keep_lattice)
     return ExponentSolution(model, f, grid, boundary, lattice)
 
 
-def solve_exponent_renewal_boundary(
-    model: BranchingModel, f: ScalarField, grid: SolverGrid
-) -> np.ndarray:
-    """Boundary trace via the survival-discounted renewal form (cross-check).
-
-    Marches ``exp(-b(t)) = exp(-f(t) - A(t)) + integral_0^t exp(-A(s)) alpha(s)
-    g(s, exp(-b(t-s))) ds`` directly; an independent discretization of the same
-    exponent used to validate the characteristic fan.
-    """
-    _check_contraction(model, grid)
-    n, dt = grid.n_steps, grid.dt
-    trapezoid = grid.quadrature == "trapezoid"
-    alpha, offspring = model.alpha, model.offspring
-    s = dt * np.arange(n + 1)
-    alpha_g = np.asarray(alpha(s), dtype=np.float64)
-    ridx = offspring.regime_indices(s)
-    n_reg = len(offspring.regimes)
-    # cumulative hazard from age 0 (trapezoid for order 2, left rule otherwise)
-    A = np.zeros(n + 1)
-    if trapezoid:
-        A[1:] = np.cumsum((dt / 2.0) * (alpha_g[:-1] + alpha_g[1:]))
-    else:
-        A[1:] = np.cumsum(dt * alpha_g[:-1])
-    decay = np.exp(-A)
-    fvals = np.asarray(f(s), dtype=np.float64)
-
-    Z = np.empty(n + 1)  # exp(-b(t_j))
-    Z[0] = _clip_unit(math.exp(-fvals[0]))
-    G = np.empty((n_reg, n + 1))  # g by regime at each known Z
-    G[:, 0] = offspring.g_by_regime(float(Z[0]))
-    kernel = decay * alpha_g
-    for j in range(1, n + 1):
-        idx = np.arange(j + 1)
-        conv = kernel[idx] * G[ridx[idx], j - idx]  # entry j uses the unknown Z[j]
-        base = math.exp(-fvals[j]) * decay[j]
-        if not trapezoid:
-            # left rectangle over s excludes s = t, includes the implicit s = 0 term
-            known = base + dt * float(np.sum(conv[:j])) - dt * conv[0]
-            w0 = dt * kernel[0]
-        else:
-            known = base + (dt / 2.0) * conv[j] + dt * float(np.sum(conv[1:j]))
-            w0 = (dt / 2.0) * kernel[0]
-        regime0 = offspring.regimes[int(ridx[0])]
-        z = min(max(known + w0 * G[ridx[0], j - 1], 0.0), 1.0)  # predictor
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            z_next = known + w0 * regime0.g(min(max(z, 0.0), 1.0))
-            if abs(z_next - z) <= _FIXED_POINT_TOL:
-                z = z_next
-                break
-            z = z_next
-        else:
-            raise RuntimeError("renewal fixed point did not converge; use a smaller dt")
-        Z[j] = _clip_unit(z)
-        G[:, j] = offspring.g_by_regime(float(Z[j]))
-    return -np.log(Z)
-
-
-def _march_mean_fan(
-    model: BranchingModel,
-    f: ScalarField,
-    grid: SolverGrid,
-    offset: float = 0.0,
-    boundary_m: np.ndarray | None = None,
-    keep_lattice: bool = False,
-    form: str = "discounted",
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """March the first-moment fan; see module docstring for the two forms."""
-    if form not in ("discounted", "direct"):
-        raise ValueError("form must be 'discounted' or 'direct'")
-    is_boundary = boundary_m is None
-    if is_boundary and offset != 0.0:
-        raise ValueError("the boundary fan must have offset 0")
-    _check_contraction(model, grid)
-    n, dt = grid.n_steps, grid.dt
-    trapezoid = grid.quadrature == "trapezoid"
-    alpha, offspring = model.alpha, model.offspring
-
-    ages = offset + dt * np.arange(n + 1)
-    alpha_g = np.asarray(alpha(ages), dtype=np.float64)
-    mean_g = offspring.mean_by_regime()[offspring.regime_indices(ages)]
-    am = alpha_g * mean_g
-    fvals = np.asarray(f(ages), dtype=np.float64)
-    if is_boundary:
-        mb = np.empty(n + 1)
-        mb[0] = fvals[0]
-    else:
-        mb = np.asarray(boundary_m, dtype=np.float64)
-        if len(mb) != n + 1:
-            raise ValueError("boundary trace length does not match the grid")
-    diag = np.empty(n + 1)
-    diag[0] = fvals[0]
-    lattice = None
-    if keep_lattice:
-        if n > _LATTICE_MAX_STEPS:
-            raise ValueError(f"lattice storage capped at {_LATTICE_MAX_STEPS} steps")
-        lattice = np.full((n + 1, n + 1), np.nan)
-        lattice[0] = fvals
-
-    if am.max() * dt / 2.0 >= 0.95:
-        raise ValueError("dt too large for the implicit moment endpoint; use a smaller dt")
-
-    if form == "discounted":
-        if alpha_g.max() * grid.horizon * max(1.0, mean_g.max()) > 600.0:
-            raise ValueError(
-                "cumulative hazard exceeds the floating-point range of the "
-                "discounted form; reduce the horizon or split the solve"
-            )
-        A = np.zeros(n + 1)  # cumulative hazard along each ray
-        J = np.zeros(n + 1)  # discount-weighted source integral along each ray
-        for i in range(n):
-            m = n - i
-            k_l = slice(1, m + 1)  # age indices at the left endpoint, rays i+1..n
-            k_r = slice(0, m)  # age indices at the right endpoint
-            h_left = np.exp(A[i + 1 :]) * am[k_l] * mb[i]
-            if trapezoid:
-                A_new = A[i + 1 :] + (dt / 2.0) * (alpha_g[k_l] + alpha_g[k_r])
-                if is_boundary:
-                    # diagonal: exp(-A_new) * exp(A_new) = 1 on the endpoint term
-                    known = math.exp(-A_new[0]) * (
-                        fvals[i + 1] + J[i + 1] + (dt / 2.0) * h_left[0]
-                    )
-                    mb[i + 1] = known / (1.0 - (dt / 2.0) * am[0])
-                h_right = np.exp(A_new) * am[k_r] * mb[i + 1]
-                J[i + 1 :] += (dt / 2.0) * (h_left + h_right)
-            else:
-                A_new = A[i + 1 :] + dt * alpha_g[k_l]
-                J[i + 1 :] += dt * h_left
-                if is_boundary:
-                    mb[i + 1] = math.exp(-A_new[0]) * (fvals[i + 1] + J[i + 1])
-            A[i + 1 :] = A_new
-            diag[i + 1] = (
-                mb[i + 1] if is_boundary else math.exp(-A[i + 1]) * (fvals[i + 1] + J[i + 1])
-            )
-            if lattice is not None:
-                lattice[i + 1, i + 1 :] = np.exp(-A[i + 1 :]) * (fvals[i + 1 :] + J[i + 1 :])
-        return (mb if is_boundary else diag, lattice)
-
-    # direct form: plain quadrature of d(phi)/dt = alpha (mean m_b(t) - phi);
-    # the offspring term feeds on the boundary trace (children start at age 0)
-    # and the compensation carries the ray value
-    phi = fvals.copy()
-    for i in range(n):
-        m = n - i
-        k_l = slice(1, m + 1)
-        k_r = slice(0, m)
-        F_left = alpha_g[k_l] * (mean_g[k_l] * mb[i] - phi[i + 1 :])
-        if trapezoid:
-            if is_boundary:
-                numer = phi[i + 1] + (dt / 2.0) * F_left[0]
-                denom = 1.0 + (dt / 2.0) * alpha_g[0] * (1.0 - mean_g[0])
-                mb[i + 1] = numer / denom
-            phi[i + 1 :] = (
-                phi[i + 1 :]
-                + (dt / 2.0) * (F_left + alpha_g[k_r] * mean_g[k_r] * mb[i + 1])
-            ) / (1.0 + (dt / 2.0) * alpha_g[k_r])
-            if is_boundary:
-                phi[i + 1] = mb[i + 1]
-        else:
-            phi[i + 1 :] = phi[i + 1 :] + dt * F_left
-            if is_boundary:
-                mb[i + 1] = phi[i + 1]
-        diag[i + 1] = phi[i + 1]
-        if lattice is not None:
-            lattice[i + 1, i + 1 :] = phi[i + 1 :]
-    return (mb if is_boundary else diag, lattice)
-
-
 @dataclass(frozen=True)
-class MeanSolution:
+class MeanSolution(_FanSolution):
     """The first-moment kernel applied to f, on the same characteristic grid."""
 
-    model: BranchingModel
-    f: ScalarField
-    grid: SolverGrid
-    boundary: np.ndarray
-    form: str = "discounted"
     lattice: np.ndarray | None = None
-
-    @property
-    def order(self) -> int:
-        return self.grid.order
-
-    def boundary_at(self, t: float) -> float:
-        if t < -1e-12 or t > self.grid.horizon * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the solved horizon {self.grid.horizon}")
-        return float(np.interp(t, self.grid.times(), self.boundary))
-
-    def along_ray(self, offset: float) -> np.ndarray:
-        if offset == 0.0:
-            return self.boundary.copy()
-        diag, _ = _march_mean_fan(
-            self.model, self.f, self.grid, offset=offset, boundary_m=self.boundary, form=self.form
-        )
-        return diag
-
-    def at(self, t: float, x: float) -> float:
-        if t < 0 or x < 0:
-            raise ValueError("t and x must be >= 0")
-        if t == 0.0:
-            return float(self.f(x))
-        if t > self.grid.horizon * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the solved horizon {self.grid.horizon}")
-        if x == 0.0:
-            return self.boundary_at(t)
-        dt = self.grid.dt
-        trapezoid = self.grid.quadrature == "trapezoid"
-        alpha, offspring = self.model.alpha, self.model.offspring
-        y = x + t
-        phi = float(self.f(y))
-        A = 0.0
-        J = 0.0
-        r = 0.0
-        while r < t - 1e-15:
-            h = min(dt, t - r)
-            age_l, age_r = y - r, y - (r + h)
-            a_l, a_r = float(alpha(age_l)), float(alpha(age_r))
-            am_l = a_l * offspring.mean(age_l)
-            am_r = a_r * offspring.mean(age_r)
-            h_left = math.exp(A) * am_l * self.boundary_at(r)
-            if trapezoid:
-                A_new = A + (h / 2.0) * (a_l + a_r)
-                h_right = math.exp(A_new) * am_r * self.boundary_at(r + h)
-                J += (h / 2.0) * (h_left + h_right)
-            else:
-                A_new = A + h * a_l
-                J += h * h_left
-            A = A_new
-            r += h
-        return math.exp(-A) * (float(self.f(y)) + J)
+    _march = staticmethod(march_mean)
 
     def lattice_values(self) -> np.ndarray:
         if self.lattice is None:
@@ -537,15 +406,11 @@ class MeanSolution:
 
 
 def solve_mean(
-    model: BranchingModel,
-    f: ScalarField,
-    grid: SolverGrid,
-    keep_lattice: bool = False,
-    form: str = "discounted",
+    model: BranchingModel, f: ScalarField, grid: SolverGrid, keep_lattice: bool = False
 ) -> MeanSolution:
     """Solve the linear renewal equation for the first-moment kernel."""
-    boundary, lattice = _march_mean_fan(model, f, grid, keep_lattice=keep_lattice, form=form)
-    return MeanSolution(model, f, grid, boundary, form, lattice)
+    boundary, _, lattice = march_mean(model, f, grid, keep_lattice=keep_lattice)
+    return MeanSolution(model, f, grid, boundary, lattice)
 
 
 def survival_lower_bound(
@@ -603,10 +468,11 @@ def immigration_exponent_integral(
         sol = solve_exponent(model, f, grid)
     if abs(sol.grid.horizon - grid.horizon) > 1e-12 or sol.grid.dt != grid.dt:
         raise ValueError("exponent solution grid does not match the requested grid")
-    rays = {a: sol.along_ray(a) for a in imm.atom_ages()}
+    ages = imm.atom_ages()
+    rays = sol.rays(ages)
     psi_vals = np.empty(n + 1)
     for j in range(n + 1):
-        psi_vals[j] = imm.psi_from_exponents({a: float(r[j]) for a, r in rays.items()})
+        psi_vals[j] = imm.psi_from_exponents({a: float(r[j]) for a, r in zip(ages, rays)})
     w = _quadrature_weights(n, grid.dt, grid.quadrature)
     return float(np.dot(w, psi_vals)), psi_vals
 
@@ -628,11 +494,12 @@ def mean_with_immigration(
     sol = mean_solution
     if sol is None:
         sol = solve_mean(model, f, grid)
-    total = sum(sol.at(grid.horizon, a) for a in initial.ages)
-    if imm is None or imm.total_rate == 0.0:
+    atoms = imm.atom_ages() if imm is not None and imm.total_rate > 0.0 else ()
+    table = sol.rays([*initial.ages, *atoms])
+    total = sum(float(v) for v in table[: len(initial.ages), -1])
+    if not atoms:
         return total
-    ages = imm.atom_ages()
-    rays = {a: sol.along_ray(a) for a in ages}
+    rays = dict(zip(atoms, table[len(initial.ages) :]))
     n = grid.n_steps
     contrib = np.zeros(n + 1)
     if imm.kind == "finite":

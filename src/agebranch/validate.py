@@ -291,7 +291,7 @@ def laplace_analytic(
         n_steps = max(1, math.ceil(t / step - 1e-12))
         grid = SolverGrid(t / n_steps, t, quadrature)
         sol = solve_exponent(model, f, grid)
-        expo = sum(sol.at(t, a) for a in initial.ages)
+        expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
         if imm is not None and imm.total_rate > 0.0:
             integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
             expo += integral

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from agebranch import (
     immigration_exponent_integral,
     mean_with_immigration,
     solve_exponent,
-    solve_exponent_renewal_boundary,
     solve_mean,
     stationary_laplace,
     survival_lower_bound,
+)
+from agebranch import cli, solvers
+from oracles import (
+    fan_exponent,
+    fan_mean,
+    renewal_exponent_boundary,
+    scalar_exponent_at,
+    scalar_mean_at,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -152,9 +160,9 @@ def test_mean_forms_agree():
     smooth = BranchingModel(ScalarField.exp_decay(1.0, 0.8, 0.4), OffspringLaw.geometric(0.35))
     for model in (SUBCRITICAL, AGE_VARYING, smooth):
         grid = SolverGrid(1e-3, 1.0)
-        a = solve_mean(model, ONE, grid, form="discounted")
-        b = solve_mean(model, ONE, grid, form="direct")
-        assert np.max(np.abs(a.boundary - b.boundary)) < 5e-6
+        a = solve_mean(model, ONE, grid)
+        b = fan_mean(model, ONE, grid, form="direct")
+        assert np.max(np.abs(a.boundary - b)) < 5e-6
 
 
 def test_mean_pure_death_varying_hazard_closed_form():
@@ -162,9 +170,9 @@ def test_mean_pure_death_varying_hazard_closed_form():
     alpha = ScalarField.exp_decay(1.0, 0.8, 0.4)
     model = BranchingModel(alpha, OffspringLaw.table({0: 1.0}))
     hazard, _ = quad(lambda s: float(alpha(s)), 0.0, 1.0, epsabs=1e-13)
-    for form in ("discounted", "direct"):
-        sol = solve_mean(model, ONE, SolverGrid(1e-3, 1.0), form=form)
-        assert sol.boundary_at(1.0) == pytest.approx(math.exp(-hazard), abs=1e-6)
+    grid = SolverGrid(1e-3, 1.0)
+    for boundary in (solve_mean(model, ONE, grid).boundary, fan_mean(model, ONE, grid, form="direct")):
+        assert boundary[-1] == pytest.approx(math.exp(-hazard), abs=1e-6)
 
 
 def test_exponent_forms_agree():
@@ -172,7 +180,7 @@ def test_exponent_forms_agree():
     for model in (CRITICAL, AGE_VARYING):
         grid = SolverGrid(2e-3, 1.0)
         fan = solve_exponent(model, ONE, grid).boundary
-        ren = solve_exponent_renewal_boundary(model, ONE, grid)
+        ren = renewal_exponent_boundary(model, ONE, grid)
         assert np.max(np.abs(fan - ren)) < 5e-6
 
 
@@ -182,7 +190,7 @@ def test_exponent_semigroup_property():
     grid = SolverGrid(2.5e-3, 1.5)
     sol = solve_exponent(AGE_VARYING, ONE, grid)
     xs = np.linspace(0.0, 4.0, 801)
-    inner = ScalarField.pwlinear(xs, [sol.at(s_, x) for x in xs])
+    inner = ScalarField.pwlinear(xs, sol.rays(xs)[:, round(s_ / grid.dt)])
     outer = solve_exponent(AGE_VARYING, inner, grid)
     for x in (0.0, 0.4, 1.1, 2.0):
         assert outer.at(t_, x) == pytest.approx(sol.at(t_ + s_, x), abs=2e-3)
@@ -385,19 +393,21 @@ def test_exponential_tail_identity_grid():
 
 
 def test_evaluator_consistency_along_rays():
-    # smooth data: the single-ray evaluator and the vectorized fan follow the
-    # same arithmetic, so they agree to rounding
+    # smooth data: the scalar single-ray integrator (oracle) and the
+    # vectorized fan follow the same arithmetic, so they agree to rounding
     smooth = BranchingModel(ScalarField.exp_decay(1.0, 0.8, 0.4), OffspringLaw.geometric(0.35))
     grid = SolverGrid(2e-3, 1.0)
     sol = solve_exponent(smooth, ONE, grid)
     ray = sol.along_ray(0.8)
     times = grid.times()
     for j in (100, 250, 500):
-        assert sol.at(times[j], 0.8) == pytest.approx(ray[j], abs=1e-12)
+        assert scalar_exponent_at(sol, times[j], 0.8) == pytest.approx(ray[j], abs=1e-12)
+        assert sol.at(times[j], 0.8) == ray[j]
     msol = solve_mean(smooth, ONE, grid)
     mray = msol.along_ray(0.8)
     for j in (100, 250, 500):
-        assert msol.at(times[j], 0.8) == pytest.approx(mray[j], abs=1e-12)
+        assert scalar_mean_at(msol, times[j], 0.8) == pytest.approx(mray[j], abs=1e-12)
+        assert msol.at(times[j], 0.8) == mray[j]
 
 
 def test_evaluator_consistency_discontinuous_rates():
@@ -409,9 +419,99 @@ def test_evaluator_consistency_discontinuous_rates():
     ray = sol.along_ray(0.8)
     times = grid.times()
     for j in (100, 250, 500):
-        assert sol.at(times[j], 0.8) == pytest.approx(ray[j], abs=5 * grid.dt)
+        assert scalar_exponent_at(sol, times[j], 0.8) == pytest.approx(ray[j], abs=5 * grid.dt)
 
 
 def test_lattice_guard():
     with pytest.raises(ValueError, match="lattice"):
         solve_exponent(CRITICAL, ONE, SolverGrid(1e-4, 1.0), keep_lattice=True)
+
+
+SMOOTH = BranchingModel(ScalarField.exp_decay(1.0, 0.8, 0.4), OffspringLaw.geometric(0.35))
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
+@pytest.mark.parametrize("model", [CRITICAL, AGE_VARYING, SMOOTH], ids=["critical", "age_varying", "smooth"])
+def test_rays_match_one_fan_per_offset(model, quadrature):
+    # dt = 7e-3 keeps the step thresholds at 1.5 off the label grid, so no
+    # label sits on a jump where an ulp of its age decides the piece
+    grid = SolverGrid(7e-3, 0.7, quadrature)
+    f = ScalarField.exp_decay(1.0, 0.7, 0.2)
+    # 250 and 400 lie beyond the horizon; 450 lies beyond the extended row
+    aligned = [k * grid.dt for k in (0, 1, 37, 100, 250, 400, 450)]
+    off_grid = [0.0123, 0.8, 2.3456]
+    offsets = aligned + off_grid
+    for solve, fan in ((solve_exponent, fan_exponent), (solve_mean, fan_mean)):
+        sol = solve(model, f, grid)
+        table = sol.rays(offsets)
+        assert table.shape == (len(offsets), grid.n_steps + 1)
+        for x, ray in zip(offsets, table):
+            old = fan(model, f, grid, offset=x, boundary=sol.boundary) if x else sol.boundary
+            assert np.max(np.abs(ray - old)) <= 1e-13
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
+def test_zero_ray_is_the_boundary_bit_for_bit(quadrature):
+    grid = SolverGrid(5e-3, 1.0, quadrature)
+    for solve, march in ((solve_exponent, solvers.march_exponent), (solve_mean, solvers.march_mean)):
+        sol = solve(AGE_VARYING, ONE, grid)
+        assert sol.rays([0.0])[0].tobytes() == sol.boundary.tobytes()
+        # marched together with other rays, the age-0 row is still the boundary
+        boundary, table, _ = march(AGE_VARYING, ONE, grid, [0.3, 0.0, 0.0123])
+        assert boundary.tobytes() == sol.boundary.tobytes()
+        assert table[1].tobytes() == sol.boundary.tobytes()
+
+
+def test_rays_reject_bad_offsets():
+    # f(-0.5) lies above the field's supremum: a negative age must not be marched
+    sol = solve_exponent(AGE_VARYING, ScalarField.exp_decay(1.0, 0.5, 0.0), SolverGrid(1e-2, 1.0))
+    msol = solve_mean(AGE_VARYING, ONE, SolverGrid(1e-2, 1.0))
+    for bad in (-0.5, math.nan, math.inf):
+        for s in (sol, msol):
+            with pytest.raises(ValueError, match="finite ages"):
+                s.along_ray(bad)
+            with pytest.raises(ValueError, match="finite ages"):
+                s.rays([0.2, bad])
+            with pytest.raises(ValueError):
+                s.at(0.5, bad)
+
+
+def test_at_refuses_off_grid_times():
+    grid = SolverGrid(1e-2, 1.0)
+    for sol in (solve_exponent(CRITICAL, ONE, grid), solve_mean(CRITICAL, ONE, grid)):
+        assert sol.at(0.5, 0.3) == sol.rays([0.3])[0, 50]
+        for t in (0.505, -0.01, 1.01, math.nan):
+            with pytest.raises(ValueError, match="not a node"):
+                sol.at(t, 0.3)
+
+
+@pytest.mark.parametrize("command, name", [("solve-u", "march_exponent"), ("solve-pi", "march_mean")])
+def test_solve_commands_march_once(tmp_path, monkeypatch, command, name):
+    calls = []
+    original = getattr(solvers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (solvers, cli):
+        monkeypatch.setattr(module, name, counted)
+    config = Path(__file__).resolve().parent.parent / "configs" / "age_varying.json"
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--dt", "0.01", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    lattice = (out / "lattice.csv").read_text().strip().split("\n")
+    assert len(lattice) == 1 + 51 * 51  # every second node of the n = 100 grid, per axis
+
+
+def test_own_label_rows_trip_no_guard_a_single_ray_would_not():
+    # an off-grid age's row is padded to the extended boundary row; the hazard
+    # guard of the moment march must still see only the ages that ray visits
+    model = BranchingModel(ScalarField.step([5.0], [1.0, 90.0]), OffspringLaw.geometric(0.875))
+    grid = SolverGrid(1e-2, 1.0)
+    sol = solve_mean(model, ONE, grid)
+    table = sol.rays([3.9, 3.0005])  # the boundary row reaches age 4.9, this ray 4.0005
+    old = fan_mean(model, ONE, grid, offset=3.0005, boundary=sol.boundary)
+    assert np.max(np.abs(table[1] - old)) <= 1e-13
+    with pytest.raises(ValueError, match="dt too large"):
+        sol.rays([4.5])  # a ray that does reach the high-hazard ages is still refused
