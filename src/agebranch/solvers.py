@@ -32,8 +32,8 @@ step size.
 
 One march serves every ray.  The labels form a block: row 0 holds the
 boundary family ``t_0..t_N``, and a ray at the grid-aligned age ``x = K dt``
-is the same characteristics shifted in time, so it is read from entry
-``i + K`` of that row after step ``i`` (the row is extended to
+with ``K <= n`` is the same characteristics shifted in time, so it is read
+from entry ``i + K`` of that row after step ``i`` (the row is extended to
 ``N = n + max K``).  Any other age ``x`` gets a row of labels ``x + t_j``,
 marched in the same loop against the boundary value closed in it.  Only the
 requested entries are gathered at each step, into a ``(rays, n + 1)`` table
@@ -77,7 +77,6 @@ __all__ = [
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
 _LATTICE_MAX_STEPS = 4096
-_RAY_ROW_FACTOR = 4  # grid-aligned rays extend the boundary row up to 4 horizons
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,16 @@ def _ray_labels(grid: SolverGrid, offsets: np.ndarray) -> tuple[np.ndarray, np.n
     """The label block of one fan march, and where each ray is read from it.
 
     Row 0 is the boundary family ``t_0..t_N``.  An offset ``x = K dt`` (within
-    SolverGrid's 1e-9 relative tolerance, and ``K <= _RAY_ROW_FACTOR * n`` so
-    the row stays bounded) lies on it: the ray at age x reads entry ``i + K``
-    after step i, and the row is extended to ``N = n + max K``.  Every other
-    distinct offset gets its own row of labels ``x + t_j``, read at entry i.
+    SolverGrid's 1e-9 relative tolerance) with ``K <= n`` lies on it: the ray
+    at age x reads entry ``i + K`` after step i, and the row is extended to
+    ``N = n + max K``, exactly the labels the boundary and these rays visit.
+    Every other distinct offset gets its own row of labels ``x + t_j``, read
+    at entry i.
     Returns the label ages (rows, N + 1) and each ray's row and column shift.
     """
     n, dt = grid.n_steps, grid.dt
     ks = np.rint(offsets / dt)
-    on_row = (np.abs(ks * dt - offsets) <= 1e-9 * np.maximum(1.0, offsets)) & (
-        ks <= _RAY_ROW_FACTOR * n
-    )
+    on_row = (np.abs(ks * dt - offsets) <= 1e-9 * np.maximum(1.0, offsets)) & (ks <= n)
     starts, inverse = np.unique(offsets[~on_row], return_inverse=True)
     rows = np.zeros(len(offsets), dtype=np.intp)
     rows[~on_row] = 1 + inverse
@@ -463,13 +461,14 @@ def immigration_exponent_integral(
     n = grid.n_steps
     if imm.total_rate == 0.0:
         return 0.0, np.zeros(n + 1)
+    ages = imm.atom_ages()
     sol = exponent_solution
     if sol is None:
-        sol = solve_exponent(model, f, grid)
-    if abs(sol.grid.horizon - grid.horizon) > 1e-12 or sol.grid.dt != grid.dt:
-        raise ValueError("exponent solution grid does not match the requested grid")
-    ages = imm.atom_ages()
-    rays = sol.rays(ages)
+        _, rays, _ = march_exponent(model, f, grid, ages)
+    else:
+        if abs(sol.grid.horizon - grid.horizon) > 1e-12 or sol.grid.dt != grid.dt:
+            raise ValueError("exponent solution grid does not match the requested grid")
+        rays = sol.rays(ages)
     psi_vals = np.empty(n + 1)
     for j in range(n + 1):
         psi_vals[j] = imm.psi_from_exponents({a: float(r[j]) for a, r in zip(ages, rays)})
@@ -491,11 +490,12 @@ def mean_with_immigration(
     cohort contributes the kernel applied over its residual time, integrated
     against the arrival intensity.
     """
-    sol = mean_solution
-    if sol is None:
-        sol = solve_mean(model, f, grid)
     atoms = imm.atom_ages() if imm is not None and imm.total_rate > 0.0 else ()
-    table = sol.rays([*initial.ages, *atoms])
+    ages = [*initial.ages, *atoms]
+    if mean_solution is None:
+        _, table, _ = march_mean(model, f, grid, ages)
+    else:
+        table = mean_solution.rays(ages)
     total = sum(float(v) for v in table[: len(initial.ages), -1])
     if not atoms:
         return total

@@ -437,8 +437,9 @@ def test_rays_match_one_fan_per_offset(model, quadrature):
     # label sits on a jump where an ulp of its age decides the piece
     grid = SolverGrid(7e-3, 0.7, quadrature)
     f = ScalarField.exp_decay(1.0, 0.7, 0.2)
-    # 250 and 400 lie beyond the horizon; 450 lies beyond the extended row
-    aligned = [k * grid.dt for k in (0, 1, 37, 100, 250, 400, 450)]
+    # 100 = n is the last age read from the boundary row; 101 and beyond lie
+    # past the horizon and get their own rows
+    aligned = [k * grid.dt for k in (0, 1, 37, 100, 101, 250, 450)]
     off_grid = [0.0123, 0.8, 2.3456]
     offsets = aligned + off_grid
     for solve, fan in ((solve_exponent, fan_exponent), (solve_mean, fan_mean)):
@@ -504,14 +505,43 @@ def test_solve_commands_march_once(tmp_path, monkeypatch, command, name):
     assert len(lattice) == 1 + 51 * 51  # every second node of the n = 100 grid, per axis
 
 
-def test_own_label_rows_trip_no_guard_a_single_ray_would_not():
-    # an off-grid age's row is padded to the extended boundary row; the hazard
-    # guard of the moment march must still see only the ages that ray visits
+def test_immigration_helpers_march_once_without_a_solution(monkeypatch):
+    calls = []
+    for name in ("march_exponent", "march_mean"):
+        original = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda *a, _o=original, **k: calls.append(a) or _o(*a, **k))
+    imm = ImmigrationMechanism.finite_support([(1.5, AgeMeasure.point(2.0))])
+    grid = SolverGrid(1e-2, 1.0)
+    val, psis = immigration_exponent_integral(AGE_VARYING, imm, ONE, grid)
+    assert len(calls) == 1
+    sol = solve_exponent(AGE_VARYING, ONE, grid)
+    val_sol, psis_sol = immigration_exponent_integral(AGE_VARYING, imm, ONE, grid, sol)
+    assert val == val_sol and psis.tobytes() == psis_sol.tobytes()
+    calls.clear()
+    initial = AgeMeasure.point(0.7, 3)
+    mean = mean_with_immigration(AGE_VARYING, imm, ONE, initial, grid)
+    assert len(calls) == 1
+    assert mean == mean_with_immigration(AGE_VARYING, imm, ONE, initial, grid, solve_mean(AGE_VARYING, ONE, grid))
+
+
+def test_label_rows_trip_no_guard_a_single_ray_would_not():
+    # the moment march's guards must see only the ages the boundary and the
+    # requested rays visit
     model = BranchingModel(ScalarField.step([5.0], [1.0, 90.0]), OffspringLaw.geometric(0.875))
     grid = SolverGrid(1e-2, 1.0)
     sol = solve_mean(model, ONE, grid)
-    table = sol.rays([3.9, 3.0005])  # the boundary row reaches age 4.9, this ray 4.0005
+    # an off-grid age's row is padded to the extended boundary row (age 2.0);
+    # unpadded it would reach age 5.0005, this ray only 4.0005
+    table = sol.rays([1.0, 3.0005])
     old = fan_mean(model, ONE, grid, offset=3.0005, boundary=sol.boundary)
     assert np.max(np.abs(table[1] - old)) <= 1e-13
     with pytest.raises(ValueError, match="dt too large"):
         sol.rays([4.5])  # a ray that does reach the high-hazard ages is still refused
+    # a grid-aligned age past the horizon gets its own row: ages 1..3 lie
+    # between the boundary (0..1) and this ray (3..4) and are never marched
+    model = BranchingModel(ScalarField.step([2.0, 2.5], [1.0, 90.0, 1.0]), OffspringLaw.geometric(0.875))
+    sol = solve_mean(model, ONE, grid)
+    old = fan_mean(model, ONE, grid, offset=3.0, boundary=sol.boundary)
+    assert np.max(np.abs(sol.rays([3.0])[0] - old)) <= 1e-13
+    assert np.max(np.abs(sol.along_ray(3.0) - old)) <= 1e-13
+    assert sol.at(1.0, 3.0) == pytest.approx(old[-1], abs=1e-13)
