@@ -251,11 +251,11 @@ class ScalarField:
             return self.knots_x
         return ()
 
-    def sup_on(self, lo: float = 0.0, hi: float | None = None) -> float:
-        """Exact supremum over [lo, hi) (hi=None means the whole tail).
+    def _extreme_candidates(self, lo: float, hi: float | None) -> list[float]:
+        """Values whose max and min are the supremum and infimum over [lo, hi).
 
         All catalog kinds are piecewise monotone with known breakpoints, so the
-        supremum is attained (or approached) at an endpoint or interior knot.
+        extremes are attained (or approached) at an endpoint or interior knot.
         """
         cands = [self(lo)]
         if hi is None:
@@ -264,17 +264,15 @@ class ScalarField:
         else:
             cands.append(self._left_limit(hi))
             cands.extend(self(t) for t in self.breakpoints() if lo < t < hi)
-        return max(cands)
+        return cands
+
+    def sup_on(self, lo: float = 0.0, hi: float | None = None) -> float:
+        """Exact supremum over [lo, hi) (hi=None means the whole tail)."""
+        return max(self._extreme_candidates(lo, hi))
 
     def inf_on(self, lo: float = 0.0, hi: float | None = None) -> float:
-        cands = [self(lo)]
-        if hi is None:
-            cands.append(self._limit_at_inf())
-            cands.extend(self(t) for t in self.breakpoints() if t > lo)
-        else:
-            cands.append(self._left_limit(hi))
-            cands.extend(self(t) for t in self.breakpoints() if lo < t < hi)
-        return min(cands)
+        """Exact infimum over [lo, hi) (hi=None means the whole tail)."""
+        return min(self._extreme_candidates(lo, hi))
 
     @property
     def sup(self) -> float:

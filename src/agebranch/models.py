@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.special import zeta as _zeta
+from scipy.special import gamma as _gamma, zeta as _zeta
 
 from .measures import AgeMeasure, ScalarField
 
@@ -296,6 +296,7 @@ def _log_squared_total() -> float:
     return head + 1.0 / logK + f_K / 2.0 - fp_K / 12.0
 
 
+@lru_cache(maxsize=32)
 def _zeta_log_moment(s: float) -> float:
     """Sum of k^-s log k over k >= 1 with an Euler-Maclaurin tail correction."""
     K = 200_000
@@ -307,6 +308,108 @@ def _zeta_log_moment(s: float) -> float:
     f_K = logK / K**s
     fp_K = (1.0 - s * logK) / K ** (s + 1.0)
     return head + tail_int + f_K / 2.0 - fp_K / 12.0
+
+
+# The polylogarithm Li_s(q) = sum_k q^k k^-s, the zeta law's Laplace sum up to
+# the factor zeta(s), in closed form (D. C. Wood, "The Computation of
+# Polylogarithms", 1992).  At q <= e^-1 the direct series converges fast; above
+# it, with mu = log q in (-1, 0),
+#     Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_n zeta(s-n) mu^n / n!,
+# and at integer s = m the poles of Gamma(1-s) and zeta(s-(m-1)) cancel into
+# mu^(m-1) / (m-1)! (H_(m-1) - log(-mu)).
+_DIRECT_EDGE = math.exp(-1.0)
+_MU_TERMS = 40  # most terms of the mu series
+# Rounding allowance relative to the summed term magnitudes: scipy's zeta and
+# gamma stay within about 50 ulps of the magnitudes used, Horner's rule adds 2
+# ulps per term, and the (n + 1) weights cover the rounding of log q.
+_ROUNDING = 2.0**-44
+_polyval = np.polynomial.polynomial.polyval  # Horner's rule, elementwise in x
+
+
+@lru_cache(maxsize=32)
+def _polylog_mu_series(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, rounding weights and remainder scales of the mu series.
+
+    For n < _MU_TERMS: the coefficient ``zeta(s-n)/n!`` (zero for the pole term
+    n = s-1 at integer s, which the singular term carries) and the weight
+    ``(n+1) E_n / n!``.  E_n is |zeta(s-n)| for s-n > -1/2 and past that the
+    functional-equation envelope ``2 (2 pi)^(s-n-1) Gamma(n+1-s) zeta(n+1-s)``,
+    since near the trivial zeros the value is small but its error is not.
+    The envelope also bounds the remainder after N > s terms by
+    ``scale[N] r^N / (1 - r)``, r = |mu| / 2 pi, with
+    ``scale[N] = 2 (2 pi)^(s-1) zeta(N+1-s)`` (inf where N <= s).
+    """
+    n = np.arange(_MU_TERMS + 1, dtype=np.float64)
+    x = s - n
+    fact = _gamma(n + 1.0)
+    pole = x == 1.0
+    zeta_x = np.where(pole, 0.0, _zeta(np.where(pole, 2.0, x)))
+    xe = np.minimum(x, -0.5)
+    envelope = 2.0 * (2.0 * math.pi) ** (xe - 1.0) * _gamma(1.0 - xe) * _zeta(1.0 - xe)
+    mags = np.where(x > -0.5, np.abs(zeta_x), envelope)
+    scale = np.full_like(n, np.inf)
+    scale[n > s] = 2.0 * (2.0 * math.pi) ** (s - 1.0) * _zeta(1.0 - x[n > s])
+    out = (zeta_x / fact)[:-1], ((n + 1.0) * mags / fact)[:-1], scale
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _polylog_direct(s: float, q: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Li_s(q) for q <= e^-1 and its error bound, K terms sized at q = e^-1.
+
+    The remainder after K terms is at most ``q^(K+1) / (1 - q)``; K is the
+    least with that bound below ``target`` at the edge q = e^-1, so it serves
+    every q of the branch and each value is independent of the others.
+    """
+    K = max(1, math.ceil(-math.log(target) - math.log1p(-_DIRECT_EDGE)) - 1)
+    ks = np.arange(1, K + 1, dtype=np.float64)
+    li = _polyval(q, np.concatenate(([0.0], ks**-s)))
+    return li, q ** (K + 1) / (1.0 - q) + _ROUNDING * li
+
+
+def _polylog_mu(s: float, q: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Li_s(q) for e^-1 < q < 1 by the mu series and its error bound.
+
+    N is the least number of terms whose remainder bound is below ``target``
+    at the edge |mu| = 1; with none up to _MU_TERMS, or where the bound with
+    the rounding allowance misses the tolerance, the caller falls back.
+    """
+    coeffs, weights, scale = _polylog_mu_series(s)
+    mu = np.log(q)
+    r_edge = 1.0 / (2.0 * math.pi)
+    fits = scale * r_edge ** np.arange(_MU_TERMS + 1) / (1.0 - r_edge) <= target
+    if not fits.any():
+        return np.zeros_like(q), np.full_like(q, np.inf)
+    N = int(np.argmax(fits))
+    r = -mu / (2.0 * math.pi)
+    trunc = scale[N] * r**N / (1.0 - r)
+    if float(s).is_integer():
+        m = int(s)
+        harmonic = sum(1.0 / j for j in range(1, m))
+        power = mu ** (m - 1) / math.factorial(m - 1)
+        log_term = np.log(-mu)
+        singular = power * (harmonic - log_term)
+        singular_mag = np.abs(power) * (harmonic + np.abs(log_term))
+    else:
+        singular = _gamma(1.0 - s) * (-mu) ** (s - 1.0)
+        singular_mag = np.abs(singular)
+    li = singular + _polyval(mu, coeffs[:N])
+    rounding = _ROUNDING * (s * singular_mag + _polyval(-mu, weights[:N]))
+    return li, trunc + rounding
+
+
+def _zeta_laplace(s: float, q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Li_s(q) / zeta(s) by the closed forms, with error bounds (inf where uncertified)."""
+    total = _zeta_total(s)
+    out, error = np.ones_like(q), np.where(q < 1.0, np.inf, 0.0)  # q = 1: the whole mass
+    if tol > 0.0:
+        direct = q <= _DIRECT_EDGE
+        for part, series in ((direct, _polylog_direct), (~direct & (q < 1.0), _polylog_mu)):
+            if part.any():
+                li, bound = series(s, q[part], tol * total / 2.0)
+                out[part], error[part] = np.clip(li / total, 0.0, 1.0), bound / total
+    return out, error
 
 
 @dataclass(frozen=True)
@@ -435,23 +538,48 @@ class GroupSizeLaw:
             return ("infinite", None)
         return ("unknown", None)
 
-    def laplace_sum(self, q: float, tol: float) -> float:
-        """Sum of P(k) q^k over all sizes, within tol.
+    def laplace_sum(self, q, tol: float):
+        """Sum of P(k) q^k over all sizes, within tol, for a float or an array of q.
 
-        Truncation remainder is bounded by min(q^(K+1), P(size > K)); if
-        neither bound can reach tol within the table cap the computation
-        refuses rather than returning an uncertified value.
+        Returns a float for a float ``q`` and an array of the same shape
+        otherwise; each entry is computed as a scalar call would compute it.
+
+        * ``pmf`` / ``declared``: the exact finite sum; a declared tail mass
+          above tol is refused.
+        * ``zeta``: ``Li_s(q) / zeta(s)`` in closed form, exactly 0 at q = 0
+          and 1 at q = 1.  For q <= e^-1, the direct series to K terms, with
+          remainder at most ``q^(K+1) / (1 - q)``.  For e^-1 < q < 1, the
+          expansion in mu = log q of Li_s(e^mu) to N terms, with remainder at
+          most ``2 (2 pi)^(s-1) zeta(N+1-s) r^N / (1 - r)``, r = |mu| / 2 pi.
+          Each value is used only where that bound plus a rounding allowance
+          is within tol: near-integer s, where the Gamma(1-s) term and
+          zeta(s-n) nearly cancel, and very large s fall back to the walk.
+        * ``log_squared`` (and the zeta fallback): a walk over chunks of
+          sizes, once per distinct q, whose truncation remainder is bounded
+          by min(q^(K+1), P(size > K)); if neither bound reaches tol within
+          the table cap the computation refuses rather than returning an
+          uncertified value.
         """
-        if not (0.0 <= q <= 1.0):
+        qs = np.atleast_1d(np.asarray(q, dtype=np.float64))
+        if not np.all((qs >= 0.0) & (qs <= 1.0)):
             raise ValueError("q must lie in [0, 1]")
         if self.kind in ("pmf", "declared"):
-            exact = float(sum(p * q**k for k, p in zip(self.sizes, self.probs)))
             if self.kind == "declared" and self.undeclared_tail > tol:
                 raise ValueError(
                     f"declared tail mass {self.undeclared_tail} exceeds tolerance {tol}; "
                     "cannot certify the group Laplace transform"
                 )
-            return exact
+            out = sum(p * qs**k for k, p in zip(self.sizes, self.probs))
+        else:
+            if self.kind == "zeta":
+                out, error = _zeta_laplace(self.exponent, qs, tol)
+            else:
+                out, error = np.empty_like(qs), np.full_like(qs, np.inf)
+            for qv in np.unique(qs[~(error <= tol)]):
+                out[qs == qv] = self._series_walk(float(qv), tol)
+        return float(out[0]) if np.ndim(q) == 0 else out
+
+    def _series_walk(self, q: float, tol: float) -> float:
         if q == 0.0:
             return 0.0
         total = 0.0
@@ -613,25 +741,29 @@ class ImmigrationMechanism:
             return tuple(sorted(ages))
         return tuple(sorted({a for a, _ in self.age_atoms}))
 
-    def psi_from_exponents(self, exponents: dict[float, float], tol: float = 1e-12) -> float:
+    def psi_from_exponents(self, exponents: dict, tol: float = 1e-12):
         """The arrival-compensation functional given a field's values at atom ages.
 
         ``psi(h) = integral of (1 - exp(-<nu, h>)) dL(nu)``; ``exponents`` maps
-        each atom age to h(age).  Lies in [0, total_rate].
+        each atom age to h(age), a float or an array (one entry per grid node,
+        say).  Returns a float for floats and an array of the broadcast shape
+        otherwise, each entry as a scalar call would compute it.  Lies in
+        [0, total_rate].
         """
+        scalar = all(np.ndim(e) == 0 for e in exponents.values())
+        e = {a: np.atleast_1d(np.asarray(v, dtype=np.float64)) for a, v in exponents.items()}
         if self.total_rate == 0.0:
-            return 0.0
-        if self.kind == "finite":
+            out = np.zeros(np.broadcast_shapes((1,), *(v.shape for v in e.values())))
+        elif self.kind == "finite":
             out = 0.0
             for w, g in self.groups:
-                e = sum(exponents[a] for a in g.ages)
-                out += w * -math.expm1(-e)
-            return out
-        q = sum(p * math.exp(-exponents[a]) for a, p in self.age_atoms)
-        q = min(max(q, 0.0), 1.0)
-        assert self.size_law is not None
-        s = self.size_law.laplace_sum(q, tol / max(self.total_rate, 1.0))
-        return self.total_rate * (1.0 - s)
+                out = out + w * -np.expm1(-sum(e[a] for a in g.ages))
+        else:
+            q = np.clip(sum(p * np.exp(-e[a]) for a, p in self.age_atoms), 0.0, 1.0)
+            assert self.size_law is not None
+            s = self.size_law.laplace_sum(q, tol / max(self.total_rate, 1.0))
+            out = self.total_rate * (1.0 - s)
+        return float(out[0]) if scalar else out
 
     def psi(self, h, tol: float = 1e-12) -> float:
         """psi evaluated against a callable or ScalarField h."""

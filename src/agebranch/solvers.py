@@ -455,8 +455,9 @@ def immigration_exponent_integral(
     """Integral over [0, horizon] of the arrival compensation of the exponent.
 
     Evaluates the exponent at each group atom age along characteristic fans,
-    applies the mechanism's analytic functional per grid node, and integrates
-    with the grid's quadrature.  Returns (integral, per-node values).
+    applies the mechanism's analytic functional to every grid node in one
+    call, and integrates with the grid's quadrature.  Returns (integral,
+    per-node values).
     """
     n = grid.n_steps
     if imm.total_rate == 0.0:
@@ -469,9 +470,7 @@ def immigration_exponent_integral(
         if abs(sol.grid.horizon - grid.horizon) > 1e-12 or sol.grid.dt != grid.dt:
             raise ValueError("exponent solution grid does not match the requested grid")
         rays = sol.rays(ages)
-    psi_vals = np.empty(n + 1)
-    for j in range(n + 1):
-        psi_vals[j] = imm.psi_from_exponents({a: float(r[j]) for a, r in zip(ages, rays)})
+    psi_vals = imm.psi_from_exponents(dict(zip(ages, rays)))
     w = _quadrature_weights(n, grid.dt, grid.quadrature)
     return float(np.dot(w, psi_vals)), psi_vals
 

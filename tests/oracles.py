@@ -11,6 +11,8 @@ only as oracles:
   survival-discounted renewal form.
 * ``scalar_exponent_at`` / ``scalar_mean_at``: a single ray integrated in
   scalar Python, reading the boundary trace linearly interpolated.
+* ``immigration_integral_per_node``: the arrival-compensation integral with
+  psi evaluated in scalar Python, one grid node at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from agebranch.solvers import (
     _FIXED_POINT_TOL,
     _check_contraction,
     _clip_unit,
+    _quadrature_weights,
 )
 
 
@@ -266,3 +269,23 @@ def scalar_mean_at(sol, t, x):
         A = A_new
         r += h
     return math.exp(-A) * (float(sol.f(y)) + J)
+
+
+def immigration_integral_per_node(imm, ages, rays, grid, tol=1e-12):
+    """(integral, per-node psi) from the exponent rays at the atom ages.
+
+    psi is the scalar form of ``psi_from_exponents``, called once per node
+    with the group Laplace sum taken one q at a time.
+    """
+    n = grid.n_steps
+    psi = np.empty(n + 1)
+    for j in range(n + 1):
+        h = {a: float(r[j]) for a, r in zip(ages, rays)}
+        if imm.kind == "finite":
+            psi[j] = sum(w * -math.expm1(-sum(h[a] for a in g.ages)) for w, g in imm.groups)
+        else:
+            q = min(max(sum(p * math.exp(-h[a]) for a, p in imm.age_atoms), 0.0), 1.0)
+            s = imm.size_law.laplace_sum(q, tol / max(imm.total_rate, 1.0))
+            psi[j] = imm.total_rate * (1.0 - s)
+    w = _quadrature_weights(n, grid.dt, grid.quadrature)
+    return float(np.dot(w, psi)), psi

@@ -12,6 +12,7 @@ from agebranch import (
     OffspringPmf,
     ScalarField,
 )
+from agebranch import models
 
 ONE = ScalarField.constant(1.0)
 
@@ -268,6 +269,76 @@ def test_declared_tail_refuses_uncertified_laplace():
         law.laplace_sum(0.5, 1e-6)
     with pytest.raises(ValueError):
         law.sample(np.random.default_rng(0))
+
+
+_SEAM = math.exp(-1.0)  # direct series at or below, the mu = log q expansion above
+_POLYLOG_QS = (0.0, 1e-3, _SEAM - 1e-12, _SEAM, _SEAM + 1e-12, 0.9, 1 - 1e-3, 1 - 1e-7, 1.0)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 3.0 - 1e-9, 3.0 + 1e-9, 3.5, 5.0])
+def test_zeta_laplace_closed_form_matches_polylog(s):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    law = GroupSizeLaw.zeta_tail(s)
+    values = law.laplace_sum(np.array(_POLYLOG_QS), 1e-12)
+    for q, value in zip(_POLYLOG_QS, values):
+        oracle = float(mpmath.polylog(s, q) / mpmath.zeta(s)) if q > 0 else 0.0
+        assert abs(value - oracle) <= 1e-12, (s, q)
+        assert law.laplace_sum(q, 1e-12) == value
+
+
+def test_zeta_laplace_near_one_is_certified_not_refused():
+    # the chunk walk alone needs more than 2^24 terms here and refused
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    q = 1 - 1e-7
+    oracle = float(mpmath.polylog(2.5, q) / mpmath.zeta(2.5))
+    assert abs(GroupSizeLaw.zeta_tail(2.5).laplace_sum(q, 1e-12) - oracle) <= 1e-12
+
+
+def test_array_laplace_sum_and_psi_equal_scalar_calls(monkeypatch):
+    qs = np.array([0.0, 0.3, _SEAM, 0.9, 0.3, 0.999, 1 - 1e-9, 0.9])
+    laws = [
+        GroupSizeLaw.table({1: 0.5, 3: 0.25, 7: 0.25}),
+        GroupSizeLaw.declared({1: 0.6, 2: 0.4 - 1e-13}, undeclared_tail=1e-13),
+        GroupSizeLaw.zeta_tail(2.5),
+        GroupSizeLaw.zeta_tail(3.0 + 1e-9),  # near-integer: some entries take the walk
+        GroupSizeLaw.log_squared_tail(),
+    ]
+    walks = []
+    original = GroupSizeLaw._series_walk
+    monkeypatch.setattr(GroupSizeLaw, "_series_walk", lambda self, q, tol: walks.append(q) or original(self, q, tol))
+    for law in laws:
+        qs_law = qs[qs <= 0.9] if law.kind == "log_squared" else qs  # the walk is slow near 1
+        walks.clear()
+        values = law.laplace_sum(qs_law, 1e-12)
+        assert values.shape == qs_law.shape
+        assert len(walks) == len(set(walks))  # at most one walk per distinct q
+        assert np.array_equal(values, [law.laplace_sum(float(q), 1e-12) for q in qs_law])
+    h = np.array([[0.0, 0.2, 1.5, 1e-8], [3.0, 0.7, 0.0, 2e-9]])
+    mechanisms = [
+        ImmigrationMechanism.finite_support(
+            [(1.0, AgeMeasure.point(0.0)), (0.5, AgeMeasure.from_ages([0.0, 1.0, 1.0]))]
+        ),
+        ImmigrationMechanism.parametric(
+            2.0, GroupSizeLaw.zeta_tail(3.0), age_atoms=((0.0, 0.25), (1.0, 0.75))
+        ),
+        ImmigrationMechanism.none(),
+    ]
+    for imm in mechanisms:
+        values = imm.psi_from_exponents({0.0: h[0], 1.0: h[1]})
+        assert values.shape == h[0].shape
+        scalar = [imm.psi_from_exponents({0.0: float(a), 1.0: float(b)}) for a, b in zip(*h)]
+        assert all(isinstance(v, float) for v in scalar)
+        assert np.array_equal(values, scalar)
+
+
+def test_zeta_log_moment_is_computed_once_per_exponent():
+    law = GroupSizeLaw.zeta_tail(3.25)
+    first = law.log_moment()
+    hits = models._zeta_log_moment.cache_info().hits
+    assert law.log_moment() == first
+    assert models._zeta_log_moment.cache_info().hits == hits + 1
 
 
 def test_immigration_validation_errors():

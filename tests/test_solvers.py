@@ -27,6 +27,7 @@ from agebranch import cli, solvers
 from oracles import (
     fan_exponent,
     fan_mean,
+    immigration_integral_per_node,
     renewal_exponent_boundary,
     scalar_exponent_at,
     scalar_mean_at,
@@ -545,3 +546,44 @@ def test_label_rows_trip_no_guard_a_single_ray_would_not():
     assert np.max(np.abs(sol.rays([3.0])[0] - old)) <= 1e-13
     assert np.max(np.abs(sol.along_ray(3.0) - old)) <= 1e-13
     assert sol.at(1.0, 3.0) == pytest.approx(old[-1], abs=1e-13)
+
+
+def _count_psi_calls(monkeypatch) -> list:
+    calls = []
+    original = ImmigrationMechanism.psi_from_exponents
+    monkeypatch.setattr(
+        ImmigrationMechanism,
+        "psi_from_exponents",
+        lambda self, *a, **k: calls.append(a) or original(self, *a, **k),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", ["pure_death_imm", "subcritical_imm", "zeta_groups_imm"])
+def test_immigration_integral_matches_per_node_oracle(monkeypatch, name):
+    cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
+    sol = solve_exponent(cfg.model, cfg.f, grid)
+    calls = _count_psi_calls(monkeypatch)
+    val, psis = immigration_exponent_integral(cfg.model, cfg.immigration, cfg.f, grid, sol)
+    assert len(calls) == 1
+    ages = cfg.immigration.atom_ages()
+    ref_val, ref_psis = immigration_integral_per_node(cfg.immigration, ages, sol.rays(ages), grid)
+    assert psis.shape == ref_psis.shape
+    assert np.max(np.abs(psis - ref_psis)) <= 1e-12
+    assert val == pytest.approx(ref_val, abs=1e-12)
+
+
+def test_stationary_solve_makes_one_psi_call_per_grid(monkeypatch):
+    calls = _count_psi_calls(monkeypatch)
+    integrals = []
+    original = solvers.immigration_exponent_integral
+    monkeypatch.setattr(
+        solvers,
+        "immigration_exponent_integral",
+        lambda *a, **k: integrals.append(a) or original(*a, **k),
+    )
+    imm = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.zeta_tail(3.0))
+    stationary_laplace(SUBCRITICAL, imm, ONE, 2e-3)
+    assert len(integrals) >= 2
+    assert len(calls) == len(integrals)
