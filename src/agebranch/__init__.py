@@ -17,7 +17,7 @@ from .models import (
     OffspringLaw,
     OffspringPmf,
 )
-from .simulate import Event, SimConfig, Trajectory, replay_statistics, replicate_rng, simulate
+from .simulate import Event, SimConfig, Trajectory, replicate_rng, simulate
 from .solvers import (
     ErgodicityReport,
     ExponentSolution,
@@ -46,6 +46,7 @@ from .validate import (
     estimate_mean,
     laplace_analytic,
     martingale_residual,
+    martingale_suite,
     observed_orders,
     solver_bound_checks,
 )

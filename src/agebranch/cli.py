@@ -37,7 +37,7 @@ from .validate import (
     compare_mean,
     control_report,
     ergodic_convergence,
-    martingale_residual,
+    martingale_suite,
     snapshot_profile,
     solver_bound_checks,
 )
@@ -221,7 +221,8 @@ def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
             f"t={_fmt(r[0])} mean_mass={_fmt(r[1])} se_mass={_fmt(r[2])} "
             f"mean_f={_fmt(r[3])} se_f={_fmt(r[4])}"
             for r in mass_rows
-        ],
+        ]
+        + [f"excluded_paths={profile[0][1].excluded}"],
     )
     return 0
 
@@ -263,12 +264,7 @@ def validation_suite(cfg: RunConfig, n_jobs: int = 1) -> list[ComparisonReport]:
     mean = compare_mean(sim, cfg.f, t, n, dt=dt, stream=20, n_jobs=n_jobs)
     reports += [mean, control_report(mean)]
     if cfg.f.kind in ("constant", "expdecay", "rational"):
-        mart = martingale_residual(sim, "exp", cfg.f, t, n, stream=30, n_jobs=n_jobs)
-        mart_bad = martingale_residual(
-            sim, "exp", cfg.f, t, n, stream=30, n_jobs=n_jobs, perturb=0.05,
-            name="control:martingale:exp",
-        )
-        reports += [mart, mart_bad]
+        reports += martingale_suite(sim, "exp", cfg.f, t, n, stream=30, n_jobs=n_jobs)
     reports += bound_suite(sim, t, n, stream=40, n_jobs=n_jobs)
     lattice_grid = SolverGrid(dt, t, cfg.quadrature)
     reports += solver_bound_checks(cfg.model, cfg.f, lattice_grid)
@@ -295,13 +291,15 @@ def _cmd_validate(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
     reports = validation_suite(cfg, n_jobs)
     write_csv(out / "checks.csv", CHECK_COLUMNS, [r.row() for r in reports])
     ok, lines = _suite_outcome(reports)
-    n_checks = sum(1 for r in reports if not r.name.startswith("control:"))
-    n_controls = len(reports) - n_checks
+    checks = [r for r in reports if not r.name.startswith("control:")]
+    # a control reuses its check's paths, so only the checks' exclusions count
+    excluded = sum(r.mc.excluded for r in checks)
     write_summary(
         out / "summary.txt",
         _report_lines(reports)
         + lines
-        + [f"checks={n_checks}", f"controls={n_controls}", f"suite={'pass' if ok else 'fail'}"],
+        + [f"checks={len(checks)}", f"controls={len(reports) - len(checks)}",
+           f"suite={'pass' if ok else 'fail'}", f"excluded_paths={excluded}"],
     )
     return 0 if ok or not ci else 1
 

@@ -17,7 +17,25 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["AgeMeasure", "ScalarField"]
+__all__ = ["AgeMeasure", "ScalarField", "weighted_index"]
+
+
+def weighted_index(weights: np.ndarray, y: float, total: float | None = None) -> int:
+    """Index of the first entry whose cumulative weight exceeds ``y * total``.
+
+    ``total`` defaults to the last cumulative weight; a caller that already
+    holds the weights' sum passes it.  The index is clamped to the last entry,
+    so rounding between ``total`` and the cumulative sum cannot run past the
+    end.  As ``y ~ Uniform[0, 1)`` entry ``i`` is picked with probability
+    ``weights[i] / total``.
+    """
+    cum = weights.cumsum()
+    if total is None:
+        total = cum[-1]
+    if not total > 0.0:
+        raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
+    idx = int(cum.searchsorted(y * total, side="right"))
+    return min(idx, len(cum) - 1)
 
 
 @dataclass(frozen=True)
@@ -88,13 +106,7 @@ class AgeMeasure:
         if not (0.0 <= y < 1.0):
             raise ValueError(f"y must lie in [0, 1), got {y!r}")
         w = np.asarray(alpha(self.as_array()), dtype=np.float64)
-        cum = np.cumsum(w)
-        total = cum[-1]
-        if total <= 0.0:
-            raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
-        idx = int(np.searchsorted(cum, y * total, side="right"))
-        idx = min(idx, len(self.ages) - 1)
-        return self.ages[idx]
+        return self.ages[weighted_index(w, y)]
 
     def rho_distance(self, other: "AgeMeasure") -> float:
         """Exponentially weighted L1 distance between distribution functions.
@@ -207,7 +219,7 @@ class ScalarField:
         """Evaluate at a scalar or array of ages; vectorized."""
         arr = np.asarray(x, dtype=np.float64)
         if self.kind == "constant":
-            out = np.full_like(arr, self.params[0])
+            out = np.full(arr.shape, self.params[0])
         elif self.kind == "expdecay":
             a, b, c = self.params
             out = c + a * np.exp(-b * arr)
@@ -218,7 +230,7 @@ class ScalarField:
             out = np.asarray(self.knots_y, dtype=np.float64)[idx]
         else:  # pwlinear: np.interp clamps beyond the knot range
             out = np.interp(arr, self.knots_x, self.knots_y)
-        if np.ndim(x) == 0:
+        if arr.ndim == 0:
             return float(out)
         return out
 

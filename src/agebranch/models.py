@@ -17,6 +17,7 @@ sampling); the test suite cross-validates the two.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -160,7 +161,7 @@ class OffspringLaw:
         return cls((OffspringPmf.poisson(mu),))
 
     def regime_index(self, x: float) -> int:
-        return int(np.searchsorted(np.asarray(self.thresholds), x, side="right"))
+        return bisect.bisect_right(self.thresholds, x)
 
     def regime_indices(self, xs: np.ndarray) -> np.ndarray:
         return np.searchsorted(np.asarray(self.thresholds), xs, side="right")
@@ -243,22 +244,10 @@ class BranchingModel:
 
         Within one offspring regime the mean is constant, so the supremum of
         ``alpha * (mean - 1)`` over that interval sits at the supremum of alpha
-        when ``mean >= 1`` and at the infimum when ``mean < 1``.
+        when ``mean >= 1`` and at the infimum when ``mean < 1``.  Computed once
+        per model: the simulator asks for c1 on every path.
         """
-        c1 = self.alpha.sup
-        edges = (0.0,) + self.offspring.thresholds
-        c0 = -math.inf
-        beta = 0.0
-        for j, regime in enumerate(self.offspring.regimes):
-            lo = edges[j]
-            hi = self.offspring.thresholds[j] if j < len(self.offspring.thresholds) else None
-            m = regime.mean
-            if m >= 1.0:
-                c0 = max(c0, (m - 1.0) * self.alpha.sup_on(lo, hi))
-            else:
-                c0 = max(c0, (m - 1.0) * self.alpha.inf_on(lo, hi))
-            beta = max(beta, m * self.alpha.sup_on(lo, hi))
-        return (c0, c1, beta)
+        return _model_constants(self)
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha.to_dict(), "offspring": self.offspring.to_dict()}
@@ -266,6 +255,25 @@ class BranchingModel:
     @classmethod
     def from_dict(cls, d: dict) -> "BranchingModel":
         return cls(ScalarField.from_dict(d["alpha"]), OffspringLaw.from_dict(d["offspring"]))
+
+
+@lru_cache(maxsize=64)
+def _model_constants(model: BranchingModel) -> tuple[float, float, float]:
+    alpha, offspring = model.alpha, model.offspring
+    c1 = alpha.sup
+    edges = (0.0,) + offspring.thresholds
+    c0 = -math.inf
+    beta = 0.0
+    for j, regime in enumerate(offspring.regimes):
+        lo = edges[j]
+        hi = offspring.thresholds[j] if j < len(offspring.thresholds) else None
+        m = regime.mean
+        if m >= 1.0:
+            c0 = max(c0, (m - 1.0) * alpha.sup_on(lo, hi))
+        else:
+            c0 = max(c0, (m - 1.0) * alpha.inf_on(lo, hi))
+        beta = max(beta, m * alpha.sup_on(lo, hi))
+    return (c0, c1, beta)
 
 
 # ---------------------------------------------------------------------------

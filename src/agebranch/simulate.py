@@ -16,20 +16,26 @@ Immigration arrivals form an independent Poisson stream of the mechanism's
 total rate; the merged event stream is generated by competing exponentials.
 With a zero-rate mechanism no arrival randomness is consumed, so the random
 stream (hence the path) coincides with the plain branching simulation.
+
+The kernel records observers, not objects: the population size and ages at
+each snapshot time (one flat array), the branch count and running maximum of
+the population size, and the event log only when asked for.  A
+:class:`Trajectory` rebuilds ``AgeMeasure`` snapshots from them on access.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measures import AgeMeasure
+from .measures import AgeMeasure, weighted_index
 from .models import BranchingModel, ImmigrationMechanism
 
-__all__ = ["SimConfig", "Event", "Trajectory", "replicate_rng", "simulate", "replay_statistics"]
+__all__ = ["SimConfig", "Event", "Trajectory", "replicate_rng", "simulate"]
 
 DEFAULT_EVENT_CAP = 10_000_000
 
@@ -70,18 +76,6 @@ class SimConfig:
             times = tuple(sorted(times))
         object.__setattr__(self, "snapshot_times", times)
 
-    def with_replicate(self, r: int) -> "SimConfig":
-        return SimConfig(
-            self.model,
-            self.initial,
-            self.t_end,
-            self.snapshot_times,
-            self.immigration,
-            self.seed,
-            r,
-            self.max_events,
-        )
-
 
 @dataclass(frozen=True)
 class Event:
@@ -107,9 +101,36 @@ class Event:
         return self.group.total_mass
 
 
-@dataclass(frozen=True)
+class _Snapshots(Sequence):
+    """(time, AgeMeasure) pairs, each measure built only when it is read."""
+
+    def __init__(self, traj: "Trajectory") -> None:
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.snapshot_masses)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = range(len(self))[i]
+        masses = self._traj.snapshot_masses
+        lo = int(masses[:i].sum())
+        ages = self._traj.snapshot_ages[lo : lo + int(masses[i])]
+        return (self._traj.snapshot_times[i], AgeMeasure(tuple(ages.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Snapshots at requested times plus the full event log.
+    """What one path recorded: snapshot observers, counters and the event log.
+
+    Snapshot ``i`` (time ``snapshot_times[i]``) holds ``snapshot_masses[i]``
+    particles, whose ascending ages are the next entries of the flat
+    ``snapshot_ages``.  ``branches`` and ``max_mass`` count branch events and
+    the running maximum of the population size over the whole path.
+    ``events`` is the full log when the path was simulated with
+    ``log_events=True`` and empty otherwise; ``n_events`` counts events either
+    way.
 
     ``terminated_by`` is "t_end" (ran to the horizon), "extinction" (the
     population died and, without immigration, can never recover) or
@@ -117,44 +138,80 @@ class Trajectory:
     consumers must check the flag).
     """
 
-    snapshots: tuple[tuple[float, AgeMeasure], ...]
-    events: tuple[Event, ...]
+    snapshot_times: tuple[float, ...]
+    snapshot_masses: np.ndarray
+    snapshot_ages: np.ndarray
+    branches: int
+    max_mass: int
+    n_events: int
     terminated_by: str
     initial: AgeMeasure
+    t_end: float
+    events: tuple[Event, ...] = ()
+
+    @property
+    def snapshots(self) -> Sequence:
+        """(time, AgeMeasure) per recorded snapshot; ``len`` builds no measure."""
+        return _Snapshots(self)
+
+    def integrals(self, f) -> np.ndarray:
+        """``<X_s, f>`` at every recorded snapshot, each summed as ``AgeMeasure.integrate``."""
+        out = np.zeros(len(self.snapshot_masses))
+        if len(self.snapshot_ages):
+            fa = np.asarray(f(self.snapshot_ages), dtype=np.float64)
+            lo = 0
+            for i, m in enumerate(self.snapshot_masses.tolist()):
+                if m:
+                    out[i] = np.sum(fa[lo : lo + m])
+                    lo += m
+        return out
+
+    def _logged_events(self, t: float) -> tuple[Event, ...]:
+        if len(self.events) != self.n_events:
+            raise ValueError(
+                f"statistics before t_end={self.t_end!r} (t={t!r}) need the event log; "
+                "simulate with log_events=True"
+            )
+        return self.events
 
     def branch_count(self, t: float) -> int:
         """Number of branch events up to and including time t."""
-        return sum(1 for e in self.events if e.kind == "branch" and e.time <= t)
-
-    def mass_path(self) -> tuple[np.ndarray, np.ndarray]:
-        """Event times and the population size right after each event."""
-        times = np.empty(len(self.events))
-        masses = np.empty(len(self.events), dtype=np.int64)
-        m = self.initial.total_mass
-        for i, e in enumerate(self.events):
-            m += e.mass_delta
-            times[i] = e.time
-            masses[i] = m
-        return times, masses
+        if t >= self.t_end:
+            return self.branches
+        return sum(1 for e in self._logged_events(t) if e.kind == "branch" and e.time <= t)
 
     def running_max_mass(self, t: float) -> int:
-        """sup of the population size over [0, t]; exact from the event log."""
+        """sup of the population size over [0, t]; exact from the path's counters or log."""
+        if t >= self.t_end:
+            return self.max_mass
         m = self.initial.total_mass
         best = m
-        for e in self.events:
+        for e in self._logged_events(t):
             if e.time > t:
                 break
             m += e.mass_delta
             best = max(best, m)
         return best
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, k.name), getattr(other, k.name)) for k in fields(self))
+        )
 
-def simulate(cfg: SimConfig, rng: np.random.Generator | None = None) -> Trajectory:
+
+def simulate(
+    cfg: SimConfig, rng: np.random.Generator | None = None, *, log_events: bool = True
+) -> Trajectory:
     """Run one exact path of the branching process, with immigration if configured.
 
     Deterministic: identical (seed, replicate_index, config) gives a
     bit-identical trajectory.  Exceeding ``max_events`` truncates the path and
-    flags it; it is never silently dropped.
+    flags it; it is never silently dropped.  ``log_events=False`` skips the
+    ``Event`` log (Monte-Carlo estimators read only the observers); the random
+    draws and every recorded number are the same either way.
     """
     if rng is None:
         rng = replicate_rng(cfg.seed, cfg.replicate_index)
@@ -170,20 +227,25 @@ def simulate(cfg: SimConfig, rng: np.random.Generator | None = None) -> Trajecto
     bases: list[float] = list(cfg.initial.ages)
     clock = 0.0
     events: list[Event] = []
-    snapshots: list[tuple[float, AgeMeasure]] = []
-    snap_times = list(cfg.snapshot_times)
+    snap_times = cfg.snapshot_times
+    snap_masses: list[int] = []
+    snap_ages: list[float] = []
     snap_pos = 0
+    branches = 0
+    max_mass = len(bases)
 
     def record_through(t: float, inclusive: bool) -> None:
         # The path is right-continuous: a snapshot exactly at a jump time sees
         # the post-jump state, so pre-event recording stays strictly below it.
         nonlocal snap_pos
-        while snap_pos < len(snap_times) and (
-            snap_times[snap_pos] < t or (inclusive and snap_times[snap_pos] <= t)
-        ):
-            s = snap_times[snap_pos]
-            snapshots.append((s, AgeMeasure(tuple(b + s for b in bases))))
-            snap_pos += 1
+        stop = (bisect.bisect_right if inclusive else bisect.bisect_left)(snap_times, t, snap_pos)
+        if stop == snap_pos:
+            return
+        snap_masses.extend([len(bases)] * (stop - snap_pos))
+        if bases:
+            for s in snap_times[snap_pos:stop]:
+                snap_ages.extend([b + s for b in bases])
+        snap_pos = stop
 
     n_events = 0
     terminated_by = "t_end"
@@ -207,42 +269,37 @@ def simulate(cfg: SimConfig, rng: np.random.Generator | None = None) -> Trajecto
         if t_branch <= t_arrival:
             ages_now = np.asarray(bases) + t_next
             weights = np.asarray(alpha(ages_now), dtype=np.float64)
-            hazard = float(weights.sum())
+            hazard = float(np.add.reduce(weights))
             if rng.random() * c1 * mass < hazard:
-                cum = np.cumsum(weights)
-                idx = int(np.searchsorted(cum, rng.random() * hazard, side="right"))
-                idx = min(idx, mass - 1)
+                idx = weighted_index(weights, rng.random(), hazard)
                 dying_age = float(ages_now[idx])
                 k = offspring.sample(dying_age, rng)
                 del bases[idx]
                 if k:
                     bases[0:0] = [-t_next] * k
-                events.append(Event(t_next, "branch", dying_age=dying_age, offspring_count=k))
+                if log_events:
+                    events.append(Event(t_next, "branch", dying_age=dying_age, offspring_count=k))
+                branches += 1
                 n_events += 1
         else:
             assert imm is not None
             group = imm.sample_group(rng)
             for a in group.ages:
                 bisect.insort(bases, a - t_next)
-            events.append(Event(t_next, "immigrate", group=group))
+            if log_events:
+                events.append(Event(t_next, "immigrate", group=group))
             n_events += 1
+        max_mass = max(max_mass, len(bases))
         clock = t_next
         if n_events >= cfg.max_events:
             terminated_by = "event_cap"
             break
 
-    return Trajectory(tuple(snapshots), tuple(events), terminated_by, cfg.initial)
-
-
-def replay_statistics(traj: Trajectory, f) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Per-snapshot times, integrals <X_t, f>, branch counts n(t), and a bias flag.
-
-    A pure function of the trajectory.  ``biased`` is True when the path was
-    cut off by the event cap, in which case the statistics must not be pooled
-    into unbiased estimators.
-    """
-    times = np.array([t for t, _ in traj.snapshots])
-    integrals = np.array([m.integrate(f) for _, m in traj.snapshots])
-    branch_times = sorted(e.time for e in traj.events if e.kind == "branch")
-    counts = np.searchsorted(branch_times, times, side="right")
-    return times, integrals, counts, traj.terminated_by == "event_cap"
+    masses = np.array(snap_masses, dtype=np.int64)
+    ages = np.array(snap_ages, dtype=np.float64)
+    masses.flags.writeable = False
+    ages.flags.writeable = False
+    return Trajectory(
+        snap_times[: len(snap_masses)], masses, ages, branches, max_mass, n_events,
+        terminated_by, cfg.initial, cfg.t_end, tuple(events),
+    )

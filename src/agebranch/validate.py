@@ -48,6 +48,7 @@ __all__ = [
     "bound_suite",
     "solver_bound_checks",
     "martingale_residual",
+    "martingale_suite",
     "ergodic_convergence",
     "observed_orders",
     "benchmark_models",
@@ -143,10 +144,9 @@ class _ReplicateJob:
     f: ScalarField
     stream: int
     g_name: str = "exp"
-    perturb: float = 0.0
 
     def columns(self) -> int:
-        if self.mode == "growth":
+        if self.mode in ("growth", "martingale"):
             return 3
         if self.mode == "profile":
             return 2 * len(self.cfg.snapshot_times) + 1
@@ -154,42 +154,35 @@ class _ReplicateJob:
 
 
 def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> np.ndarray:
+    # Every mode reads the path's observers; the last column flags paths cut
+    # by the event cap, which carry no usable statistics and are counted and
+    # excluded downstream.
     out = np.empty((stop - start, job.columns()))
+    pair = _martingale_pair_fn(job) if job.mode == "martingale" else None
     for r in range(start, stop):
         rng = replicate_rng(job.cfg.seed, job.stream, r)
-        traj = simulate(job.cfg.with_replicate(r), rng)
-        biased = 1.0 if traj.terminated_by == "event_cap" else 0.0
+        traj = simulate(job.cfg, rng, log_events=False)
         row = out[r - start]
-        if biased:
-            # truncated paths carry no usable statistics; they are counted
-            # and excluded downstream
+        if traj.terminated_by == "event_cap":
             row[:] = np.nan
             row[-1] = 1.0
             continue
+        row[-1] = 0.0
         if job.mode == "laplace":
-            _, last = traj.snapshots[-1]
-            row[0] = math.exp(-last.integrate(job.f))
+            row[0] = math.exp(-traj.integrals(job.f)[-1])
         elif job.mode == "integral":
-            _, last = traj.snapshots[-1]
-            row[0] = last.integrate(job.f)
+            row[0] = traj.integrals(job.f)[-1]
         elif job.mode == "extinct":
-            _, last = traj.snapshots[-1]
-            row[0] = 1.0 if last.total_mass == 0 else 0.0
+            row[0] = 1.0 if traj.snapshot_masses[-1] == 0 else 0.0
         elif job.mode == "growth":
-            t = job.cfg.t_end
-            row[0] = traj.running_max_mass(t)
-            row[1] = traj.branch_count(t)
-            row[2] = biased
-            continue
+            row[0] = traj.max_mass
+            row[1] = traj.branches
         elif job.mode == "profile":
-            k = len(traj.snapshots)
-            row[0:k] = [m.total_mass for _, m in traj.snapshots]
-            row[k : 2 * k] = [m.integrate(job.f) for _, m in traj.snapshots]
-            row[-1] = biased
-            continue
+            k = len(traj.snapshot_masses)
+            row[0:k] = traj.snapshot_masses
+            row[k : 2 * k] = traj.integrals(job.f)
         else:
-            row[0] = _martingale_residual_path(job, traj)
-        row[1] = biased
+            row[0], row[1] = pair(traj)
     return out
 
 
@@ -448,17 +441,56 @@ def martingale_residual(
     controls.  G comes from the smooth catalog ("identity", "exp", "square");
     f must be continuously differentiable.
     """
+    data = _martingale_pairs(cfg, g_name, f, t, n, stream, n_jobs)
+    return _residual_report(name or f"martingale:{g_name}", data, perturb, cfg.seed, n)
+
+
+def martingale_suite(
+    cfg: SimConfig,
+    g_name: str,
+    f: ScalarField,
+    t: float,
+    n: int,
+    stream: int = 0,
+    n_jobs: int = 1,
+) -> list[ComparisonReport]:
+    """The martingale check and its negative control, from one set of paths.
+
+    The control scales the generator integral by ``1 + p`` with
+    ``p = max(0.05, 10 se / |mean integral|)``, ``se`` the check's standard
+    error (``p = 0.05`` when the mean integral is 0): the shift of the mean
+    residual is then at least ten check standard errors, so a healthy harness
+    flags the control at any replicate count.
+    """
+    name = f"martingale:{g_name}"
+    data = _martingale_pairs(cfg, g_name, f, t, n, stream, n_jobs)
+    check = _residual_report(name, data, 0.0, cfg.seed, n)
+    integral = 0.0 if data is None else float(np.mean(data[data[:, 2] == 0.0, 1]))
+    perturb = max(0.05, 10.0 * check.mc.std_error / abs(integral)) if integral else 0.05
+    return [check, _residual_report(f"control:{name}", data, perturb, cfg.seed, n)]
+
+
+def _martingale_pairs(
+    cfg: SimConfig, g_name: str, f: ScalarField, t: float, n: int, stream: int, n_jobs: int
+) -> np.ndarray | None:
+    """Per-path ``(G(v_t) - G(v_0), integral of L G)`` and flag columns; None at t = 0."""
     if g_name not in _G_CATALOG:
         raise ValueError(f"unknown generator test function {g_name!r}")
     if t == 0.0:
-        return ComparisonReport(
-            name or f"martingale:{g_name}", McEstimate(0.0, 0.0, n, cfg.seed), 0.0, 0.0
-        )
+        return None
     snaps = tuple(np.linspace(0.0, t, MARTINGALE_SNAPSHOTS))
-    job = _ReplicateJob(_sim_at(cfg, t, snaps), "martingale", f, stream, g_name, perturb)
-    data = _collect(job, n, n_jobs)
-    est = _estimate(data[:, 0], data[:, 1], cfg.seed)
-    return ComparisonReport(name or f"martingale:{g_name}", est, 0.0, 0.0)
+    job = _ReplicateJob(_sim_at(cfg, t, snaps), "martingale", f, stream, g_name)
+    return _collect(job, n, n_jobs)
+
+
+def _residual_report(
+    name: str, data: np.ndarray | None, perturb: float, seed: int, n: int
+) -> ComparisonReport:
+    """Residual ``G(v_t) - G(v_0) - (1 + perturb) * integral`` against zero."""
+    if data is None:  # t = 0: the residual is exactly zero
+        return ComparisonReport(name, McEstimate(0.0, 0.0, n, seed), 0.0, 0.0)
+    est = _estimate(data[:, 0] - (1.0 + perturb) * data[:, 1], data[:, 2], seed)
+    return ComparisonReport(name, est, 0.0, 0.0)
 
 
 _G_CATALOG: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
@@ -468,14 +500,19 @@ _G_CATALOG: dict[str, tuple[Callable[[float], float], Callable[[float], float]]]
 }
 
 
-def _martingale_residual_path(job: _ReplicateJob, traj: Trajectory) -> float:
-    # One pooled pass over all snapshot particles: every generator term
-    # factorizes into snapshot-level functions of v = <X_s, f> times
-    # per-particle sums, accumulated with bincount over the snapshot index.
+def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[Trajectory], tuple[float, float]]:
+    """The per-path pair ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)``.
+
+    One pooled pass over all snapshot particles: every generator term
+    factorizes into snapshot-level functions of v = <X_s, f> times
+    per-particle sums, accumulated with bincount over the snapshot index.
+    Everything that does not depend on the path is computed here, once.
+    """
     model = job.cfg.model
     f = job.f
     imm = job.cfg.immigration
-    G, Gp = _G_CATALOG[job.g_name]
+    g_name = job.g_name
+    G, _ = _G_CATALOG[g_name]
     fprime, _ = f.derivative_fn()
     f0 = float(f(0.0))
     offspring = model.offspring
@@ -483,54 +520,56 @@ def _martingale_residual_path(job: _ReplicateJob, traj: Trajectory) -> float:
     imm_f1 = imm_f2 = psi_f = 0.0
     has_imm = imm is not None and imm.total_rate > 0.0
     if has_imm:
-        if job.g_name == "exp":
+        if g_name == "exp":
             psi_f = imm.psi(f)
         else:
             imm_f1 = imm.first_moment_of(f)
             if math.isinf(imm_f1):
                 raise ValueError("martingale check needs a finite mean group integral")
-            if job.g_name == "square":
+            if g_name == "square":
                 imm_f2 = imm.second_moment_of(f)
                 if math.isinf(imm_f2):
                     raise ValueError("martingale check needs a finite second group moment")
 
-    n_snap = len(traj.snapshots)
-    times = np.array([s for s, _ in traj.snapshots])
-    counts = np.array([m.total_mass for _, m in traj.snapshots])
-    if counts.sum() == 0:
-        ages = np.empty(0)
-    else:
-        ages = np.concatenate([m.as_array() for _, m in traj.snapshots if m.total_mass])
-    seg = np.repeat(np.arange(n_snap), counts)
+    n_snap = len(job.cfg.snapshot_times)
+    snap_index = np.arange(n_snap)
+    h = np.diff(np.array(job.cfg.snapshot_times))
+    mean_by_regime = offspring.mean_by_regime()
+    g0_by_regime = offspring.g_by_regime(math.exp(-f0))
+    second_by_regime = offspring.second_moment_by_regime()
 
-    fa = np.asarray(f(ages), dtype=np.float64)
-    a_vals = np.asarray(model.alpha(ages), dtype=np.float64)
-    ridx = offspring.regime_indices(ages)
-    means = offspring.mean_by_regime()[ridx]
-    vs = np.bincount(seg, weights=fa, minlength=n_snap)
-    seg_fp = np.bincount(seg, weights=fprime(ages), minlength=n_snap)
+    def pair(traj: Trajectory) -> tuple[float, float]:
+        ages = traj.snapshot_ages
+        seg = np.repeat(snap_index, traj.snapshot_masses)
+        fa = np.asarray(f(ages), dtype=np.float64)
+        a_vals = np.asarray(model.alpha(ages), dtype=np.float64)
+        ridx = offspring.regime_indices(ages)
+        means = mean_by_regime[ridx]
+        vs = np.bincount(seg, weights=fa, minlength=n_snap)
+        seg_fp = np.bincount(seg, weights=fprime(ages), minlength=n_snap)
 
-    if job.g_name == "identity":
-        seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
-        lg = seg_fp + seg_lin + (imm_f1 if has_imm else 0.0)
-    elif job.g_name == "exp":
-        g0 = offspring.g_by_regime(math.exp(-f0))[ridx]
-        seg_g = np.bincount(seg, weights=a_vals * (np.exp(fa) * g0 - 1.0), minlength=n_snap)
-        lg = np.exp(-vs) * (-seg_fp + seg_g - (psi_f if has_imm else 0.0))
-    else:
-        second = offspring.second_moment_by_regime()[ridx]
-        seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
-        seg_sq = np.bincount(
-            seg, weights=a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2), minlength=n_snap
-        )
-        lg = 2.0 * vs * seg_fp + 2.0 * vs * seg_lin + seg_sq
-        if has_imm:
-            lg = lg + 2.0 * vs * imm_f1 + imm_f2
+        if g_name == "identity":
+            seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
+            lg = seg_fp + seg_lin + (imm_f1 if has_imm else 0.0)
+        elif g_name == "exp":
+            g0 = g0_by_regime[ridx]
+            seg_g = np.bincount(seg, weights=a_vals * (np.exp(fa) * g0 - 1.0), minlength=n_snap)
+            lg = np.exp(-vs) * (-seg_fp + seg_g - (psi_f if has_imm else 0.0))
+        else:
+            second = second_by_regime[ridx]
+            seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
+            seg_sq = np.bincount(
+                seg, weights=a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2),
+                minlength=n_snap,
+            )
+            lg = 2.0 * vs * seg_fp + 2.0 * vs * seg_lin + seg_sq
+            if has_imm:
+                lg = lg + 2.0 * vs * imm_f1 + imm_f2
 
-    lg = lg * (1.0 + job.perturb)
-    h = np.diff(times)
-    integral = float(np.sum(h * (lg[:-1] + lg[1:]) / 2.0))
-    return G(float(vs[-1])) - G(float(vs[0])) - integral
+        integral = float(np.sum(h * (lg[:-1] + lg[1:]) / 2.0))
+        return G(float(vs[-1])) - G(float(vs[0])), integral
+
+    return pair
 
 
 def ergodic_convergence(

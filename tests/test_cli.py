@@ -153,3 +153,32 @@ def test_overrides_revalidated(tmp_path, capsys):
     code = main(["validate", "--config", str(p), "--out", str(tmp_path / "o"), "--dt", "5.0"])
     assert code == 2  # dt > t_end rejected after override
     assert "grid.dt" in capsys.readouterr().err
+
+
+def test_validate_suite_passes_with_ci_on_bench_critical(tmp_path):
+    # the martingale control used to lack power below ~22k replicates
+    out = tmp_path / "out"
+    argv = ["validate", "--config", str(CONFIG_DIR / "bench_critical.json"), "--replicates", "2000",
+            "--seed", "1", "--out", str(out), "--ci"]
+    assert main(argv) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert "suite=pass" in lines and lines[-1] == "excluded_paths=0"
+    assert "control control:martingale:exp: fail (as-expected)" in lines
+
+
+def test_excluded_paths_reported(tmp_path, monkeypatch):
+    from agebranch import cli
+    from agebranch.validate import ComparisonReport, McEstimate, control_report
+
+    check = ComparisonReport("laplace", McEstimate(0.5, 0.01, 97, 0, excluded=3), 0.5, 0.0)
+    bound = ComparisonReport("bound:x", McEstimate(1.0, 0.1, 98, 0, excluded=2), 2.0, 0.0, sided="upper")
+    monkeypatch.setattr(cli, "validation_suite", lambda cfg, n_jobs: [check, control_report(check), bound])
+    p = small_config(tmp_path, replicates=100)
+    assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
+    lines = (tmp_path / "v" / "summary.txt").read_text().splitlines()
+    assert lines[-1] == "excluded_paths=5"  # the control reuses its check's paths
+
+    est = McEstimate(1.0, 0.1, 96, 0, excluded=4)
+    monkeypatch.setattr(cli, "snapshot_profile", lambda sim, f, n, stream, n_jobs: [(0.0, est, est)])
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s" / "summary.txt").read_text().splitlines()[-1] == "excluded_paths=4"

@@ -1,4 +1,8 @@
+import inspect
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +14,15 @@ from agebranch import (
     ImmigrationMechanism,
     GroupSizeLaw,
     OffspringLaw,
+    OffspringPmf,
     ScalarField,
     SimConfig,
-    Trajectory,
-    replay_statistics,
     replicate_rng,
     simulate,
 )
+from agebranch.cli import load_config
+from agebranch.measures import weighted_index
+from oracles import ObjectTrajectory, mass_path, replay_statistics, simulate_objects
 
 ONE = ScalarField.constant(1.0)
 CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))
@@ -172,7 +178,7 @@ def test_replay_statistics_synthetic_bookkeeping():
     # one branch event with two offspring raises the mass by one at its time
     initial = AgeMeasure.point(0.3)
     ev = Event(0.5, "branch", dying_age=0.8, offspring_count=2)
-    traj = Trajectory(
+    traj = ObjectTrajectory(
         snapshots=((0.4, AgeMeasure.point(0.7)), (0.6, AgeMeasure.from_ages([0.1, 0.1]))),
         events=(ev,),
         terminated_by="t_end",
@@ -186,7 +192,7 @@ def test_replay_statistics_synthetic_bookkeeping():
 
 def test_running_max_and_mass_path():
     traj = run(CRITICAL, AgeMeasure.point(0.0, 3), 2.0, (2.0,), seed=21)
-    times, masses = traj.mass_path()
+    times, masses = mass_path(traj)
     running = 3
     best = 3
     for e in traj.events:
@@ -239,3 +245,160 @@ def test_young_particle_crossing_regime_boundary():
     p = math.exp(-(0.1 * 0.5 + 3.0 * 0.5))
     se = math.sqrt(p * (1 - p) / reps)
     assert abs(alive / reps - p) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# The observer kernel against the object simulator (tests/oracles.py), which
+# stores validated AgeMeasure snapshots and always logs events.
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+
+
+def assert_same_path(new, old, t_end):
+    assert new.terminated_by == old.terminated_by
+    assert new.events == old.events
+    assert len(new.snapshots) == len(old.snapshots)
+    assert [s for s, _ in new.snapshots] == [s for s, _ in old.snapshots]
+    old_masses = [m.total_mass for _, m in old.snapshots]
+    old_ages = [a for _, m in old.snapshots for a in m.ages]
+    assert new.snapshot_masses.tolist() == old_masses
+    assert new.snapshot_ages.tobytes() == np.array(old_ages, dtype=np.float64).tobytes()
+    assert [m.ages for _, m in new.snapshots] == [m.ages for _, m in old.snapshots]
+    assert new.branch_count(t_end) == old.branch_count(t_end)
+    assert new.running_max_mass(t_end) == old.running_max_mass(t_end)
+    assert new.n_events == len(old.events)
+
+
+def check_against_oracle(sim, seed, replicates, stream=1):
+    for r in range(replicates):
+        try:
+            old = simulate_objects(sim, replicate_rng(seed, stream, r))
+        except (ValueError, RuntimeError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                simulate(sim, replicate_rng(seed, stream, r))
+            continue
+        logged = simulate(sim, replicate_rng(seed, stream, r))
+        assert_same_path(logged, old, sim.t_end)
+        unlogged = simulate(sim, replicate_rng(seed, stream, r), log_events=False)
+        assert unlogged.events == ()
+        assert unlogged == replace(logged, events=())
+
+
+@pytest.mark.parametrize("name", [n for n in SHIPPED if n != "heavy_tail_imm"])
+def test_kernel_matches_object_simulator_on_shipped_configs(name):
+    sim = load_config(CONFIG_DIR / f"{name}.json").sim_config()
+    check_against_oracle(sim, seed=3, replicates=12)
+
+
+def test_kernel_matches_object_simulator_or_raises_alike_on_heavy_tail():
+    # log_squared groups: some replicates draw past the size table and raise
+    sim = load_config(CONFIG_DIR / "heavy_tail_imm.json").sim_config()
+    check_against_oracle(sim, seed=1, replicates=3)
+
+
+def test_kernel_matches_object_simulator_on_edge_paths():
+    regimes = BranchingModel(
+        ScalarField.step([0.4, 1.0], [0.5, 3.0, 1.5]),
+        OffspringLaw(
+            (OffspringPmf.geometric(0.6), OffspringPmf.table({0: 0.7, 3: 0.3}), OffspringPmf.poisson(0.9)),
+            (0.3, 1.2),
+        ),
+    )
+    finite = ImmigrationMechanism.finite_support(
+        [(1.5, AgeMeasure.point(0.0)), (0.5, AgeMeasure.from_ages([0.2, 2.0, 2.0]))]
+    )
+    parametric = ImmigrationMechanism.parametric(
+        2.0, GroupSizeLaw.table({1: 0.5, 4: 0.5}), age_atoms=((0.0, 0.3), (1.1, 0.7))
+    )
+    snaps = tuple(np.linspace(0.0, 2.0, 17))
+    initial = AgeMeasure.from_ages([0.0, 0.35, 1.0, 1.0, 2.5])
+    cases = [
+        SimConfig(regimes, initial, 2.0, snaps),
+        SimConfig(regimes, initial, 2.0, snaps, finite),
+        SimConfig(regimes, AgeMeasure.empty(), 2.0, snaps, parametric),
+        SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 3), 6.0, (0.0, 1.0, 6.0)),  # extinction
+        SimConfig(CRITICAL, AgeMeasure.point(0.0, 50), 50.0, (0.0, 0.01, 50.0), max_events=10),
+        SimConfig(CRITICAL, initial, 2.0, (0.5, 0.5, 1.0)),  # repeated snapshot time
+    ]
+    for sim in cases:
+        check_against_oracle(sim, seed=5, replicates=15)
+    capped = simulate(cases[4], replicate_rng(5, 1, 0), log_events=False)
+    assert capped.terminated_by == "event_cap" and capped.n_events == 10
+    assert len(capped.snapshots) == 2  # the snapshot at t_end was never reached
+
+
+def test_counters_before_t_end_need_the_event_log():
+    sim = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 2.0, (2.0,), seed=21)
+    old = simulate_objects(sim)
+    logged = simulate(sim)
+    unlogged = simulate(sim, log_events=False)
+    for t in (0.0, 0.3, 1.0, 1.999, 2.0, 5.0):
+        assert logged.branch_count(t) == old.branch_count(t)
+        assert logged.running_max_mass(t) == old.running_max_mass(t)
+    assert unlogged.branch_count(2.0) == old.branch_count(2.0)
+    assert unlogged.running_max_mass(2.0) == old.running_max_mass(2.0)
+    with pytest.raises(ValueError, match="event log"):
+        unlogged.branch_count(1.0)
+    with pytest.raises(ValueError, match="event log"):
+        unlogged.running_max_mass(1.0)
+
+
+def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
+    imm = ImmigrationMechanism.single_arrivals(2.0)
+    sim = SimConfig(CRITICAL, AgeMeasure.point(0.0, 2), 2.0, tuple(np.linspace(0, 2, 50)), imm, 4)
+    built = []
+    original = AgeMeasure.__post_init__
+    monkeypatch.setattr(AgeMeasure, "__post_init__", lambda self: built.append(1) or original(self))
+    for log in (True, False):
+        traj = simulate(sim, log_events=log)
+        assert len(traj.snapshots) == 50 and len(traj.events) == (traj.n_events if log else 0)
+        traj.integrals(ONE)
+    assert built == []
+    traj.snapshots[-1]
+    assert len(built) == 1
+
+
+def test_snapshot_view_indexing():
+    traj = run(CRITICAL, AgeMeasure.point(0.0, 2), 1.0, (0.2, 0.6, 1.0), seed=3)
+    snaps = traj.snapshots
+    assert snaps[-1] == snaps[2] and snaps[0:2] == (snaps[0], snaps[1])
+    assert list(snaps) == [snaps[0], snaps[1], snaps[2]]
+    with pytest.raises(IndexError):
+        snaps[3]
+    for (_, m), v in zip(snaps, traj.integrals(ScalarField.exp_decay(1.0, 0.5, 0.1))):
+        assert v == m.integrate(ScalarField.exp_decay(1.0, 0.5, 0.1))
+
+
+def test_weighted_index_matches_cumsum_search():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 8, 9, 33, 300):
+        w = rng.random(n) * (rng.random(n) < 0.8)
+        w[rng.integers(n)] = 0.5
+        hazard = float(w.sum())
+        for y in list(rng.random(20)) + [0.0, 1.0 - 2.0**-53]:
+            cum = np.cumsum(w)
+            expect = min(int(np.searchsorted(cum, y * hazard, side="right")), n - 1)
+            assert weighted_index(w, y, hazard) == expect
+            expect = min(int(np.searchsorted(cum, y * cum[-1], side="right")), n - 1)
+            assert weighted_index(w, y) == expect
+    with pytest.raises(ValueError):
+        weighted_index(np.zeros(3), 0.5)
+
+
+def test_regime_index_matches_searchsorted():
+    law = OffspringLaw(
+        (OffspringPmf.table({0: 1.0}), OffspringPmf.table({2: 1.0}), OffspringPmf.table({1: 1.0})),
+        (0.5, 1.5),
+    )
+    xs = [0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0, 1.5, 7.0, np.float64(1.5)]
+    for x in xs:
+        assert law.regime_index(x) == int(np.searchsorted(np.asarray(law.thresholds), x, side="right"))
+
+
+def test_constants_computed_once_per_model():
+    assert inspect.isfunction(BranchingModel.constants)
+    model = BranchingModel(ScalarField.step([1.0], [2.0, 0.5]), OffspringLaw.table({0: 0.4, 2: 0.6}))
+    twin = BranchingModel.from_dict(model.to_dict())
+    assert model.constants() is model.constants() is twin.constants()

@@ -1,5 +1,8 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from agebranch import (
@@ -8,6 +11,7 @@ from agebranch import (
     ImmigrationMechanism,
     GroupSizeLaw,
     OffspringLaw,
+    OffspringPmf,
     ScalarField,
     SimConfig,
     bound_suite,
@@ -20,9 +24,20 @@ from agebranch import (
     estimate_mean,
     laplace_analytic,
     martingale_residual,
+    martingale_suite,
     solver_bound_checks,
 )
-from agebranch.validate import McEstimate, ComparisonReport, benchmark_models, snapshot_profile
+from agebranch.cli import load_config
+from agebranch.validate import (
+    McEstimate,
+    ComparisonReport,
+    _ReplicateJob,
+    _estimate,
+    _run_chunk,
+    benchmark_models,
+    snapshot_profile,
+)
+from oracles import run_chunk_objects
 from agebranch.solvers import SolverGrid
 
 ONE = ScalarField.constant(1.0)
@@ -229,3 +244,103 @@ def test_comparison_report_sided_semantics():
     exact = McEstimate(0.5, 0.0, 10, 0)
     assert ComparisonReport("x", exact, 0.5, 0.0).z == 0.0
     assert not math.isfinite(ComparisonReport("x", exact, 0.6, 0.0).z)
+
+
+# ---------------------------------------------------------------------------
+# Replicate chunks read from observers against chunks read from AgeMeasure
+# snapshots (tests/oracles.py), and the one-pass martingale check and control.
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SMOOTH = ScalarField.exp_decay(1.0, 0.7, 0.2)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def chunk_cases():
+    regimes = BranchingModel(
+        ScalarField.step([0.4, 1.0], [0.5, 3.0, 1.5]),
+        OffspringLaw((OffspringPmf.table({0: 0.3, 2: 0.7}), OffspringPmf.geometric(0.4),
+                      OffspringPmf.poisson(0.8)), (0.3, 1.2)),
+    )
+    groups = ImmigrationMechanism.parametric(
+        1.5, GroupSizeLaw.table({1: 0.5, 3: 0.5}), age_atoms=((0.0, 0.5), (0.8, 0.5))
+    )
+    snaps = tuple(np.linspace(0.0, 1.5, 9))
+    return [
+        SimConfig(CRITICAL, AgeMeasure.from_ages([0.0, 0.5]), 1.5, snaps, None, 41),
+        SimConfig(regimes, AgeMeasure.from_ages([0.1, 0.9, 2.0]), 1.5, snaps, groups, 42),
+        SimConfig(SUBCRITICAL, AgeMeasure.empty(), 1.5, snaps, ImmigrationMechanism.single_arrivals(2.0), 43),
+        SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 4), 1.5, snaps, None, 44),  # extinction
+        SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, snaps, None, 45, 0, 5),  # some capped
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_run_chunk_modes_match_object_trajectories(case):
+    cfg = chunk_cases()[case]
+    for mode in ("laplace", "integral", "extinct", "growth", "profile"):
+        for f in (ONE, SMOOTH, ScalarField.step([0.5], [1.0, 0.2])):
+            job = _ReplicateJob(cfg, mode, f, stream=3)
+            assert same_bits(_run_chunk(job, 5, 45), run_chunk_objects(job, 5, 45)), (mode, f)
+    for g_name in ("identity", "exp", "square"):
+        job = _ReplicateJob(cfg, "martingale", SMOOTH, stream=3, g_name=g_name)
+        new, old = _run_chunk(job, 5, 45), run_chunk_objects(job, 5, 45)
+        assert same_bits(new[:, 2], old[:, 1])
+        # the residual of the pair is the one-pass residual, bit for bit
+        assert same_bits(new[:, 0] - new[:, 1], old[:, 0]), g_name
+
+
+def test_capped_chunk_rows_are_flagged():
+    job = _ReplicateJob(chunk_cases()[4], "growth", ONE, stream=3)
+    data = _run_chunk(job, 0, 40)
+    capped = data[:, -1] == 1.0
+    assert capped.any() and not capped.all()
+    assert np.isnan(data[capped, :-1]).all() and not np.isnan(data[~capped]).any()
+
+
+def test_martingale_suite_check_is_the_two_pass_check():
+    for cfg, g_name in ((cfg_of(CRITICAL, [0.0], 1.0, 19), "exp"),
+                        (chunk_cases()[1], "identity"), (chunk_cases()[2], "square")):
+        check, control = martingale_suite(cfg, g_name, SMOOTH, 1.0, 700, stream=4)
+        assert check == martingale_residual(cfg, g_name, SMOOTH, 1.0, 700, stream=4)
+        job = _ReplicateJob(
+            replace(cfg, t_end=1.0, snapshot_times=tuple(np.linspace(0.0, 1.0, 50))),
+            "martingale", SMOOTH, 4, g_name,
+        )
+        old = np.concatenate([run_chunk_objects(job, 0, 512), run_chunk_objects(job, 512, 700)])
+        assert check.mc == _estimate(old[:, 0], old[:, 1], cfg.seed)
+        assert control.name == f"control:martingale:{g_name}"
+        assert control.mc.replicates == check.mc.replicates
+        assert control.mc.excluded == check.mc.excluded
+
+
+def test_martingale_residual_perturb_scales_the_integral():
+    cfg = cfg_of(CRITICAL, [0.0], 1.0, 19)
+    job = _ReplicateJob(
+        replace(cfg, snapshot_times=tuple(np.linspace(0.0, 1.0, 50))), "martingale", ONE, 5
+    )
+    data = _run_chunk(job, 0, 300)
+    bad = martingale_residual(cfg, "exp", ONE, 1.0, 300, stream=5, perturb=0.05)
+    assert bad.name == "martingale:exp"
+    assert bad.mc == _estimate(data[:, 0] - 1.05 * data[:, 1], data[:, 2], cfg.seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_martingale_control_has_power_on_bench_critical(seed):
+    # validate's own streams and snapshot grid; the check must pass and its
+    # control fail at every replicate count, not only above ~22k replicates
+    run = load_config(CONFIG_DIR / "bench_critical.json")
+    sim = replace(run.sim_config(), seed=seed)
+    for n in (2000, 10_000):
+        check, control = martingale_suite(sim, "exp", run.f, run.t_end, n, stream=30)
+        assert check.verdict, (n, check.z)
+        assert not control.verdict and control.z < -3.0, (n, control.z)
+
+
+def test_martingale_suite_t_zero_exact():
+    check, control = martingale_suite(cfg_of(CRITICAL, [0.0], 1.0, 22), "exp", ONE, 0.0, 100)
+    assert check.mc.value == 0.0 and check.mc.std_error == 0.0 and check.verdict
+    assert control.name == "control:martingale:exp"
