@@ -26,8 +26,8 @@ from .solvers import (
     SolverGrid,
     ergodicity_check,
     exponential_tail_identity,
-    march_exponent,
-    march_mean,
+    solve_exponent,
+    solve_mean,
     stationary_laplace,
 )
 from .validate import (
@@ -227,14 +227,15 @@ def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
     return 0
 
 
-def _cmd_solve(cfg: RunConfig, out: Path, march, value_name: str) -> int:
-    """solve-u / solve-pi: the boundary trace and a coarse (t, x) table, from one fan march."""
+def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> int:
+    """solve-u / solve-pi: the boundary trace and a coarse (t, x) table, from one boundary solve."""
     grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
     times = grid.times()
     # coarse (t, x, value) table: at most ~40 nodes per axis to keep files small
     stride = max(1, len(times) // 40)
     coarse = times[::stride]
-    boundary, rays, _ = march(cfg.model, cfg.f, grid, coarse)
+    sol = solve(cfg.model, cfg.f, grid)
+    boundary, rays = sol.boundary, sol.rays(coarse)
     write_csv(out / "boundary.csv", ["t", value_name], [[t, v] for t, v in zip(times, boundary)])
     rows = []
     for x, ray in zip(coarse, rays):
@@ -418,9 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(cfg, out, args.parallelism)
         if args.command == "solve-u":
-            return _cmd_solve(cfg, out, march_exponent, "exponent")
+            return _cmd_solve(cfg, out, solve_exponent, "exponent")
         if args.command == "solve-pi":
-            return _cmd_solve(cfg, out, march_mean, "mean")
+            return _cmd_solve(cfg, out, solve_mean, "mean")
         if args.command == "validate":
             return _cmd_validate(cfg, out, args.parallelism, args.ci)
         if args.command == "ergodic":

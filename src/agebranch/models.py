@@ -21,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gamma as _gamma, zeta as _zeta
@@ -80,16 +80,33 @@ class OffspringPmf:
     def poisson(cls, mu: float) -> "OffspringPmf":
         return cls("poisson", param=float(mu))
 
+    def pgf(self) -> Callable[[float], float]:
+        """The generating function as a plain scalar function, unchecked.
+
+        ``g`` is this function behind the range check; the boundary solve
+        calls it at every time step on arguments clipped to [0, 1] already.
+        """
+        if self.kind == "pmf":
+            terms = tuple(zip(self.counts, self.probs))
+
+            def pmf_pgf(z: float) -> float:
+                total = 0.0
+                for k, p in terms:
+                    total += p * z**k
+                return float(total)
+
+            return pmf_pgf
+        if self.kind == "geometric":
+            q = self.param
+            return lambda z: (1.0 - q) / (1.0 - q * z)
+        mu = self.param
+        return lambda z: math.exp(mu * (z - 1.0))
+
     def g(self, z: float) -> float:
         """Probability generating function at z in [0, 1]."""
         if not (0.0 <= z <= 1.0):
             raise ValueError(f"generating function argument must lie in [0, 1], got {z!r}")
-        if self.kind == "pmf":
-            return float(sum(p * z**k for k, p in zip(self.counts, self.probs)))
-        if self.kind == "geometric":
-            q = self.param
-            return (1.0 - q) / (1.0 - q * z)
-        return math.exp(self.param * (z - 1.0))
+        return self.pgf()(z)
 
     @property
     def mean(self) -> float:

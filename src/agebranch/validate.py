@@ -375,11 +375,12 @@ def solver_bound_checks(
     are exact for the continuous objects but the lattice values carry scheme
     error, so the allowed slack is ten times the Richardson-certified boundary
     error of each solver (several bounds are tight, e.g. the norm bound at
-    criticality).
+    criticality).  The lattice is swept one time row at a time and each row
+    is reduced to the four margins as it is produced, so memory stays O(n).
     """
     c0, c1, _ = model.constants()
-    usol = solve_exponent(model, f, grid, keep_lattice=True)
-    msol = solve_mean(model, f, grid, keep_lattice=True)
+    usol = solve_exponent(model, f, grid)
+    msol = solve_mean(model, f, grid)
     half = grid.n_steps // 2
     coarse = SolverGrid(2 * grid.dt, 2 * half * grid.dt, grid.quadrature)
     shared = slice(0, 2 * half + 1, 2)  # fine nodes that coincide with coarse nodes
@@ -390,9 +391,6 @@ def solver_bound_checks(
     cert_p = float(
         np.max(np.abs(msol.boundary[shared] - solve_mean(model, f, coarse).boundary)) / shift
     )
-    u = usol.lattice_exponents()
-    p = msol.lattice_values()
-    n = grid.n_steps
     times = grid.times()
     fv = np.asarray(f(times), dtype=np.float64)  # f at x + t = j dt along the lattice
 
@@ -402,9 +400,7 @@ def solver_bound_checks(
         "solver:exponent_below_mean": [math.inf, cert_u + cert_p],
         "solver:mean_norm_bound": [math.inf, cert_p],
     }
-    for i in range(n + 1):
-        urow = u[i, i:]
-        prow = p[i, i:]
+    for (i, urow), (_, prow) in zip(usol.rows(), msol.rows()):
         lower = -np.expm1(-fv[i:]) * math.exp(-c1 * times[i])
         norm_bound = math.exp(c0 * times[i]) * f.sup
         for name, value in (

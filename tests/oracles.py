@@ -3,6 +3,14 @@
 These are independent or older discretizations of the same equations, kept
 only as oracles:
 
+* ``march_exponent`` / ``march_mean``: the O(n^2) characteristic fan march
+  that the renewal-form solver replaced, marching the boundary and a block of
+  ray labels in one loop, with the full (time, age) lattice on request
+  (``keep_lattice``, capped at ``_LATTICE_MAX_STEPS``);
+  ``lattice_bound_margins`` reduces those lattices to the four margins of
+  ``solver_bound_checks``.
+* ``renewal_rounding_bounds``: the rounding bounds that the ``solvers``
+  module docstring states for the renewal-form solve.
 * ``fan_exponent`` / ``fan_mean``: one O(n^2) characteristic fan per ray,
   with labels ``offset + t_j``, reading a given boundary trace (or closing
   it when none is given).  ``fan_mean`` also carries the bare-quadrature
@@ -36,10 +44,282 @@ from agebranch.validate import _G_CATALOG
 from agebranch.solvers import (
     _FIXED_POINT_MAX_ITER,
     _FIXED_POINT_TOL,
+    _LEAF,
+    MeanSolution,
     _check_contraction,
     _clip_unit,
     _quadrature_weights,
+    _ray_offsets,
+    _Scheme,
 )
+
+_LATTICE_MAX_STEPS = 4096
+
+
+def _ray_labels(grid: SolverGrid, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The label block of one fan march, and where each ray is read from it.
+
+    Row 0 is the boundary family ``t_0..t_N``.  An offset ``x = K dt`` (within
+    SolverGrid's 1e-9 relative tolerance) with ``K <= n`` lies on it: the ray
+    at age x reads entry ``i + K`` after step i, and the row is extended to
+    ``N = n + max K``, exactly the labels the boundary and these rays visit.
+    Every other distinct offset gets its own row of labels ``x + t_j``, read
+    at entry i.
+    Returns the label ages (rows, N + 1) and each ray's row and column shift.
+    """
+    n, dt = grid.n_steps, grid.dt
+    ks = np.rint(offsets / dt)
+    on_row = (np.abs(ks * dt - offsets) <= 1e-9 * np.maximum(1.0, offsets)) & (ks <= n)
+    starts, inverse = np.unique(offsets[~on_row], return_inverse=True)
+    rows = np.zeros(len(offsets), dtype=np.intp)
+    rows[~on_row] = 1 + inverse
+    cols = np.where(on_row, ks, 0.0).astype(np.intp)
+    ages = np.concatenate(([0.0], starts))[:, None] + dt * np.arange(n + 1 + cols.max(initial=0))
+    # own rows need labels x + t_0..t_n only; the padding repeats the last one
+    # so that it cannot trip a guard
+    ages[1:, n + 1 :] = ages[1:, n : n + 1]
+    return ages, rows, cols
+
+
+def march_exponent(
+    model: BranchingModel,
+    f: ScalarField,
+    grid: SolverGrid,
+    offsets=(),
+    keep_lattice: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """March the exponent fan once, for the boundary and every requested ray.
+
+    Returns ``(boundary, rays, lattice_w)``: the exponent at age 0 for every
+    grid time, the exponent at age ``offsets[r]`` for every grid time (row r),
+    and, when requested, ``L[i, j] = exp(-u_{t_i} f((j - i) dt))`` for
+    ``j >= i`` (NaN below the diagonal).
+    """
+    _check_contraction(model, grid)
+    n, dt = grid.n_steps, grid.dt
+    trapezoid = grid.quadrature == "trapezoid"
+    offspring = model.offspring
+    ages, rows, cols = _ray_labels(grid, _ray_offsets(offsets))
+    width = ages.shape[1]
+    alpha_g = np.asarray(model.alpha(ages), dtype=np.float64)
+    ridx = offspring.regime_indices(ages)
+    W = np.exp(-np.asarray(f(ages), dtype=np.float64))
+    diag = np.empty(n + 1)
+    diag[0] = W[0, 0]
+    table = np.empty((len(rows), n + 1))
+    table[:, 0] = W[rows, cols]
+    lattice = None
+    if keep_lattice:
+        if n > _LATTICE_MAX_STEPS:
+            raise ValueError(f"lattice storage capped at {_LATTICE_MAX_STEPS} steps")
+        lattice = np.full((n + 1, n + 1), np.nan)
+        lattice[0] = W[0, : n + 1]
+
+    # g at the boundary value, by label; only the labels still ahead are kept
+    g_at = offspring.g_by_regime(float(_clip_unit(W[0, 0])))[ridx]
+    for i in range(n):
+        m = width - 1 - i
+        w = W[:, i + 1 :]
+        F_left = alpha_g[:, 1 : m + 1] * (g_at[:, 1 : m + 1] - w)
+        if not trapezoid:
+            W[:, i + 1 :] = w + dt * F_left
+            g_at = offspring.g_by_regime(_clip_unit(float(W[0, i + 1])))[ridx[:, :m]]
+        else:
+            # diagonal: the new boundary value appears inside its own
+            # endpoint term g(0, w+) and as the unknown itself
+            c_known = float(w[0, 0] + (dt / 2.0) * F_left[0, 0])
+            a0 = float(alpha_g[0, 0])
+            denom = 1.0 + (dt / 2.0) * a0
+            regime0 = offspring.regimes[int(ridx[0, 0])]
+            w_plus = min(max(c_known / denom, 0.0), 1.0)
+            for _ in range(_FIXED_POINT_MAX_ITER):
+                w_next = (c_known + (dt / 2.0) * a0 * regime0.g(min(max(w_plus, 0.0), 1.0))) / denom
+                if abs(w_next - w_plus) <= _FIXED_POINT_TOL:
+                    w_plus = w_next
+                    break
+                w_plus = w_next
+            else:
+                raise RuntimeError("boundary fixed point did not converge; use a smaller dt")
+            zb = _clip_unit(w_plus)
+            g_at = offspring.g_by_regime(zb)[ridx[:, :m]]
+            W[:, i + 1 :] = (w + (dt / 2.0) * (F_left + alpha_g[:, :m] * g_at)) / (
+                1.0 + (dt / 2.0) * alpha_g[:, :m]
+            )
+            W[0, i + 1] = zb
+        diag[i + 1] = W[0, i + 1]
+        if rows.size:
+            table[:, i + 1] = W[rows, i + 1 + cols]
+        if lattice is not None:
+            lattice[i + 1, i + 1 :] = W[0, i + 1 : n + 1]
+    return -np.log(np.maximum(diag, 1e-300)), -np.log(np.maximum(table, 1e-300)), lattice
+
+
+def march_mean(
+    model: BranchingModel,
+    f: ScalarField,
+    grid: SolverGrid,
+    offsets=(),
+    keep_lattice: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """March the first-moment fan once, for the boundary and every requested ray.
+
+    Returns ``(boundary, rays, lattice)`` laid out as in ``march_exponent``,
+    with the lattice holding the kernel's values themselves.
+    """
+    _check_contraction(model, grid)
+    n, dt = grid.n_steps, grid.dt
+    trapezoid = grid.quadrature == "trapezoid"
+    offspring = model.offspring
+    ages, rows, cols = _ray_labels(grid, _ray_offsets(offsets))
+    width = ages.shape[1]
+    alpha_g = np.asarray(model.alpha(ages), dtype=np.float64)
+    mean_g = offspring.mean_by_regime()[offspring.regime_indices(ages)]
+    am = alpha_g * mean_g
+    fvals = np.asarray(f(ages), dtype=np.float64)
+    mb = np.empty(n + 1)
+    mb[0] = fvals[0, 0]
+    table = np.empty((len(rows), n + 1))
+    table[:, 0] = fvals[rows, cols]
+    lattice = None
+    if keep_lattice:
+        if n > _LATTICE_MAX_STEPS:
+            raise ValueError(f"lattice storage capped at {_LATTICE_MAX_STEPS} steps")
+        lattice = np.full((n + 1, n + 1), np.nan)
+        lattice[0] = fvals[0, : n + 1]
+
+    if am.max() * dt / 2.0 >= 0.95:
+        raise ValueError("dt too large for the implicit moment endpoint; use a smaller dt")
+    if alpha_g.max() * grid.horizon * max(1.0, mean_g.max()) > 600.0:
+        raise ValueError(
+            "cumulative hazard exceeds the floating-point range of the "
+            "discounted form; reduce the horizon or split the solve"
+        )
+    A = np.zeros_like(ages)  # cumulative hazard along each ray
+    J = np.zeros_like(ages)  # discount-weighted source integral along each ray
+    for i in range(n):
+        m = width - 1 - i
+        k_l = slice(1, m + 1)  # age indices at the left endpoint, labels i+1..
+        k_r = slice(0, m)  # age indices at the right endpoint
+        h_left = np.exp(A[:, i + 1 :]) * am[:, k_l] * mb[i]
+        if trapezoid:
+            A_new = A[:, i + 1 :] + (dt / 2.0) * (alpha_g[:, k_l] + alpha_g[:, k_r])
+            # diagonal: exp(-A_new) * exp(A_new) = 1 on the endpoint term
+            known = math.exp(-A_new[0, 0]) * (fvals[0, i + 1] + J[0, i + 1] + (dt / 2.0) * h_left[0, 0])
+            mb[i + 1] = known / (1.0 - (dt / 2.0) * am[0, 0])
+            h_right = np.exp(A_new) * am[:, k_r] * mb[i + 1]
+            J[:, i + 1 :] += (dt / 2.0) * (h_left + h_right)
+        else:
+            A_new = A[:, i + 1 :] + dt * alpha_g[:, k_l]
+            J[:, i + 1 :] += dt * h_left
+            mb[i + 1] = math.exp(-A_new[0, 0]) * (fvals[0, i + 1] + J[0, i + 1])
+        A[:, i + 1 :] = A_new
+        if rows.size:
+            node = (rows, i + 1 + cols)
+            table[:, i + 1] = np.exp(-A[node]) * (fvals[node] + J[node])
+        if lattice is not None:
+            live = slice(i + 1, n + 1)
+            lattice[i + 1, live] = np.exp(-A[0, live]) * (fvals[0, live] + J[0, live])
+    table[(rows == 0) & (cols == 0)] = mb  # the ray at age 0 is the boundary trace
+    return mb, table, lattice
+
+
+def lattice_bound_margins(model, f, grid) -> dict[str, float]:
+    """The four margins of ``solver_bound_checks`` from the marched lattices."""
+    c0, c1, _ = model.constants()
+    u = -np.log(np.maximum(march_exponent(model, f, grid, keep_lattice=True)[2], 1e-300))
+    p = march_mean(model, f, grid, keep_lattice=True)[2]
+    times = grid.times()
+    fv = np.asarray(f(times), dtype=np.float64)
+    margins = dict.fromkeys(
+        ("solver:exponent_nonneg", "solver:survival_lower_bound", "solver:exponent_below_mean",
+         "solver:mean_norm_bound"),
+        math.inf,
+    )
+    for i in range(grid.n_steps + 1):
+        urow, prow = u[i, i:], p[i, i:]
+        lower = -np.expm1(-fv[i:]) * math.exp(-c1 * times[i])
+        norm_bound = math.exp(c0 * times[i]) * f.sup
+        for name, value in (
+            ("solver:exponent_nonneg", urow.min()),
+            ("solver:survival_lower_bound", (urow - lower).min()),
+            ("solver:exponent_below_mean", (prow - urow).min()),
+            ("solver:mean_norm_bound", (norm_bound - prow).min()),
+        ):
+            margins[name] = min(margins[name], float(value))
+    return margins
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _fft_allowance(size: int) -> float:
+    return 4.0 * math.log2(size) * _UNIT_ROUNDOFF
+
+
+def renewal_rounding_bounds(sol, offsets=()):
+    """The rounding bounds of the ``solvers`` docstring, for a solution.
+
+    Returns ``(fft, total)``, each a pair ``(bound on every boundary value,
+    bounds on the rays at offsets)`` in the solution's own units (exponents
+    for an exponent solution).  ``fft`` is the FFT products' rounding
+    allowance alone, propagated through the scheme; ``total`` adds the direct
+    leaf sums, the fixed point's stopping rule and the recurrence's own
+    arithmetic in either evaluation order, and so bounds the gap to
+    ``march_exponent`` / ``march_mean``.
+    """
+    mean = isinstance(sol, MeanSolution)
+    model, grid, n, u = sol.model, sol.grid, sol.grid.n_steps, _UNIT_ROUNDOFF
+    lip = 1.0 if mean else model.offspring.sup_mean  # bounds d source / d w
+    src = np.abs(sol.sources)
+    smax = float(src.max())
+
+    def along(ages):
+        scheme = _Scheme(model, grid, ages, mean)
+        fvals = np.asarray(sol.f(ages), dtype=np.float64)
+        start = float(np.abs(scheme.P * (fvals if mean else np.exp(-fvals))).max())
+        return np.abs(scheme.by_class(scheme.K)), start
+
+    K, start = along(grid.dt * np.arange(n + 1))
+    k1 = float(K.sum())
+    size = 1 << (2 * (n + 1) - 1).bit_length()  # at least the largest block product
+    blocks = math.sqrt(n) / (math.sqrt(2.0) - 1.0)  # sum of sqrt(block length) per output
+    fft = _fft_allowance(size) * blocks * float(np.sum(np.linalg.norm(K, axis=1) * src.max(axis=1)))
+    q = lip * float(K[:, 0].sum())
+    rest = (
+        math.log2(n + 1) * u * (start + k1 * smax)  # adding the block products
+        + _LEAF * u * k1 * smax  # the leaves' direct sums
+        + (0.0 if mean else 2.0 * q / (1.0 - q) * _FIXED_POINT_TOL)  # either stopping point
+        + 8.0 * (n + 1) * u * (start + k1 * smax)  # the recurrence's arithmetic, either order
+    )
+    # rho: how far the linearized scheme amplifies a per-step error
+    ksum = lip * K.sum(axis=0)
+    if ksum.sum() < 1.0:
+        rho = 1.0 / (1.0 - ksum.sum())
+    else:
+        r = np.empty(n + 1)
+        for j in range(n + 1):
+            r[j] = (1.0 + np.dot(ksum[j:0:-1], r[:j])) / (1.0 - ksum[0])
+        rho = float(r.max())
+    bounds = {"fft": [rho * fft, []], "total": [rho * (fft + rest), []]}
+
+    offsets = _ray_offsets(offsets)
+    spec = 1 << (2 * n + 1).bit_length()
+    for x, ray in zip(offsets, sol.rays(offsets)):
+        Kx, start_x = along(x + grid.dt * np.arange(n + 1))
+        own = _fft_allowance(spec) * float(np.sum(np.linalg.norm(src, axis=1) * np.linalg.norm(Kx, axis=1)))
+        arith = 8.0 * (n + 1) * u * (start_x + float(Kx.sum()) * smax)
+        feed = lip * float(Kx.sum())
+        bounds["fft"][1].append(own + feed * bounds["fft"][0])
+        bounds["total"][1].append(own + arith + feed * bounds["total"][0])
+        if not mean:  # an error e in w = exp(-exponent) moves the exponent by at most e / (w - e)
+            w_min = math.exp(-float(ray.max()))
+            for key in bounds:
+                bounds[key][1][-1] /= w_min - bounds[key][1][-1]
+    if not mean:
+        w_min = math.exp(-float(sol.boundary.max()))
+        for key in bounds:
+            bounds[key][0] /= w_min - bounds[key][0]
+    return tuple((bound, np.array(rays)) for bound, rays in bounds.values())
 
 
 def fan_exponent(model, f, grid, offset=0.0, boundary=None):
