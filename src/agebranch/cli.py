@@ -3,8 +3,9 @@
 Subcommands: simulate, solve-u, solve-pi, validate, ergodic, stationary,
 identity-check.  A run is fully determined by one JSON config file plus the
 seed; identical invocations produce byte-identical outputs regardless of the
-parallelism degree (replicates are assigned counter-based streams by index,
-and reductions are performed in index order).  Nothing is written outside the
+parallelism degree (replicates run in fixed chunks of 512, each from a
+counter-based stream indexed by (seed, check, chunk), and reductions are
+performed in replicate order).  Nothing is written outside the
 chosen output directory, and no output carries timestamps.
 """
 

@@ -17,10 +17,24 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["AgeMeasure", "ScalarField", "weighted_index"]
+__all__ = ["AgeMeasure", "ScalarField", "segment_sums", "weighted_index"]
 
 
-def weighted_index(weights: np.ndarray, y: float, total: float | None = None) -> int:
+def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive segment of ``values``, segment ``i`` holding ``counts[i]`` entries.
+
+    Each sum has the bits of ``np.add.reduce`` over its segment alone (0.0
+    when empty), whatever the other segments hold: ``np.add.reduceat`` adds
+    the pairwise sum of a segment's tail to its first entry, so a 0.0 leads
+    every segment.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    led = np.insert(np.asarray(values, dtype=np.float64), starts, 0.0)
+    return np.add.reduceat(led, starts + np.arange(len(counts)))
+
+
+def weighted_index(weights: np.ndarray, y, total=None, counts=None):
     """Index of the first entry whose cumulative weight exceeds ``y * total``.
 
     ``total`` defaults to the last cumulative weight; a caller that already
@@ -28,14 +42,26 @@ def weighted_index(weights: np.ndarray, y: float, total: float | None = None) ->
     so rounding between ``total`` and the cumulative sum cannot run past the
     end.  As ``y ~ Uniform[0, 1)`` entry ``i`` is picked with probability
     ``weights[i] / total``.
+
+    With ``counts`` the weights are consecutive nonempty segments, ``y`` and
+    ``total`` hold one entry per segment, and the result is each segment's
+    index within it, the same integer as a call on the segment alone: the
+    cumulative sums restart at every segment because a running sum minus
+    itself is exactly 0.
     """
-    cum = weights.cumsum()
-    if total is None:
-        total = cum[-1]
-    if not total > 0.0:
+    if counts is None:
+        return int(weighted_index(weights, [y], None if total is None else [total], [len(weights)])[0])
+    counts = np.asarray(counts, dtype=np.int64)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    sums = np.bincount(seg, weights=weights, minlength=len(counts))  # sequential, as cumsum
+    starts = np.cumsum(counts) - counts
+    cum = np.cumsum(np.insert(weights, starts[1:], -sums[:-1]))
+    cum = np.delete(cum, starts[1:] + np.arange(len(counts) - 1))
+    totals = sums if total is None else np.asarray(total, dtype=np.float64)
+    if not np.all(totals > 0.0):
         raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
-    idx = int(cum.searchsorted(y * total, side="right"))
-    return min(idx, len(cum) - 1)
+    below = np.bincount(seg[cum <= (np.asarray(y) * totals)[seg]], minlength=len(counts))
+    return np.minimum(below, counts - 1)
 
 
 @dataclass(frozen=True)

@@ -126,21 +126,21 @@ class OffspringPmf:
             return q * (1.0 + q) / (1.0 - q) ** 2
         return self.param + self.param**2
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One count, or an array of ``size`` counts drawn as ``size`` one-count calls would be."""
+        n = 1 if size is None else size
         if self.kind == "pmf":
-            u = rng.random()
-            acc = 0.0
-            for k, p in zip(self.counts, self.probs):
-                acc += p
-                if u < acc:
-                    return k
-            return self.counts[-1]
-        if self.kind == "geometric":
-            if self.param == 0.0:
-                return 0
+            # inverse CDF: the first count whose cumulative probability exceeds u
+            idx = np.searchsorted(np.cumsum(self.probs), rng.random(n), side="right")
+            out = np.asarray(self.counts, dtype=np.int64)[np.minimum(idx, len(self.counts) - 1)]
+        elif self.kind == "poisson":
+            out = rng.poisson(self.param, n)
+        elif self.param == 0.0:  # geometric with q = 0 never branches and draws nothing
+            out = np.zeros(n, dtype=np.int64)
+        else:
             # numpy's geometric counts trials to first success (support >= 1)
-            return int(rng.geometric(1.0 - self.param)) - 1
-        return int(rng.poisson(self.param))
+            out = rng.geometric(1.0 - self.param, n) - 1
+        return int(out[0]) if size is None else out
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,21 @@ class OffspringLaw:
     def sup_mean(self) -> float:
         return max(r.mean for r in self.regimes)
 
-    def sample(self, x: float, rng: np.random.Generator) -> int:
-        return self.regimes[self.regime_index(x)].sample(rng)
+    def sample(self, x, rng: np.random.Generator):
+        """Offspring count at age x; for an array of ages, one count each.
+
+        An array takes one vector draw per regime, in regime order, so one
+        age consumes the stream exactly as a scalar call does.
+        """
+        if np.ndim(x) == 0:
+            return self.regimes[self.regime_index(x)].sample(rng)
+        ridx = self.regime_indices(x)
+        out = np.empty(len(ridx), dtype=np.int64)
+        for r, pmf in enumerate(self.regimes):
+            sel = ridx == r
+            if sel.any():
+                out[sel] = pmf.sample(rng, int(np.count_nonzero(sel)))
+        return out
 
     def to_dict(self) -> dict:
         def one(r: OffspringPmf) -> dict:

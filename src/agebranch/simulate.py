@@ -1,13 +1,13 @@
 """Exact event-driven simulation of the age-structured population.
 
 Between events every age advances at unit speed, so the population is stored
-as a sorted list of *birth offsets* (age minus elapsed time): aging is free and
-events touch O(1) entries.  Branch events are realized by thinning: waiting
-times are proposed at the dominating rate ``c1 * mass`` (c1 = sup of the death
-rate), ages advance to the proposal, and the proposal is accepted with
-probability ``<aged state, alpha> / (c1 * mass)``.  On acceptance the dying
-particle is drawn with probability proportional to ``alpha(age)`` per atom and
-replaced by its offspring at age zero.  Because the population size is constant
+as sorted *birth offsets* (age minus elapsed time): aging is free.  Branch
+events are realized by thinning: waiting times are proposed at the dominating
+rate ``c1 * mass`` (c1 = sup of the death rate), ages advance to the
+proposal, and the proposal is accepted with probability
+``<aged state, alpha> / (c1 * mass)``.  On acceptance the dying particle is
+drawn with probability proportional to ``alpha(age)`` per atom and replaced by
+its offspring at age zero.  Because the population size is constant
 between events and ``alpha <= c1`` pointwise, this realizes the law of the
 driving point process exactly; a fresh exponential is drawn after every
 accepted or rejected proposal (memorylessness makes the redraw exact).
@@ -17,36 +17,45 @@ total rate; the merged event stream is generated by competing exponentials.
 With a zero-rate mechanism no arrival randomness is consumed, so the random
 stream (hence the path) coincides with the plain branching simulation.
 
-The kernel records observers, not objects: the population size and ages at
-each snapshot time (one flat array), the branch count and running maximum of
-the population size, and the event log only when asked for.  A
-:class:`Trajectory` rebuilds ``AgeMeasure`` snapshots from them on access.
+One kernel, :func:`simulate_paths`, advances a chunk of independent paths in
+lock step from one generator, one proposal per live path per pass, vectorised
+over the paths; :func:`simulate` is that kernel at one path.  It records
+observers, not objects: the population size and ages at each snapshot time
+(flat arrays), the branch count and running maximum of the population size,
+and the event log only when asked for.  A :class:`Trajectory` is one path of
+a :class:`PathSet` and rebuilds ``AgeMeasure`` snapshots on access.
+
+Generators are counter-based (Philox) and keyed by a tuple of integers:
+``simulate`` reads stream ``(seed, replicate_index)``, and the Monte-Carlo
+layer reads one stream ``(seed, check, chunk)`` per chunk of 512 replicates.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .measures import AgeMeasure, weighted_index
+from .measures import AgeMeasure, segment_sums, weighted_index
 from .models import BranchingModel, ImmigrationMechanism
 
-__all__ = ["SimConfig", "Event", "Trajectory", "replicate_rng", "simulate"]
+__all__ = [
+    "SimConfig", "Event", "Trajectory", "PathSet", "replicate_rng", "simulate", "simulate_paths",
+]
 
 DEFAULT_EVENT_CAP = 10_000_000
+_BLOCK = 64  # paths per block of a chunk reduction
 
 
 def replicate_rng(seed: int, *path: int) -> np.random.Generator:
-    """Counter-based generator for one replicate, independent across paths.
+    """Counter-based generator for one key, independent across keys.
 
     Streams are derived from (seed, *path) through a seed sequence feeding a
-    Philox counter generator, so replicate r of check c never shares state
-    with any other (seed, c, r) and no generator is ever shared or advanced
-    across tasks.
+    Philox counter generator, so the stream of one key (a replicate, or a
+    chunk of replicates of one check) never shares state with any other and
+    no generator is ever shared or advanced across tasks.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
 
@@ -156,15 +165,7 @@ class Trajectory:
 
     def integrals(self, f) -> np.ndarray:
         """``<X_s, f>`` at every recorded snapshot, each summed as ``AgeMeasure.integrate``."""
-        out = np.zeros(len(self.snapshot_masses))
-        if len(self.snapshot_ages):
-            fa = np.asarray(f(self.snapshot_ages), dtype=np.float64)
-            lo = 0
-            for i, m in enumerate(self.snapshot_masses.tolist()):
-                if m:
-                    out[i] = np.sum(fa[lo : lo + m])
-                    lo += m
-        return out
+        return segment_sums(np.asarray(f(self.snapshot_ages), dtype=np.float64), self.snapshot_masses)
 
     def _logged_events(self, t: float) -> tuple[Event, ...]:
         if len(self.events) != self.n_events:
@@ -202,104 +203,275 @@ class Trajectory:
         )
 
 
-def simulate(
-    cfg: SimConfig, rng: np.random.Generator | None = None, *, log_events: bool = True
-) -> Trajectory:
-    """Run one exact path of the branching process, with immigration if configured.
+@dataclass(frozen=True, eq=False)
+class PathSet:
+    """What the paths of one chunk recorded, path-major.
 
-    Deterministic: identical (seed, replicate_index, config) gives a
-    bit-identical trajectory.  Exceeding ``max_events`` truncates the path and
-    flags it; it is never silently dropped.  ``log_events=False`` skips the
-    ``Event`` log (Monte-Carlo estimators read only the observers); the random
-    draws and every recorded number are the same either way.
+    Path ``p`` holds ``snapshot_masses[p, i]`` particles at snapshot ``i``
+    for the first ``recorded[p]`` snapshots (fewer than all only when the
+    event cap cut the path; the masses after them are 0).  Their ascending
+    ages are consecutive entries of the flat ``snapshot_ages``: path by path,
+    snapshot by snapshot.  ``branches``, ``max_mass`` and ``n_events`` are the
+    per-path counters of :class:`Trajectory`, ``events`` the per-path logs
+    when simulated with ``log_events=True`` (empty otherwise).
     """
-    if rng is None:
-        rng = replicate_rng(cfg.seed, cfg.replicate_index)
+
+    snapshot_times: tuple[float, ...]
+    snapshot_masses: np.ndarray
+    snapshot_ages: np.ndarray
+    recorded: np.ndarray
+    branches: np.ndarray
+    max_mass: np.ndarray
+    n_events: np.ndarray
+    terminated_by: tuple[str, ...]
+    initial: AgeMeasure
+    t_end: float
+    events: tuple[tuple[Event, ...], ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.terminated_by)
+
+    @property
+    def capped(self) -> np.ndarray:
+        """Paths cut by the event cap, whose statistics are biased."""
+        return np.array([e == "event_cap" for e in self.terminated_by], dtype=bool)
+
+    def blocks(self):
+        """``(rows, masses, ages)`` for consecutive blocks of at most 64 paths.
+
+        Reducing a chunk block by block bounds the temporaries of a reduction
+        to a few arrays of one block's snapshot ages.
+        """
+        masses = self.snapshot_masses
+        ends = np.concatenate(([0], np.cumsum(masses.sum(axis=1))))
+        for lo in range(0, len(masses), _BLOCK):
+            hi = min(lo + _BLOCK, len(masses))
+            yield slice(lo, hi), masses[lo:hi], self.snapshot_ages[ends[lo] : ends[hi]]
+
+    def integrals(self, f) -> np.ndarray:
+        """``<X_s, f>`` per path and snapshot, each with the bits of ``Trajectory.integrals``."""
+        out = np.empty(self.snapshot_masses.shape)
+        for rows, masses, ages in self.blocks():
+            fa = np.asarray(f(ages), dtype=np.float64)
+            out[rows] = segment_sums(fa, masses.ravel()).reshape(masses.shape)
+        return out
+
+    def trajectory(self, p: int) -> Trajectory:
+        """Path ``p`` on its own."""
+        k = int(self.recorded[p])
+        lo = int(self.snapshot_masses[:p].sum())
+        masses = self.snapshot_masses[p, :k].copy()
+        ages = self.snapshot_ages[lo : lo + int(masses.sum())].copy()
+        masses.flags.writeable = False
+        ages.flags.writeable = False
+        return Trajectory(
+            self.snapshot_times[:k], masses, ages, int(self.branches[p]), int(self.max_mass[p]),
+            int(self.n_events[p]), self.terminated_by[p], self.initial, self.t_end,
+            self.events[p] if self.events else (),
+        )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each start and count, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+_ENDINGS = ("t_end", "extinction", "event_cap")
+_T_END, _EXTINCTION, _EVENT_CAP = range(3)
+
+
+def simulate_paths(
+    cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_events: bool = False
+) -> PathSet:
+    """Run ``n_paths`` independent exact paths in lock step from one generator.
+
+    Each pass of the loop makes one proposal on every live path, vectorised
+    over them: the branch exponentials, then the arrival exponentials, then
+    the acceptance uniforms of the branch proposals, the dying-index uniforms
+    and the offspring counts (one vector draw per regime) of the accepted
+    ones, and last the immigrant groups, one path at a time in ascending path
+    order.  A vector draw of size k consumes the stream as k scalar draws and
+    a size-0 draw consumes nothing, so at ``n_paths = 1`` the stream is read
+    in the order of a one-path event loop.  Paths leave the loop at
+    ``t_end``, at extinction or at the event cap; the passes number about
+    the longest path's proposals, not the sum over paths.
+
+    The live particles sit in one flat array of birth offsets, path by path
+    and ascending within a path; a path's segment is located by the
+    cumulative sum of the live masses, so memory is O(live particles).
+    """
     alpha = cfg.model.alpha
     offspring = cfg.model.offspring
     _, c1, _ = cfg.model.constants()
     imm = cfg.immigration
     rate_arrival = imm.total_rate if imm is not None else 0.0
+    t_end = cfg.t_end
+    snap_times = np.asarray(cfg.snapshot_times, dtype=np.float64)
+    n_snap = len(snap_times)
 
-    # age of particle i at time t is bases[i] + t; newborns get base = -t,
-    # which is strictly smaller than every existing base, so prepending keeps
-    # the list sorted
-    bases: list[float] = list(cfg.initial.ages)
-    clock = 0.0
-    events: list[Event] = []
-    snap_times = cfg.snapshot_times
-    snap_masses: list[int] = []
-    snap_ages: list[float] = []
-    snap_pos = 0
-    branches = 0
-    max_mass = len(bases)
+    # the age of a particle at time t is its base + t; newborns get base = -t,
+    # which is below every base of their path, so they go first in its segment
+    m0 = cfg.initial.total_mass
+    base = np.tile(np.asarray(cfg.initial.ages, dtype=np.float64), n_paths)
+    mass = np.full(n_paths, m0, dtype=np.int64)
+    clock = np.zeros(n_paths)
+    snap_pos = np.zeros(n_paths, dtype=np.int64)
+    snap_masses = np.zeros((n_paths, n_snap), dtype=np.int64)
+    branches = np.zeros(n_paths, dtype=np.int64)
+    n_events = np.zeros(n_paths, dtype=np.int64)
+    max_mass = mass.copy()
+    ending = np.full(n_paths, _T_END)
+    logs: list[list[Event]] = [[] for _ in range(n_paths)] if log_events else []
+    recorded: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (snapshot keys, masses, ages)
 
-    def record_through(t: float, inclusive: bool) -> None:
-        # The path is right-continuous: a snapshot exactly at a jump time sees
-        # the post-jump state, so pre-event recording stays strictly below it.
-        nonlocal snap_pos
-        stop = (bisect.bisect_right if inclusive else bisect.bisect_left)(snap_times, t, snap_pos)
-        if stop == snap_pos:
+    def record_through(paths, t, first, inclusive: bool) -> None:
+        # Snapshots of each path up to its time t, its particles starting at
+        # base[first].  The path is right-continuous: a snapshot exactly at a
+        # jump time sees the post-jump state, so pre-event recording stays
+        # strictly below it.
+        lo = snap_pos[paths]
+        stop = np.maximum(lo, np.searchsorted(snap_times, t, "right" if inclusive else "left"))
+        cnt = stop - lo
+        if not cnt.any():
             return
-        snap_masses.extend([len(bases)] * (stop - snap_pos))
-        if bases:
-            for s in snap_times[snap_pos:stop]:
-                snap_ages.extend([b + s for b in bases])
-        snap_pos = stop
+        snap_pos[paths] = stop
+        pair_path = np.repeat(paths, cnt)
+        pair_snap = _ranges(lo, cnt)
+        m = mass[pair_path]
+        snap_masses[pair_path, pair_snap] = m
+        if m.any():
+            ages = base[_ranges(np.repeat(first, cnt), m)] + np.repeat(snap_times[pair_snap], m)
+            recorded.append((pair_path * n_snap + pair_snap, m, ages))
 
-    n_events = 0
-    terminated_by = "t_end"
-    while True:
-        mass = len(bases)
-        if mass == 0 and rate_arrival == 0.0:
-            terminated_by = "extinction"
-            record_through(cfg.t_end, inclusive=True)
-            break
-        t_branch = math.inf
-        if mass > 0:
-            t_branch = clock + rng.exponential(1.0 / (c1 * mass))
-        t_arrival = math.inf
+    act = np.arange(n_paths)  # live paths, ascending; base holds exactly their particles
+    while len(act):
+        m = mass[act]
+        if rate_arrival == 0.0 and not m.all():
+            # an empty population without immigration stays empty
+            dead = act[m == 0]
+            record_through(dead, t_end, 0, inclusive=True)  # no particles to read
+            ending[dead] = _EXTINCTION
+            act = act[m > 0]
+            continue
+        first = np.cumsum(m) - m
+        t_next = np.full(len(act), np.inf)
+        has = m > 0
+        t_next[has] = clock[act[has]] + rng.exponential(1.0 / (c1 * m[has]))
+        branching = np.ones(len(act), dtype=bool)
         if rate_arrival > 0.0:
-            t_arrival = clock + rng.exponential(1.0 / rate_arrival)
-        t_next = min(t_branch, t_arrival)
-        if t_next > cfg.t_end:
-            record_through(cfg.t_end, inclusive=True)
-            break
-        record_through(t_next, inclusive=False)
-        if t_branch <= t_arrival:
-            ages_now = np.asarray(bases) + t_next
-            weights = np.asarray(alpha(ages_now), dtype=np.float64)
-            hazard = float(np.add.reduce(weights))
-            if rng.random() * c1 * mass < hazard:
-                idx = weighted_index(weights, rng.random(), hazard)
-                dying_age = float(ages_now[idx])
-                k = offspring.sample(dying_age, rng)
-                del bases[idx]
-                if k:
-                    bases[0:0] = [-t_next] * k
-                if log_events:
-                    events.append(Event(t_next, "branch", dying_age=dying_age, offspring_count=k))
-                branches += 1
-                n_events += 1
-        else:
-            assert imm is not None
-            group = imm.sample_group(rng)
-            for a in group.ages:
-                bisect.insort(bases, a - t_next)
-            if log_events:
-                events.append(Event(t_next, "immigrate", group=group))
-            n_events += 1
-        max_mass = max(max_mass, len(bases))
-        clock = t_next
-        if n_events >= cfg.max_events:
-            terminated_by = "event_cap"
-            break
+            t_arrival = clock[act] + rng.exponential(1.0 / rate_arrival, len(act))
+            branching = t_next <= t_arrival
+            t_next = np.minimum(t_next, t_arrival)
+        done = t_next > t_end
+        keep = np.ones(len(base), dtype=bool)
+        if done.any():
+            record_through(act[done], t_end, first[done], inclusive=True)
+            keep[_ranges(first[done], m[done])] = False
+            go = ~done
+            act, t_next, first, m, branching = act[go], t_next[go], first[go], m[go], branching[go]
+        record_through(act, t_next, first, inclusive=False)
 
-    masses = np.array(snap_masses, dtype=np.int64)
-    ages = np.array(snap_ages, dtype=np.float64)
-    masses.flags.writeable = False
+        # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass)
+        b_paths, b_t, b_first, b_m = act[branching], t_next[branching], first[branching], m[branching]
+        ages_now = base[_ranges(b_first, b_m)] + np.repeat(b_t, b_m)
+        weights = np.asarray(alpha(ages_now), dtype=np.float64)
+        hazard = segment_sums(weights, b_m)
+        accepted = rng.random(len(b_paths)) * c1 * b_m < hazard
+        d_paths, d_t = b_paths[accepted], b_t[accepted]
+        new_pos, new_base, new_owner = [], [], []
+        if len(d_paths):
+            local = weighted_index(
+                weights[np.repeat(accepted, b_m)], rng.random(len(d_paths)),
+                hazard[accepted], b_m[accepted],
+            )
+            dying = b_first[accepted] + local
+            dying_age = base[dying] + d_t
+            kids = offspring.sample(dying_age, rng)
+            keep[dying] = False
+            mass[d_paths] += kids - 1
+            branches[d_paths] += 1
+            n_events[d_paths] += 1
+            new_pos.append(np.repeat(b_first[accepted], kids))
+            new_base.append(np.repeat(-d_t, kids))
+            new_owner.append(np.repeat(d_paths, kids))
+            if log_events:
+                for p, t, a, k in zip(d_paths.tolist(), d_t.tolist(), dying_age.tolist(), kids.tolist()):
+                    logs[p].append(Event(t, "branch", dying_age=a, offspring_count=k))
+
+        a_paths = act[~branching]
+        if len(a_paths):
+            a_t, a_first, a_m = t_next[~branching], first[~branching], m[~branching]
+            groups = [imm.sample_group(rng) for _ in range(len(a_paths))]
+            sizes = np.array([g.total_mass for g in groups])
+            of_new = np.repeat(np.arange(len(a_paths)), sizes)
+            arrived = np.fromiter((a for g in groups for a in g.ages), np.float64, len(of_new))
+            # merge each group into its path's segment: sort the path's particles
+            # and the newcomers together, an old base before an equal new one
+            u_base = np.concatenate((base[_ranges(a_first, a_m)], arrived - a_t[of_new]))
+            u_of = np.concatenate((np.repeat(np.arange(len(a_paths)), a_m), of_new))
+            u_new = np.arange(len(u_base)) >= a_m.sum()
+            order = np.lexsort((u_new, u_base, u_of))
+            ranks = np.flatnonzero(u_new[order])
+            picked = order[ranks]
+            of = u_of[picked]
+            old_below = np.cumsum(~u_new[order])[ranks] - (np.cumsum(a_m) - a_m)[of]
+            new_pos.append(a_first[of] + old_below)
+            new_base.append(u_base[picked])
+            new_owner.append(a_paths[of])
+            mass[a_paths] += sizes
+            n_events[a_paths] += 1
+            if log_events:
+                for p, t, group in zip(a_paths.tolist(), a_t.tolist(), groups):
+                    logs[p].append(Event(t, "immigrate", group=group))
+
+        if new_pos:
+            # positions in the array without the removed particles; listed by
+            # path, the new particles' positions never decrease
+            order = np.argsort(np.concatenate(new_owner), kind="stable")
+            pos = np.concatenate(new_pos)[order]
+            removed_before = np.concatenate(([0], np.cumsum(~keep)))
+            base = np.insert(base[keep], pos - removed_before[pos], np.concatenate(new_base)[order])
+        elif not keep.all():
+            base = base[keep]
+        max_mass[act] = np.maximum(max_mass[act], mass[act])
+        clock[act] = t_next
+        capped = n_events[act] >= cfg.max_events
+        if capped.any():
+            ending[act[capped]] = _EVENT_CAP
+            m = mass[act]
+            stay = np.ones(len(base), dtype=bool)
+            stay[_ranges((np.cumsum(m) - m)[capped], m[capped])] = False
+            base = base[stay]
+            act = act[~capped]
+
+    # each recorded snapshot's ages go to its place, path by path then snapshot by snapshot
+    flat = snap_masses.ravel()
+    offsets = np.cumsum(flat) - flat
+    ages = np.empty(int(flat.sum()))
+    for keys, m, block in recorded:
+        ages[_ranges(offsets[keys], m)] = block
+    snap_masses.flags.writeable = False
     ages.flags.writeable = False
-    return Trajectory(
-        snap_times[: len(snap_masses)], masses, ages, branches, max_mass, n_events,
-        terminated_by, cfg.initial, cfg.t_end, tuple(events),
+    return PathSet(
+        cfg.snapshot_times, snap_masses, ages, snap_pos, branches, max_mass, n_events,
+        tuple(_ENDINGS[e] for e in ending.tolist()), cfg.initial, t_end,
+        tuple(tuple(log) for log in logs),
     )
+
+
+def simulate(
+    cfg: SimConfig, rng: np.random.Generator | None = None, *, log_events: bool = True
+) -> Trajectory:
+    """Run one exact path of the branching process, with immigration if configured.
+
+    The chunk kernel at one path.  Deterministic: identical (seed,
+    replicate_index, config) gives a bit-identical trajectory.  Exceeding
+    ``max_events`` truncates the path and flags it; it is never silently
+    dropped.  ``log_events=False`` skips the ``Event`` log (Monte-Carlo
+    estimators read only the observers); the random draws and every recorded
+    number are the same either way.
+    """
+    if rng is None:
+        rng = replicate_rng(cfg.seed, cfg.replicate_index)
+    return simulate_paths(cfg, rng, 1, log_events=log_events).trajectory(0)

@@ -5,9 +5,10 @@ tested two-sided at |z| <= 3 with the solver's certified numerical tolerance
 added in quadrature to the Monte-Carlo standard error.  Inequality claims
 (growth and event-count bounds) are tested one-sided: the estimate minus three
 standard errors must not exceed the bound.  Every report is a pure function of
-(seed, configuration): replicates draw from counter-based streams indexed by
-(seed, check, replicate), so results are independent of scheduling and of the
-degree of parallelism.
+(seed, configuration): replicates run in fixed chunks of 512, each chunk
+simulated in lock step from one counter-based stream indexed by (seed, check,
+chunk), so replicate r is a function of (seed, check, replicate count, r) and
+results are independent of scheduling and of the degree of parallelism.
 
 Each suite run also checks its own power: perturbed-analytic negative controls
 must fail, otherwise the suite's acceptance is meaningless.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .measures import AgeMeasure, ScalarField
 from .models import BranchingModel, ImmigrationMechanism, OffspringLaw, OffspringPmf
-from .simulate import SimConfig, Trajectory, replicate_rng, simulate
+from .simulate import PathSet, SimConfig, replicate_rng, simulate_paths
 from .solvers import (
     SolverGrid,
     ergodicity_check,
@@ -131,9 +132,10 @@ def control_report(report: ComparisonReport) -> ComparisonReport:
 
 
 # ---------------------------------------------------------------------------
-# Replicate collection: one job object describes one scalar-per-path extractor;
-# chunks of replicates run in-process or in a fork pool, and results are
-# reassembled by replicate index so parallelism cannot change any number.
+# Replicate collection: one job object describes the per-path columns of one
+# check; fixed chunks of replicates run in-process or in a fork pool, and
+# results are reassembled by replicate index so parallelism cannot change any
+# number.
 # ---------------------------------------------------------------------------
 
 
@@ -146,7 +148,9 @@ class _ReplicateJob:
     g_name: str = "exp"
 
     def columns(self) -> int:
-        if self.mode in ("growth", "martingale"):
+        if self.mode == "growth":
+            return 4
+        if self.mode == "martingale":
             return 3
         if self.mode == "profile":
             return 2 * len(self.cfg.snapshot_times) + 1
@@ -154,35 +158,39 @@ class _ReplicateJob:
 
 
 def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> np.ndarray:
-    # Every mode reads the path's observers; the last column flags paths cut
-    # by the event cap, which carry no usable statistics and are counted and
-    # excluded downstream.
+    """Rows ``start..stop`` of a job: one chunk, simulated in lock step from one stream.
+
+    The chunk's generator is indexed by (seed, stream, chunk), so a row is a
+    function of the seed, the job, the replicate count and the replicate
+    index alone.  Every mode reads the paths' observers in one vectorised
+    pass; the last column flags paths cut by the event cap, which carry no
+    usable statistics (their other columns are NaN) and are counted and
+    excluded downstream.
+    """
+    if start % _CHUNK or stop - start > _CHUNK:
+        raise ValueError(f"replicates {start}..{stop} are not one chunk of {_CHUNK}")
+    cfg = job.cfg
+    paths = simulate_paths(cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start)
     out = np.empty((stop - start, job.columns()))
-    pair = _martingale_pair_fn(job) if job.mode == "martingale" else None
-    for r in range(start, stop):
-        rng = replicate_rng(job.cfg.seed, job.stream, r)
-        traj = simulate(job.cfg, rng, log_events=False)
-        row = out[r - start]
-        if traj.terminated_by == "event_cap":
-            row[:] = np.nan
-            row[-1] = 1.0
-            continue
-        row[-1] = 0.0
-        if job.mode == "laplace":
-            row[0] = math.exp(-traj.integrals(job.f)[-1])
-        elif job.mode == "integral":
-            row[0] = traj.integrals(job.f)[-1]
-        elif job.mode == "extinct":
-            row[0] = 1.0 if traj.snapshot_masses[-1] == 0 else 0.0
-        elif job.mode == "growth":
-            row[0] = traj.max_mass
-            row[1] = traj.branches
-        elif job.mode == "profile":
-            k = len(traj.snapshot_masses)
-            row[0:k] = traj.snapshot_masses
-            row[k : 2 * k] = traj.integrals(job.f)
-        else:
-            row[0], row[1] = pair(traj)
+    if job.mode == "laplace":
+        out[:, 0] = np.exp(-paths.integrals(job.f)[:, -1])
+    elif job.mode == "integral":
+        out[:, 0] = paths.integrals(job.f)[:, -1]
+    elif job.mode == "extinct":
+        out[:, 0] = paths.snapshot_masses[:, -1] == 0
+    elif job.mode == "growth":
+        out[:, 0] = paths.max_mass
+        out[:, 1] = paths.branches
+        out[:, 2] = paths.snapshot_masses[:, -1]
+    elif job.mode == "profile":
+        k = len(cfg.snapshot_times)
+        out[:, :k] = paths.snapshot_masses
+        out[:, k : 2 * k] = paths.integrals(job.f)
+    else:
+        out[:, 0], out[:, 1] = _martingale_pair_fn(job)(paths)
+    capped = paths.capped
+    out[capped] = np.nan
+    out[:, -1] = capped
     return out
 
 
@@ -339,28 +347,49 @@ def compare_mean(
 def bound_suite(
     cfg: SimConfig, t: float, n: int, stream: int = 0, n_jobs: int = 1
 ) -> list[ComparisonReport]:
-    """One-sided Monte-Carlo checks of the pathwise growth bounds.
+    """One-sided Monte-Carlo checks of the pathwise growth bounds, from one set of paths.
 
-    The running supremum of the population size is bounded in mean by the
-    initial mass times exp(beta t); the branch-event count by sup(alpha) times
-    initial mass times the integral of exp(beta s); and the mean mass by the
-    initial mass times exp(c0 t).
+    From ``m0`` initial particles the running supremum of the population
+    size is bounded in mean by ``m0 exp(beta t)``, the branch-event count by
+    ``c1 m0 I(t)`` with ``I(r) = integral_0^r exp(beta u) du``, and the mass
+    at t by ``m0 exp(c0 t)``.
+
+    Immigration adds by superposition: the population is the sum of the
+    descendants of the initial particles and of each immigrant, every
+    immigrant starting an independent copy of the process from one particle
+    at its arrival time s.  The supremum of a sum is at most the sum of the
+    suprema and counts add, so each immigrant arriving at s adds at most
+    ``exp(beta (t - s))``, ``c1 I(t - s)`` and ``exp(c0 (t - s))`` to the
+    three means.  Immigrant particles arrive at rate
+    ``m1 = integral of <nu, 1> dL(nu)``, so by Campbell's formula the bounds
+    gain ``m1 integral_0^t exp(beta (t - s)) ds``,
+    ``c1 m1 integral_0^t I(t - s) ds`` and ``m1 integral_0^t exp(c0 s) ds``.
+    An infinite ``m1`` (heavy group sizes) gives infinite, vacuous bounds.
+    The growth paths also record the mass at t, which the mean-mass check
+    reads.
     """
     c0, c1, beta = cfg.model.constants()
     m0 = float(cfg.initial.total_mass)
+    imm = cfg.immigration
+    m1 = 0.0 if imm is None else imm.first_moment_of(ScalarField.constant(1.0))
     job = _ReplicateJob(_sim_at(cfg, t), "growth", ScalarField.constant(1.0), stream)
     data = _collect(job, n, n_jobs)
-    sup_est = _estimate(data[:, 0], data[:, 2], cfg.seed)
-    n_est = _estimate(data[:, 1], data[:, 2], cfg.seed)
-    mass_job = _ReplicateJob(_sim_at(cfg, t), "integral", ScalarField.constant(1.0), stream + 1)
-    mass_data = _collect(mass_job, n, n_jobs)
-    mass_est = _estimate(mass_data[:, 0], mass_data[:, 1], cfg.seed)
+    sup_est, n_est, mass_est = (_estimate(data[:, i], data[:, 3], cfg.seed) for i in range(3))
 
     int_exp_beta = t if beta == 0.0 else (math.exp(beta * t) - 1.0) / beta
+    sup_bound = m0 * math.exp(beta * t)
+    events_bound = c1 * m0 * int_exp_beta
+    mass_bound = m0 * math.exp(c0 * t)
+    if m1 > 0.0:  # t > 0, so every integral below is positive
+        # integral_0^t I(r) dr = (exp(beta t) - 1 - beta t) / beta^2
+        int_int = t * t / 2.0 if beta == 0.0 else (math.expm1(beta * t) - beta * t) / beta**2
+        sup_bound += m1 * int_exp_beta
+        events_bound += c1 * m1 * int_int
+        mass_bound += m1 * (t if c0 == 0.0 else math.expm1(c0 * t) / c0)
     return [
-        ComparisonReport("bound:sup_mass", sup_est, m0 * math.exp(beta * t), 0.0, sided="upper"),
-        ComparisonReport("bound:branch_events", n_est, c1 * m0 * int_exp_beta, 0.0, sided="upper"),
-        ComparisonReport("bound:mean_mass", mass_est, m0 * math.exp(c0 * t), 0.0, sided="upper"),
+        ComparisonReport("bound:sup_mass", sup_est, sup_bound, 0.0, sided="upper"),
+        ComparisonReport("bound:branch_events", n_est, events_bound, 0.0, sided="upper"),
+        ComparisonReport("bound:mean_mass", mass_est, mass_bound, 0.0, sided="upper"),
     ]
 
 
@@ -489,20 +518,21 @@ def _residual_report(
     return ComparisonReport(name, est, 0.0, 0.0)
 
 
-_G_CATALOG: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
+_G_CATALOG: dict[str, tuple[Callable, Callable]] = {
     "identity": (lambda v: v, lambda v: 1.0),
-    "exp": (lambda v: math.exp(-v), lambda v: -math.exp(-v)),
+    "exp": (lambda v: np.exp(-v), lambda v: -np.exp(-v)),
     "square": (lambda v: v * v, lambda v: 2.0 * v),
 }
 
 
-def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[Trajectory], tuple[float, float]]:
-    """The per-path pair ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)``.
+def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[PathSet], tuple[np.ndarray, np.ndarray]]:
+    """Per path, the pair ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)``.
 
-    One pooled pass over all snapshot particles: every generator term
-    factorizes into snapshot-level functions of v = <X_s, f> times
-    per-particle sums, accumulated with bincount over the snapshot index.
-    Everything that does not depend on the path is computed here, once.
+    One pooled pass over the snapshot particles of a block of paths: every
+    generator term factorizes into snapshot-level functions of v = <X_s, f>
+    times per-particle sums, accumulated with one bincount keyed by
+    ``path * n_snap + snap``.  Everything that does not depend on the paths is
+    computed here, once.
     """
     model = job.cfg.model
     f = job.f
@@ -527,45 +557,49 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[Trajectory], tuple[floa
                 if math.isinf(imm_f2):
                     raise ValueError("martingale check needs a finite second group moment")
 
-    n_snap = len(job.cfg.snapshot_times)
-    snap_index = np.arange(n_snap)
     h = np.diff(np.array(job.cfg.snapshot_times))
     mean_by_regime = offspring.mean_by_regime()
     g0_by_regime = offspring.g_by_regime(math.exp(-f0))
     second_by_regime = offspring.second_moment_by_regime()
 
-    def pair(traj: Trajectory) -> tuple[float, float]:
-        ages = traj.snapshot_ages
-        seg = np.repeat(snap_index, traj.snapshot_masses)
+    def block(masses: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shape = masses.shape
+        size = shape[0] * shape[1]
+        seg = np.repeat(np.arange(size), masses.ravel())
+
+        def per_snapshot(weights):
+            return np.bincount(seg, weights=weights, minlength=size).reshape(shape)
+
         fa = np.asarray(f(ages), dtype=np.float64)
         a_vals = np.asarray(model.alpha(ages), dtype=np.float64)
         ridx = offspring.regime_indices(ages)
         means = mean_by_regime[ridx]
-        vs = np.bincount(seg, weights=fa, minlength=n_snap)
-        seg_fp = np.bincount(seg, weights=fprime(ages), minlength=n_snap)
+        vs = per_snapshot(fa)
+        seg_fp = per_snapshot(fprime(ages))
 
         if g_name == "identity":
-            seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
+            seg_lin = per_snapshot(a_vals * (means * f0 - fa))
             lg = seg_fp + seg_lin + (imm_f1 if has_imm else 0.0)
         elif g_name == "exp":
             g0 = g0_by_regime[ridx]
-            seg_g = np.bincount(seg, weights=a_vals * (np.exp(fa) * g0 - 1.0), minlength=n_snap)
+            seg_g = per_snapshot(a_vals * (np.exp(fa) * g0 - 1.0))
             lg = np.exp(-vs) * (-seg_fp + seg_g - (psi_f if has_imm else 0.0))
         else:
             second = second_by_regime[ridx]
-            seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
-            seg_sq = np.bincount(
-                seg, weights=a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2),
-                minlength=n_snap,
-            )
+            seg_lin = per_snapshot(a_vals * (means * f0 - fa))
+            seg_sq = per_snapshot(a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2))
             lg = 2.0 * vs * seg_fp + 2.0 * vs * seg_lin + seg_sq
             if has_imm:
                 lg = lg + 2.0 * vs * imm_f1 + imm_f2
 
-        integral = float(np.sum(h * (lg[:-1] + lg[1:]) / 2.0))
-        return G(float(vs[-1])) - G(float(vs[0])), integral
+        integral = np.sum(h * (lg[:, :-1] + lg[:, 1:]) / 2.0, axis=1)
+        return G(vs[:, -1]) - G(vs[:, 0]), integral
 
-    return pair
+    def pairs(paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
+        d_g, integral = zip(*(block(m, a) for _, m, a in paths.blocks()))
+        return np.concatenate(d_g), np.concatenate(integral)
+
+    return pairs
 
 
 def ergodic_convergence(

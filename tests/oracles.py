@@ -23,17 +23,19 @@ only as oracles:
   psi evaluated in scalar Python, one grid node at a time.
 * ``simulate_objects``: the simulator that stores every snapshot as a
   validated ``AgeMeasure`` and always keeps the ``Event`` log, returning an
-  ``ObjectTrajectory``; ``replay_statistics`` and ``mass_path`` read
-  statistics from the event log of either trajectory type.
-* ``run_chunk_objects``: the replicate-chunk extractor reading every mode
-  from ``AgeMeasure`` snapshots, with the martingale residual path by path.
+  ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
+  describes; ``replay_statistics`` and ``mass_path`` read statistics from
+  the event log of either trajectory type.
+* ``chunk_rows_objects``: the replicate-chunk extractor reading every mode
+  from ``AgeMeasure`` snapshots and event logs, with the martingale pair
+  path by path.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -699,6 +701,41 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
     return ObjectTrajectory(tuple(snapshots), tuple(events), terminated_by, cfg.initial)
 
 
+def replay_objects(cfg: SimConfig, events, terminated_by: str) -> ObjectTrajectory:
+    """The path an event log describes, rebuilt from the initial state without randomness.
+
+    Each branch event removes a particle of exactly its dying age (there must
+    be one) and adds its offspring at age zero; each arrival adds its group.
+    Snapshots are taken as ``simulate_objects`` takes them, through ``t_end``
+    unless the event cap cut the path.
+    """
+    bases: list[float] = list(cfg.initial.ages)
+    snapshots: list[tuple[float, AgeMeasure]] = []
+    snap_times = list(cfg.snapshot_times)
+    snap_pos = 0
+
+    def record_through(t: float, inclusive: bool) -> None:
+        nonlocal snap_pos
+        while snap_pos < len(snap_times) and (
+            snap_times[snap_pos] < t or (inclusive and snap_times[snap_pos] <= t)
+        ):
+            s = snap_times[snap_pos]
+            snapshots.append((s, AgeMeasure(tuple(b + s for b in bases))))
+            snap_pos += 1
+
+    for e in events:
+        record_through(e.time, inclusive=False)
+        if e.kind == "branch":
+            del bases[[b + e.time for b in bases].index(e.dying_age)]
+            bases[0:0] = [-e.time] * e.offspring_count
+        else:
+            for a in e.group.ages:
+                bisect.insort(bases, a - e.time)
+    if terminated_by != "event_cap":
+        record_through(cfg.t_end, inclusive=True)
+    return ObjectTrajectory(tuple(snapshots), tuple(events), terminated_by, cfg.initial)
+
+
 def replay_statistics(traj, f) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Per-snapshot times, integrals <X_t, f>, branch counts n(t), and a bias flag.
 
@@ -725,51 +762,40 @@ def mass_path(traj) -> tuple[np.ndarray, np.ndarray]:
     return times, masses
 
 
-def run_chunk_objects(job, start: int, stop: int) -> np.ndarray:
-    """Replicates ``start..stop`` of a ``validate`` job, read from ``ObjectTrajectory``.
+def chunk_rows_objects(job, trajs) -> np.ndarray:
+    """A ``validate`` job's chunk rows, path by path, from ``ObjectTrajectory`` objects.
 
-    Rows match the package's chunk layout, except that the martingale mode
-    holds the residual ``G(v_T) - G(v_0) - integral`` and the flag.
+    Rows match the package's chunk layout; every statistic is read from the
+    ``AgeMeasure`` snapshots or replayed from the event log, and the
+    martingale pair is computed one path at a time.
     """
-    columns = 2 if job.mode == "martingale" else job.columns()
-    out = np.empty((stop - start, columns))
-    for r in range(start, stop):
-        rng = replicate_rng(job.cfg.seed, job.stream, r)
-        traj = simulate_objects(replace(job.cfg, replicate_index=r), rng)
+    out = np.empty((len(trajs), job.columns()))
+    for row, traj in zip(out, trajs):
         biased = 1.0 if traj.terminated_by == "event_cap" else 0.0
-        row = out[r - start]
+        row[-1] = biased
         if biased:
-            row[:] = np.nan
-            row[-1] = 1.0
+            row[:-1] = np.nan
             continue
+        _, last = traj.snapshots[-1]
         if job.mode == "laplace":
-            _, last = traj.snapshots[-1]
             row[0] = math.exp(-last.integrate(job.f))
         elif job.mode == "integral":
-            _, last = traj.snapshots[-1]
             row[0] = last.integrate(job.f)
         elif job.mode == "extinct":
-            _, last = traj.snapshots[-1]
             row[0] = 1.0 if last.total_mass == 0 else 0.0
         elif job.mode == "growth":
             t = job.cfg.t_end
-            row[0] = traj.running_max_mass(t)
-            row[1] = traj.branch_count(t)
-            row[2] = biased
-            continue
+            row[:3] = traj.running_max_mass(t), traj.branch_count(t), last.total_mass
         elif job.mode == "profile":
             k = len(traj.snapshots)
             row[0:k] = [m.total_mass for _, m in traj.snapshots]
             row[k : 2 * k] = [m.integrate(job.f) for _, m in traj.snapshots]
-            row[-1] = biased
-            continue
         else:
-            row[0] = _martingale_residual_path(job, traj)
-        row[1] = biased
+            row[:2] = _martingale_pair_path(job, traj)
     return out
 
 
-def _martingale_residual_path(job, traj) -> float:
+def _martingale_pair_path(job, traj) -> tuple[float, float]:
     # One pooled pass over all snapshot particles: every generator term
     # factorizes into snapshot-level functions of v = <X_s, f> times
     # per-particle sums, accumulated with bincount over the snapshot index.
@@ -830,5 +856,5 @@ def _martingale_residual_path(job, traj) -> float:
 
     h = np.diff(times)
     integral = float(np.sum(h * (lg[:-1] + lg[1:]) / 2.0))
-    return G(float(vs[-1])) - G(float(vs[0])) - integral
+    return G(float(vs[-1])) - G(float(vs[0])), integral
 

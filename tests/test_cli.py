@@ -103,6 +103,27 @@ def test_validate_byte_identical_across_runs_and_parallelism(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_simulate_byte_identical_across_parallelism(tmp_path):
+    # three chunks of replicates, the last one short
+    p = small_config(tmp_path, replicates=1100)
+    outs = []
+    for tag, par in (("a", "1"), ("b", "2")):
+        out = tmp_path / tag
+        assert main(["simulate", "--config", str(p), "--out", str(out), "--parallelism", par]) == 0
+        outs.append([(out / name).read_bytes() for name in ("snapshot_stats.csv", "summary.txt", "events.csv")])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("base", ["pure_death_imm.json", "subcritical_imm.json"])
+def test_validate_growth_bounds_count_arrivals(tmp_path, base):
+    p = small_config(tmp_path, base=base, replicates=200)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    for name in ("sup_mass", "branch_events", "mean_mass"):
+        assert f"check bound:{name}: pass (as-expected)" in lines
+
+
 def test_seed_override_changes_results(tmp_path):
     p = small_config(tmp_path, replicates=400)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"

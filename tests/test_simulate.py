@@ -21,8 +21,9 @@ from agebranch import (
     simulate,
 )
 from agebranch.cli import load_config
-from agebranch.measures import weighted_index
-from oracles import ObjectTrajectory, mass_path, replay_statistics, simulate_objects
+from agebranch.measures import segment_sums, weighted_index
+from agebranch.simulate import simulate_paths
+from oracles import ObjectTrajectory, mass_path, replay_objects, replay_statistics, simulate_objects
 
 ONE = ScalarField.constant(1.0)
 CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))
@@ -32,6 +33,15 @@ PURE_DEATH = BranchingModel(ONE, OffspringLaw.table({0: 1.0}))
 def run(model, initial, t_end, snaps, seed, r=0, imm=None, max_events=10_000_000):
     cfg = SimConfig(model, initial, t_end, snaps, imm, seed, r, max_events)
     return simulate(cfg)
+
+
+def final_masses(model, initial, t, seed, reps, imm=None):
+    """Mass at t of ``reps`` paths, simulated in chunks of 512 from the streams (seed, chunk)."""
+    cfg = SimConfig(model, initial, t, (t,), imm, seed)
+    return np.concatenate([
+        simulate_paths(cfg, replicate_rng(seed, c), min(512, reps - start)).snapshot_masses[:, -1]
+        for c, start in enumerate(range(0, reps, 512))
+    ])
 
 
 def test_null_initial_state():
@@ -87,10 +97,7 @@ def test_ages_advance_at_unit_speed():
 
 def test_pure_death_binomial_oracle():
     n, t, reps = 100, 1.0, 3000
-    masses = np.empty(reps)
-    for r in range(reps):
-        traj = run(PURE_DEATH, AgeMeasure.point(0.0, n), t, (t,), seed=101, r=r)
-        masses[r] = traj.snapshots[-1][1].total_mass
+    masses = final_masses(PURE_DEATH, AgeMeasure.point(0.0, n), t, 101, reps)
     p = math.exp(-t)
     se = math.sqrt(n * p * (1 - p) / reps)
     assert abs(masses.mean() - n * p) <= 3 * se
@@ -99,10 +106,7 @@ def test_pure_death_binomial_oracle():
 
 def test_critical_binary_extinction_probability():
     reps = 20_000
-    extinct = 0
-    for r in range(reps):
-        traj = run(CRITICAL, AgeMeasure.point(0.0), 2.0, (2.0,), seed=7, r=r)
-        extinct += traj.snapshots[-1][1].total_mass == 0
+    extinct = np.count_nonzero(final_masses(CRITICAL, AgeMeasure.point(0.0), 2.0, 7, reps) == 0)
     se = math.sqrt(0.25 / reps)
     assert abs(extinct / reps - 0.5) <= 3 * se
 
@@ -112,10 +116,7 @@ def test_stationary_queue_oracle():
     # the stationary population count is Poisson(3)
     imm = ImmigrationMechanism.single_arrivals(3.0)
     reps = 1500
-    masses = np.empty(reps)
-    for r in range(reps):
-        traj = run(PURE_DEATH, AgeMeasure.empty(), 20.0, (20.0,), seed=5, r=r, imm=imm)
-        masses[r] = traj.snapshots[-1][1].total_mass
+    masses = final_masses(PURE_DEATH, AgeMeasure.empty(), 20.0, 5, reps, imm)
     assert abs(masses.mean() - 3.0) <= 3 * math.sqrt(3.0 / reps)
     var_se = math.sqrt((30.0 - 9.0) / reps)  # Var of the sample variance, Poisson(3)
     assert abs(masses.var(ddof=1) - 3.0) <= 3 * var_se + 0.05
@@ -224,10 +225,7 @@ def test_age_dependent_death_rates_thin_correctly():
     alpha = ScalarField.step([1.0], [0.1, 3.0])
     model = BranchingModel(alpha, OffspringLaw.table({0: 1.0}))
     reps = 4000
-    alive = 0
-    for r in range(reps):
-        traj = run(model, AgeMeasure.point(2.0), 1.0, (1.0,), seed=33, r=r)
-        alive += traj.snapshots[-1][1].total_mass
+    alive = final_masses(model, AgeMeasure.point(2.0), 1.0, 33, reps).sum()
     p = math.exp(-3.0)  # age starts at 2 > 1, so hazard is 3 throughout
     se = math.sqrt(p * (1 - p) / reps)
     assert abs(alive / reps - p) <= 3 * se + 1e-9
@@ -238,10 +236,7 @@ def test_young_particle_crossing_regime_boundary():
     alpha = ScalarField.step([1.0], [0.1, 3.0])
     model = BranchingModel(alpha, OffspringLaw.table({0: 1.0}))
     reps = 4000
-    alive = 0
-    for r in range(reps):
-        traj = run(model, AgeMeasure.point(0.5), 1.0, (1.0,), seed=34, r=r)
-        alive += traj.snapshots[-1][1].total_mass
+    alive = final_masses(model, AgeMeasure.point(0.5), 1.0, 34, reps).sum()
     p = math.exp(-(0.1 * 0.5 + 3.0 * 0.5))
     se = math.sqrt(p * (1 - p) / reps)
     assert abs(alive / reps - p) <= 3 * se
@@ -298,7 +293,7 @@ def test_kernel_matches_object_simulator_or_raises_alike_on_heavy_tail():
     check_against_oracle(sim, seed=1, replicates=3)
 
 
-def test_kernel_matches_object_simulator_on_edge_paths():
+def edge_cases():
     regimes = BranchingModel(
         ScalarField.step([0.4, 1.0], [0.5, 3.0, 1.5]),
         OffspringLaw(
@@ -314,19 +309,57 @@ def test_kernel_matches_object_simulator_on_edge_paths():
     )
     snaps = tuple(np.linspace(0.0, 2.0, 17))
     initial = AgeMeasure.from_ages([0.0, 0.35, 1.0, 1.0, 2.5])
-    cases = [
-        SimConfig(regimes, initial, 2.0, snaps),
+    return [
+        SimConfig(regimes, initial, 2.0, snaps),  # regime crossing
         SimConfig(regimes, initial, 2.0, snaps, finite),
         SimConfig(regimes, AgeMeasure.empty(), 2.0, snaps, parametric),
         SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 3), 6.0, (0.0, 1.0, 6.0)),  # extinction
         SimConfig(CRITICAL, AgeMeasure.point(0.0, 50), 50.0, (0.0, 0.01, 50.0), max_events=10),
         SimConfig(CRITICAL, initial, 2.0, (0.5, 0.5, 1.0)),  # repeated snapshot time
     ]
+
+
+def test_kernel_matches_object_simulator_on_edge_paths():
+    cases = edge_cases()
     for sim in cases:
         check_against_oracle(sim, seed=5, replicates=15)
     capped = simulate(cases[4], replicate_rng(5, 1, 0), log_events=False)
     assert capped.terminated_by == "event_cap" and capped.n_events == 10
     assert len(capped.snapshots) == 2  # the snapshot at t_end was never reached
+
+
+def test_chunk_paths_match_their_replayed_event_logs():
+    # many paths in lock step: each path's snapshots and counters are those of
+    # the path its own event log describes, and its ending is consistent
+    crossing = BranchingModel(ScalarField.step([1.0], [0.1, 3.0]), OffspringLaw.table({0: 0.4, 2: 0.6}))
+    cases = edge_cases() + [
+        SimConfig(crossing, AgeMeasure.from_ages([0.5, 0.9]), 1.5, (0.5, 1.0, 1.5)),
+        SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (0.0, 0.75, 1.5), max_events=5),
+    ]
+    endings = set()
+    for i, sim in enumerate(cases):
+        logged = simulate_paths(sim, replicate_rng(5, i), 300, log_events=True)
+        unlogged = simulate_paths(sim, replicate_rng(5, i), 300)
+        for p in range(len(logged)):
+            traj = logged.trajectory(p)
+            assert_same_path(traj, replay_objects(sim, traj.events, traj.terminated_by), sim.t_end)
+            assert unlogged.trajectory(p) == replace(traj, events=())
+            endings.add(traj.terminated_by)
+            if traj.terminated_by == "extinction":
+                assert sim.initial.total_mass + sum(e.mass_delta for e in traj.events) == 0
+                assert sim.immigration is None
+            if traj.terminated_by == "event_cap":
+                assert traj.n_events == sim.max_events
+            else:
+                assert len(traj.snapshots) == len(sim.snapshot_times)
+    assert endings == {"t_end", "extinction", "event_cap"}
+
+
+def test_group_size_draw_past_the_cap_raises_at_chunk_level():
+    # log_squared groups: some path of the chunk draws past the size table
+    sim = load_config(CONFIG_DIR / "heavy_tail_imm.json").sim_config()
+    with pytest.raises(RuntimeError, match="group-size draw exceeded the supported range"):
+        simulate_paths(sim, replicate_rng(1, 1, 0), 200)
 
 
 def test_counters_before_t_end_need_the_event_log():
@@ -385,6 +418,25 @@ def test_weighted_index_matches_cumsum_search():
             assert weighted_index(w, y) == expect
     with pytest.raises(ValueError):
         weighted_index(np.zeros(3), 0.5)
+
+
+def test_segment_sums_and_segment_indices_match_each_segment_alone():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        counts = rng.integers(0, 300, size=rng.integers(1, 12))
+        counts[rng.random(len(counts)) < 0.2] = 0
+        w = rng.random(counts.sum()) * 10.0 ** rng.uniform(-3, 3, counts.sum())
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        segments = [w[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert segment_sums(w, counts).tolist() == [np.add.reduce(seg) for seg in segments]
+        full = counts > 0
+        ys = rng.random(len(counts))
+        got = weighted_index(w, ys[full], None, counts[full])
+        want = [
+            min(int(np.searchsorted(np.cumsum(seg), y * np.cumsum(seg)[-1], side="right")), len(seg) - 1)
+            for seg, y in zip(segments, ys) if len(seg)
+        ]
+        assert got.tolist() == want
 
 
 def test_regime_index_matches_searchsorted():

@@ -28,16 +28,19 @@ from agebranch import (
     solver_bound_checks,
 )
 from agebranch.cli import load_config
+from agebranch.simulate import replicate_rng, simulate_paths
 from agebranch.validate import (
+    _CHUNK,
     McEstimate,
     ComparisonReport,
+    _collect,
     _ReplicateJob,
     _estimate,
     _run_chunk,
     benchmark_models,
     snapshot_profile,
 )
-from oracles import run_chunk_objects
+from oracles import ObjectTrajectory, chunk_rows_objects
 from agebranch.solvers import SolverGrid
 
 ONE = ScalarField.constant(1.0)
@@ -132,6 +135,25 @@ def test_bound_suite_critical_and_empty():
     empty = bound_suite(cfg_of(PURE_DEATH, [], 1.0, 17), 1.0, 100)
     assert all(r.verdict for r in empty)
     assert all(r.mc.value == 0.0 for r in empty)
+
+
+def test_bound_suite_counts_arrivals():
+    # zero-rate immigration leaves every value as without it, bit for bit
+    plain = bound_suite(cfg_of(CRITICAL, [0.0], 1.0, 16), 1.0, 300)
+    zero = bound_suite(cfg_of(CRITICAL, [0.0], 1.0, 16, imm=ImmigrationMechanism.none()), 1.0, 300)
+    assert zero == plain
+    # pure death (c0 = -1, beta = 0, c1 = 1) from 2 particles with rate-3 single arrivals
+    t = 1.5
+    cfg = cfg_of(PURE_DEATH, [0.0, 0.0], t, 31, imm=ImmigrationMechanism.single_arrivals(3.0))
+    sup, events, mass = bound_suite(cfg, t, 1000)
+    assert sup.analytic == pytest.approx(2.0 + 3.0 * t, rel=1e-14)
+    assert events.analytic == pytest.approx(2.0 * t + 3.0 * t * t / 2.0, rel=1e-14)
+    assert mass.analytic == pytest.approx(2.0 * math.exp(-t) + 3.0 * -math.expm1(-t), rel=1e-14)
+    assert sup.verdict and events.verdict and mass.verdict
+    # group sizes with an infinite mean: vacuous bounds, never a refusal
+    zeta2 = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.zeta_tail(2.0))
+    for r in bound_suite(cfg_of(SUBCRITICAL, [0.0], 1.0, 32, imm=zeta2), 1.0, 200):
+        assert math.isinf(r.analytic) and r.verdict
 
 
 def test_solver_bound_checks_pass_on_catalog():
@@ -247,8 +269,9 @@ def test_comparison_report_sided_semantics():
 
 
 # ---------------------------------------------------------------------------
-# Replicate chunks read from observers against chunks read from AgeMeasure
-# snapshots (tests/oracles.py), and the one-pass martingale check and control.
+# Replicate chunks reduced in one vectorised pass against the same chunk's
+# paths read one at a time from AgeMeasure snapshots and event logs
+# (tests/oracles.py), and the one-pass martingale check and control.
 # ---------------------------------------------------------------------------
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -257,6 +280,16 @@ SMOOTH = ScalarField.exp_decay(1.0, 0.7, 0.2)
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def chunk_objects(job, start, stop):
+    """The paths of ``_run_chunk(job, start, stop)``, one ``ObjectTrajectory`` each."""
+    paths = simulate_paths(
+        job.cfg, replicate_rng(job.cfg.seed, job.stream, start // _CHUNK), stop - start,
+        log_events=True,
+    )
+    trajs = (paths.trajectory(p) for p in range(len(paths)))
+    return [ObjectTrajectory(tuple(t.snapshots), t.events, t.terminated_by, t.initial) for t in trajs]
 
 
 def chunk_cases():
@@ -280,17 +313,34 @@ def chunk_cases():
 
 @pytest.mark.parametrize("case", range(5))
 def test_run_chunk_modes_match_object_trajectories(case):
+    # every mode's columns equal the per-path computation on the same chunk's
+    # paths: bit for bit where the sums run in the same order, and within
+    # 1e-12 where exp is taken over an array instead of one value
     cfg = chunk_cases()[case]
-    for mode in ("laplace", "integral", "extinct", "growth", "profile"):
-        for f in (ONE, SMOOTH, ScalarField.step([0.5], [1.0, 0.2])):
-            job = _ReplicateJob(cfg, mode, f, stream=3)
-            assert same_bits(_run_chunk(job, 5, 45), run_chunk_objects(job, 5, 45)), (mode, f)
-    for g_name in ("identity", "exp", "square"):
-        job = _ReplicateJob(cfg, "martingale", SMOOTH, stream=3, g_name=g_name)
-        new, old = _run_chunk(job, 5, 45), run_chunk_objects(job, 5, 45)
-        assert same_bits(new[:, 2], old[:, 1])
-        # the residual of the pair is the one-pass residual, bit for bit
-        assert same_bits(new[:, 0] - new[:, 1], old[:, 0]), g_name
+    for start, stop in ((0, 40), (_CHUNK, _CHUNK + 40)):
+        for mode in ("laplace", "integral", "extinct", "growth", "profile"):
+            for f in (ONE, SMOOTH, ScalarField.step([0.5], [1.0, 0.2])):
+                job = _ReplicateJob(cfg, mode, f, stream=3)
+                new = _run_chunk(job, start, stop)
+                old = chunk_rows_objects(job, chunk_objects(job, start, stop))
+                if mode == "laplace":
+                    assert np.allclose(new, old, rtol=1e-12, atol=0.0, equal_nan=True), (mode, f)
+                else:
+                    assert same_bits(new, old), (mode, f)
+        for g_name in ("identity", "exp", "square"):
+            job = _ReplicateJob(cfg, "martingale", SMOOTH, stream=3, g_name=g_name)
+            new = _run_chunk(job, start, stop)
+            old = chunk_rows_objects(job, chunk_objects(job, start, stop))
+            assert same_bits(new[:, 2], old[:, 2])
+            assert same_bits(new[:, 1], old[:, 1]), g_name
+            assert np.allclose(new[:, 0], old[:, 0], rtol=1e-12, atol=0.0, equal_nan=True), g_name
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1100])
+def test_collect_is_the_same_at_any_parallelism(n):
+    # chunk bounds and streams depend on the replicate count only
+    job = _ReplicateJob(chunk_cases()[1], "profile", SMOOTH, stream=6)
+    assert same_bits(_collect(job, n, 1), _collect(job, n, 2))
 
 
 def test_capped_chunk_rows_are_flagged():
@@ -310,8 +360,10 @@ def test_martingale_suite_check_is_the_two_pass_check():
             replace(cfg, t_end=1.0, snapshot_times=tuple(np.linspace(0.0, 1.0, 50))),
             "martingale", SMOOTH, 4, g_name,
         )
-        old = np.concatenate([run_chunk_objects(job, 0, 512), run_chunk_objects(job, 512, 700)])
-        assert check.mc == _estimate(old[:, 0], old[:, 1], cfg.seed)
+        old = np.concatenate(
+            [chunk_rows_objects(job, chunk_objects(job, s, e)) for s, e in ((0, 512), (512, 700))]
+        )
+        assert check.mc == _estimate(old[:, 0] - old[:, 1], old[:, 2], cfg.seed)
         assert control.name == f"control:martingale:{g_name}"
         assert control.mc.replicates == check.mc.replicates
         assert control.mc.excluded == check.mc.excluded
