@@ -323,7 +323,7 @@ def simulate_paths(
     max_mass = mass.copy()
     ending = np.full(n_paths, _T_END)
     logs: list[list[Event]] = [[] for _ in range(n_paths)] if log_events else []
-    recorded: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (snapshot keys, masses, ages)
+    recorded: list[tuple[np.ndarray, np.ndarray]] = []  # (path * n_snap + snap, their ages)
 
     def record_through(paths, t, first, inclusive: bool) -> None:
         # Snapshots of each path up to its time t, its particles starting at
@@ -342,7 +342,7 @@ def simulate_paths(
         snap_masses[pair_path, pair_snap] = m
         if m.any():
             ages = base[_ranges(np.repeat(first, cnt), m)] + np.repeat(snap_times[pair_snap], m)
-            recorded.append((pair_path * n_snap + pair_snap, m, ages))
+            recorded.append((pair_path * n_snap + pair_snap, ages))
 
     act = np.arange(n_paths)  # live paths, ascending; base holds exactly their particles
     while len(act):
@@ -449,8 +449,8 @@ def simulate_paths(
     flat = snap_masses.ravel()
     offsets = np.cumsum(flat) - flat
     ages = np.empty(int(flat.sum()))
-    for keys, m, block in recorded:
-        ages[_ranges(offsets[keys], m)] = block
+    for keys, block in recorded:
+        ages[_ranges(offsets[keys], flat[keys])] = block
     snap_masses.flags.writeable = False
     ages.flags.writeable = False
     return PathSet(
