@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # argparse's messages load it through gettext; load it at import
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path

@@ -37,6 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
+import numpy.random  # loaded at import, not inside the first timed draw
 
 from .measures import AgeMeasure, segment_sums, weighted_index
 from .models import BranchingModel, ImmigrationMechanism

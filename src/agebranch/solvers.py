@@ -89,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.integrate import quad as _quad
+import numpy.fft  # loaded at import, not inside the first timed solve
 
 from .measures import AgeMeasure, ScalarField
 from .models import BranchingModel, ImmigrationMechanism
@@ -686,7 +686,13 @@ def exponential_tail_identity(
     step-halving).  Right: the substitution ``z = a n exp(-c s)`` giving
     ``c^-1 integral_0^{a n} (1 - exp(-z)) / z dz`` via adaptive quadrature.
     Used as a self-test of the quadrature machinery; the two must agree.
+
+    The right side is scipy's adaptive quadrature, independent of this
+    package's; scipy is imported here, not at module level, so only this
+    self-test pays for it.
     """
+    from scipy.integrate import quad
+
     if a <= 0 or c <= 0 or group_mass < 1:
         raise ValueError("need a > 0, c > 0, group_mass >= 1")
     an = a * group_mass
@@ -712,5 +718,5 @@ def exponential_tail_identity(
         raise RuntimeError("tail identity quadrature did not converge")
 
     rhs_integrand = lambda z: (-math.expm1(-z) / z) if z > 0 else 1.0
-    rhs, _ = _quad(rhs_integrand, 0.0, an, epsabs=tol / 10.0, epsrel=1e-12, limit=200)
+    rhs, _ = quad(rhs_integrand, 0.0, an, epsabs=tol / 10.0, epsrel=1e-12, limit=200)
     return lhs, rhs / c

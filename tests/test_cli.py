@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from agebranch.cli import RunConfig, load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_config(tmp_path: Path, base: str = "bench_critical.json", **overrides) -> Path:
@@ -203,3 +206,56 @@ def test_excluded_paths_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "snapshot_profile", lambda sim, f, n, stream, n_jobs: [(0.0, est, est)])
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s" / "summary.txt").read_text().splitlines()[-1] == "excluded_paths=4"
+
+
+# Run one command in a fresh interpreter after the set-up a user pays (import,
+# config parse) and report the modules present at set-up and loaded by the run.
+_IMPORT_PROBE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import agebranch.cli as cli
+argv = json.loads(sys.argv[2])
+if "--config" in argv:
+    cli.load_config(argv[argv.index("--config") + 1])
+setup = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(argv + ["--out", out])
+print(json.dumps({"code": code, "setup": sorted(setup), "new": sorted(set(sys.modules) - setup)}))
+"""
+
+
+def _modules_of_run(argv: list[str]) -> dict:
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(SRC_DIR), json.dumps(argv)],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    res = subprocess.run(
+        [sys.executable, "-c", "import json, sys; sys.path.insert(0, sys.argv[1]); import agebranch, "
+         "agebranch.cli; print(json.dumps(sorted(sys.modules)))", str(SRC_DIR)],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert not [m for m in json.loads(res.stdout) if m.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", str(CONFIG_DIR / "subcritical_imm.json"), "--replicates", "50"],
+    ["validate", "--config", str(CONFIG_DIR / "bench_critical.json"), "--replicates", "200"],
+    ["solve-u", "--config", str(CONFIG_DIR / "pure_death_imm.json")],
+    ["stationary", "--config", str(CONFIG_DIR / "pure_death_imm.json")],
+], ids=lambda argv: argv[0])
+def test_commands_import_nothing_after_setup(argv):
+    # set-up pays for every module a run needs; nothing loads inside the timed work
+    run = _modules_of_run(argv)
+    assert run["code"] == 0
+    assert not [m for m in run["setup"] if m.split(".")[0] == "scipy"]
+    assert run["new"] == []
+
+
+def test_identity_check_alone_imports_scipy_integrate():
+    run = _modules_of_run(["identity-check"])
+    assert run["code"] == 0
+    assert "scipy.integrate" in run["new"]

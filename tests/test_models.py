@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,76 @@ def test_zeta_laplace_near_one_is_certified_not_refused():
     q = 1 - 1e-7
     oracle = float(mpmath.polylog(2.5, q) / mpmath.zeta(2.5))
     assert abs(GroupSizeLaw.zeta_tail(2.5).laplace_sum(q, 1e-12) - oracle) <= 1e-12
+
+
+_ZETA_SS = (1.05, 1.5, 2.0, 2.5, 3.0 - 1e-9, 3.0, 3.0 + 1e-9, 3.5, 5.0, 12.0)
+_EPS = 2.0**-52
+
+
+def _zeta_gamma_arguments():
+    """The zeta and Gamma arguments of _polylog_mu_series, mean_size,
+    second_moment_size and _zeta_total over _ZETA_SS."""
+    zetas, gammas = set(), set()
+    n = np.arange(models._MU_TERMS + 1, dtype=np.float64)
+    for s in _ZETA_SS:
+        x = s - n
+        xe = np.minimum(x, -0.5)
+        zetas.update(x[x != 1.0], 1.0 - xe, 1.0 - x[n > s], [s])
+        zetas.update([s - 1.0] if s > 2.0 else [])
+        zetas.update([s - 2.0] if s > 3.0 else [])
+        gammas.update(n + 1.0, 1.0 - xe, [] if s.is_integer() else [1.0 - s])
+    return sorted(map(float, zetas)), sorted(map(float, gammas))
+
+
+def test_in_package_zeta_and_gamma_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    zetas, gammas = _zeta_gamma_arguments()
+    values = models._zeta(np.array(zetas))
+    for x, value in zip(zetas, values):
+        assert float(models._zeta(x)) == value  # scalar and array calls agree
+        ref, mx = mpmath.zeta(x), mpmath.mpf(x)
+        if x > -0.5:
+            scale = abs(ref)  # relative error
+            bound = 8
+        else:  # near the trivial zeros: against the functional-equation envelope
+            scale = 2 * (2 * mpmath.pi) ** (mx - 1) * mpmath.gamma(1 - mx) * mpmath.zeta(1 - mx)
+            bound = 50
+        assert abs(mpmath.mpf(float(value)) - ref) <= bound * _EPS * scale, x
+    for x, value in zip(gammas, models._gamma(np.array(gammas))):
+        ref = mpmath.gamma(x)
+        assert abs(mpmath.mpf(float(value)) - ref) <= 8 * _EPS * abs(ref), x
+
+
+def test_in_package_zeta_special_points():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    assert float(models._zeta(0.0)) == -0.5
+    assert float(models._zeta(1.0)) == math.inf
+    trivial = models._zeta(-2.0 * np.arange(1, 21))
+    assert np.all(trivial == 0.0) and not np.any(np.signbit(trivial))
+    # across the seam between Euler-Maclaurin and the functional equation
+    for x in (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)):
+        ref = mpmath.zeta(x)
+        assert abs(mpmath.mpf(float(models._zeta(x))) - ref) <= 8 * _EPS * abs(ref), x
+    # next to the pole and next to zero, where 1 - x rounds
+    for x in (1.0 - 1e-9, 1.0 + 1e-9, 1e-9, -1e-9):
+        ref = mpmath.zeta(x)
+        assert abs(mpmath.mpf(float(models._zeta(x))) - ref) <= 8 * _EPS * abs(ref), x
+
+
+def test_certified_laplace_sum_skips_the_walk_bookkeeping():
+    # np.unique loads numpy.ma on first use; with every q certified it is not called
+    probe = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "from agebranch import GroupSizeLaw; before = set(sys.modules); "
+        "GroupSizeLaw.zeta_tail(3.0).laplace_sum(np.linspace(0.0, 1.0, 11), 1e-9); "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    res = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                         check=True, timeout=300)
+    assert json.loads(res.stdout) == []
 
 
 def test_array_laplace_sum_and_psi_equal_scalar_calls(monkeypatch):
