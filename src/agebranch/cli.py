@@ -15,8 +15,9 @@ import argparse
 import csv
 import json
 import locale  # argparse's messages load it through gettext; load it at import
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,23 +79,12 @@ class RunConfig:
             self.seed,
         )
 
-    def to_dict(self) -> dict:
-        d: dict = {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model.to_dict(),
-            "immigration": None if self.immigration is None else self.immigration.to_dict(),
-            "initial": list(self.initial.ages),
-            "t_end": self.t_end,
-            "f": self.f.to_dict(),
-            "grid": {"dt": self.grid_dt, "quadrature": self.quadrature},
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "snapshots": self.snapshots,
-        }
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Parse and validate a config dict; every refusal names its field."""
+        if not isinstance(d, dict):
+            raise ConfigError("config: must be a JSON object")
+
         def req(key: str):
             if key not in d:
                 raise ConfigError(f"{key}: missing required field")
@@ -103,53 +93,73 @@ class RunConfig:
         version = d.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-        try:
-            model = BranchingModel.from_dict(req("model"))
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigError(f"model: {e}") from e
+        model = _parsed("model", BranchingModel.from_dict, req("model"))
         imm = None
         if d.get("immigration") is not None:
-            try:
-                imm = ImmigrationMechanism.from_dict(d["immigration"])
-            except (ValueError, KeyError, TypeError) as e:
-                raise ConfigError(f"immigration: {e}") from e
-        try:
-            initial = AgeMeasure.from_ages(req("initial"))
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"initial: {e}") from e
-        t_end = float(req("t_end"))
+            imm = _parsed("immigration", ImmigrationMechanism.from_dict, d["immigration"])
+        initial = _parsed("initial", AgeMeasure.from_ages, req("initial"))
+        t_end = _number("t_end", req("t_end"))
         if not t_end > 0:
             raise ConfigError("t_end: must be > 0")
         grid = d.get("grid", {})
-        dt = float(grid.get("dt", 1e-3))
+        if not isinstance(grid, dict):
+            raise ConfigError("grid: must be a JSON object")
+        dt = _number("grid.dt", grid.get("dt", 1e-3))
         if not 0 < dt <= t_end:
             raise ConfigError("grid.dt: must satisfy 0 < dt <= t_end")
         quadrature = grid.get("quadrature", "trapezoid")
         if quadrature not in ("rectangle", "trapezoid"):
             raise ConfigError("grid.quadrature: must be 'rectangle' or 'trapezoid'")
-        replicates = int(d.get("replicates", 10_000))
+        replicates = _count("replicates", d.get("replicates", 10_000))
         if replicates < 2:
             raise ConfigError("replicates: must be >= 2")
-        seed = int(d.get("seed", 0))
-        try:
-            f = ScalarField.from_dict(d.get("f", {"kind": "constant", "value": 1.0}))
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigError(f"f: {e}") from e
-        snapshots = int(d.get("snapshots", 50))
+        seed = _count("seed", d.get("seed", 0))
+        f = _parsed("f", ScalarField.from_dict, d.get("f", {"kind": "constant", "value": 1.0}))
+        snapshots = _count("snapshots", d.get("snapshots", 50))
         if snapshots < 2:
             raise ConfigError("snapshots: must be >= 2")
         return cls(model, initial, t_end, dt, quadrature, replicates, seed, f, imm, snapshots)
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _parsed(name: str, parse, value):
+    """``parse(value)``, any malformation of ``value`` refused under ``name``."""
+    try:
+        return parse(value)
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ConfigError(f"{name}: {e}") from e
+
+
+def _number(name: str, value) -> float:
+    """A finite JSON number; booleans, strings and null are refused."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        pass
+    raise ConfigError(f"{name}: must be a finite number")
+
+
+def _count(name: str, value) -> int:
+    """A JSON integer; an integral float such as 100.0 is one, 2.5 is refused."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{name}: must be an integer")
+    return int(value)
+
+
+def _read_json(path: str | Path):
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    return RunConfig.from_dict(raw)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return RunConfig.from_dict(_read_json(path))
 
 
 def _fmt(x) -> str:
@@ -405,17 +415,15 @@ def main(argv: list[str] | None = None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             return _cmd_identity_check(out, args.ci)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.replicates is not None:
-            cfg = replace(cfg, replicates=args.replicates)
-        if args.t_end is not None:
-            cfg = replace(cfg, t_end=args.t_end)
+        # flags edit the config as written, which must be valid on its own
+        raw = _read_json(args.config)
+        RunConfig.from_dict(raw)
+        for key, value in (("seed", args.seed), ("replicates", args.replicates), ("t_end", args.t_end)):
+            if value is not None:
+                raw[key] = value
         if args.dt is not None:
-            cfg = replace(cfg, grid_dt=args.dt)
-        # re-validate the overridden configuration before touching the disk
-        cfg = RunConfig.from_dict(cfg.to_dict())
+            raw["grid"] = {**raw.get("grid", {}), "dt": args.dt}
+        cfg = RunConfig.from_dict(raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":

@@ -153,9 +153,6 @@ class AgeMeasure:
             total += diff * (math.exp(-x) - upper)
         return total
 
-    def merge(self, other: "AgeMeasure") -> "AgeMeasure":
-        return AgeMeasure.from_ages(self.ages + other.ages)
-
     def __len__(self) -> int:
         return len(self.ages)
 
@@ -334,24 +331,6 @@ class ScalarField:
             (a,) = self.params
             return (lambda x: -a / (1.0 + np.asarray(x, dtype=np.float64)) ** 2, a)
         raise ValueError(f"field kind {self.kind!r} is not continuously differentiable")
-
-    # -- serialization (CLI config schema) ---------------------------------
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "constant":
-            d["value"] = self.params[0]
-        elif self.kind == "expdecay":
-            d["amplitude"], d["rate"], d["floor"] = self.params
-        elif self.kind == "rational":
-            d["scale"] = self.params[0]
-        elif self.kind == "step":
-            d["thresholds"] = list(self.knots_x)
-            d["values"] = list(self.knots_y)
-        else:
-            d["xs"] = list(self.knots_x)
-            d["ys"] = list(self.knots_y)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalarField":

@@ -197,9 +197,6 @@ class OffspringLaw:
     def second_moment_by_regime(self) -> np.ndarray:
         return np.array([r.second_moment for r in self.regimes])
 
-    def second_moment(self, x: float) -> float:
-        return self.regimes[self.regime_index(x)].second_moment
-
     @property
     def sup_mean(self) -> float:
         return max(r.mean for r in self.regimes)
@@ -219,22 +216,6 @@ class OffspringLaw:
             if sel.any():
                 out[sel] = pmf.sample(rng, int(np.count_nonzero(sel)))
         return out
-
-    def to_dict(self) -> dict:
-        def one(r: OffspringPmf) -> dict:
-            if r.kind == "pmf":
-                return {"kind": "pmf", "pmf": {str(k): p for k, p in zip(r.counts, r.probs)}}
-            if r.kind == "geometric":
-                return {"kind": "geometric", "q": r.param}
-            return {"kind": "poisson", "mean": r.param}
-
-        if len(self.regimes) == 1:
-            return one(self.regimes[0])
-        return {
-            "kind": "regimes",
-            "thresholds": list(self.thresholds),
-            "regimes": [one(r) for r in self.regimes],
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "OffspringLaw":
@@ -277,9 +258,6 @@ class BranchingModel:
         per model: the simulator asks for c1 on every path.
         """
         return _model_constants(self)
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha.to_dict(), "offspring": self.offspring.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BranchingModel":
@@ -577,9 +555,6 @@ class GroupSizeLaw:
             return 1.0 / (ks * np.log(ks) ** 2) / _log_squared_total()
         raise ValueError("tabulated laws have no weight function")
 
-    def _first_size(self) -> int:
-        return 2 if self.kind == "log_squared" else 1
-
     def _tail_prob_mass(self, K: int) -> float:
         """Upper bound on P(size > K) for the infinite-support kinds."""
         if self.kind == "zeta":
@@ -675,21 +650,27 @@ class GroupSizeLaw:
                     out[qs == qv] = self._series_walk(float(qv), tol)
         return float(out[0]) if np.ndim(q) == 0 else out
 
+    def _chunks(self):
+        """``(ks, probs)`` blocks of consecutive sizes up to the table cap, 4096 sizes doubling to 2^20.
+
+        Built afresh on every walk: the whole table reaches 2^24 entries.
+        """
+        lo, chunk = (2 if self.kind == "log_squared" else 1), 4096
+        while lo <= _SIZE_TABLE_CAP:
+            ks = np.arange(lo, min(lo + chunk, _SIZE_TABLE_CAP + 1), dtype=np.float64)
+            yield ks, self._prob(ks)
+            lo += len(ks)
+            chunk = min(chunk * 2, 1 << 20)
+
     def _series_walk(self, q: float, tol: float) -> float:
         if q == 0.0:
             return 0.0
         total = 0.0
-        lo = self._first_size()
-        chunk = 4096
-        while lo <= _SIZE_TABLE_CAP:
-            hi = min(lo + chunk - 1, _SIZE_TABLE_CAP)
-            ks = np.arange(lo, hi + 1, dtype=np.float64)
-            total += float(np.sum(self._prob(ks) * q**ks))
-            remainder = min(q ** (hi + 1) if q < 1.0 else 1.0, self._tail_prob_mass(hi))
-            if remainder < tol:
+        for ks, probs in self._chunks():
+            total += float(np.sum(probs * q**ks))
+            hi = int(ks[-1])
+            if min(q ** (hi + 1) if q < 1.0 else 1.0, self._tail_prob_mass(hi)) < tol:
                 return total
-            lo = hi + 1
-            chunk = min(chunk * 2, 1 << 20)
         raise ValueError(
             f"group-size series truncation cannot reach tolerance {tol} within "
             f"{_SIZE_TABLE_CAP} terms (q={q})"
@@ -699,44 +680,20 @@ class GroupSizeLaw:
         if self.kind == "pmf" or self.kind == "declared":
             if self.kind == "declared" and self.undeclared_tail > 0:
                 raise ValueError("declared law with undeclared tail mass cannot be sampled")
-            u = rng.random()
-            acc = 0.0
-            for k, p in zip(self.sizes, self.probs):
-                acc += p
-                if u < acc:
-                    return k
-            return self.sizes[-1]
+            idx = np.searchsorted(np.cumsum(self.probs), rng.random(), side="right")
+            return self.sizes[min(int(idx), len(self.sizes) - 1)]
         u = rng.random()
         acc = 0.0
-        lo = self._first_size()
-        chunk = 4096
-        while lo <= _SIZE_TABLE_CAP:
-            hi = min(lo + chunk - 1, _SIZE_TABLE_CAP)
-            ks = np.arange(lo, hi + 1, dtype=np.float64)
-            cum = acc + np.cumsum(self._prob(ks))
+        for ks, probs in self._chunks():
+            cum = acc + np.cumsum(probs)
             idx = int(np.searchsorted(cum, u, side="right"))
             if idx < len(ks):
-                return int(lo + idx)
+                return int(ks[idx])
             acc = float(cum[-1])
-            lo = hi + 1
-            chunk = min(chunk * 2, 1 << 20)
         raise RuntimeError(
             f"group-size draw exceeded the supported range ({_SIZE_TABLE_CAP}); "
             "this tail is too heavy to realize the group"
         )
-
-    def to_dict(self) -> dict:
-        if self.kind == "pmf":
-            return {"kind": "pmf", "pmf": {str(k): p for k, p in zip(self.sizes, self.probs)}}
-        if self.kind == "zeta":
-            return {"kind": "zeta", "exponent": self.exponent}
-        if self.kind == "log_squared":
-            return {"kind": "log_squared"}
-        return {
-            "kind": "declared",
-            "pmf": {str(k): p for k, p in zip(self.sizes, self.probs)},
-            "undeclared_tail": self.undeclared_tail,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroupSizeLaw":
@@ -936,20 +893,6 @@ class ImmigrationMechanism:
         else:
             drawn = ages[rng.choice(len(ages), size=k, p=probs)]
         return AgeMeasure.from_ages(drawn)
-
-    def to_dict(self) -> dict:
-        if self.kind == "finite":
-            return {
-                "kind": "finite",
-                "groups": [{"rate": w, "ages": list(g.ages)} for w, g in self.groups],
-            }
-        assert self.size_law is not None
-        return {
-            "kind": "parametric",
-            "total_rate": self.total_rate,
-            "sizes": self.size_law.to_dict(),
-            "ages": [{"age": a, "prob": p} for a, p in self.age_atoms],
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImmigrationMechanism":

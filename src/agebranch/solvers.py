@@ -146,13 +146,6 @@ class SolverGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-    def to_dict(self) -> dict:
-        return {"dt": self.dt, "horizon": self.horizon, "quadrature": self.quadrature}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverGrid":
-        return cls(d["dt"], d["horizon"], d.get("quadrature", "trapezoid"))
-
 
 def _check_contraction(model: BranchingModel, grid: SolverGrid) -> None:
     _, c1, _ = model.constants()
@@ -339,10 +332,6 @@ class _FanSolution:
     sources: np.ndarray = field(repr=False, compare=False)
 
     _mean = False
-
-    @property
-    def order(self) -> int:
-        return self.grid.order
 
     def _start(self, fvals: np.ndarray) -> np.ndarray:
         return fvals if self._mean else np.exp(-fvals)

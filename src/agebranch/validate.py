@@ -518,10 +518,10 @@ def _residual_report(
     return ComparisonReport(name, est, 0.0, 0.0)
 
 
-_G_CATALOG: dict[str, tuple[Callable, Callable]] = {
-    "identity": (lambda v: v, lambda v: 1.0),
-    "exp": (lambda v: np.exp(-v), lambda v: -np.exp(-v)),
-    "square": (lambda v: v * v, lambda v: 2.0 * v),
+_G_CATALOG: dict[str, Callable] = {
+    "identity": lambda v: v,
+    "exp": lambda v: np.exp(-v),
+    "square": lambda v: v * v,
 }
 
 
@@ -538,7 +538,7 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[PathSet], tuple[np.ndar
     f = job.f
     imm = job.cfg.immigration
     g_name = job.g_name
-    G, _ = _G_CATALOG[g_name]
+    G = _G_CATALOG[g_name]
     fprime, _ = f.derivative_fn()
     f0 = float(f(0.0))
     offspring = model.offspring

@@ -802,7 +802,7 @@ def _martingale_pair_path(job, traj) -> tuple[float, float]:
     model = job.cfg.model
     f = job.f
     imm = job.cfg.immigration
-    G, Gp = _G_CATALOG[job.g_name]
+    G = _G_CATALOG[job.g_name]
     fprime, _ = f.derivative_fn()
     f0 = float(f(0.0))
     offspring = model.offspring

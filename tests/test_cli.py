@@ -6,6 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from agebranch import (
+    AgeMeasure,
+    BranchingModel,
+    ImmigrationMechanism,
+    OffspringLaw,
+    ScalarField,
+)
 from agebranch.cli import RunConfig, load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -20,10 +27,59 @@ def small_config(tmp_path: Path, base: str = "bench_critical.json", **overrides)
     return p
 
 
-def test_config_round_trip():
-    for name in CONFIG_DIR.glob("*.json"):
-        cfg = load_config(name)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+def test_config_from_dict():
+    for name in sorted(CONFIG_DIR.glob("*.json")):
+        assert isinstance(load_config(name), RunConfig), name
+    model = {"alpha": {"kind": "constant", "value": 1}, "offspring": {"kind": "geometric", "q": 0.4}}
+    built = BranchingModel(ScalarField.constant(1.0), OffspringLaw.geometric(0.4))
+    raw = {
+        "schema_version": 1,
+        "model": model,
+        "immigration": {"kind": "finite", "groups": [{"rate": 2.0, "ages": [1.0, 0.0]}]},
+        "initial": [0.5, 0],
+        "t_end": 2,
+        "f": {"kind": "rational", "scale": 2.0},
+        "grid": {"dt": 0.01, "quadrature": "rectangle"},
+        "replicates": 100.0,
+        "seed": 3,
+        "snapshots": 5,
+    }
+    assert RunConfig.from_dict(raw) == RunConfig(
+        built, AgeMeasure.from_ages([0.0, 0.5]), 2.0, 0.01, "rectangle", 100, 3,
+        ScalarField.rational(2.0),
+        ImmigrationMechanism.finite_support([(2.0, AgeMeasure.from_ages([0.0, 1.0]))]), 5,
+    )
+    defaults = RunConfig.from_dict({"model": model, "initial": [], "t_end": 1.0})
+    assert defaults == RunConfig(
+        built, AgeMeasure.empty(), 1.0, 1e-3, "trapezoid", 10_000, 0, ScalarField.constant(1.0)
+    )
+
+
+_BENCH_CRITICAL = json.loads((CONFIG_DIR / "bench_critical.json").read_text())
+
+
+@pytest.mark.parametrize("raw, flags, field", [
+    ({**_BENCH_CRITICAL, "grid": [1]}, [], "grid"),
+    ({**_BENCH_CRITICAL, "f": [1]}, [], "f"),
+    ({**_BENCH_CRITICAL, "immigration": [1]}, [], "immigration"),
+    ({**_BENCH_CRITICAL, "model": {**_BENCH_CRITICAL["model"], "alpha": [1]}}, [], "model"),
+    *[({**_BENCH_CRITICAL, key: bad}, [], key)
+      for key in ("replicates", "seed", "snapshots", "t_end") for bad in (None, [1])],
+    ({**_BENCH_CRITICAL, "seed": 2.5}, [], "seed"),
+    ({**_BENCH_CRITICAL, "replicates": 200.5}, [], "replicates"),
+    ({**_BENCH_CRITICAL, "seed": True}, [], "seed"),
+    ([1], [], "config"),
+    ({**_BENCH_CRITICAL, "t_end": math.inf}, [], "t_end"),
+    (_BENCH_CRITICAL, ["--t-end", "inf"], "t_end"),
+    (_BENCH_CRITICAL, ["--dt", "inf"], "grid.dt"),
+], ids=lambda v: json.dumps(v)[:60] if not isinstance(v, str) else v)
+def test_malformed_config_is_refused(tmp_path, capsys, raw, flags, field):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))  # math.inf is written as Infinity, which json reads back
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
 
 
 def test_missing_config_is_a_clean_error(tmp_path, capsys):
@@ -177,6 +233,31 @@ def test_overrides_revalidated(tmp_path, capsys):
     code = main(["validate", "--config", str(p), "--out", str(tmp_path / "o"), "--dt", "5.0"])
     assert code == 2  # dt > t_end rejected after override
     assert "grid.dt" in capsys.readouterr().err
+
+
+def test_override_flags_match_an_edited_config(tmp_path, capsys):
+    raw = json.loads((CONFIG_DIR / "subcritical_imm.json").read_text())
+    written, edited = tmp_path / "written.json", tmp_path / "edited.json"
+    written.write_text(json.dumps(raw))
+    edited.write_text(json.dumps(
+        {**raw, "seed": 5, "replicates": 100, "t_end": 0.5, "grid": {**raw["grid"], "dt": 0.01}}
+    ))
+    flags = ["--seed", "5", "--replicates", "100", "--t-end", "0.5", "--dt", "0.01"]
+    for command in ("simulate", "validate", "solve-u"):
+        outs = []
+        for tag, argv in (("flags", ["--config", str(written), *flags]), ("file", ["--config", str(edited)])):
+            out = tmp_path / f"{command}-{tag}"
+            assert main([command, *argv, "--out", str(out)]) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0] == outs[1] and outs[0]
+
+    # a file invalid as written is refused even when a flag overrides the bad field
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({**raw, "replicates": 1}))
+    out = tmp_path / "refused"
+    assert main(["simulate", "--config", str(invalid), "--replicates", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: replicates: must be >= 2\n"
+    assert not out.exists()
 
 
 def test_validate_suite_passes_with_ci_on_bench_critical(tmp_path):

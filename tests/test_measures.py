@@ -227,16 +227,20 @@ def test_derivative_fn_smooth_kinds():
         ScalarField.step([1.0], [1.0, 2.0]).derivative_fn()
 
 
-def test_field_serialization_round_trip():
-    fields = [
-        ScalarField.constant(1.5),
-        ScalarField.exp_decay(1.0, 2.0, 0.5),
-        ScalarField.rational(2.5),
-        ScalarField.step([1.0], [0.5, 2.0]),
-        ScalarField.pwlinear([0.0, 2.0], [1.0, 3.0]),
+def test_field_from_dict():
+    cases = [
+        ({"kind": "constant", "value": 1.5}, ScalarField.constant(1.5)),
+        ({"kind": "expdecay", "amplitude": 1.0, "rate": 2.0, "floor": 0.5}, ScalarField.exp_decay(1.0, 2.0, 0.5)),
+        ({"kind": "expdecay", "amplitude": 1, "rate": 2.0}, ScalarField.exp_decay(1.0, 2.0, 0.0)),
+        ({"kind": "rational", "scale": 2.5}, ScalarField.rational(2.5)),
+        ({"kind": "rational"}, ScalarField.rational(1.0)),
+        ({"kind": "step", "thresholds": [1.0], "values": [0.5, 2]}, ScalarField.step([1.0], [0.5, 2.0])),
+        ({"kind": "pwlinear", "xs": [0, 2.0], "ys": [1.0, 3.0]}, ScalarField.pwlinear([0.0, 2.0], [1.0, 3.0])),
     ]
-    for field in fields:
-        assert ScalarField.from_dict(field.to_dict()) == field
+    for d, field in cases:
+        assert ScalarField.from_dict(d) == field
+    with pytest.raises(ValueError):
+        ScalarField.from_dict({"kind": "cubic"})
 
 
 def test_field_validation_errors():

@@ -439,15 +439,43 @@ def test_first_and_second_moments_of_groups():
     assert math.isinf(heavy.first_moment_of(f))
 
 
-def test_model_serialization_round_trip():
-    model = BranchingModel(
-        ScalarField.step([1.5], [2.0, 0.5]),
-        OffspringLaw(
-            (OffspringPmf.table({0: 0.3, 2: 0.7}), OffspringPmf.geometric(0.4)), (1.5,)
+def test_model_from_dict():
+    alpha = {"kind": "step", "thresholds": [1.5], "values": [2.0, 0.5]}
+    pmf = {"kind": "pmf", "pmf": {"2": 0.7, "0": 0.3}}
+    offspring = [
+        (pmf, OffspringLaw.table({0: 0.3, 2: 0.7})),
+        ({"kind": "geometric", "q": 0.4}, OffspringLaw.geometric(0.4)),
+        ({"kind": "poisson", "mean": 1.2}, OffspringLaw.poisson(1.2)),
+        (
+            {"kind": "regimes", "thresholds": [1.5], "regimes": [pmf, {"kind": "geometric", "q": 0.4}]},
+            OffspringLaw((OffspringPmf.table({0: 0.3, 2: 0.7}), OffspringPmf.geometric(0.4)), (1.5,)),
         ),
+    ]
+    for d, law in offspring:
+        model = BranchingModel.from_dict({"alpha": alpha, "offspring": d})
+        assert model == BranchingModel(ScalarField.step([1.5], [2.0, 0.5]), law)
+
+    ages = [{"age": 0.0, "prob": 0.5}, {"age": 1.0, "prob": 0.5}]
+    sizes = [
+        ({"kind": "pmf", "pmf": {"3": 0.25, "1": 0.75}}, GroupSizeLaw.table({1: 0.75, 3: 0.25})),
+        ({"kind": "zeta", "exponent": 3}, GroupSizeLaw.zeta_tail(3.0)),
+        ({"kind": "log_squared"}, GroupSizeLaw.log_squared_tail()),
+        ({"kind": "declared", "pmf": {"1": 0.5}, "undeclared_tail": 0.5}, GroupSizeLaw.declared({1: 0.5}, 0.5)),
+        ({"kind": "declared", "pmf": {"1": 1.0}}, GroupSizeLaw.declared({1: 1.0}, 0.0)),
+    ]
+    for d, law in sizes:
+        assert GroupSizeLaw.from_dict(d) == law
+        imm = ImmigrationMechanism.from_dict({"kind": "parametric", "total_rate": 2.0, "sizes": d, "ages": ages})
+        assert imm == ImmigrationMechanism.parametric(2.0, law, age_atoms=((0.0, 0.5), (1.0, 0.5)))
+    finite = {"kind": "finite", "groups": [{"rate": 1.0, "ages": [1.0, 0.0]}, {"rate": 0.5, "ages": [2]}]}
+    assert ImmigrationMechanism.from_dict(finite) == ImmigrationMechanism.finite_support(
+        [(1.0, AgeMeasure.from_ages([0.0, 1.0])), (0.5, AgeMeasure.point(2.0))]
     )
-    assert BranchingModel.from_dict(model.to_dict()) == model
-    imm = ImmigrationMechanism.parametric(
-        2.0, GroupSizeLaw.zeta_tail(3.0), age_atoms=((0.0, 0.5), (1.0, 0.5))
-    )
-    assert ImmigrationMechanism.from_dict(imm.to_dict()) == imm
+
+    for parse, d in (
+        (OffspringLaw.from_dict, {"kind": "binomial"}),
+        (GroupSizeLaw.from_dict, {"kind": "uniform"}),
+        (ImmigrationMechanism.from_dict, {"kind": "periodic"}),
+    ):
+        with pytest.raises(ValueError, match="unknown kind"):
+            parse(d)

@@ -452,5 +452,8 @@ def test_regime_index_matches_searchsorted():
 def test_constants_computed_once_per_model():
     assert inspect.isfunction(BranchingModel.constants)
     model = BranchingModel(ScalarField.step([1.0], [2.0, 0.5]), OffspringLaw.table({0: 0.4, 2: 0.6}))
-    twin = BranchingModel.from_dict(model.to_dict())
+    twin = BranchingModel.from_dict({
+        "alpha": {"kind": "step", "thresholds": [1.0], "values": [2.0, 0.5]},
+        "offspring": {"kind": "pmf", "pmf": {"0": 0.4, "2": 0.6}},
+    })
     assert model.constants() is model.constants() is twin.constants()
