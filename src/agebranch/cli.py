@@ -15,14 +15,13 @@ import argparse
 import csv
 import json
 import locale  # argparse's messages load it through gettext; load it at import
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .measures import AgeMeasure, ScalarField
+from .measures import AgeMeasure, ScalarField, json_number, json_numbers
 from .models import BranchingModel, ImmigrationMechanism
 from .simulate import SimConfig, simulate
 from .solvers import (
@@ -97,14 +96,14 @@ class RunConfig:
         imm = None
         if d.get("immigration") is not None:
             imm = _parsed("immigration", ImmigrationMechanism.from_dict, d["immigration"])
-        initial = _parsed("initial", AgeMeasure.from_ages, req("initial"))
-        t_end = _number("t_end", req("t_end"))
+        initial = _parsed("initial", lambda v: AgeMeasure.from_ages(json_numbers(v)), req("initial"))
+        t_end = _parsed("t_end", json_number, req("t_end"))
         if not t_end > 0:
             raise ConfigError("t_end: must be > 0")
         grid = d.get("grid", {})
         if not isinstance(grid, dict):
             raise ConfigError("grid: must be a JSON object")
-        dt = _number("grid.dt", grid.get("dt", 1e-3))
+        dt = _parsed("grid.dt", json_number, grid.get("dt", 1e-3))
         if not 0 < dt <= t_end:
             raise ConfigError("grid.dt: must satisfy 0 < dt <= t_end")
         quadrature = grid.get("quadrature", "trapezoid")
@@ -114,6 +113,8 @@ class RunConfig:
         if replicates < 2:
             raise ConfigError("replicates: must be >= 2")
         seed = _count("seed", d.get("seed", 0))
+        if seed < 0:
+            raise ConfigError("seed: must be >= 0")
         f = _parsed("f", ScalarField.from_dict, d.get("f", {"kind": "constant", "value": 1.0}))
         snapshots = _count("snapshots", d.get("snapshots", 50))
         if snapshots < 2:
@@ -127,16 +128,6 @@ def _parsed(name: str, parse, value):
         return parse(value)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise ConfigError(f"{name}: {e}") from e
-
-
-def _number(name: str, value) -> float:
-    """A finite JSON number; booleans, strings and null are refused."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
-        pass
-    raise ConfigError(f"{name}: must be a finite number")
 
 
 def _count(name: str, value) -> int:

@@ -17,7 +17,47 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["AgeMeasure", "ScalarField", "segment_sums", "weighted_index"]
+__all__ = [
+    "AgeMeasure", "ScalarField", "index_ranges", "interleave", "json_number", "json_numbers",
+    "segment_sums", "weighted_index",
+]
+
+
+def json_number(value, field: str | None = None) -> float:
+    """``value`` as a float if it is a finite JSON number; booleans, strings and null are refused."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        pass
+    raise ValueError(f"{field + ': ' if field else ''}must be a finite number")
+
+
+def json_numbers(value, field: str | None = None) -> list[float]:
+    """``value`` as floats if it is a JSON list of finite numbers; a string is not such a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field + ': ' if field else ''}must be a list of finite numbers")
+    return [json_number(v, field) for v in value]
+
+
+def index_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each start and count, concatenated."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+
+
+def interleave(values: np.ndarray, slots: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` with ``fill`` at the ascending positions ``slots`` of the result, and where ``values`` went.
+
+    The array is ``np.insert(values, slots - arange(len(slots)), fill)``,
+    built by two scatters.
+    """
+    out = np.empty(len(values) + len(slots))
+    held = np.ones(len(out), dtype=bool)
+    held[slots] = False
+    out[slots] = fill
+    out[held] = values
+    return out, held
 
 
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -29,9 +69,8 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     every segment.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    led = np.insert(np.asarray(values, dtype=np.float64), starts, 0.0)
-    return np.add.reduceat(led, starts + np.arange(len(counts)))
+    leads = counts.cumsum() - counts + np.arange(len(counts))
+    return np.add.reduceat(interleave(values, leads, 0.0)[0], leads)
 
 
 def weighted_index(weights: np.ndarray, y, total=None, counts=None):
@@ -52,13 +91,14 @@ def weighted_index(weights: np.ndarray, y, total=None, counts=None):
     if counts is None:
         return int(weighted_index(weights, [y], None if total is None else [total], [len(weights)])[0])
     counts = np.asarray(counts, dtype=np.int64)
-    seg = np.repeat(np.arange(len(counts)), counts)
+    seg = np.arange(len(counts)).repeat(counts)
     sums = np.bincount(seg, weights=weights, minlength=len(counts))  # sequential, as cumsum
-    starts = np.cumsum(counts) - counts
-    cum = np.cumsum(np.insert(weights, starts[1:], -sums[:-1]))
-    cum = np.delete(cum, starts[1:] + np.arange(len(counts) - 1))
+    # minus the running sum leads every segment after the first
+    resets = (counts.cumsum() + np.arange(len(counts)))[:-1]
+    led, held = interleave(weights, resets, -sums[:-1])
+    cum = led.cumsum()[held]
     totals = sums if total is None else np.asarray(total, dtype=np.float64)
-    if not np.all(totals > 0.0):
+    if not (totals > 0.0).all():
         raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
     below = np.bincount(seg[cum <= (np.asarray(y) * totals)[seg]], minlength=len(counts))
     return np.minimum(below, counts - 1)
@@ -336,13 +376,16 @@ class ScalarField:
     def from_dict(cls, d: dict) -> "ScalarField":
         kind = d.get("kind")
         if kind == "constant":
-            return cls.constant(d["value"])
+            return cls.constant(json_number(d["value"], "value"))
         if kind == "expdecay":
-            return cls.exp_decay(d["amplitude"], d["rate"], d.get("floor", 0.0))
+            return cls.exp_decay(
+                json_number(d["amplitude"], "amplitude"), json_number(d["rate"], "rate"),
+                json_number(d.get("floor", 0.0), "floor"),
+            )
         if kind == "rational":
-            return cls.rational(d.get("scale", 1.0))
+            return cls.rational(json_number(d.get("scale", 1.0), "scale"))
         if kind == "step":
-            return cls.step(d["thresholds"], d["values"])
+            return cls.step(json_numbers(d["thresholds"], "thresholds"), json_numbers(d["values"], "values"))
         if kind == "pwlinear":
-            return cls.pwlinear(d["xs"], d["ys"])
+            return cls.pwlinear(json_numbers(d["xs"], "xs"), json_numbers(d["ys"], "ys"))
         raise ValueError(f"field descriptor has unknown kind {kind!r}")

@@ -20,12 +20,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .measures import AgeMeasure, ScalarField
+from .measures import AgeMeasure, ScalarField, index_ranges, json_number, json_numbers
 
 __all__ = [
     "OffspringPmf",
@@ -125,13 +125,17 @@ class OffspringPmf:
             return q * (1.0 + q) / (1.0 - q) ** 2
         return self.param + self.param**2
 
+    @cached_property
+    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cumsum(self.probs), np.asarray(self.counts, dtype=np.int64)
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """One count, or an array of ``size`` counts drawn as ``size`` one-count calls would be."""
         n = 1 if size is None else size
         if self.kind == "pmf":
             # inverse CDF: the first count whose cumulative probability exceeds u
-            idx = np.searchsorted(np.cumsum(self.probs), rng.random(n), side="right")
-            out = np.asarray(self.counts, dtype=np.int64)[np.minimum(idx, len(self.counts) - 1)]
+            cum, counts = self._inverse_cdf
+            out = counts[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(counts) - 1)]
         elif self.kind == "poisson":
             out = rng.poisson(self.param, n)
         elif self.param == 0.0:  # geometric with q = 0 never branches and draws nothing
@@ -179,8 +183,12 @@ class OffspringLaw:
     def regime_index(self, x: float) -> int:
         return bisect.bisect_right(self.thresholds, x)
 
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        return np.asarray(self.thresholds, dtype=np.float64)
+
     def regime_indices(self, xs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.asarray(self.thresholds), xs, side="right")
+        return self._thresholds.searchsorted(xs, side="right")
 
     def g(self, x: float, z: float) -> float:
         return self.regimes[self.regime_index(x)].g(z)
@@ -209,6 +217,8 @@ class OffspringLaw:
         """
         if np.ndim(x) == 0:
             return self.regimes[self.regime_index(x)].sample(rng)
+        if len(self.regimes) == 1:
+            return self.regimes[0].sample(rng, len(x))
         ridx = self.regime_indices(x)
         out = np.empty(len(ridx), dtype=np.int64)
         for r, pmf in enumerate(self.regimes):
@@ -222,16 +232,21 @@ class OffspringLaw:
         def one(e: dict) -> OffspringPmf:
             kind = e.get("kind")
             if kind == "pmf":
-                return OffspringPmf.table({int(k): float(p) for k, p in e["pmf"].items()})
+                return OffspringPmf.table(_json_pmf(e["pmf"]))
             if kind == "geometric":
-                return OffspringPmf.geometric(e["q"])
+                return OffspringPmf.geometric(json_number(e["q"], "q"))
             if kind == "poisson":
-                return OffspringPmf.poisson(e["mean"])
+                return OffspringPmf.poisson(json_number(e["mean"], "mean"))
             raise ValueError(f"offspring descriptor has unknown kind {kind!r}")
 
         if d.get("kind") == "regimes":
-            return cls(tuple(one(e) for e in d["regimes"]), tuple(float(t) for t in d["thresholds"]))
+            return cls(tuple(one(e) for e in d["regimes"]), tuple(json_numbers(d["thresholds"], "thresholds")))
         return cls((one(d),))
+
+
+def _json_pmf(d: dict) -> dict[int, float]:
+    """A JSON object from integer keys (JSON keys are strings) to finite probabilities."""
+    return {int(k): json_number(p, "pmf") for k, p in d.items()}
 
 
 @dataclass(frozen=True)
@@ -315,6 +330,7 @@ def _zeta_em(x: float, xm1: float) -> float:
     return total
 
 
+@lru_cache(maxsize=1024)
 def _zeta_real(x: float) -> float:
     """Riemann zeta at real x (H. M. Edwards, Riemann's Zeta Function, 1974, 6.4).
 
@@ -323,6 +339,9 @@ def _zeta_real(x: float) -> float:
     -1/2, zeta(-2k) = 0 and the pole zeta(1) = inf are exact.  Against 120-bit mpmath over the arguments
     of ``_polylog_mu_series``: at most 2.2 ulps relative for x > -1/2 and 42.4
     ulps of the envelope ``2 (2 pi)^(x-1) Gamma(1-x) zeta(1-x)`` below.
+    Cached: the series coefficients, envelopes and remainder scales share
+    most of their arguments, and each is evaluated once (a float and a numpy
+    float of one value give the same bits).
     """
     if x == 1.0:
         return math.inf
@@ -340,11 +359,6 @@ def _zeta_real(x: float) -> float:
 # depend on the array it sits in.  No pole of Gamma is ever passed.
 _zeta = np.vectorize(_zeta_real, otypes=[np.float64])
 _gamma = np.vectorize(math.gamma, otypes=[np.float64])
-
-
-@lru_cache(maxsize=32)
-def _zeta_total(s: float) -> float:
-    return _zeta_real(s)
 
 
 @lru_cache(maxsize=8)
@@ -470,7 +484,7 @@ def _polylog_mu(s: float, q: np.ndarray, target: float) -> tuple[np.ndarray, np.
 
 def _zeta_laplace(s: float, q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Li_s(q) / zeta(s) by the closed forms, with error bounds (inf where uncertified)."""
-    total = _zeta_total(s)
+    total = _zeta_real(s)
     out, error = np.ones_like(q), np.where(q < 1.0, np.inf, 0.0)  # q = 1: the whole mass
     if tol > 0.0:
         direct = q <= _DIRECT_EDGE
@@ -550,7 +564,7 @@ class GroupSizeLaw:
 
     def _prob(self, ks: np.ndarray) -> np.ndarray:
         if self.kind == "zeta":
-            return ks ** (-self.exponent) / _zeta_total(self.exponent)
+            return ks ** (-self.exponent) / _zeta_real(self.exponent)
         if self.kind == "log_squared":
             return 1.0 / (ks * np.log(ks) ** 2) / _log_squared_total()
         raise ValueError("tabulated laws have no weight function")
@@ -559,7 +573,7 @@ class GroupSizeLaw:
         """Upper bound on P(size > K) for the infinite-support kinds."""
         if self.kind == "zeta":
             s = self.exponent
-            return (K ** (1.0 - s) / (s - 1.0) + float(K) ** (-s)) / _zeta_total(s)
+            return (K ** (1.0 - s) / (s - 1.0) + float(K) ** (-s)) / _zeta_real(s)
         if self.kind == "log_squared":
             return (1.0 / math.log(K) + 1.0 / (K * math.log(K) ** 2)) / _log_squared_total()
         raise ValueError("tabulated laws have no tail")
@@ -571,7 +585,7 @@ class GroupSizeLaw:
         if self.kind == "zeta":
             if self.exponent <= 2.0:
                 return math.inf
-            return _zeta_total(self.exponent - 1.0) / _zeta_total(self.exponent)
+            return _zeta_real(self.exponent - 1.0) / _zeta_real(self.exponent)
         if self.kind == "log_squared":
             return math.inf
         raise ValueError("declared laws do not certify a mean size")
@@ -583,7 +597,7 @@ class GroupSizeLaw:
         if self.kind == "zeta":
             if self.exponent <= 3.0:
                 return math.inf
-            return _zeta_total(self.exponent - 2.0) / _zeta_total(self.exponent)
+            return _zeta_real(self.exponent - 2.0) / _zeta_real(self.exponent)
         if self.kind == "log_squared":
             return math.inf
         raise ValueError("declared laws do not certify a second moment")
@@ -599,7 +613,7 @@ class GroupSizeLaw:
         if self.kind == "pmf":
             return ("finite", float(sum(p * math.log(k) for k, p in zip(self.sizes, self.probs))))
         if self.kind == "zeta":
-            return ("finite", _zeta_log_moment(self.exponent) / _zeta_total(self.exponent))
+            return ("finite", _zeta_log_moment(self.exponent) / _zeta_real(self.exponent))
         if self.kind == "log_squared":
             return ("infinite", None)
         return ("unknown", None)
@@ -676,19 +690,35 @@ class GroupSizeLaw:
             f"{_SIZE_TABLE_CAP} terms (q={q})"
         )
 
-    def sample(self, rng: np.random.Generator) -> int:
+    @cached_property
+    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cumsum(self.probs), np.asarray(self.sizes, dtype=np.int64)
+
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One size, or an array of ``size`` sizes drawn as ``size`` one-size calls would be.
+
+        Inverse CDF of one uniform per size; the infinite-support kinds walk
+        the chunks of sizes once for all the uniforms.
+        """
+        n = 1 if size is None else size
         if self.kind == "pmf" or self.kind == "declared":
             if self.kind == "declared" and self.undeclared_tail > 0:
                 raise ValueError("declared law with undeclared tail mass cannot be sampled")
-            idx = np.searchsorted(np.cumsum(self.probs), rng.random(), side="right")
-            return self.sizes[min(int(idx), len(self.sizes) - 1)]
-        u = rng.random()
+            cum, sizes = self._inverse_cdf
+            out = sizes[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(sizes) - 1)]
+            return int(out[0]) if size is None else out
+        u = rng.random(n)
+        out = np.empty(n, dtype=np.int64)
+        left = np.arange(n)  # the draws not yet placed in a chunk
         acc = 0.0
         for ks, probs in self._chunks():
             cum = acc + np.cumsum(probs)
-            idx = int(np.searchsorted(cum, u, side="right"))
-            if idx < len(ks):
-                return int(ks[idx])
+            idx = cum.searchsorted(u[left], side="right")
+            hit = idx < len(ks)
+            out[left[hit]] = ks[idx[hit]]
+            left = left[~hit]
+            if not len(left):
+                return int(out[0]) if size is None else out
             acc = float(cum[-1])
         raise RuntimeError(
             f"group-size draw exceeded the supported range ({_SIZE_TABLE_CAP}); "
@@ -699,14 +729,14 @@ class GroupSizeLaw:
     def from_dict(cls, d: dict) -> "GroupSizeLaw":
         kind = d.get("kind")
         if kind == "pmf":
-            return cls.table({int(k): float(p) for k, p in d["pmf"].items()})
+            return cls.table(_json_pmf(d["pmf"]))
         if kind == "zeta":
-            return cls.zeta_tail(d["exponent"])
+            return cls.zeta_tail(json_number(d["exponent"], "exponent"))
         if kind == "log_squared":
             return cls.log_squared_tail()
         if kind == "declared":
             return cls.declared(
-                {int(k): float(p) for k, p in d["pmf"].items()}, d.get("undeclared_tail", 0.0)
+                _json_pmf(d["pmf"]), json_number(d.get("undeclared_tail", 0.0), "undeclared_tail")
             )
         raise ValueError(f"size law descriptor has unknown kind {kind!r}")
 
@@ -872,39 +902,52 @@ class ImmigrationMechanism:
 
     # -- generative face ----------------------------------------------------
 
-    def sample_group(self, rng: np.random.Generator) -> AgeMeasure:
-        """Draw one nonempty group from the normalized mechanism."""
+    @cached_property
+    def _finite_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cumulative group weights, group sizes, first member of each group, all members' ages."""
+        sizes = np.array([g.total_mass for _, g in self.groups], dtype=np.int64)
+        members = np.array([a for _, g in self.groups for a in g.ages], dtype=np.float64)
+        return np.cumsum([w for w, _ in self.groups]), sizes, np.cumsum(sizes) - sizes, members
+
+    def sample_groups(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``n`` nonempty groups from the normalized mechanism, as ``n`` one-group draws would.
+
+        Returns the group sizes and their members' ages, each group's
+        ascending, group after group.  A finite mechanism picks each group by
+        one uniform against the running sum of the weights; a parametric one
+        draws the sizes in one call when its members share one age, and else
+        draws group by group, the size and then the members' ages.
+        """
         if self.total_rate <= 0.0:
             raise ValueError("cannot sample a group from a zero-rate mechanism")
         if self.kind == "finite":
-            u = rng.random() * self.total_rate
-            acc = 0.0
-            for w, g in self.groups:
-                acc += w
-                if u < acc:
-                    return g
-            return self.groups[-1][1]
+            cum, sizes, firsts, members = self._finite_table
+            idx = np.minimum(cum.searchsorted(rng.random(n) * self.total_rate, side="right"), len(cum) - 1)
+            return sizes[idx], members[index_ranges(firsts[idx], sizes[idx])]
         assert self.size_law is not None
-        k = self.size_law.sample(rng)
-        ages = np.asarray([a for a, _ in self.age_atoms])
-        probs = np.asarray([p for _, p in self.age_atoms])
+        ages = np.array([a for a, _ in self.age_atoms], dtype=np.float64)
         if len(ages) == 1:
-            drawn = np.repeat(ages[0], k)
-        else:
-            drawn = ages[rng.choice(len(ages), size=k, p=probs)]
-        return AgeMeasure.from_ages(drawn)
+            sizes = self.size_law.sample(rng, n)
+            return sizes, np.full(int(sizes.sum()), ages[0])
+        probs = np.array([p for _, p in self.age_atoms])
+        sizes, groups = np.empty(n, dtype=np.int64), []
+        for i in range(n):
+            sizes[i] = self.size_law.sample(rng)
+            groups.append(np.sort(ages[rng.choice(len(ages), size=sizes[i], p=probs)]))
+        return sizes, np.concatenate(groups) if groups else np.empty(0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImmigrationMechanism":
         kind = d.get("kind")
         if kind == "finite":
             return cls.finite_support(
-                [(g["rate"], AgeMeasure.from_ages(g["ages"])) for g in d["groups"]]
+                [(json_number(g["rate"], "rate"), AgeMeasure.from_ages(json_numbers(g["ages"], "ages")))
+                 for g in d["groups"]]
             )
         if kind == "parametric":
             return cls.parametric(
-                d["total_rate"],
+                json_number(d["total_rate"], "total_rate"),
                 GroupSizeLaw.from_dict(d["sizes"]),
-                [(e["age"], e["prob"]) for e in d["ages"]],
+                [(json_number(e["age"], "age"), json_number(e["prob"], "prob")) for e in d["ages"]],
             )
         raise ValueError(f"immigration descriptor has unknown kind {kind!r}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import numpy.random  # loaded at import, not inside the first timed draw
 
-from .measures import AgeMeasure, segment_sums, weighted_index
+from .measures import AgeMeasure, index_ranges, interleave, segment_sums, weighted_index
 from .models import BranchingModel, ImmigrationMechanism
 
 __all__ = [
@@ -272,12 +272,6 @@ class PathSet:
         )
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``arange(s, s + c)`` for each start and count, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
-
-
 _ENDINGS = ("t_end", "extinction", "event_cap")
 _T_END, _EXTINCTION, _EVENT_CAP = range(3)
 
@@ -288,15 +282,18 @@ def simulate_paths(
     """Run ``n_paths`` independent exact paths in lock step from one generator.
 
     Each pass of the loop makes one proposal on every live path, vectorised
-    over them: the branch exponentials, then the arrival exponentials, then
-    the acceptance uniforms of the branch proposals, the dying-index uniforms
-    and the offspring counts (one vector draw per regime) of the accepted
-    ones, and last the immigrant groups, one path at a time in ascending path
-    order.  A vector draw of size k consumes the stream as k scalar draws and
-    a size-0 draw consumes nothing, so at ``n_paths = 1`` the stream is read
-    in the order of a one-path event loop.  Paths leave the loop at
-    ``t_end``, at extinction or at the event cap; the passes number about
-    the longest path's proposals, not the sum over paths.
+    over them: the branch exponentials, then the arrival exponentials (one
+    vector draw for both), then the acceptance uniforms of the branch
+    proposals, the dying-index uniforms and the offspring counts (one vector
+    draw per regime) of the accepted ones, and last the immigrant groups of
+    the arrivals, in ascending path order (one vector draw, or group by group
+    for members spread over several ages).  A vector draw of size k consumes
+    the stream as k scalar draws and a size-0 draw consumes nothing, so at
+    ``n_paths = 1`` the stream is read in the order of a one-path event loop;
+    an exponential of scale s is ``s`` times a standard one, the bits of
+    ``rng.exponential(s)``.  Paths leave the loop at ``t_end``, at extinction
+    or at the event cap; the passes number about the longest path's
+    proposals, not the sum over paths.
 
     The live particles sit in one flat array of birth offsets, path by path
     and ascending within a path; a path's segment is located by the
@@ -325,24 +322,22 @@ def simulate_paths(
     ending = np.full(n_paths, _T_END)
     logs: list[list[Event]] = [[] for _ in range(n_paths)] if log_events else []
     recorded: list[tuple[np.ndarray, np.ndarray]] = []  # (path * n_snap + snap, their ages)
+    # the logged groups: one measure per distinct group, a finite mechanism's own
+    group_measures = {g.ages: g for _, g in imm.groups} if log_events and imm is not None else {}
 
-    def record_through(paths, t, first, inclusive: bool) -> None:
-        # Snapshots of each path up to its time t, its particles starting at
-        # base[first].  The path is right-continuous: a snapshot exactly at a
-        # jump time sees the post-jump state, so pre-event recording stays
-        # strictly below it.
+    def record_through(paths, stop, first) -> None:
+        # Snapshots up to index stop of each path, its particles starting at base[first].
         lo = snap_pos[paths]
-        stop = np.maximum(lo, np.searchsorted(snap_times, t, "right" if inclusive else "left"))
         cnt = stop - lo
         if not cnt.any():
             return
         snap_pos[paths] = stop
-        pair_path = np.repeat(paths, cnt)
-        pair_snap = _ranges(lo, cnt)
+        pair_path = paths.repeat(cnt)
+        pair_snap = index_ranges(lo, cnt)
         m = mass[pair_path]
         snap_masses[pair_path, pair_snap] = m
         if m.any():
-            ages = base[_ranges(np.repeat(first, cnt), m)] + np.repeat(snap_times[pair_snap], m)
+            ages = base[index_ranges(first.repeat(cnt), m)] + snap_times[pair_snap].repeat(m)
             recorded.append((pair_path * n_snap + pair_snap, ages))
 
     act = np.arange(n_paths)  # live paths, ascending; base holds exactly their particles
@@ -351,90 +346,102 @@ def simulate_paths(
         if rate_arrival == 0.0 and not m.all():
             # an empty population without immigration stays empty
             dead = act[m == 0]
-            record_through(dead, t_end, 0, inclusive=True)  # no particles to read
+            record_through(dead, n_snap, np.zeros_like(dead))  # no particles to read
             ending[dead] = _EXTINCTION
             act = act[m > 0]
             continue
-        first = np.cumsum(m) - m
-        t_next = np.full(len(act), np.inf)
-        has = m > 0
-        t_next[has] = clock[act[has]] + rng.exponential(1.0 / (c1 * m[has]))
-        branching = np.ones(len(act), dtype=bool)
+        # below, arrays of one entry per live path are indexed by its place in act
+        first = m.cumsum() - m
+        owner = np.arange(len(act)).repeat(m)  # of each live particle
+        now = clock[act]
         if rate_arrival > 0.0:
-            t_arrival = clock[act] + rng.exponential(1.0 / rate_arrival, len(act))
+            # the branch proposals of the paths with particles, then one arrival per path
+            has = m > 0
+            n_has = int(has.sum())
+            draws = rng.standard_exponential(n_has + len(act))
+            t_next = np.full(len(act), np.inf)
+            t_next[has] = now[has] + draws[:n_has] * (1.0 / (c1 * m[has]))
+            t_arrival = now + draws[n_has:] * (1.0 / rate_arrival)
             branching = t_next <= t_arrival
             t_next = np.minimum(t_next, t_arrival)
+        else:
+            t_next = now + rng.standard_exponential(len(act)) * (1.0 / (c1 * m))
+            branching = np.ones(len(act), dtype=bool)
+        # snapshots strictly before each path's next event: the path is
+        # right-continuous, so a snapshot at a jump time sees the post-jump
+        # state; a path whose proposal passes t_end records all of them
+        record_through(act, snap_times.searchsorted(t_next), first)
         done = t_next > t_end
-        keep = np.ones(len(base), dtype=bool)
-        if done.any():
-            record_through(act[done], t_end, first[done], inclusive=True)
-            keep[_ranges(first[done], m[done])] = False
-            go = ~done
-            act, t_next, first, m, branching = act[go], t_next[go], first[go], m[go], branching[go]
-        record_through(act, t_next, first, inclusive=False)
+        keep = ~done[owner]
 
-        # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass)
-        b_paths, b_t, b_first, b_m = act[branching], t_next[branching], first[branching], m[branching]
-        ages_now = base[_ranges(b_first, b_m)] + np.repeat(b_t, b_m)
+        # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass);
+        # the hazard of every live path is summed, and read where a branch is proposed
+        ages_now = base + t_next[owner]
         weights = np.asarray(alpha(ages_now), dtype=np.float64)
-        hazard = segment_sums(weights, b_m)
-        accepted = rng.random(len(b_paths)) * c1 * b_m < hazard
-        d_paths, d_t = b_paths[accepted], b_t[accepted]
+        hazard = segment_sums(weights, m)
+        proposed = np.flatnonzero(branching & ~done)
+        d = proposed[rng.random(len(proposed)) * c1 * m[proposed] < hazard[proposed]]
         new_pos, new_base, new_owner = [], [], []
-        if len(d_paths):
-            local = weighted_index(
-                weights[np.repeat(accepted, b_m)], rng.random(len(d_paths)),
-                hazard[accepted], b_m[accepted],
+        if len(d):
+            dying_path = np.zeros(len(act), dtype=bool)
+            dying_path[d] = True
+            dying = first[d] + weighted_index(
+                weights[dying_path[owner]], rng.random(len(d)), hazard[d], m[d]
             )
-            dying = b_first[accepted] + local
-            dying_age = base[dying] + d_t
+            dying_age = ages_now[dying]
             kids = offspring.sample(dying_age, rng)
             keep[dying] = False
+            d_paths, d_t = act[d], t_next[d]
             mass[d_paths] += kids - 1
             branches[d_paths] += 1
             n_events[d_paths] += 1
-            new_pos.append(np.repeat(b_first[accepted], kids))
-            new_base.append(np.repeat(-d_t, kids))
-            new_owner.append(np.repeat(d_paths, kids))
+            new_pos.append(first[d].repeat(kids))
+            new_base.append((-d_t).repeat(kids))
+            new_owner.append(d.repeat(kids))
             if log_events:
                 for p, t, a, k in zip(d_paths.tolist(), d_t.tolist(), dying_age.tolist(), kids.tolist()):
                     logs[p].append(Event(t, "branch", dying_age=a, offspring_count=k))
 
-        a_paths = act[~branching]
-        if len(a_paths):
-            a_t, a_first, a_m = t_next[~branching], first[~branching], m[~branching]
-            groups = [imm.sample_group(rng) for _ in range(len(a_paths))]
-            sizes = np.array([g.total_mass for g in groups])
-            of_new = np.repeat(np.arange(len(a_paths)), sizes)
-            arrived = np.fromiter((a for g in groups for a in g.ages), np.float64, len(of_new))
-            # merge each group into its path's segment: sort the path's particles
-            # and the newcomers together, an old base before an equal new one
-            u_base = np.concatenate((base[_ranges(a_first, a_m)], arrived - a_t[of_new]))
-            u_of = np.concatenate((np.repeat(np.arange(len(a_paths)), a_m), of_new))
-            u_new = np.arange(len(u_base)) >= a_m.sum()
-            order = np.lexsort((u_new, u_base, u_of))
-            ranks = np.flatnonzero(u_new[order])
-            picked = order[ranks]
-            of = u_of[picked]
-            old_below = np.cumsum(~u_new[order])[ranks] - (np.cumsum(a_m) - a_m)[of]
-            new_pos.append(a_first[of] + old_below)
-            new_base.append(u_base[picked])
-            new_owner.append(a_paths[of])
+        arriving = np.flatnonzero(~(branching | done))
+        if len(arriving):
+            sizes, arrived = imm.sample_groups(rng, len(arriving))
+            of_new = arriving.repeat(sizes)
+            arrived_base = arrived - t_next[of_new]
+            # each newcomer goes after the particles of its path with a base at
+            # or below its own; complex numbers order lexicographically (real
+            # part, then imaginary), so owner + 1j * base orders base as it is held
+            held_key = np.empty(len(base), dtype=np.complex128)
+            held_key.real, held_key.imag = owner, base
+            new_key = np.empty(len(of_new), dtype=np.complex128)
+            new_key.real, new_key.imag = of_new, arrived_base
+            new_pos.append(held_key.searchsorted(new_key, side="right"))
+            new_base.append(arrived_base)
+            new_owner.append(of_new)
+            a_paths = act[arriving]
             mass[a_paths] += sizes
             n_events[a_paths] += 1
             if log_events:
-                for p, t, group in zip(a_paths.tolist(), a_t.tolist(), groups):
+                ends = sizes.cumsum()
+                a_t = t_next[arriving]
+                for p, t, lo, hi in zip(a_paths.tolist(), a_t.tolist(), (ends - sizes).tolist(), ends.tolist()):
+                    ages = tuple(arrived[lo:hi].tolist())
+                    group = group_measures.get(ages)
+                    if group is None:
+                        group = group_measures[ages] = AgeMeasure(ages)
                     logs[p].append(Event(t, "immigrate", group=group))
 
         if new_pos:
-            # positions in the array without the removed particles; listed by
-            # path, the new particles' positions never decrease
-            order = np.argsort(np.concatenate(new_owner), kind="stable")
-            pos = np.concatenate(new_pos)[order]
-            removed_before = np.concatenate(([0], np.cumsum(~keep)))
-            base = np.insert(base[keep], pos - removed_before[pos], np.concatenate(new_base)[order])
+            # the new particles listed by path have non-decreasing positions in
+            # base; each goes after the kept particles before its position
+            pos, values = np.concatenate(new_pos), np.concatenate(new_base)
+            if len(new_pos) > 1:
+                order = np.concatenate(new_owner).argsort(kind="stable")
+                pos, values = pos[order], values[order]
+            kept_before = np.concatenate(([0], keep.cumsum()))
+            base = interleave(base[keep], kept_before[pos] + np.arange(len(pos)), values)[0]
         elif not keep.all():
             base = base[keep]
+        act, t_next = act[~done], t_next[~done]
         max_mass[act] = np.maximum(max_mass[act], mass[act])
         clock[act] = t_next
         capped = n_events[act] >= cfg.max_events
@@ -442,7 +449,7 @@ def simulate_paths(
             ending[act[capped]] = _EVENT_CAP
             m = mass[act]
             stay = np.ones(len(base), dtype=bool)
-            stay[_ranges((np.cumsum(m) - m)[capped], m[capped])] = False
+            stay[index_ranges((m.cumsum() - m)[capped], m[capped])] = False
             base = base[stay]
             act = act[~capped]
 
@@ -451,7 +458,7 @@ def simulate_paths(
     offsets = np.cumsum(flat) - flat
     ages = np.empty(int(flat.sum()))
     for keys, block in recorded:
-        ages[_ranges(offsets[keys], flat[keys])] = block
+        ages[index_ranges(offsets[keys], flat[keys])] = block
     snap_masses.flags.writeable = False
     ages.flags.writeable = False
     return PathSet(

@@ -688,7 +688,7 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
                 n_events += 1
         else:
             assert imm is not None
-            group = imm.sample_group(rng)
+            group = AgeMeasure(tuple(imm.sample_groups(rng, 1)[1].tolist()))
             for a in group.ages:
                 bisect.insort(bases, a - t_next)
             events.append(Event(t_next, "immigrate", group=group))

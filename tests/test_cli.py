@@ -68,6 +68,8 @@ _BENCH_CRITICAL = json.loads((CONFIG_DIR / "bench_critical.json").read_text())
     ({**_BENCH_CRITICAL, "seed": 2.5}, [], "seed"),
     ({**_BENCH_CRITICAL, "replicates": 200.5}, [], "replicates"),
     ({**_BENCH_CRITICAL, "seed": True}, [], "seed"),
+    ({**_BENCH_CRITICAL, "seed": -1}, [], "seed"),
+    (_BENCH_CRITICAL, ["--seed", "-1"], "seed"),
     ([1], [], "config"),
     ({**_BENCH_CRITICAL, "t_end": math.inf}, [], "t_end"),
     (_BENCH_CRITICAL, ["--t-end", "inf"], "t_end"),
@@ -78,6 +80,47 @@ def test_malformed_config_is_refused(tmp_path, capsys, raw, flags, field):
     p.write_text(json.dumps(raw))  # math.inf is written as Infinity, which json reads back
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(p), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
+_IMM = {"kind": "finite", "groups": [{"rate": 1.0, "ages": [0.0]}]}
+_ZETA_IMM = {"kind": "parametric", "total_rate": 1.0, "sizes": {"kind": "zeta", "exponent": 3.0},
+             "ages": [{"age": 0.0, "prob": 1.0}]}
+
+
+def _with(raw: dict, path: str, value) -> dict:
+    """A deep copy of ``raw`` with the entry at the dotted ``path`` replaced."""
+    out = json.loads(json.dumps(raw))
+    *parents, last = path.split(".")
+    node = out
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return out
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ("initial", "12", "initial"),  # a string is not a list of ages
+    ("initial", [0.0, "1"], "initial"),
+    ("initial", [True], "initial"),
+    ("model.alpha.value", "2", "model"),
+    ("model.offspring", {"kind": "poisson", "mean": True}, "model"),
+    ("model.offspring", {"kind": "geometric", "q": "0.5"}, "model"),
+    ("model.offspring.pmf.0", "0.5", "model"),
+    ("model.alpha", {"kind": "step", "thresholds": "1", "values": [1.0, 2.0]}, "model"),
+    ("f", {"kind": "expdecay", "amplitude": 1.0, "rate": True}, "f"),
+    ("immigration", {**_IMM, "groups": [{"rate": "1", "ages": [0.0]}]}, "immigration"),
+    ("immigration", {**_IMM, "groups": [{"rate": 1.0, "ages": "0"}]}, "immigration"),
+    ("immigration", {**_ZETA_IMM, "sizes": {"kind": "zeta", "exponent": "3"}}, "immigration"),
+    ("immigration", {**_ZETA_IMM, "total_rate": True}, "immigration"),
+    ("immigration", {**_ZETA_IMM, "ages": [{"age": False, "prob": 1.0}]}, "immigration"),
+])
+def test_descriptor_numbers_must_be_json_numbers(tmp_path, capsys, path, value, field):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_with(_BENCH_CRITICAL, path, value)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not out.exists()
 

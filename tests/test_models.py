@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -215,7 +216,8 @@ def test_sample_group_point_mass():
     imm = ImmigrationMechanism.single_arrivals(5.0, age=0.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        assert imm.sample_group(rng).ages == (0.0,)
+        sizes, ages = imm.sample_groups(rng, 1)
+        assert sizes.tolist() == [1] and ages.tolist() == [0.0]
 
 
 def test_sample_group_categorical_frequencies():
@@ -224,7 +226,7 @@ def test_sample_group_categorical_frequencies():
     )
     rng = np.random.default_rng(44)
     n = 10_000
-    singles = sum(1 for _ in range(n) if imm.sample_group(rng).total_mass == 1)
+    singles = int(np.count_nonzero(imm.sample_groups(rng, n)[0] == 1))
     se = math.sqrt(0.25 / n)
     assert abs(singles / n - 0.5) <= 3 * se
 
@@ -234,7 +236,8 @@ def test_sample_group_parametric_degenerate():
         1.0, GroupSizeLaw.table({2: 1.0}), age_atoms=((5.0, 1.0),)
     )
     rng = np.random.default_rng(9)
-    assert imm.sample_group(rng).ages == (5.0, 5.0)
+    sizes, ages = imm.sample_groups(rng, 1)
+    assert sizes.tolist() == [2] and ages.tolist() == [5.0, 5.0]
 
 
 def test_sample_group_zeta_size_frequencies():
@@ -247,6 +250,92 @@ def test_sample_group_zeta_size_frequencies():
         p = k**-3.0 / zeta3
         assert abs(np.mean(draws == k) - p) <= 3 * math.sqrt(p * (1 - p) / n)
     assert law.mean_size == pytest.approx(1.6449340668 / zeta3, abs=1e-9)
+
+
+def _one_size(law, rng):
+    """One group size as a single draw walks the inverse CDF: a uniform, then the table or the chunks."""
+    if law.kind in ("pmf", "declared"):
+        idx = np.searchsorted(np.cumsum(law.probs), rng.random(), side="right")
+        return law.sizes[min(int(idx), len(law.sizes) - 1)]
+    u, acc = rng.random(), 0.0
+    for ks, probs in law._chunks():
+        cum = acc + np.cumsum(probs)
+        idx = int(np.searchsorted(cum, u, side="right"))
+        if idx < len(ks):
+            return int(ks[idx])
+        acc = float(cum[-1])
+    raise RuntimeError("past the table")
+
+
+def _one_group(imm, rng):
+    """One group: a running sum of the weights, or a size and then its members' ages."""
+    if imm.kind == "finite":
+        u, acc = rng.random() * imm.total_rate, 0.0
+        for w, g in imm.groups:
+            acc += w
+            if u < acc:
+                return g
+        return imm.groups[-1][1]
+    k = _one_size(imm.size_law, rng)
+    ages = np.asarray([a for a, _ in imm.age_atoms])
+    if len(ages) == 1:
+        return AgeMeasure.from_ages(np.repeat(ages[0], k))
+    return AgeMeasure.from_ages(ages[rng.choice(len(ages), size=k, p=[p for _, p in imm.age_atoms])])
+
+
+@pytest.mark.parametrize("law, n", [
+    (GroupSizeLaw.table({1: 0.1, 2: 0.2, 5: 0.3, 9: 0.4}), 500),
+    (GroupSizeLaw.declared({1: 0.6, 3: 0.4}, undeclared_tail=0.0), 500),
+    (GroupSizeLaw.zeta_tail(2.2), 500),
+    (GroupSizeLaw.zeta_tail(1.5), 100),
+    (GroupSizeLaw.log_squared_tail(), 40),  # this stream stays below the table cap
+], ids=lambda v: getattr(v, "kind", v))
+def test_vector_size_draws_equal_one_size_draws(law, n):
+    one, many = np.random.default_rng(2), np.random.default_rng(2)
+    expected = [_one_size(law, one) for _ in range(n)]
+    drawn = law.sample(many, size=n)
+    assert drawn.dtype == np.int64 and drawn.tolist() == expected
+    assert law.sample(many, size=0).tolist() == []
+    assert [law.sample(many) for _ in range(5)] == [_one_size(law, one) for _ in range(5)]
+    assert many.random() == one.random()  # both read the stream to the same place
+
+
+_MECHANISMS = [
+    ImmigrationMechanism.finite_support([
+        (0.1, AgeMeasure.point(0.0)), (0.2, AgeMeasure.from_ages([0.5, 0.0, 2.0])),
+        (0.3, AgeMeasure.point(1.0, 2)), (0.4, AgeMeasure.point(3.0)),
+    ]),
+    ImmigrationMechanism.single_arrivals(3.0),
+    ImmigrationMechanism.parametric(1.5, GroupSizeLaw.table({1: 0.5, 4: 0.5}), age_atoms=((0.7, 1.0),)),
+    ImmigrationMechanism.parametric(1.5, GroupSizeLaw.zeta_tail(2.5)),
+    ImmigrationMechanism.parametric(2.0, GroupSizeLaw.zeta_tail(3.0), age_atoms=((0.0, 0.3), (1.1, 0.7))),
+]
+
+
+@pytest.mark.parametrize("imm", _MECHANISMS, ids=lambda m: f"{m.kind}-{m.size_law.kind if m.size_law else len(m.groups)}")
+def test_vector_group_draws_equal_one_group_draws(imm):
+    n = 300
+    one, single, many = (np.random.default_rng(7) for _ in range(3))
+    expected = [_one_group(imm, one) for _ in range(n)]
+    sizes, ages = imm.sample_groups(many, n)
+    assert sizes.dtype == np.int64 and ages.dtype == np.float64
+    assert sizes.tolist() == [g.total_mass for g in expected]
+    assert ages.tolist() == [a for g in expected for a in g.ages]
+    singles = [imm.sample_groups(single, 1) for _ in range(n)]
+    assert [s.tolist() for s, _ in singles] == [[g.total_mass] for g in expected]
+    assert [a.tolist() for _, a in singles] == [list(g.ages) for g in expected]
+    assert one.random() == single.random() == many.random()
+
+
+def test_size_draw_past_the_table_cap_raises():
+    law = GroupSizeLaw.log_squared_tail()
+    with pytest.raises(RuntimeError, match="group-size draw exceeded the supported range"):
+        law.sample(np.random.default_rng(0), size=40)
+    with pytest.raises(RuntimeError, match="group-size draw exceeded the supported range"):
+        ImmigrationMechanism.parametric(1.0, law).sample_groups(np.random.default_rng(0), 40)
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="past the table"):
+        [_one_size(law, rng) for _ in range(40)]
 
 
 def test_group_laplace_sum_against_brute():
@@ -306,7 +395,7 @@ _EPS = 2.0**-52
 
 def _zeta_gamma_arguments():
     """The zeta and Gamma arguments of _polylog_mu_series, mean_size,
-    second_moment_size and _zeta_total over _ZETA_SS."""
+    second_moment_size and the normalising zeta(s) over _ZETA_SS."""
     zetas, gammas = set(), set()
     n = np.arange(models._MU_TERMS + 1, dtype=np.float64)
     for s in _ZETA_SS:
@@ -317,6 +406,31 @@ def _zeta_gamma_arguments():
         zetas.update([s - 2.0] if s > 3.0 else [])
         gammas.update(n + 1.0, 1.0 - xe, [] if s.is_integer() else [1.0 - s])
     return sorted(map(float, zetas)), sorted(map(float, gammas))
+
+
+# sha256 of the coefficients, rounding weights and remainder scales of the mu
+# series, recorded (numpy 2.4.6, CPython 3.11 on x86-64 Linux) before the zeta
+# values were cached: caching must not move a bit
+_MU_SERIES_DIGESTS = {
+    1.5: "f3d083248ddfee9f206163e0a1cdfc2891cdbe9fd308533ee45ffd04bbbba9e4",
+    2.0: "64b624b8a104744a8f8afa9748037a6afa478e25197aae1aa67b116f7be145e5",
+    3.0: "e6d007c2fba74c2b76b43f6100aaa213b3273582e6cb08b075a25dcbe4242401",
+    3.7: "a13ec8678ef88a2676be6dfc66117f994b3ad7be7807b1d90d12effda2732497",
+}
+
+
+@pytest.mark.parametrize("s", sorted(_MU_SERIES_DIGESTS))
+def test_mu_series_evaluates_each_zeta_argument_once_on_the_same_bits(s):
+    models._zeta_real.cache_clear()
+    models._polylog_mu_series.cache_clear()
+    digest = hashlib.sha256()
+    for a in models._polylog_mu_series(s):
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _MU_SERIES_DIGESTS[s]
+    n = np.arange(models._MU_TERMS + 1, dtype=np.float64)
+    x = s - n
+    arguments = set(np.where(x == 1.0, 2.0, x)) | set(1.0 - np.minimum(x, -0.5)) | set(1.0 - x[n > s])
+    assert models._zeta_real.cache_info().misses == len(arguments)
 
 
 def test_in_package_zeta_and_gamma_match_mpmath():

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import re
@@ -360,6 +361,46 @@ def test_group_size_draw_past_the_cap_raises_at_chunk_level():
     sim = load_config(CONFIG_DIR / "heavy_tail_imm.json").sim_config()
     with pytest.raises(RuntimeError, match="group-size draw exceeded the supported range"):
         simulate_paths(sim, replicate_rng(1, 1, 0), 200)
+
+
+def test_scaled_standard_exponentials_are_exponential_draws():
+    # the kernel draws standard_exponential(k) * scale for exponential(scale);
+    # numpy computes both as scale times one standard draw, and a numpy that
+    # stops doing so changes every path
+    scales = 1.0 / (0.7 * np.arange(1, 400))
+    vector = replicate_rng(4, 1).standard_exponential(len(scales)) * scales
+    assert vector.tobytes() == replicate_rng(4, 1).exponential(scales).tobytes()
+    rng = replicate_rng(4, 1)
+    assert vector.tolist() == [rng.exponential(s) for s in scales]
+    assert (replicate_rng(4, 2).standard_exponential(300) * (1.0 / 3.0)).tobytes() == (
+        replicate_rng(4, 2).exponential(1.0 / 3.0, 300).tobytes()
+    )
+
+
+def pathset_digest(paths) -> str:
+    digest = hashlib.sha256()
+    for a in (paths.snapshot_masses, paths.snapshot_ages, paths.recorded, paths.branches,
+              paths.max_mass, paths.n_events):
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    digest.update(",".join(paths.terminated_by).encode())
+    return digest.hexdigest()
+
+
+# sha256 of a 400-path chunk read from stream (2, 1, 0), recorded (numpy 2.4.6,
+# x86-64 Linux) before the chunk kernel drew groups and exponentials by vector
+_GOLDEN_CHUNKS = {
+    "subcritical_imm": "4ae504ad122ad237a275a572911cb9923cc8f0046f9d4aaa5f4ce8e4156d4977",
+    "pure_death_imm": "4c544f6dfb02353c61a3fde3a6e32e68c26f9314e9e5e74c8cf648d78295ded6",
+    "zeta_groups_imm": "b6223a99fed2f93115a355cfce22cb80748c92ef264ad69e0d25d90ebe599ac8",
+    "age_varying": "310c53a9b33371f840929fe0c13a66ae29d43c6be0eedcefed7208761bafa4b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CHUNKS))
+def test_chunk_paths_keep_their_recorded_digest(name):
+    sim = load_config(CONFIG_DIR / f"{name}.json").sim_config()
+    assert pathset_digest(simulate_paths(sim, replicate_rng(2, 1, 0), 400)) == _GOLDEN_CHUNKS[name]
 
 
 def test_counters_before_t_end_need_the_event_log():
