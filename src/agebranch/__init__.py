@@ -47,7 +47,6 @@ from .validate import (
     laplace_analytic,
     martingale_residual,
     martingale_suite,
-    observed_orders,
     solver_bound_checks,
 )
 

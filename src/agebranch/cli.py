@@ -3,10 +3,10 @@
 Subcommands: simulate, solve-u, solve-pi, validate, ergodic, stationary,
 identity-check.  A run is fully determined by one JSON config file plus the
 seed; identical invocations produce byte-identical outputs regardless of the
-parallelism degree (replicates run in fixed chunks of 512, each from a
-counter-based stream indexed by (seed, check, chunk), and reductions are
-performed in replicate order).  Nothing is written outside the
-chosen output directory, and no output carries timestamps.
+parallelism degree (each Monte-Carlo command simulates one path set, in fixed
+chunks of 512 replicates, each from a counter-based stream indexed by (seed,
+stream, chunk), and reductions are performed in replicate order).  Nothing is
+written outside the chosen output directory, and no output carries timestamps.
 """
 
 from __future__ import annotations
@@ -34,12 +34,8 @@ from .solvers import (
 )
 from .validate import (
     ComparisonReport,
-    bound_suite,
-    compare_laplace,
-    compare_mean,
-    control_report,
     ergodic_convergence,
-    martingale_suite,
+    monte_carlo_checks,
     snapshot_profile,
     solver_bound_checks,
 )
@@ -255,24 +251,15 @@ def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> int:
 def validation_suite(cfg: RunConfig, n_jobs: int = 1) -> list[ComparisonReport]:
     """The full comparison suite for one configuration.
 
-    Two-sided identity checks with negative controls, one-sided pathwise
-    bounds, and the deterministic solver lattice inequalities.  Controls are
-    named ``control:...`` and are expected to fail; the suite's own power is
-    asserted by their failure.
+    Two-sided identity checks with negative controls and one-sided pathwise
+    bounds, all read from one path set on stream 10, then the deterministic
+    solver lattice inequalities.  Controls are named ``control:...`` and are
+    expected to fail; the suite's own power is asserted by their failure.
     """
-    sim = cfg.sim_config()
+    g_name = "exp" if cfg.f.kind in ("constant", "expdecay", "rational") else None
     n, t, dt = cfg.replicates, cfg.t_end, cfg.grid_dt
-    reports: list[ComparisonReport] = []
-    lap = compare_laplace(sim, cfg.f, t, n, dt=dt, stream=10, n_jobs=n_jobs)
-    reports += [lap, control_report(lap)]
-    mean = compare_mean(sim, cfg.f, t, n, dt=dt, stream=20, n_jobs=n_jobs)
-    reports += [mean, control_report(mean)]
-    if cfg.f.kind in ("constant", "expdecay", "rational"):
-        reports += martingale_suite(sim, "exp", cfg.f, t, n, stream=30, n_jobs=n_jobs)
-    reports += bound_suite(sim, t, n, stream=40, n_jobs=n_jobs)
-    lattice_grid = SolverGrid(dt, t, cfg.quadrature)
-    reports += solver_bound_checks(cfg.model, cfg.f, lattice_grid)
-    return reports
+    reports = monte_carlo_checks(cfg.sim_config(), cfg.f, t, n, dt, 10, n_jobs, g_name)
+    return reports + solver_bound_checks(cfg.model, cfg.f, SolverGrid(dt, t, cfg.quadrature))
 
 
 def _suite_outcome(reports: list[ComparisonReport]) -> tuple[bool, list[str]]:
@@ -296,8 +283,7 @@ def _cmd_validate(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
     write_csv(out / "checks.csv", CHECK_COLUMNS, [r.row() for r in reports])
     ok, lines = _suite_outcome(reports)
     checks = [r for r in reports if not r.name.startswith("control:")]
-    # a control reuses its check's paths, so only the checks' exclusions count
-    excluded = sum(r.mc.excluded for r in checks)
+    excluded = max(r.mc.excluded for r in reports)  # each carries its one path set's count
     write_summary(
         out / "summary.txt",
         _report_lines(reports)
@@ -319,22 +305,24 @@ def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
         f"criterion_value={'' if report.criterion_value is None else _fmt(report.criterion_value)}",
         f"detail={report.detail}",
     ]
-    rows: list[list] = []
+    reps: list[ComparisonReport] = []
     ok = True
     if report.status == "ergodic":
         horizons = [cfg.t_end / 4.0, cfg.t_end / 2.0, cfg.t_end]
+        # one set on stream 52 keeps the T row's bits from one set per horizon on 50 to 52
         stat_value, reps, gaps = ergodic_convergence(
             cfg.sim_config(), cfg.f, horizons, cfg.replicates, dt=cfg.grid_dt,
-            stream=50, n_jobs=n_jobs,
+            stream=52, n_jobs=n_jobs,
         )
-        rows = [r.row() for r in reps]
         ok = all(r.verdict for r in reps) and all(
             gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1)
         )
         lines += [f"stationary={_fmt(stat_value)}"]
         lines += [f"gap_T={_fmt(T)}: {_fmt(g)}" for T, g in zip(horizons, gaps)]
-        lines += [f"gaps_decreasing={'true' if ok else 'false'}"]
-    write_csv(out / "ergodic.csv", CHECK_COLUMNS, rows)
+        # every report reads the one path set and carries its excluded paths
+        lines += [f"gaps_decreasing={'true' if ok else 'false'}",
+                  f"excluded_paths={max(r.mc.excluded for r in reps)}"]
+    write_csv(out / "ergodic.csv", CHECK_COLUMNS, [r.row() for r in reps])
     write_summary(out / "summary.txt", lines)
     return 0 if ok or not ci else 1
 

@@ -6,12 +6,15 @@ added in quadrature to the Monte-Carlo standard error.  Inequality claims
 (growth and event-count bounds) are tested one-sided: the estimate minus three
 standard errors must not exceed the bound.  Every report is a pure function of
 (seed, configuration): replicates run in fixed chunks of 512, each chunk
-simulated in lock step from one counter-based stream indexed by (seed, check,
-chunk), so replicate r is a function of (seed, check, replicate count, r) and
-results are independent of scheduling and of the degree of parallelism.
+simulated in lock step from one counter-based stream indexed by (seed, stream,
+chunk), so replicate r is a function of (seed, stream, replicate count, r) and
+results are independent of scheduling and of the degree of parallelism.  A
+command reads all its checks from one such path set, so they are correlated:
+each keeps its marginal size, but not the joint false-failure rate.
 
 Each suite run also checks its own power: perturbed-analytic negative controls
-must fail, otherwise the suite's acceptance is meaningless.
+must fail, otherwise the suite's acceptance is meaningless.  A control reads
+its check's paths.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import AgeMeasure, ScalarField
-from .models import BranchingModel, ImmigrationMechanism, OffspringLaw, OffspringPmf
-from .simulate import PathSet, SimConfig, replicate_rng, simulate_paths
+from .measures import AgeMeasure, ScalarField, segment_sums
+from .models import BranchingModel, ImmigrationMechanism
+from .simulate import SimConfig, replicate_rng, simulate_paths
 from .solvers import (
     SolverGrid,
     ergodicity_check,
@@ -50,9 +53,8 @@ __all__ = [
     "solver_bound_checks",
     "martingale_residual",
     "martingale_suite",
+    "monte_carlo_checks",
     "ergodic_convergence",
-    "observed_orders",
-    "benchmark_models",
 ]
 
 Z_THRESHOLD = 3.0
@@ -132,29 +134,26 @@ def control_report(report: ComparisonReport) -> ComparisonReport:
 
 
 # ---------------------------------------------------------------------------
-# Replicate collection: one job object describes the per-path columns of one
-# check; fixed chunks of replicates run in-process or in a fork pool, and
-# results are reassembled by replicate index so parallelism cannot change any
-# number.
+# Path sets: one job describes a set of paths and the row each path is reduced
+# to; fixed chunks of replicates run in-process or in a fork pool, and rows are
+# reassembled by replicate index so parallelism cannot change any number.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ReplicateJob:
+    """The paths of ``cfg`` on ``stream``, each reduced to one row.
+
+    A row holds the mass and ``<X_r, f>`` at each snapshot index in ``reads``,
+    the running maximum of the mass, the branch count, the martingale pair
+    over the whole grid if ``g_name`` names a test function, and the cap flag.
+    """
+
     cfg: SimConfig
-    mode: str  # "laplace" | "integral" | "extinct" | "growth" | "martingale" | "profile"
     f: ScalarField
     stream: int
-    g_name: str = "exp"
-
-    def columns(self) -> int:
-        if self.mode == "growth":
-            return 4
-        if self.mode == "martingale":
-            return 3
-        if self.mode == "profile":
-            return 2 * len(self.cfg.snapshot_times) + 1
-        return 2
+    reads: tuple[int, ...] = (-1,)
+    g_name: str | None = None
 
 
 def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> np.ndarray:
@@ -162,39 +161,48 @@ def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> np.ndarray:
 
     The chunk's generator is indexed by (seed, stream, chunk), so a row is a
     function of the seed, the job, the replicate count and the replicate
-    index alone.  Every mode reads the paths' observers in one vectorised
-    pass; the last column flags paths cut by the event cap, which carry no
-    usable statistics (their other columns are NaN) and are counted and
-    excluded downstream.
+    index alone; the snapshot grid consumes no random draws.  Paths cut by
+    the event cap are NaN rows, flagged to be counted and excluded downstream.
     """
     if start % _CHUNK or stop - start > _CHUNK:
         raise ValueError(f"replicates {start}..{stop} are not one chunk of {_CHUNK}")
     cfg = job.cfg
     paths = simulate_paths(cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start)
-    out = np.empty((stop - start, job.columns()))
-    if job.mode == "laplace":
-        out[:, 0] = np.exp(-paths.integrals(job.f)[:, -1])
-    elif job.mode == "integral":
-        out[:, 0] = paths.integrals(job.f)[:, -1]
-    elif job.mode == "extinct":
-        out[:, 0] = paths.snapshot_masses[:, -1] == 0
-    elif job.mode == "growth":
-        out[:, 0] = paths.max_mass
-        out[:, 1] = paths.branches
-        out[:, 2] = paths.snapshot_masses[:, -1]
-    elif job.mode == "profile":
-        k = len(cfg.snapshot_times)
-        out[:, :k] = paths.snapshot_masses
-        out[:, k : 2 * k] = paths.integrals(job.f)
-    else:
-        out[:, 0], out[:, 1] = _martingale_pair_fn(job)(paths)
+    k = len(job.reads)
+    pair = None if job.g_name is None else _martingale_pair_fn(job)
+    out = np.empty((stop - start, 2 * k + (3 if pair is None else 5)))
+    for rows, masses, ages in paths.blocks():
+        fa = np.asarray(job.f(ages), dtype=np.float64)
+        out[rows, :k] = masses[:, job.reads]
+        out[rows, k : 2 * k] = segment_sums(fa, masses.ravel()).reshape(masses.shape)[:, job.reads]
+        if pair is not None:
+            out[rows, 2 * k + 2], out[rows, 2 * k + 3] = pair(masses, ages, fa)
+    out[:, 2 * k], out[:, 2 * k + 1] = paths.max_mass, paths.branches
     capped = paths.capped
     out[capped] = np.nan
     out[:, -1] = capped
     return out
 
 
-def _collect(job: _ReplicateJob, n: int, n_jobs: int = 1) -> np.ndarray:
+class _Rows:
+    """The rows of one path set, by column; ``pair`` is (G(v_T) - G(v_0), integral of L G_f)."""
+
+    def __init__(self, job: _ReplicateJob, data: np.ndarray) -> None:
+        k = len(job.reads)
+        self.job, self.data, self.n, self.flags = job, data, len(data), data[:, -1]
+        self.mass, self.integral = data[:, :k], data[:, k : 2 * k]
+        self.max_mass, self.branches = data[:, 2 * k], data[:, 2 * k + 1]
+        self.pair = data[:, 2 * k + 2 : 2 * k + 4] if job.g_name is not None else None
+
+    def estimate(self, values: np.ndarray) -> McEstimate:  # over paths the event cap left whole
+        good = values[self.flags == 0.0]
+        if len(good) < 2:
+            raise RuntimeError("too many replicates hit the event cap to form an estimate")
+        se = float(np.std(good, ddof=1) / math.sqrt(len(good)))
+        return McEstimate(float(np.mean(good)), se, len(good), self.job.cfg.seed, self.n - len(good))
+
+
+def _collect(job: _ReplicateJob, n: int, n_jobs: int = 1) -> _Rows:
     if n < 2:
         raise ValueError("need at least 2 replicates")
     bounds = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
@@ -203,21 +211,21 @@ def _collect(job: _ReplicateJob, n: int, n_jobs: int = 1) -> np.ndarray:
     else:
         with get_context("fork").Pool(n_jobs) as pool:
             parts = pool.starmap(_run_chunk, [(job, s, e) for s, e in bounds])
-    return np.concatenate(parts, axis=0)
+    return _Rows(job, np.concatenate(parts, axis=0))
 
 
-def _estimate(values: np.ndarray, flags: np.ndarray, seed: int) -> McEstimate:
-    good = values[flags == 0.0]
-    excluded = int(np.sum(flags != 0.0))
-    if len(good) < 2:
-        raise RuntimeError("too many replicates hit the event cap to form an estimate")
-    mean = float(np.mean(good))
-    se = float(np.std(good, ddof=1) / math.sqrt(len(good)))
-    return McEstimate(mean, se, len(good), seed, excluded)
+def _job(cfg: SimConfig, f: ScalarField, t: float, stream: int, g_name: str | None = None):
+    """The path set to t, read at t; with a test function G, on the martingale's grid."""
+    snaps = tuple(np.linspace(0.0, t, MARTINGALE_SNAPSHOTS)) if g_name else (t,)
+    return _ReplicateJob(replace(cfg, t_end=t, snapshot_times=snaps), f, stream, (-1,), g_name)
 
 
-def _sim_at(cfg: SimConfig, t: float, snapshots: tuple[float, ...] | None = None) -> SimConfig:
-    return replace(cfg, t_end=t, snapshot_times=snapshots if snapshots is not None else (t,))
+def _laplace(rows: _Rows, i: int = -1) -> McEstimate:
+    """Mean of exp(-<X_r, f>) at read-out ``i``; exact when the functional is identically 1."""
+    cfg, imm = rows.job.cfg, rows.job.cfg.immigration
+    if rows.job.f.sup == 0.0 or not (cfg.initial.ages or imm is not None and imm.total_rate > 0.0):
+        return McEstimate(1.0, 0.0, rows.n, cfg.seed)
+    return rows.estimate(np.exp(-rows.integral[:, i]))
 
 
 def estimate_laplace(
@@ -229,47 +237,32 @@ def estimate_laplace(
     ``excluded`` (their inclusion would bias the estimate).  Degenerate cases
     (zero field, or empty initial state with no immigration) are exact.
     """
-    if f.sup == 0.0:
-        return McEstimate(1.0, 0.0, n, cfg.seed)
-    if not cfg.initial.ages and (cfg.immigration is None or cfg.immigration.total_rate == 0.0):
-        return McEstimate(1.0, 0.0, n, cfg.seed)
-    job = _ReplicateJob(_sim_at(cfg, t), "laplace", f, stream)
-    data = _collect(job, n, n_jobs)
-    return _estimate(data[:, 0], data[:, 1], cfg.seed)
+    return _laplace(_collect(_job(cfg, f, t, stream), n, n_jobs))
 
 
 def estimate_mean(
     cfg: SimConfig, f: ScalarField, t: float, n: int, stream: int = 0, n_jobs: int = 1
 ) -> McEstimate:
     """Monte-Carlo mean of <X_t, f>."""
-    job = _ReplicateJob(_sim_at(cfg, t), "integral", f, stream)
-    data = _collect(job, n, n_jobs)
-    return _estimate(data[:, 0], data[:, 1], cfg.seed)
+    rows = _collect(_job(cfg, f, t, stream), n, n_jobs)
+    return rows.estimate(rows.integral[:, -1])
 
 
 def estimate_extinction(
     cfg: SimConfig, t: float, n: int, stream: int = 0, n_jobs: int = 1
 ) -> McEstimate:
     """Monte-Carlo frequency of the population being empty at time t."""
-    job = _ReplicateJob(_sim_at(cfg, t), "extinct", ScalarField.constant(1.0), stream)
-    data = _collect(job, n, n_jobs)
-    return _estimate(data[:, 0], data[:, 1], cfg.seed)
+    rows = _collect(_job(cfg, ScalarField.constant(1.0), t, stream), n, n_jobs)
+    return rows.estimate((rows.mass[:, -1] == 0).astype(np.float64))
 
 
 def snapshot_profile(
     cfg: SimConfig, f: ScalarField, n: int, stream: int = 0, n_jobs: int = 1
 ) -> list[tuple[float, McEstimate, McEstimate]]:
     """Per-snapshot (time, mass estimate, integral-of-f estimate), one pass."""
-    job = _ReplicateJob(cfg, "profile", f, stream)
-    data = _collect(job, n, n_jobs)
-    flags = data[:, -1]
-    k = len(cfg.snapshot_times)
-    out = []
-    for i, t in enumerate(cfg.snapshot_times):
-        out.append(
-            (t, _estimate(data[:, i], flags, cfg.seed), _estimate(data[:, k + i], flags, cfg.seed))
-        )
-    return out
+    rows = _collect(_ReplicateJob(cfg, f, stream, tuple(range(len(cfg.snapshot_times)))), n, n_jobs)
+    return [(t, rows.estimate(rows.mass[:, i]), rows.estimate(rows.integral[:, i]))
+            for i, t in enumerate(cfg.snapshot_times)]
 
 
 def laplace_analytic(
@@ -316,9 +309,13 @@ def compare_laplace(
     name: str = "laplace",
 ) -> ComparisonReport:
     """Simulated Laplace functional against the exponent solver, two-sided."""
-    mc = estimate_laplace(cfg, f, t, n, stream, n_jobs)
-    analytic, tol = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, t, dt)
-    return ComparisonReport(name, mc, analytic, tol)
+    return _laplace_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
+
+
+def _laplace_report(rows: _Rows, t: float, dt: float, name: str, i: int = -1) -> ComparisonReport:
+    cfg = rows.job.cfg
+    analytic, tol = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, rows.job.f, t, dt)
+    return ComparisonReport(name, _laplace(rows, i), analytic, tol)
 
 
 def compare_mean(
@@ -332,16 +329,20 @@ def compare_mean(
     name: str = "mean",
 ) -> ComparisonReport:
     """Simulated first moment against the moment-kernel solver, two-sided."""
-    mc = estimate_mean(cfg, f, t, n, stream, n_jobs)
+    return _mean_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
+
+
+def _mean_report(rows: _Rows, t: float, dt: float, name: str) -> ComparisonReport:
+    cfg = rows.job.cfg
 
     def value(step: float) -> float:
         n_steps = max(1, math.ceil(t / step - 1e-12))
         grid = SolverGrid(t / n_steps, t, "trapezoid")
-        return mean_with_immigration(cfg.model, cfg.immigration, f, cfg.initial, grid)
+        return mean_with_immigration(cfg.model, cfg.immigration, rows.job.f, cfg.initial, grid)
 
     fine, coarse = value(dt), value(2 * dt)
     tol = abs(fine - coarse) / 3.0
-    return ComparisonReport(name, mc, fine, tol)
+    return ComparisonReport(name, rows.estimate(rows.integral[:, -1]), fine, tol)
 
 
 def bound_suite(
@@ -365,16 +366,17 @@ def bound_suite(
     gain ``m1 integral_0^t exp(beta (t - s)) ds``,
     ``c1 m1 integral_0^t I(t - s) ds`` and ``m1 integral_0^t exp(c0 s) ds``.
     An infinite ``m1`` (heavy group sizes) gives infinite, vacuous bounds.
-    The growth paths also record the mass at t, which the mean-mass check
-    reads.
     """
+    return _bound_reports(_collect(_job(cfg, ScalarField.constant(1.0), t, stream), n, n_jobs), t)
+
+
+def _bound_reports(rows: _Rows, t: float) -> list[ComparisonReport]:
+    cfg = rows.job.cfg
     c0, c1, beta = cfg.model.constants()
     m0 = float(cfg.initial.total_mass)
     imm = cfg.immigration
     m1 = 0.0 if imm is None else imm.first_moment_of(ScalarField.constant(1.0))
-    job = _ReplicateJob(_sim_at(cfg, t), "growth", ScalarField.constant(1.0), stream)
-    data = _collect(job, n, n_jobs)
-    sup_est, n_est, mass_est = (_estimate(data[:, i], data[:, 3], cfg.seed) for i in range(3))
+    sup_est, n_est, mass_est = map(rows.estimate, (rows.max_mass, rows.branches, rows.mass[:, -1]))
 
     int_exp_beta = t if beta == 0.0 else (math.exp(beta * t) - 1.0) / beta
     sup_bound = m0 * math.exp(beta * t)
@@ -391,6 +393,22 @@ def bound_suite(
         ComparisonReport("bound:branch_events", n_est, events_bound, 0.0, sided="upper"),
         ComparisonReport("bound:mean_mass", mass_est, mass_bound, 0.0, sided="upper"),
     ]
+
+
+def monte_carlo_checks(
+    cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float, stream: int, n_jobs: int,
+    g_name: str | None,
+) -> list[ComparisonReport]:
+    """The reports of ``compare_laplace`` and ``compare_mean`` with their controls,
+    of ``martingale_suite`` if ``g_name`` is given, and of ``bound_suite``, as each
+    gives them on ``stream``, from one path set whose exclusion count each carries.
+    """
+    rows = _collect(_job(cfg, f, t, stream, g_name), n, n_jobs)
+    lap, mean = _laplace_report(rows, t, dt, "laplace"), _mean_report(rows, t, dt, "mean")
+    reports = [lap, control_report(lap), mean, control_report(mean)]
+    if g_name is not None:
+        reports += _martingale_reports(g_name, rows, cfg.seed, n)
+    return reports + _bound_reports(rows, t)
 
 
 def solver_bound_checks(
@@ -466,8 +484,8 @@ def martingale_residual(
     controls.  G comes from the smooth catalog ("identity", "exp", "square");
     f must be continuously differentiable.
     """
-    data = _martingale_pairs(cfg, g_name, f, t, n, stream, n_jobs)
-    return _residual_report(name or f"martingale:{g_name}", data, perturb, cfg.seed, n)
+    rows = _martingale_rows(cfg, g_name, f, t, n, stream, n_jobs)
+    return _residual_report(name or f"martingale:{g_name}", rows, perturb, cfg.seed, n)
 
 
 def martingale_suite(
@@ -487,34 +505,34 @@ def martingale_suite(
     residual is then at least ten check standard errors, so a healthy harness
     flags the control at any replicate count.
     """
-    name = f"martingale:{g_name}"
-    data = _martingale_pairs(cfg, g_name, f, t, n, stream, n_jobs)
-    check = _residual_report(name, data, 0.0, cfg.seed, n)
-    integral = 0.0 if data is None else float(np.mean(data[data[:, 2] == 0.0, 1]))
-    perturb = max(0.05, 10.0 * check.mc.std_error / abs(integral)) if integral else 0.05
-    return [check, _residual_report(f"control:{name}", data, perturb, cfg.seed, n)]
+    rows = _martingale_rows(cfg, g_name, f, t, n, stream, n_jobs)
+    return _martingale_reports(g_name, rows, cfg.seed, n)
 
 
-def _martingale_pairs(
+def _martingale_rows(
     cfg: SimConfig, g_name: str, f: ScalarField, t: float, n: int, stream: int, n_jobs: int
-) -> np.ndarray | None:
-    """Per-path ``(G(v_t) - G(v_0), integral of L G)`` and flag columns; None at t = 0."""
+) -> _Rows | None:
+    """The path set carrying the martingale pairs of ``g_name``; None at t = 0."""
     if g_name not in _G_CATALOG:
         raise ValueError(f"unknown generator test function {g_name!r}")
     if t == 0.0:
         return None
-    snaps = tuple(np.linspace(0.0, t, MARTINGALE_SNAPSHOTS))
-    job = _ReplicateJob(_sim_at(cfg, t, snaps), "martingale", f, stream, g_name)
-    return _collect(job, n, n_jobs)
+    return _collect(_job(cfg, f, t, stream, g_name), n, n_jobs)
 
 
-def _residual_report(
-    name: str, data: np.ndarray | None, perturb: float, seed: int, n: int
-) -> ComparisonReport:
+def _martingale_reports(g_name: str, rows: _Rows | None, seed: int, n: int) -> list[ComparisonReport]:
+    name = f"martingale:{g_name}"
+    check = _residual_report(name, rows, 0.0, seed, n)
+    integral = 0.0 if rows is None else float(np.mean(rows.pair[rows.flags == 0.0, 1]))
+    perturb = max(0.05, 10.0 * check.mc.std_error / abs(integral)) if integral else 0.05
+    return [check, _residual_report(f"control:{name}", rows, perturb, seed, n)]
+
+
+def _residual_report(name: str, rows: _Rows | None, perturb: float, seed: int, n: int):
     """Residual ``G(v_t) - G(v_0) - (1 + perturb) * integral`` against zero."""
-    if data is None:  # t = 0: the residual is exactly zero
+    if rows is None:  # t = 0: the residual is exactly zero
         return ComparisonReport(name, McEstimate(0.0, 0.0, n, seed), 0.0, 0.0)
-    est = _estimate(data[:, 0] - (1.0 + perturb) * data[:, 1], data[:, 2], seed)
+    est = rows.estimate(rows.pair[:, 0] - (1.0 + perturb) * rows.pair[:, 1])
     return ComparisonReport(name, est, 0.0, 0.0)
 
 
@@ -525,10 +543,11 @@ _G_CATALOG: dict[str, Callable] = {
 }
 
 
-def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[PathSet], tuple[np.ndarray, np.ndarray]]:
-    """Per path, the pair ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)``.
+def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
+    """Per path of a block, the pair ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)``.
 
-    One pooled pass over the snapshot particles of a block of paths: every
+    ``block(masses, ages, fa)`` makes one pooled pass over the snapshot
+    particles of a block of paths, ``fa`` holding f at their ages: every
     generator term factorizes into snapshot-level functions of v = <X_s, f>
     times per-particle sums, accumulated with one bincount keyed by
     ``path * n_snap + snap``.  Everything that does not depend on the paths is
@@ -562,7 +581,7 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[PathSet], tuple[np.ndar
     g0_by_regime = offspring.g_by_regime(math.exp(-f0))
     second_by_regime = offspring.second_moment_by_regime()
 
-    def block(masses: np.ndarray, ages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def block(masses: np.ndarray, ages: np.ndarray, fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shape = masses.shape
         size = shape[0] * shape[1]
         seg = np.repeat(np.arange(size), masses.ravel())
@@ -570,7 +589,6 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[PathSet], tuple[np.ndar
         def per_snapshot(weights):
             return np.bincount(seg, weights=weights, minlength=size).reshape(shape)
 
-        fa = np.asarray(f(ages), dtype=np.float64)
         a_vals = np.asarray(model.alpha(ages), dtype=np.float64)
         ridx = offspring.regime_indices(ages)
         means = mean_by_regime[ridx]
@@ -595,11 +613,7 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable[[PathSet], tuple[np.ndar
         integral = np.sum(h * (lg[:, :-1] + lg[:, 1:]) / 2.0, axis=1)
         return G(vs[:, -1]) - G(vs[:, 0]), integral
 
-    def pairs(paths: PathSet) -> tuple[np.ndarray, np.ndarray]:
-        d_g, integral = zip(*(block(m, a) for _, m, a in paths.blocks()))
-        return np.concatenate(d_g), np.concatenate(integral)
-
-    return pairs
+    return block
 
 
 def ergodic_convergence(
@@ -614,10 +628,11 @@ def ergodic_convergence(
 ) -> tuple[float, list[ComparisonReport], list[float]]:
     """Convergence of the immigration model toward its stationary law.
 
-    For each horizon T the simulated Laplace functional is compared two-sided
-    with the finite-T analytic value, and the gap between the finite-T value
-    and the certified stationary value is reported; the gaps must shrink as T
-    grows.  Refuses configurations that are not certified ergodic.
+    For each horizon T, read from one path set to the last horizon, the
+    simulated Laplace functional is compared two-sided with the finite-T
+    analytic value, and the gap between the finite-T value and the certified
+    stationary value is reported; the gaps must shrink as T grows.  Refuses
+    configurations that are not certified ergodic.
     """
     if cfg.immigration is None:
         raise ValueError("ergodic convergence needs an immigration mechanism")
@@ -625,61 +640,8 @@ def ergodic_convergence(
     if report.status != "ergodic":
         raise ValueError(f"not certified ergodic: {report.status} ({report.detail})")
     stat = stationary_laplace(cfg.model, cfg.immigration, f, tolerance)
-    reports: list[ComparisonReport] = []
-    gaps: list[float] = []
-    for k, T in enumerate(horizons):
-        rep = compare_laplace(
-            cfg, f, T, n, dt=dt, stream=stream + k, n_jobs=n_jobs, name=f"ergodic:T={T:g}"
-        )
-        reports.append(rep)
-        gaps.append(abs(rep.analytic - stat.value))
-    return stat.value, reports, gaps
-
-
-def observed_orders(
-    model: BranchingModel,
-    f: ScalarField,
-    t: float,
-    reference: float,
-    dts: Sequence[float],
-    quadrature: str,
-    which: str = "exponent",
-) -> list[float]:
-    """Empirical convergence orders of the boundary solvers against a closed form.
-
-    Runs the requested solver at each dt, measures the boundary error at time
-    t against the reference value, and returns log2 error ratios between
-    consecutive step halvings.
-    """
-    errors = []
-    for dt in dts:
-        grid = SolverGrid(dt, max(1, round(t / dt)) * dt, quadrature)
-        if which == "exponent":
-            sol = solve_exponent(model, f, grid)
-        else:
-            sol = solve_mean(model, f, grid)
-        errors.append(abs(sol.boundary_at(t) - reference))
-    orders = []
-    for a, b in zip(errors, errors[1:]):
-        if b == 0.0:
-            raise RuntimeError("error hit zero; cannot measure an order")
-        orders.append(math.log2(a / b))
-    return orders
-
-
-def benchmark_models() -> dict[str, BranchingModel]:
-    """Small catalog of models exercising the bound suite across regimes."""
-    one = ScalarField.constant(1.0)
-    return {
-        "critical_binary": BranchingModel(one, OffspringLaw.table({0: 0.5, 2: 0.5})),
-        "subcritical": BranchingModel(one, OffspringLaw.table({0: 0.6, 2: 0.4})),
-        "pure_death": BranchingModel(ScalarField.constant(2.0), OffspringLaw.table({0: 1.0})),
-        "supercritical": BranchingModel(one, OffspringLaw.table({0: 0.3, 2: 0.7})),
-        "age_varying": BranchingModel(
-            ScalarField.step([1.5], [2.0, 0.5]),
-            OffspringLaw(
-                (OffspringPmf.table({0: 0.3, 2: 0.7}), OffspringPmf.table({0: 0.8, 2: 0.2})),
-                (1.5,),
-            ),
-        ),
-    }
+    grid = tuple(sorted(horizons))
+    sim = replace(cfg, t_end=grid[-1], snapshot_times=grid)
+    rows = _collect(_ReplicateJob(sim, f, stream, tuple(map(grid.index, horizons))), n, n_jobs)
+    reports = [_laplace_report(rows, T, dt, f"ergodic:T={T:g}", i) for i, T in enumerate(horizons)]
+    return stat.value, reports, [abs(r.analytic - stat.value) for r in reports]

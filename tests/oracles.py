@@ -26,9 +26,12 @@ only as oracles:
   ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
   describes; ``replay_statistics`` and ``mass_path`` read statistics from
   the event log of either trajectory type.
-* ``chunk_rows_objects``: the replicate-chunk extractor reading every mode
-  from ``AgeMeasure`` snapshots and event logs, with the martingale pair
-  path by path.
+* ``chunk_rows_objects``: the replicate-chunk extractor reading the one row
+  layout from ``AgeMeasure`` snapshots and event logs, with the martingale
+  pair path by path.
+* ``observed_orders``: empirical convergence orders of the boundary solvers
+  against a closed form; ``benchmark_models``: a small catalog of models
+  across regimes for the bound checks.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agebranch.measures import AgeMeasure
+from agebranch.measures import AgeMeasure, ScalarField
+from agebranch.models import BranchingModel, OffspringLaw, OffspringPmf
 from agebranch.simulate import Event, SimConfig, replicate_rng
 from agebranch.validate import _G_CATALOG
 
@@ -48,11 +52,14 @@ from agebranch.solvers import (
     _FIXED_POINT_TOL,
     _LEAF,
     MeanSolution,
+    SolverGrid,
     _check_contraction,
     _clip_unit,
     _quadrature_weights,
     _ray_offsets,
     _Scheme,
+    solve_exponent,
+    solve_mean,
 )
 
 _LATTICE_MAX_STEPS = 4096
@@ -765,33 +772,27 @@ def mass_path(traj) -> tuple[np.ndarray, np.ndarray]:
 def chunk_rows_objects(job, trajs) -> np.ndarray:
     """A ``validate`` job's chunk rows, path by path, from ``ObjectTrajectory`` objects.
 
-    Rows match the package's chunk layout; every statistic is read from the
-    ``AgeMeasure`` snapshots or replayed from the event log, and the
-    martingale pair is computed one path at a time.
+    Rows match the package's one chunk layout (mass and integral at each
+    read-out snapshot, running maximum, branch count, the martingale pair
+    when the job names a test function, the event-cap flag); every statistic
+    is read from the ``AgeMeasure`` snapshots or replayed from the event
+    log, and the martingale pair is computed one path at a time.
     """
-    out = np.empty((len(trajs), job.columns()))
+    k = len(job.reads)
+    out = np.empty((len(trajs), 2 * k + (3 if job.g_name is None else 5)))
     for row, traj in zip(out, trajs):
         biased = 1.0 if traj.terminated_by == "event_cap" else 0.0
         row[-1] = biased
         if biased:
             row[:-1] = np.nan
             continue
-        _, last = traj.snapshots[-1]
-        if job.mode == "laplace":
-            row[0] = math.exp(-last.integrate(job.f))
-        elif job.mode == "integral":
-            row[0] = last.integrate(job.f)
-        elif job.mode == "extinct":
-            row[0] = 1.0 if last.total_mass == 0 else 0.0
-        elif job.mode == "growth":
-            t = job.cfg.t_end
-            row[:3] = traj.running_max_mass(t), traj.branch_count(t), last.total_mass
-        elif job.mode == "profile":
-            k = len(traj.snapshots)
-            row[0:k] = [m.total_mass for _, m in traj.snapshots]
-            row[k : 2 * k] = [m.integrate(job.f) for _, m in traj.snapshots]
-        else:
-            row[:2] = _martingale_pair_path(job, traj)
+        read = [traj.snapshots[i][1] for i in job.reads]
+        row[:k] = [m.total_mass for m in read]
+        row[k : 2 * k] = [m.integrate(job.f) for m in read]
+        t = job.cfg.t_end
+        row[2 * k : 2 * k + 2] = traj.running_max_mass(t), traj.branch_count(t)
+        if job.g_name is not None:
+            row[2 * k + 2 : 2 * k + 4] = _martingale_pair_path(job, traj)
     return out
 
 
@@ -858,3 +859,41 @@ def _martingale_pair_path(job, traj) -> tuple[float, float]:
     integral = float(np.sum(h * (lg[:-1] + lg[1:]) / 2.0))
     return G(float(vs[-1])) - G(float(vs[0])), integral
 
+
+
+def observed_orders(model, f, t, reference, dts, quadrature, which="exponent") -> list[float]:
+    """Empirical convergence orders of the boundary solvers against a closed form.
+
+    Runs the requested solver at each dt, measures the boundary error at time
+    t against the reference value, and returns log2 error ratios between
+    consecutive step halvings.
+    """
+    errors = []
+    for dt in dts:
+        grid = SolverGrid(dt, max(1, round(t / dt)) * dt, quadrature)
+        solve = solve_exponent if which == "exponent" else solve_mean
+        errors.append(abs(solve(model, f, grid).boundary_at(t) - reference))
+    orders = []
+    for a, b in zip(errors, errors[1:]):
+        if b == 0.0:
+            raise RuntimeError("error hit zero; cannot measure an order")
+        orders.append(math.log2(a / b))
+    return orders
+
+
+def benchmark_models() -> dict[str, BranchingModel]:
+    """Small catalog of models exercising the bound suite across regimes."""
+    one = ScalarField.constant(1.0)
+    return {
+        "critical_binary": BranchingModel(one, OffspringLaw.table({0: 0.5, 2: 0.5})),
+        "subcritical": BranchingModel(one, OffspringLaw.table({0: 0.6, 2: 0.4})),
+        "pure_death": BranchingModel(ScalarField.constant(2.0), OffspringLaw.table({0: 1.0})),
+        "supercritical": BranchingModel(one, OffspringLaw.table({0: 0.3, 2: 0.7})),
+        "age_varying": BranchingModel(
+            ScalarField.step([1.5], [2.0, 0.5]),
+            OffspringLaw(
+                (OffspringPmf.table({0: 0.3, 2: 0.7}), OffspringPmf.table({0: 0.8, 2: 0.2})),
+                (1.5,),
+            ),
+        ),
+    }

@@ -29,13 +29,12 @@ from agebranch import (
     estimate_laplace,
     estimate_mean,
     martingale_residual,
-    observed_orders,
     solve_mean,
     solver_bound_checks,
     stationary_laplace,
 )
 from agebranch.cli import main
-from agebranch.validate import benchmark_models
+from oracles import benchmark_models, observed_orders
 
 ONE = ScalarField.constant(1.0)
 CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))

@@ -318,18 +318,110 @@ def test_excluded_paths_reported(tmp_path, monkeypatch):
     from agebranch import cli
     from agebranch.validate import ComparisonReport, McEstimate, control_report
 
+    # the checks read one path set and each carries its 3 excluded paths; the
+    # set's count is reported once
     check = ComparisonReport("laplace", McEstimate(0.5, 0.01, 97, 0, excluded=3), 0.5, 0.0)
-    bound = ComparisonReport("bound:x", McEstimate(1.0, 0.1, 98, 0, excluded=2), 2.0, 0.0, sided="upper")
-    monkeypatch.setattr(cli, "validation_suite", lambda cfg, n_jobs: [check, control_report(check), bound])
+    bound = ComparisonReport("bound:x", McEstimate(1.0, 0.1, 97, 0, excluded=3), 2.0, 0.0, sided="upper")
+    solver = ComparisonReport("solver:x", McEstimate(0.1, 0.0, 0, 0), 0.0, 1e-9, sided="lower")
+    monkeypatch.setattr(
+        cli, "validation_suite", lambda cfg, n_jobs: [check, control_report(check), bound, solver]
+    )
     p = small_config(tmp_path, replicates=100)
     assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
     lines = (tmp_path / "v" / "summary.txt").read_text().splitlines()
-    assert lines[-1] == "excluded_paths=5"  # the control reuses its check's paths
+    assert lines[-1] == "excluded_paths=3"
 
     est = McEstimate(1.0, 0.1, 96, 0, excluded=4)
     monkeypatch.setattr(cli, "snapshot_profile", lambda sim, f, n, stream, n_jobs: [(0.0, est, est)])
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s" / "summary.txt").read_text().splitlines()[-1] == "excluded_paths=4"
+
+
+def capped_paths(sim, stream: int, n: int) -> int:
+    """Paths the event cap cuts in the set of ``n`` replicates of ``sim`` on ``stream``."""
+    from agebranch.simulate import replicate_rng, simulate_paths
+
+    return sum(
+        int(simulate_paths(sim, replicate_rng(sim.seed, stream, c), min(512, n - 512 * c)).capped.sum())
+        for c in range(-(-n // 512))
+    )
+
+
+def test_validate_and_ergodic_report_their_set_excluded_paths_once(tmp_path, monkeypatch):
+    # an event cap of 4 cuts some paths: each command reports its one set's count
+    from dataclasses import replace
+
+    sim_config = RunConfig.sim_config
+    monkeypatch.setattr(RunConfig, "sim_config", lambda self: replace(sim_config(self), max_events=4))
+    cfg = small_config(tmp_path, replicates=600)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    capped = capped_paths(load_config(cfg).sim_config(), 10, 600)
+    assert 0 < capped < 600
+    lines = (tmp_path / "v" / "summary.txt").read_text().splitlines()
+    assert lines[-1] == f"excluded_paths={capped}"
+    assert "mean: mc=" in "\n".join(lines)
+
+    cfg = small_config(tmp_path, "subcritical_imm.json", replicates=600, t_end=4.0)
+    assert main(["ergodic", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 0
+    sim = load_config(cfg).sim_config()
+    capped = capped_paths(replace(sim, snapshot_times=(4.0,)), 52, 600)
+    assert 0 < capped < 600
+    lines = (tmp_path / "e" / "summary.txt").read_text().splitlines()
+    assert lines[-1] == f"excluded_paths={capped}"
+
+
+def test_one_simulate_paths_call_per_chunk(tmp_path, monkeypatch):
+    # validate and ergodic each simulate one path set: 3 chunks at 1100 replicates
+    from agebranch import validate
+
+    calls = []
+    simulate_paths = validate.simulate_paths
+    monkeypatch.setattr(
+        validate, "simulate_paths", lambda *a, **k: calls.append(a[2]) or simulate_paths(*a, **k)
+    )
+    for command, config in (("validate", "bench_critical.json"), ("ergodic", "pure_death_imm.json")):
+        calls.clear()
+        argv = [command, "--config", str(CONFIG_DIR / config), "--replicates", "1100",
+                "--t-end", "1.0", "--out", str(tmp_path / command)]
+        assert main(argv) == 0
+        assert calls == [512, 512, 76], command
+
+
+def test_ergodic_byte_identical_across_runs_and_parallelism(tmp_path):
+    outs = []
+    for tag, par in (("a", "1"), ("b", "2"), ("c", "1")):
+        out = tmp_path / tag
+        argv = ["ergodic", "--config", str(CONFIG_DIR / "pure_death_imm.json"), "--replicates", "1100",
+                "--t-end", "4.0", "--parallelism", par, "--out", str(out)]
+        assert main(argv) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outs[0] == outs[1] == outs[2] and "ergodic.csv" in outs[0]
+
+
+_TRACED_RUNS = """
+import sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer
+Tracer().install()  # raises if a name the tracer patches is gone
+from agebranch.cli import main
+configs = sys.argv[3]
+with tempfile.TemporaryDirectory() as out:
+    for command, config in (("validate", "bench_critical"), ("ergodic", "pure_death_imm")):
+        code = main([command, "--config", f"{configs}/{config}.json", "--replicates", "20",
+                     "--out", f"{out}/{command}"])
+        assert code == 0, (command, code)
+print("ok")
+"""
+
+
+def test_benchmark_tracer_installs_and_traces_validate_and_ergodic():
+    # bench/run.py --trace 1 patches names of the package; one that is gone would break it
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    res = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUNS, str(bench), str(SRC_DIR), str(CONFIG_DIR)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0 and res.stdout.split() == ["ok"], res.stderr
 
 
 # Run one command in a fresh interpreter after the set-up a user pays (import,

@@ -26,12 +26,14 @@ from agebranch import (
 )
 from agebranch import cli, solvers, validate
 from oracles import (
+    benchmark_models,
     fan_exponent,
     fan_mean,
     immigration_integral_per_node,
     lattice_bound_margins,
     march_exponent,
     march_mean,
+    observed_orders,
     renewal_exponent_boundary,
     renewal_rounding_bounds,
     scalar_exponent_at,
@@ -124,8 +126,6 @@ def test_exponent_pure_death_closed_form():
 
 
 def test_convergence_orders_exponent():
-    from agebranch import observed_orders
-
     exact = critical_exponent_closed_form(1.0, 1.0)
     trap = observed_orders(CRITICAL, ONE, 1.0, exact, [4e-3, 2e-3, 1e-3], "trapezoid")
     rect = observed_orders(CRITICAL, ONE, 1.0, exact, [4e-3, 2e-3, 1e-3], "rectangle")
@@ -134,8 +134,6 @@ def test_convergence_orders_exponent():
 
 
 def test_convergence_orders_mean():
-    from agebranch import observed_orders
-
     exact = math.exp(-0.2)
     trap = observed_orders(SUBCRITICAL, ONE, 1.0, exact, [4e-3, 2e-3, 1e-3], "trapezoid", "mean")
     rect = observed_orders(SUBCRITICAL, ONE, 1.0, exact, [4e-3, 2e-3, 1e-3], "rectangle", "mean")
@@ -670,7 +668,7 @@ def test_rows_are_the_marched_lattice(quadrature):
 
 @pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
 def test_bound_check_margins_match_the_lattice_oracle(quadrature):
-    cases = [(m, ONE, SolverGrid(1e-2, 1.0, quadrature)) for m in validate.benchmark_models().values()]
+    cases = [(m, ONE, SolverGrid(1e-2, 1.0, quadrature)) for m in benchmark_models().values()]
     for name in ("age_varying", "bench_critical", "pure_death"):
         cfg, grid = _shipped(name, quadrature)
         cases.append((cfg.model, cfg.f, grid))

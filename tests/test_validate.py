@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from agebranch import (
     martingale_suite,
     solver_bound_checks,
 )
-from agebranch.cli import load_config
+from agebranch.cli import load_config, validation_suite
 from agebranch.simulate import replicate_rng, simulate_paths
 from agebranch.validate import (
     _CHUNK,
@@ -35,12 +36,11 @@ from agebranch.validate import (
     ComparisonReport,
     _collect,
     _ReplicateJob,
-    _estimate,
+    _Rows,
     _run_chunk,
-    benchmark_models,
     snapshot_profile,
 )
-from oracles import ObjectTrajectory, chunk_rows_objects
+from oracles import ObjectTrajectory, benchmark_models, chunk_rows_objects
 from agebranch.solvers import SolverGrid
 
 ONE = ScalarField.constant(1.0)
@@ -312,43 +312,44 @@ def chunk_cases():
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_run_chunk_modes_match_object_trajectories(case):
-    # every mode's columns equal the per-path computation on the same chunk's
-    # paths: bit for bit where the sums run in the same order, and within
-    # 1e-12 where exp is taken over an array instead of one value
+def test_run_chunk_rows_match_object_trajectories(case):
+    # the one row layout equals the per-path computation on the same chunk's
+    # paths: bit for bit where the sums run in the same order, and
+    # G(v_T) - G(v_0) within 1e-12 where exp is taken over an array instead
+    # of one value
     cfg = chunk_cases()[case]
+    k = len(cfg.snapshot_times)
     for start, stop in ((0, 40), (_CHUNK, _CHUNK + 40)):
-        for mode in ("laplace", "integral", "extinct", "growth", "profile"):
+        objects = chunk_objects(_ReplicateJob(cfg, ONE, 3), start, stop)
+        for reads in ((k - 1,), (0, 3, k - 1), tuple(range(k))):
             for f in (ONE, SMOOTH, ScalarField.step([0.5], [1.0, 0.2])):
-                job = _ReplicateJob(cfg, mode, f, stream=3)
-                new = _run_chunk(job, start, stop)
-                old = chunk_rows_objects(job, chunk_objects(job, start, stop))
-                if mode == "laplace":
-                    assert np.allclose(new, old, rtol=1e-12, atol=0.0, equal_nan=True), (mode, f)
-                else:
-                    assert same_bits(new, old), (mode, f)
+                job = _ReplicateJob(cfg, f, 3, reads)
+                assert same_bits(_run_chunk(job, start, stop), chunk_rows_objects(job, objects)), (reads, f)
         for g_name in ("identity", "exp", "square"):
-            job = _ReplicateJob(cfg, "martingale", SMOOTH, stream=3, g_name=g_name)
+            job = _ReplicateJob(cfg, SMOOTH, 3, (k - 1,), g_name)
             new = _run_chunk(job, start, stop)
-            old = chunk_rows_objects(job, chunk_objects(job, start, stop))
-            assert same_bits(new[:, 2], old[:, 2])
-            assert same_bits(new[:, 1], old[:, 1]), g_name
-            assert np.allclose(new[:, 0], old[:, 0], rtol=1e-12, atol=0.0, equal_nan=True), g_name
+            old = chunk_rows_objects(job, objects)
+            assert same_bits(np.delete(new, -3, axis=1), np.delete(old, -3, axis=1)), g_name
+            assert np.allclose(new[:, -3], old[:, -3], rtol=1e-12, atol=0.0, equal_nan=True), g_name
 
 
 @pytest.mark.parametrize("n", [511, 512, 513, 1100])
 def test_collect_is_the_same_at_any_parallelism(n):
     # chunk bounds and streams depend on the replicate count only
-    job = _ReplicateJob(chunk_cases()[1], "profile", SMOOTH, stream=6)
-    assert same_bits(_collect(job, n, 1), _collect(job, n, 2))
+    job = _ReplicateJob(chunk_cases()[1], SMOOTH, 6, tuple(range(9)), "exp")
+    assert same_bits(_collect(job, n, 1).data, _collect(job, n, 2).data)
 
 
 def test_capped_chunk_rows_are_flagged():
-    job = _ReplicateJob(chunk_cases()[4], "growth", ONE, stream=3)
-    data = _run_chunk(job, 0, 40)
+    data = _run_chunk(_ReplicateJob(chunk_cases()[4], ONE, 3), 0, 40)
     capped = data[:, -1] == 1.0
     assert capped.any() and not capped.all()
     assert np.isnan(data[capped, :-1]).all() and not np.isnan(data[~capped]).any()
+
+
+def martingale_job(cfg, f, stream, g_name="exp"):
+    snaps = tuple(np.linspace(0.0, 1.0, 50))
+    return _ReplicateJob(replace(cfg, t_end=1.0, snapshot_times=snaps), f, stream, (-1,), g_name)
 
 
 def test_martingale_suite_check_is_the_two_pass_check():
@@ -356,14 +357,11 @@ def test_martingale_suite_check_is_the_two_pass_check():
                         (chunk_cases()[1], "identity"), (chunk_cases()[2], "square")):
         check, control = martingale_suite(cfg, g_name, SMOOTH, 1.0, 700, stream=4)
         assert check == martingale_residual(cfg, g_name, SMOOTH, 1.0, 700, stream=4)
-        job = _ReplicateJob(
-            replace(cfg, t_end=1.0, snapshot_times=tuple(np.linspace(0.0, 1.0, 50))),
-            "martingale", SMOOTH, 4, g_name,
-        )
+        job = martingale_job(cfg, SMOOTH, 4, g_name)
         old = np.concatenate(
             [chunk_rows_objects(job, chunk_objects(job, s, e)) for s, e in ((0, 512), (512, 700))]
         )
-        assert check.mc == _estimate(old[:, 0] - old[:, 1], old[:, 2], cfg.seed)
+        assert check.mc == _Rows(job, old).estimate(old[:, -3] - old[:, -2])
         assert control.name == f"control:martingale:{g_name}"
         assert control.mc.replicates == check.mc.replicates
         assert control.mc.excluded == check.mc.excluded
@@ -371,13 +369,11 @@ def test_martingale_suite_check_is_the_two_pass_check():
 
 def test_martingale_residual_perturb_scales_the_integral():
     cfg = cfg_of(CRITICAL, [0.0], 1.0, 19)
-    job = _ReplicateJob(
-        replace(cfg, snapshot_times=tuple(np.linspace(0.0, 1.0, 50))), "martingale", ONE, 5
-    )
+    job = martingale_job(cfg, ONE, 5)
     data = _run_chunk(job, 0, 300)
     bad = martingale_residual(cfg, "exp", ONE, 1.0, 300, stream=5, perturb=0.05)
     assert bad.name == "martingale:exp"
-    assert bad.mc == _estimate(data[:, 0] - 1.05 * data[:, 1], data[:, 2], cfg.seed)
+    assert bad.mc == _Rows(job, data).estimate(data[:, -3] - 1.05 * data[:, -2])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -396,3 +392,74 @@ def test_martingale_suite_t_zero_exact():
     check, control = martingale_suite(cfg_of(CRITICAL, [0.0], 1.0, 22), "exp", ONE, 0.0, 100)
     assert check.mc.value == 0.0 and check.mc.std_error == 0.0 and check.verdict
     assert control.name == "control:martingale:exp"
+
+
+# ---------------------------------------------------------------------------
+# One path set per command: every public estimator keeps the bits it had when
+# each check simulated its own set, and the suites are those estimators read
+# from one set.
+# ---------------------------------------------------------------------------
+
+GOLDENS = json.loads((Path(__file__).resolve().parent / "estimator_goldens.json").read_text())
+
+
+def flat(x):
+    """Reports and estimates as nested lists of their numbers, as JSON holds them."""
+    if isinstance(x, McEstimate):
+        return [x.value, x.std_error, x.replicates, x.seed, x.excluded]
+    if isinstance(x, ComparisonReport):
+        return [x.name, flat(x.mc), x.analytic, x.analytic_tol, x.sided]
+    if isinstance(x, (list, tuple)):
+        return [flat(y) for y in x]
+    return x
+
+
+@pytest.mark.parametrize("case", ["age_varying", "subcritical_imm", "capped"])
+def test_estimators_keep_their_golden_bits(case):
+    # recorded when every estimator simulated a set of its own, 600 replicates on stream 3
+    n, stream = 600, 3
+    if case == "capped":  # an event cap of 5 truncates many paths
+        cfg, f, t = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), None, 45, 0, 5), ONE, 1.5
+    else:
+        run = load_config(CONFIG_DIR / f"{case}.json")
+        cfg, f, t = run.sim_config(), run.f, {"age_varying": 1.0, "subcritical_imm": 5.0}[case]
+    profile_cfg = replace(cfg, t_end=t, snapshot_times=tuple(np.linspace(0.0, t, 5)))
+    got = {
+        "estimate_laplace": estimate_laplace(cfg, f, t, n, stream),
+        "estimate_mean": estimate_mean(cfg, f, t, n, stream),
+        "estimate_extinction": estimate_extinction(cfg, t, n, stream),
+        "snapshot_profile": snapshot_profile(profile_cfg, f, n, stream),
+        "bound_suite": bound_suite(cfg, t, n, stream),
+        "martingale_residual": martingale_residual(cfg, "exp", f, t, n, stream, perturb=0.05),
+        "martingale_suite": martingale_suite(cfg, "identity", f, t, n, stream),
+        "compare_laplace": compare_laplace(cfg, f, t, n, dt=1e-2, stream=stream),
+        "compare_mean": compare_mean(cfg, f, t, n, dt=1e-2, stream=stream),
+    }
+    assert {k: flat(v) for k, v in got.items()} == GOLDENS[case]
+
+
+@pytest.mark.parametrize("config, t_end, f", [
+    ("bench_critical", 1.0, None),
+    ("pure_death_imm", 2.0, None),
+    ("age_varying", 1.0, ScalarField.step([0.5], [1.0, 0.2])),  # no martingale check
+])
+def test_validation_suite_is_the_public_checks_on_stream_10(config, t_end, f):
+    run = replace(load_config(CONFIG_DIR / f"{config}.json"), replicates=700, t_end=t_end, grid_dt=1e-2)
+    if f is not None:
+        run = replace(run, f=f)
+    sim, n, dt = run.sim_config(), run.replicates, run.grid_dt
+    lap = compare_laplace(sim, run.f, t_end, n, dt=dt, stream=10)
+    mean = compare_mean(sim, run.f, t_end, n, dt=dt, stream=10)
+    expected = [lap, control_report(lap), mean, control_report(mean)]
+    if f is None:
+        expected += martingale_suite(sim, "exp", run.f, t_end, n, stream=10)
+    expected += bound_suite(sim, t_end, n, stream=10)
+    expected += solver_bound_checks(run.model, run.f, SolverGrid(dt, t_end, run.quadrature))
+    assert validation_suite(run) == expected
+
+
+def test_ergodic_last_horizon_is_compare_laplace():
+    cfg = cfg_of(PURE_DEATH, [], 4.0, 24, imm=ImmigrationMechanism.single_arrivals(3.0))
+    _, reports, _ = ergodic_convergence(cfg, ONE, [2.0, 1.0, 4.0], 700, dt=5e-3, stream=7)
+    assert [r.name for r in reports] == ["ergodic:T=2", "ergodic:T=1", "ergodic:T=4"]
+    assert reports[-1] == compare_laplace(cfg, ONE, 4.0, 700, dt=5e-3, stream=7, name="ergodic:T=4")
