@@ -273,18 +273,19 @@ def laplace_analytic(
     t: float,
     dt: float,
     quadrature: str = "trapezoid",
+    solutions: dict | None = None,
 ) -> tuple[float, float]:
     """Analytic Laplace functional with a Richardson error estimate.
 
     Solves the exponent at dt and 2 dt; the difference scaled by the scheme
-    order certifies the returned fine-grid value.
+    order certifies the returned fine-grid value.  ``solutions`` is a memo of
+    one run's solutions of ``model`` and ``f`` (see ``_solved``): a grid
+    already in it is read, not solved again.
     """
 
     def value(step: float) -> float:
-        # land the horizon exactly on t so the arrival integral covers [0, t]
-        n_steps = max(1, math.ceil(t / step - 1e-12))
-        grid = SolverGrid(t / n_steps, t, quadrature)
-        sol = solve_exponent(model, f, grid)
+        grid = _grid_to(t, step, quadrature)
+        sol = _solved(solutions, "exponent", model, f, grid)
         expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
         if imm is not None and imm.total_rate > 0.0:
             integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
@@ -312,9 +313,13 @@ def compare_laplace(
     return _laplace_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
 
 
-def _laplace_report(rows: _Rows, t: float, dt: float, name: str, i: int = -1) -> ComparisonReport:
+def _laplace_report(
+    rows: _Rows, t: float, dt: float, name: str, i: int = -1, solutions: dict | None = None
+) -> ComparisonReport:
     cfg = rows.job.cfg
-    analytic, tol = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, rows.job.f, t, dt)
+    analytic, tol = laplace_analytic(
+        cfg.model, cfg.immigration, cfg.initial, rows.job.f, t, dt, solutions=solutions
+    )
     return ComparisonReport(name, _laplace(rows, i), analytic, tol)
 
 
@@ -332,13 +337,15 @@ def compare_mean(
     return _mean_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
 
 
-def _mean_report(rows: _Rows, t: float, dt: float, name: str) -> ComparisonReport:
+def _mean_report(
+    rows: _Rows, t: float, dt: float, name: str, solutions: dict | None = None
+) -> ComparisonReport:
     cfg = rows.job.cfg
 
     def value(step: float) -> float:
-        n_steps = max(1, math.ceil(t / step - 1e-12))
-        grid = SolverGrid(t / n_steps, t, "trapezoid")
-        return mean_with_immigration(cfg.model, cfg.immigration, rows.job.f, cfg.initial, grid)
+        grid = _grid_to(t, step, "trapezoid")
+        sol = _solved(solutions, "mean", cfg.model, rows.job.f, grid)
+        return mean_with_immigration(cfg.model, cfg.immigration, rows.job.f, cfg.initial, grid, sol)
 
     fine, coarse = value(dt), value(2 * dt)
     tol = abs(fine - coarse) / 3.0
@@ -398,13 +405,16 @@ def _bound_reports(rows: _Rows, t: float) -> list[ComparisonReport]:
 def monte_carlo_checks(
     cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float, stream: int, n_jobs: int,
     g_name: str | None,
+    solutions: dict | None = None,
 ) -> list[ComparisonReport]:
     """The reports of ``compare_laplace`` and ``compare_mean`` with their controls,
     of ``martingale_suite`` if ``g_name`` is given, and of ``bound_suite``, as each
     gives them on ``stream``, from one path set whose exclusion count each carries.
+    The analytic sides read and fill the memo ``solutions`` (see ``_solved``).
     """
     rows = _collect(_job(cfg, f, t, stream, g_name), n, n_jobs)
-    lap, mean = _laplace_report(rows, t, dt, "laplace"), _mean_report(rows, t, dt, "mean")
+    lap = _laplace_report(rows, t, dt, "laplace", solutions=solutions)
+    mean = _mean_report(rows, t, dt, "mean", solutions=solutions)
     reports = [lap, control_report(lap), mean, control_report(mean)]
     if g_name is not None:
         reports += _martingale_reports(g_name, rows, cfg.seed, n)
@@ -412,7 +422,7 @@ def monte_carlo_checks(
 
 
 def solver_bound_checks(
-    model: BranchingModel, f: ScalarField, grid: SolverGrid
+    model: BranchingModel, f: ScalarField, grid: SolverGrid, solutions: dict | None = None
 ) -> list[ComparisonReport]:
     """Deterministic inequalities at every characteristic lattice node.
 
@@ -424,45 +434,73 @@ def solver_bound_checks(
     error of each solver (several bounds are tight, e.g. the norm bound at
     criticality).  The lattice is swept one time row at a time and each row
     is reduced to the four margins as it is produced, so memory stays O(n).
+
+    Both equations are solved on ``grid`` and on the grid of twice its step,
+    each read from the memo ``solutions`` when a run already solved it there
+    (see ``_solved``), so a ``validate`` run solves each boundary once.
     """
     c0, c1, _ = model.constants()
-    usol = solve_exponent(model, f, grid)
-    msol = solve_mean(model, f, grid)
+    usol = _solved(solutions, "exponent", model, f, grid)
+    msol = _solved(solutions, "mean", model, f, grid)
     half = grid.n_steps // 2
     coarse = SolverGrid(2 * grid.dt, 2 * half * grid.dt, grid.quadrature)
     shared = slice(0, 2 * half + 1, 2)  # fine nodes that coincide with coarse nodes
     shift = 2**grid.order - 1
-    cert_u = float(
-        np.max(np.abs(usol.boundary[shared] - solve_exponent(model, f, coarse).boundary)) / shift
-    )
-    cert_p = float(
-        np.max(np.abs(msol.boundary[shared] - solve_mean(model, f, coarse).boundary)) / shift
-    )
+    ucoarse = _solved(solutions, "exponent", model, f, coarse)
+    mcoarse = _solved(solutions, "mean", model, f, coarse)
+    cert_u = float(np.max(np.abs(usol.boundary[shared] - ucoarse.boundary)) / shift)
+    cert_p = float(np.max(np.abs(msol.boundary[shared] - mcoarse.boundary)) / shift)
     times = grid.times()
-    fv = np.asarray(f(times), dtype=np.float64)  # f at x + t = j dt along the lattice
+    # 1 - exp(-f) at x + t = j dt along the lattice, and sup f: fixed over the rows
+    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))
+    sup = f.sup
 
-    margins = {
-        "solver:exponent_nonneg": [math.inf, cert_u],
-        "solver:survival_lower_bound": [math.inf, cert_u],
-        "solver:exponent_below_mean": [math.inf, cert_u + cert_p],
-        "solver:mean_norm_bound": [math.inf, cert_p],
-    }
+    nonneg = survival = below = norm = math.inf
     for (i, urow), (_, prow) in zip(usol.rows(), msol.rows()):
-        lower = -np.expm1(-fv[i:]) * math.exp(-c1 * times[i])
-        norm_bound = math.exp(c0 * times[i]) * f.sup
-        for name, value in (
-            ("solver:exponent_nonneg", float(urow.min(initial=math.inf))),
-            ("solver:survival_lower_bound", float((urow - lower).min(initial=math.inf))),
-            ("solver:exponent_below_mean", float((prow - urow).min(initial=math.inf))),
-            ("solver:mean_norm_bound", float((norm_bound - prow).min(initial=math.inf))),
-        ):
-            margins[name][0] = min(margins[name][0], value)
+        lower = surv[i:] * math.exp(-c1 * times[i])
+        nonneg = min(nonneg, float(urow.min()))
+        survival = min(survival, float((urow - lower).min()))
+        below = min(below, float((prow - urow).min()))
+        # min(bound - prow) in one subtraction: rounded subtraction is monotone
+        norm = min(norm, math.exp(c0 * times[i]) * sup - float(prow.max()))
     return [
         ComparisonReport(
             name, McEstimate(margin, 0.0, 0, 0), 0.0, 1e-9 + 10.0 * cert, sided="lower"
         )
-        for name, (margin, cert) in margins.items()
+        for name, margin, cert in (
+            ("solver:exponent_nonneg", nonneg, cert_u),
+            ("solver:survival_lower_bound", survival, cert_u),
+            ("solver:exponent_below_mean", below, cert_u + cert_p),
+            ("solver:mean_norm_bound", norm, cert_p),
+        )
     ]
+
+
+def _solved(
+    solutions: dict | None, equation: str, model: BranchingModel, f: ScalarField, grid: SolverGrid
+):
+    """``solve_exponent`` or ``solve_mean`` (``equation`` "exponent" or "mean") on ``grid``.
+
+    ``solutions`` is a memo of one model and field, keyed by ``(equation,
+    grid)``: a solution already in it is returned, a new one is stored.  Grids
+    match only when exactly equal, quadrature included, so a grid that does
+    not line up is solved again.  With ``solutions=None`` every call solves.
+    """
+    solve = solve_exponent if equation == "exponent" else solve_mean
+    if solutions is None:
+        return solve(model, f, grid)
+    sol = solutions.get((equation, grid))
+    if sol is None:
+        sol = solutions[equation, grid] = solve(model, f, grid)
+    elif sol.model is not model or sol.f is not f:
+        raise ValueError("the solution memo holds another model or field")
+    return sol
+
+
+def _grid_to(t: float, step: float, quadrature: str) -> SolverGrid:
+    """The grid of about ``step`` to t, landing exactly on t so an arrival integral covers [0, t]."""
+    n_steps = max(1, math.ceil(t / step - 1e-12))
+    return SolverGrid(t / n_steps, t, quadrature)
 
 
 def martingale_residual(

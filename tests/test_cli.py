@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -424,6 +425,33 @@ def test_benchmark_tracer_installs_and_traces_validate_and_ergodic():
     assert res.returncode == 0 and res.stdout.split() == ["ok"], res.stderr
 
 
+_TRACED_VALIDATE = """
+import json, sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from agebranch.cli import main
+with tempfile.TemporaryDirectory() as out:
+    assert main(["validate", "--config", sys.argv[3], "--replicates", "20", "--out", out]) == 0
+print(json.dumps([span[0] for span in tracer.spans]))
+"""
+
+
+def test_traced_validate_sees_each_boundary_solve():
+    # the run's solution memo calls the solvers by the names the tracer patches
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    res = subprocess.run(
+        [sys.executable, "-c", _TRACED_VALIDATE, str(bench), str(SRC_DIR),
+         str(CONFIG_DIR / "bench_critical.json")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    names = json.loads(res.stdout.strip().splitlines()[-1])
+    assert names.count("validate.solver_bound_checks") == 1
+    assert names.count("solvers.solve_exponent") == names.count("solvers.solve_mean") == 2
+
+
 # Run one command in a fresh interpreter after the set-up a user pays (import,
 # config parse) and report the modules present at set-up and loaded by the run.
 _IMPORT_PROBE = """
@@ -475,3 +503,37 @@ def test_identity_check_alone_imports_scipy_integrate():
     run = _modules_of_run(["identity-check"])
     assert run["code"] == 0
     assert "scipy.integrate" in run["new"]
+
+
+# sha256 prefixes of every output file, recorded when the solver commands formatted
+# numpy scalars cell by cell and validate solved each boundary twice
+OUTPUT_DIGESTS = {
+    "simulate": {"events.csv": "32ba8dbfb9f9775e", "snapshot_stats.csv": "de5cbb939052481e",
+                 "summary.txt": "0089920c76edae34"},
+    "solve-u": {"boundary.csv": "2aaaa339a9bdef01", "lattice.csv": "0e1874cfa3c535cd",
+                "summary.txt": "bf6d694e54b9e8f5"},
+    "solve-pi": {"boundary.csv": "fdadae6a361fe4ef", "lattice.csv": "0f0f1ff35eb69315",
+                 "summary.txt": "f8d0c8a967eef3d0"},
+    "validate": {"checks.csv": "d27381abf2681d09", "summary.txt": "72497c78b962353a"},
+    "ergodic": {"ergodic.csv": "84203a94c03b9606", "summary.txt": "168f9eeb5c488491"},
+    "stationary": {"stationary.csv": "a3c55c79ef6f1de3", "summary.txt": "5def3dde942243e8"},
+    "identity-check": {"identity.csv": "3208666b237776e2", "summary.txt": "0eedf5edff33317f"},
+}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--config", "subcritical_imm", "--replicates", "50", "--t-end", "5"]),
+    ("solve-u", ["--config", "age_varying"]),
+    ("solve-pi", ["--config", "age_varying"]),
+    ("validate", ["--config", "pure_death_imm", "--replicates", "100", "--t-end", "2"]),
+    ("ergodic", ["--config", "pure_death_imm", "--replicates", "100", "--t-end", "4"]),
+    ("stationary", ["--config", "pure_death_imm"]),
+    ("identity-check", []),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_every_command_writes_its_recorded_bytes(tmp_path, command, flags):
+    flags = [str(CONFIG_DIR / f"{v}.json") if k == "--config" else v
+             for k, v in zip([None, *flags], flags)]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in sorted(out.iterdir())}
+    assert digests == OUTPUT_DIGESTS[command]

@@ -512,6 +512,15 @@ def test_solve_commands_solve_the_boundary_once(tmp_path, monkeypatch, command):
     assert len(lattice) == 1 + 51 * 51  # every second node of the n = 100 grid, per axis
 
 
+def test_validate_solves_each_boundary_once(tmp_path, monkeypatch):
+    # the exponent and the mean at dt and 2 dt, shared by the Monte-Carlo and lattice checks
+    calls = _count_boundary_solves(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "configs" / "bench_critical.json"
+    assert cli.main(["validate", "--config", str(config), "--replicates", "20",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert sorted(grid.dt for _, _, grid in calls) == [1e-3, 1e-3, 2e-3, 2e-3]
+
+
 def test_immigration_helpers_solve_the_boundary_once_without_a_solution(monkeypatch):
     calls = _count_boundary_solves(monkeypatch)
     imm = ImmigrationMechanism.finite_support([(1.5, AgeMeasure.point(2.0))])

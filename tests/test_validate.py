@@ -28,7 +28,7 @@ from agebranch import (
     martingale_suite,
     solver_bound_checks,
 )
-from agebranch.cli import load_config, validation_suite
+from agebranch.cli import _fmt, load_config, validation_suite
 from agebranch.simulate import replicate_rng, simulate_paths
 from agebranch.validate import (
     _CHUNK,
@@ -438,13 +438,18 @@ def test_estimators_keep_their_golden_bits(case):
     assert {k: flat(v) for k, v in got.items()} == GOLDENS[case]
 
 
-@pytest.mark.parametrize("config, t_end, f", [
-    ("bench_critical", 1.0, None),
-    ("pure_death_imm", 2.0, None),
-    ("age_varying", 1.0, ScalarField.step([0.5], [1.0, 0.2])),  # no martingale check
+@pytest.mark.parametrize("config, t_end, f, quadrature", [
+    ("bench_critical", 1.0, None, "trapezoid"),
+    ("pure_death_imm", 2.0, None, "trapezoid"),
+    ("age_varying", 1.0, ScalarField.step([0.5], [1.0, 0.2]), "trapezoid"),  # no martingale check
+    # grids the memo cannot share: an odd step count has no coarse grid to the same
+    # horizon, and the identity checks of a rectangle config solve with the trapezoid rule
+    ("bench_critical", 1.01, None, "trapezoid"),
+    ("pure_death_imm", 2.0, None, "rectangle"),
 ])
-def test_validation_suite_is_the_public_checks_on_stream_10(config, t_end, f):
-    run = replace(load_config(CONFIG_DIR / f"{config}.json"), replicates=700, t_end=t_end, grid_dt=1e-2)
+def test_validation_suite_is_the_public_checks_on_stream_10(config, t_end, f, quadrature):
+    run = replace(load_config(CONFIG_DIR / f"{config}.json"), replicates=700, t_end=t_end, grid_dt=1e-2,
+                  quadrature=quadrature)
     if f is not None:
         run = replace(run, f=f)
     sim, n, dt = run.sim_config(), run.replicates, run.grid_dt
@@ -463,3 +468,34 @@ def test_ergodic_last_horizon_is_compare_laplace():
     _, reports, _ = ergodic_convergence(cfg, ONE, [2.0, 1.0, 4.0], 700, dt=5e-3, stream=7)
     assert [r.name for r in reports] == ["ergodic:T=2", "ergodic:T=1", "ergodic:T=4"]
     assert reports[-1] == compare_laplace(cfg, ONE, 4.0, 700, dt=5e-3, stream=7, name="ergodic:T=4")
+
+
+# ---------------------------------------------------------------------------
+# One solve per boundary: the suite's solver rows keep the bits they had when
+# the lattice checks solved their own boundaries.
+# ---------------------------------------------------------------------------
+
+SOLVER_ROWS = json.loads((Path(__file__).resolve().parent / "solver_row_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("config", sorted(SOLVER_ROWS))
+def test_solver_rows_keep_their_golden_bytes(config):
+    # the checks.csv rows as recorded when each check solved its own boundaries; the four
+    # 10,000-step grids are cut to about 2,000 steps (t_end in the file) for the suite's time
+    golden = SOLVER_ROWS[config]
+    run = replace(load_config(CONFIG_DIR / f"{config}.json"), t_end=golden["t_end"], replicates=2)
+    grid = SolverGrid(run.grid_dt, run.t_end, run.quadrature)
+    line = lambda r: ",".join(map(_fmt, r.row()))
+    assert [line(r) for r in solver_bound_checks(run.model, run.f, grid)] == golden["rows"]
+    if config != "heavy_tail_imm":  # whose validate refuses its infinite mean group size
+        suite = [line(r) for r in validation_suite(run) if r.name.startswith("solver:")]
+        assert suite == golden["rows"]
+
+
+def test_solution_memo_refuses_another_field():
+    grid, memo = SolverGrid(1e-2, 1.0), {}
+    solver_bound_checks(CRITICAL, ONE, grid, memo)
+    assert set(memo) == {(eq, g) for eq in ("exponent", "mean") for g in (grid, SolverGrid(2e-2, 1.0))}
+    assert solver_bound_checks(CRITICAL, ONE, grid, memo) == solver_bound_checks(CRITICAL, ONE, grid)
+    with pytest.raises(ValueError, match="another model or field"):
+        solver_bound_checks(CRITICAL, ScalarField.constant(2.0), grid, memo)
