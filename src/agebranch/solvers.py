@@ -101,6 +101,7 @@ __all__ = [
     "solve_exponent",
     "solve_mean",
     "survival_lower_bound",
+    "survival_bound_rows",
     "immigration_exponent_integral",
     "mean_with_immigration",
     "StationaryReport",
@@ -469,6 +470,29 @@ def survival_lower_bound(
         vals = np.asarray(alpha(x + s), dtype=np.float64)
         hazard = float((t / n) * (vals[0] / 2.0 + vals[1:-1].sum() + vals[-1] / 2.0))
     return -math.expm1(-float(f(x + t))) * math.exp(-hazard)
+
+
+def survival_bound_rows(model: BranchingModel, f: ScalarField, grid: SolverGrid):
+    """``survival_lower_bound`` on the lattice, row by row in the order of ``rows``.
+
+    Row i holds the bound at ages 0, dt, .., (n - i) dt and time t_i.  The
+    hazard is ``survival_lower_bound``'s: alpha t for a constant alpha,
+    otherwise its trapezoid at dt, which along the ray from age x = d dt is
+    ``H[d + i] - H[d]`` with ``H`` the cumulative trapezoid of alpha over the
+    grid ages.
+    """
+    n, times = grid.n_steps, grid.times()
+    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))  # at x + t = j dt
+    alpha = model.alpha
+    if alpha.is_constant:
+        rate = float(alpha(0.0))
+        for i in range(n + 1):
+            yield surv[i:] * math.exp(-rate * times[i])
+        return
+    a = np.asarray(alpha(times), dtype=np.float64)
+    H = np.concatenate(([0.0], np.cumsum(grid.dt / 2.0 * (a[1:] + a[:-1]))))
+    for i in range(n + 1):
+        yield surv[i:] * np.exp(H[: n + 1 - i] - H[i:])
 
 
 def _quadrature_weights(n: int, dt: float, rule: str) -> np.ndarray:

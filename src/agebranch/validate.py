@@ -37,6 +37,7 @@ from .solvers import (
     solve_exponent,
     solve_mean,
     stationary_laplace,
+    survival_bound_rows,
 )
 
 __all__ = [
@@ -427,7 +428,7 @@ def solver_bound_checks(
     """Deterministic inequalities at every characteristic lattice node.
 
     Checks that the exponent is nonnegative, dominates the single-particle
-    survival bound, and is dominated by the moment kernel (Jensen), and that
+    survival bound (``survival_lower_bound`` at each node), and is dominated by the moment kernel (Jensen), and that
     the moment kernel respects the exponential norm bound.  The inequalities
     are exact for the continuous objects but the lattice values carry scheme
     error, so the allowed slack is ten times the Richardson-certified boundary
@@ -439,7 +440,7 @@ def solver_bound_checks(
     each read from the memo ``solutions`` when a run already solved it there
     (see ``_solved``), so a ``validate`` run solves each boundary once.
     """
-    c0, c1, _ = model.constants()
+    c0, _, _ = model.constants()
     usol = _solved(solutions, "exponent", model, f, grid)
     msol = _solved(solutions, "mean", model, f, grid)
     half = grid.n_steps // 2
@@ -450,14 +451,11 @@ def solver_bound_checks(
     mcoarse = _solved(solutions, "mean", model, f, coarse)
     cert_u = float(np.max(np.abs(usol.boundary[shared] - ucoarse.boundary)) / shift)
     cert_p = float(np.max(np.abs(msol.boundary[shared] - mcoarse.boundary)) / shift)
-    times = grid.times()
-    # 1 - exp(-f) at x + t = j dt along the lattice, and sup f: fixed over the rows
-    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))
-    sup = f.sup
+    times, sup = grid.times(), f.sup
 
     nonneg = survival = below = norm = math.inf
-    for (i, urow), (_, prow) in zip(usol.rows(), msol.rows()):
-        lower = surv[i:] * math.exp(-c1 * times[i])
+    rows = zip(usol.rows(), msol.rows(), survival_bound_rows(model, f, grid))
+    for (i, urow), (_, prow), lower in rows:
         nonneg = min(nonneg, float(urow.min()))
         survival = min(survival, float((urow - lower).min()))
         below = min(below, float((prow - urow).min()))

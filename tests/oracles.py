@@ -233,12 +233,20 @@ def march_mean(
 
 
 def lattice_bound_margins(model, f, grid) -> dict[str, float]:
-    """The four margins of ``solver_bound_checks`` from the marched lattices."""
+    """The four margins of ``solver_bound_checks`` from the marched lattices.
+
+    The survival bound is ``survival_lower_bound``'s: its hazard is alpha t
+    for a constant alpha, and otherwise the trapezoid at dt along each ray,
+    accumulated here one step at a time as the rows advance.
+    """
     c0, c1, _ = model.constants()
     u = -np.log(np.maximum(march_exponent(model, f, grid, keep_lattice=True)[2], 1e-300))
     p = march_mean(model, f, grid, keep_lattice=True)[2]
     times = grid.times()
     fv = np.asarray(f(times), dtype=np.float64)
+    a = np.asarray(model.alpha(times), dtype=np.float64)
+    step_hazard = grid.dt / 2.0 * (a[1:] + a[:-1])  # between grid ages j dt and (j + 1) dt
+    hazard = np.zeros(grid.n_steps + 1)  # row i: from age d dt at time 0 to time t_i
     margins = dict.fromkeys(
         ("solver:exponent_nonneg", "solver:survival_lower_bound", "solver:exponent_below_mean",
          "solver:mean_norm_bound"),
@@ -246,7 +254,10 @@ def lattice_bound_margins(model, f, grid) -> dict[str, float]:
     )
     for i in range(grid.n_steps + 1):
         urow, prow = u[i, i:], p[i, i:]
-        lower = -np.expm1(-fv[i:]) * math.exp(-c1 * times[i])
+        if i:
+            hazard = hazard[:-1] + step_hazard[i - 1 :]
+        decay = math.exp(-c1 * times[i]) if model.alpha.is_constant else np.exp(-hazard)
+        lower = -np.expm1(-fv[i:]) * decay
         norm_bound = math.exp(c0 * times[i]) * f.sup
         for name, value in (
             ("solver:exponent_nonneg", urow.min()),

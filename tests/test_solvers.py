@@ -681,6 +681,9 @@ def test_bound_check_margins_match_the_lattice_oracle(quadrature):
     for name in ("age_varying", "bench_critical", "pure_death"):
         cfg, grid = _shipped(name, quadrature)
         cases.append((cfg.model, cfg.f, grid))
+    # a rising alpha, whose survival hazard along a ray is below c1 t
+    rising = BranchingModel(ScalarField.step([0.5], [0.5, 2.0]), CRITICAL.offspring)
+    cases.append((rising, ONE, SolverGrid(1e-2, 2.0, quadrature)))
     for model, f, grid in cases:
         assert grid.n_steps <= 4096
         oracle = lattice_bound_margins(model, f, grid)

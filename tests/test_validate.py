@@ -41,7 +41,7 @@ from agebranch.validate import (
     snapshot_profile,
 )
 from oracles import ObjectTrajectory, benchmark_models, chunk_rows_objects
-from agebranch.solvers import SolverGrid
+from agebranch.solvers import SolverGrid, survival_bound_rows, survival_lower_bound
 
 ONE = ScalarField.constant(1.0)
 ZERO = ScalarField.constant(0.0)
@@ -499,3 +499,25 @@ def test_solution_memo_refuses_another_field():
     assert solver_bound_checks(CRITICAL, ONE, grid, memo) == solver_bound_checks(CRITICAL, ONE, grid)
     with pytest.raises(ValueError, match="another model or field"):
         solver_bound_checks(CRITICAL, ScalarField.constant(2.0), grid, memo)
+
+
+@pytest.mark.parametrize("case", ["age_varying", "rising"])
+def test_survival_bound_rows_are_survival_lower_bound(case):
+    # a step alpha: the lattice takes survival_lower_bound's trapezoid hazard along
+    # each ray in place of c1 t; the rising one's hazard is below c1 t past age 0.5
+    # (a binary dt puts survival_lower_bound's own nodes exactly on the grid)
+    if case == "age_varying":
+        run = load_config(CONFIG_DIR / "age_varying.json")
+        model, f, grid = run.model, run.f, SolverGrid(run.grid_dt, run.t_end, run.quadrature)
+    else:
+        model = BranchingModel(ScalarField.step([0.5], [0.5, 2.0]), CRITICAL.offspring)
+        f, grid = SMOOTH, SolverGrid(2.0**-6, 2.0)
+    assert not model.alpha.is_constant
+    n, dt = grid.n_steps, grid.dt
+    rows = list(survival_bound_rows(model, f, grid))
+    assert [len(r) for r in rows] == list(range(n + 1, 0, -1))
+    rng = np.random.default_rng(12)
+    for i in [0, 1, n, *rng.integers(0, n + 1, 40)]:
+        for d in {0, n - i, int(rng.integers(0, n + 1 - i))}:
+            node = survival_lower_bound(model, f, i * dt, d * dt, dt)
+            assert abs(rows[i][d] - node) <= 1e-12
