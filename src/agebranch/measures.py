@@ -10,7 +10,6 @@ across threads or processes.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -73,23 +72,19 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(interleave(values, leads, 0.0)[0], leads)
 
 
-def weighted_index(weights: np.ndarray, y, total=None, counts=None):
-    """Index of the first entry whose cumulative weight exceeds ``y * total``.
+def weighted_index(weights: np.ndarray, y, total, counts):
+    """Index of the first entry whose cumulative weight exceeds ``y * total``, per segment.
 
-    ``total`` defaults to the last cumulative weight; a caller that already
-    holds the weights' sum passes it.  The index is clamped to the last entry,
-    so rounding between ``total`` and the cumulative sum cannot run past the
+    The weights are consecutive nonempty segments of ``counts`` entries, and
+    ``y`` and ``total`` hold one entry per segment.  ``total`` is ``None`` for
+    each segment's last cumulative weight; a caller that already holds the
+    sums passes them.  The index is clamped to the segment's last entry, so
+    rounding between ``total`` and the cumulative sum cannot run past its
     end.  As ``y ~ Uniform[0, 1)`` entry ``i`` is picked with probability
-    ``weights[i] / total``.
-
-    With ``counts`` the weights are consecutive nonempty segments, ``y`` and
-    ``total`` hold one entry per segment, and the result is each segment's
-    index within it, the same integer as a call on the segment alone: the
-    cumulative sums restart at every segment because a running sum minus
-    itself is exactly 0.
+    ``weights[i] / total``.  Each result is the same integer as a call on its
+    segment alone: the cumulative sums restart at every segment because a
+    running sum minus itself is exactly 0.
     """
-    if counts is None:
-        return int(weighted_index(weights, [y], None if total is None else [total], [len(weights)])[0])
     counts = np.asarray(counts, dtype=np.int64)
     seg = np.arange(len(counts)).repeat(counts)
     sums = np.bincount(seg, weights=weights, minlength=len(counts))  # sequential, as cumsum
@@ -145,53 +140,6 @@ class AgeMeasure:
         if not self.ages:
             return 0.0
         return float(np.sum(f(self.as_array())))
-
-    def dist_fn(self, x: float) -> int:
-        """Number of particles with age <= x; 0 for x < 0."""
-        if x < 0:
-            return 0
-        return bisect.bisect_right(self.ages, x)
-
-    def shift(self, t: float) -> "AgeMeasure":
-        """Age every particle by t >= 0; total mass is preserved."""
-        if t < 0:
-            raise ValueError("shift requires t >= 0")
-        if t == 0 or not self.ages:
-            return self
-        return AgeMeasure(tuple(a + t for a in self.ages))
-
-    def alpha_weighted_inverse(self, alpha: Callable[[np.ndarray], np.ndarray], y: float) -> float:
-        """Right-continuous inverse of the alpha-weighted distribution function.
-
-        Returns the smallest atom ``a`` whose cumulative weight exceeds
-        ``y * <nu, alpha>`` (strict inequality).  As ``y ~ Uniform[0, 1)`` the
-        returned age has probability ``alpha(a) * mult(a) / <nu, alpha>``.
-        """
-        if not self.ages:
-            raise ValueError("alpha_weighted_inverse of an empty population")
-        if not (0.0 <= y < 1.0):
-            raise ValueError(f"y must lie in [0, 1), got {y!r}")
-        w = np.asarray(alpha(self.as_array()), dtype=np.float64)
-        return self.ages[weighted_index(w, y)]
-
-    def rho_distance(self, other: "AgeMeasure") -> float:
-        """Exponentially weighted L1 distance between distribution functions.
-
-        ``integral of exp(-x) * |nu1[0,x] - nu2[0,x]| dx`` computed in closed
-        form: the integrand is piecewise ``c * exp(-x)`` between the merged
-        atom positions, with an explicit exponential tail term.
-        """
-        breaks = sorted(set(self.ages) | set(other.ages))
-        if not breaks:
-            return 0.0
-        total = 0.0
-        for k, x in enumerate(breaks):
-            diff = abs(self.dist_fn(x) - other.dist_fn(x))
-            if diff == 0:
-                continue
-            upper = math.exp(-breaks[k + 1]) if k + 1 < len(breaks) else 0.0
-            total += diff * (math.exp(-x) - upper)
-        return total
 
     def __len__(self) -> int:
         return len(self.ages)

@@ -164,37 +164,6 @@ class Trajectory:
         """(time, AgeMeasure) per recorded snapshot; ``len`` builds no measure."""
         return _Snapshots(self)
 
-    def integrals(self, f) -> np.ndarray:
-        """``<X_s, f>`` at every recorded snapshot, each summed as ``AgeMeasure.integrate``."""
-        return segment_sums(np.asarray(f(self.snapshot_ages), dtype=np.float64), self.snapshot_masses)
-
-    def _logged_events(self, t: float) -> tuple[Event, ...]:
-        if len(self.events) != self.n_events:
-            raise ValueError(
-                f"statistics before t_end={self.t_end!r} (t={t!r}) need the event log; "
-                "simulate with log_events=True"
-            )
-        return self.events
-
-    def branch_count(self, t: float) -> int:
-        """Number of branch events up to and including time t."""
-        if t >= self.t_end:
-            return self.branches
-        return sum(1 for e in self._logged_events(t) if e.kind == "branch" and e.time <= t)
-
-    def running_max_mass(self, t: float) -> int:
-        """sup of the population size over [0, t]; exact from the path's counters or log."""
-        if t >= self.t_end:
-            return self.max_mass
-        m = self.initial.total_mass
-        best = m
-        for e in self._logged_events(t):
-            if e.time > t:
-                break
-            m += e.mass_delta
-            best = max(best, m)
-        return best
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
@@ -248,14 +217,6 @@ class PathSet:
         for lo in range(0, len(masses), _BLOCK):
             hi = min(lo + _BLOCK, len(masses))
             yield slice(lo, hi), masses[lo:hi], self.snapshot_ages[ends[lo] : ends[hi]]
-
-    def integrals(self, f) -> np.ndarray:
-        """``<X_s, f>`` per path and snapshot, each with the bits of ``Trajectory.integrals``."""
-        out = np.empty(self.snapshot_masses.shape)
-        for rows, masses, ages in self.blocks():
-            fa = np.asarray(f(ages), dtype=np.float64)
-            out[rows] = segment_sums(fa, masses.ravel()).reshape(masses.shape)
-        return out
 
     def trajectory(self, p: int) -> Trajectory:
         """Path ``p`` on its own."""

@@ -80,8 +80,8 @@ feeds, except the Laplace tolerance on ``pure_death_imm``, which is itself at
 rounding level (the trapezoid error of the pure-death exponent cancels in the
 trapezoid integral over its arrivals).  ``tests/oracles.py`` computes the bound.
 
-Interpolation of boundary traces between nodes (``boundary_at``) is linear;
-``at``, ``rays`` and ``rows`` answer only at grid times.
+The boundary trace (``boundary``) and ``at``, ``rays`` and ``rows`` hold
+values at grid times only; nothing interpolates between nodes.
 """
 
 from __future__ import annotations
@@ -340,11 +340,6 @@ class _FanSolution:
     def _finish(self, w: np.ndarray) -> np.ndarray:
         return w if self._mean else -np.log(np.maximum(w, 1e-300))
 
-    def boundary_at(self, t: float) -> float:
-        if t < -1e-12 or t > self.grid.horizon * (1 + 1e-12):
-            raise ValueError(f"time {t} outside the solved horizon {self.grid.horizon}")
-        return float(np.interp(t, self.grid.times(), self.boundary))
-
     def rays(self, offsets) -> np.ndarray:
         """Values at each fixed age in ``offsets`` (rows) for every grid time.
 
@@ -455,7 +450,9 @@ def survival_lower_bound(
     ``(1 - exp(-f(x+t))) * exp(-integral_0^t alpha(x+s) ds)``: the exponent of
     the event that the initial particle is still alive with no branch yet.
     The hazard integral is exact for constant alpha and composite-trapezoid at
-    the given dt otherwise.
+    the given dt otherwise: ``t / dt`` steps when that is an integer to
+    ``SolverGrid``'s tolerance, so a grid time takes the grid's own nodes, and
+    ``ceil(t / dt)`` steps otherwise.
     """
     if t < 0 or x < 0:
         raise ValueError("t and x must be >= 0")
@@ -465,7 +462,9 @@ def survival_lower_bound(
     elif alpha.is_constant:
         hazard = float(alpha(x)) * t
     else:
-        n = max(1, math.ceil(t / dt))
+        n = round(t / dt)
+        if n < 1 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+            n = max(1, math.ceil(t / dt))
         s = np.linspace(0.0, t, n + 1)
         vals = np.asarray(alpha(x + s), dtype=np.float64)
         hazard = float((t / n) * (vals[0] / 2.0 + vals[1:-1].sum() + vals[-1] / 2.0))

@@ -93,7 +93,6 @@ class ComparisonReport:
     analytic: float
     analytic_tol: float
     sided: str = "two"
-    threshold: float = Z_THRESHOLD
 
     @property
     def z(self) -> float:
@@ -106,10 +105,10 @@ class ComparisonReport:
     @property
     def verdict(self) -> bool:
         if self.sided == "upper":
-            return self.z <= self.threshold
+            return self.z <= Z_THRESHOLD
         if self.sided == "lower":
-            return self.z >= -self.threshold
-        return abs(self.z) <= self.threshold
+            return self.z >= -Z_THRESHOLD
+        return abs(self.z) <= Z_THRESHOLD
 
     def row(self) -> list:
         return [
@@ -314,13 +313,9 @@ def compare_laplace(
     return _laplace_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
 
 
-def _laplace_report(
-    rows: _Rows, t: float, dt: float, name: str, i: int = -1, solutions: dict | None = None
-) -> ComparisonReport:
+def _laplace_report(rows: _Rows, t: float, dt: float, name: str, i: int = -1) -> ComparisonReport:
     cfg = rows.job.cfg
-    analytic, tol = laplace_analytic(
-        cfg.model, cfg.immigration, cfg.initial, rows.job.f, t, dt, solutions=solutions
-    )
+    analytic, tol = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, rows.job.f, t, dt)
     return ComparisonReport(name, _laplace(rows, i), analytic, tol)
 
 
@@ -335,22 +330,23 @@ def compare_mean(
     name: str = "mean",
 ) -> ComparisonReport:
     """Simulated first moment against the moment-kernel solver, two-sided."""
-    return _mean_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
+    analytic = _mean_analytic(cfg, f, t, dt)
+    rows = _collect(_job(cfg, f, t, stream), n, n_jobs)
+    return ComparisonReport(name, rows.estimate(rows.integral[:, -1]), *analytic)
 
 
-def _mean_report(
-    rows: _Rows, t: float, dt: float, name: str, solutions: dict | None = None
-) -> ComparisonReport:
-    cfg = rows.job.cfg
+def _mean_analytic(
+    cfg: SimConfig, f: ScalarField, t: float, dt: float, solutions: dict | None = None
+) -> tuple[float, float]:
+    """``mean_with_immigration`` at t with a Richardson error estimate from dt and 2 dt."""
 
     def value(step: float) -> float:
         grid = _grid_to(t, step, "trapezoid")
-        sol = _solved(solutions, "mean", cfg.model, rows.job.f, grid)
-        return mean_with_immigration(cfg.model, cfg.immigration, rows.job.f, cfg.initial, grid, sol)
+        sol = _solved(solutions, "mean", cfg.model, f, grid)
+        return mean_with_immigration(cfg.model, cfg.immigration, f, cfg.initial, grid, sol)
 
     fine, coarse = value(dt), value(2 * dt)
-    tol = abs(fine - coarse) / 3.0
-    return ComparisonReport(name, rows.estimate(rows.integral[:, -1]), fine, tol)
+    return fine, abs(fine - coarse) / 3.0
 
 
 def bound_suite(
@@ -412,10 +408,14 @@ def monte_carlo_checks(
     of ``martingale_suite`` if ``g_name`` is given, and of ``bound_suite``, as each
     gives them on ``stream``, from one path set whose exclusion count each carries.
     The analytic sides read and fill the memo ``solutions`` (see ``_solved``).
+    They are computed first, the mean's first, so a model they refuse (an
+    infinite mean group size) is refused before any path is simulated.
     """
+    mean_side = _mean_analytic(cfg, f, t, dt, solutions)
+    lap_side = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, t, dt, solutions=solutions)
     rows = _collect(_job(cfg, f, t, stream, g_name), n, n_jobs)
-    lap = _laplace_report(rows, t, dt, "laplace", solutions=solutions)
-    mean = _mean_report(rows, t, dt, "mean", solutions=solutions)
+    lap = ComparisonReport("laplace", _laplace(rows, -1), *lap_side)
+    mean = ComparisonReport("mean", rows.estimate(rows.integral[:, -1]), *mean_side)
     reports = [lap, control_report(lap), mean, control_report(mean)]
     if g_name is not None:
         reports += _martingale_reports(g_name, rows, cfg.seed, n)

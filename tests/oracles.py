@@ -18,14 +18,15 @@ only as oracles:
 * ``renewal_exponent_boundary``: the exponent's boundary trace through the
   survival-discounted renewal form.
 * ``scalar_exponent_at`` / ``scalar_mean_at``: a single ray integrated in
-  scalar Python, reading the boundary trace linearly interpolated.
+  scalar Python, reading the boundary trace linearly interpolated
+  (``boundary_at``).
 * ``immigration_integral_per_node``: the arrival-compensation integral with
   psi evaluated in scalar Python, one grid node at a time.
 * ``simulate_objects``: the simulator that stores every snapshot as a
   validated ``AgeMeasure`` and always keeps the ``Event`` log, returning an
   ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
-  describes; ``replay_statistics`` and ``mass_path`` read statistics from
-  the event log of either trajectory type.
+  describes; ``replay_statistics``, ``mass_path`` and ``log_counters`` read
+  statistics from the event log of either trajectory type.
 * ``chunk_rows_objects``: the replicate-chunk extractor reading the one row
   layout from ``AgeMeasure`` snapshots and event logs, with the martingale
   pair path by path.
@@ -526,6 +527,11 @@ def renewal_exponent_boundary(model, f, grid):
     return -np.log(Z)
 
 
+def boundary_at(sol, t: float) -> float:
+    """A solution's boundary trace at time t, linear between grid nodes."""
+    return float(np.interp(t, sol.grid.times(), sol.boundary))
+
+
 def scalar_exponent_at(sol, t, x):
     """Exponent at time t and age x by scalar integration along one ray."""
     if t == 0.0:
@@ -539,14 +545,14 @@ def scalar_exponent_at(sol, t, x):
     while r < t - 1e-15:
         h = min(dt, t - r)
         age_l = y - r
-        zb_l = math.exp(-sol.boundary_at(r))
+        zb_l = math.exp(-boundary_at(sol, r))
         F_l = float(alpha(age_l)) * (offspring.g(age_l, zb_l) - w)
         if not trapezoid:
             w = w + h * F_l
         else:
             age_r = y - (r + h)
             a_r = float(alpha(age_r))
-            zb_r = math.exp(-sol.boundary_at(r + h))
+            zb_r = math.exp(-boundary_at(sol, r + h))
             g_r = offspring.g(age_r, min(max(zb_r, 0.0), 1.0))
             w = (w + (h / 2.0) * (F_l + a_r * g_r)) / (1.0 + (h / 2.0) * a_r)
         r += h
@@ -570,10 +576,10 @@ def scalar_mean_at(sol, t, x):
         a_l, a_r = float(alpha(age_l)), float(alpha(age_r))
         am_l = a_l * offspring.mean(age_l)
         am_r = a_r * offspring.mean(age_r)
-        h_left = math.exp(A) * am_l * sol.boundary_at(r)
+        h_left = math.exp(A) * am_l * boundary_at(sol, r)
         if trapezoid:
             A_new = A + (h / 2.0) * (a_l + a_r)
-            h_right = math.exp(A_new) * am_r * sol.boundary_at(r + h)
+            h_right = math.exp(A_new) * am_r * boundary_at(sol, r + h)
             J += (h / 2.0) * (h_left + h_right)
         else:
             A_new = A + h * a_l
@@ -618,20 +624,22 @@ class ObjectTrajectory:
     terminated_by: str
     initial: AgeMeasure
 
-    def branch_count(self, t: float) -> int:
-        """Number of branch events up to and including time t."""
-        return sum(1 for e in self.events if e.kind == "branch" and e.time <= t)
 
-    def running_max_mass(self, t: float) -> int:
-        """sup of the population size over [0, t]; exact from the event log."""
-        m = self.initial.total_mass
-        best = m
-        for e in self.events:
-            if e.time > t:
-                break
-            m += e.mass_delta
-            best = max(best, m)
-        return best
+def log_counters(traj, t: float) -> tuple[int, int]:
+    """sup of the population size over [0, t] and the branch events up to and including t.
+
+    Exact from the event log of either trajectory type; a ``Trajectory``
+    simulated without its log has only its whole-path counters.
+    """
+    m = best = traj.initial.total_mass
+    branches = 0
+    for e in traj.events:
+        if e.time > t:
+            break
+        m += e.mass_delta
+        best = max(best, m)
+        branches += e.kind == "branch"
+    return best, branches
 
 
 def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> ObjectTrajectory:
@@ -801,7 +809,7 @@ def chunk_rows_objects(job, trajs) -> np.ndarray:
         row[:k] = [m.total_mass for m in read]
         row[k : 2 * k] = [m.integrate(job.f) for m in read]
         t = job.cfg.t_end
-        row[2 * k : 2 * k + 2] = traj.running_max_mass(t), traj.branch_count(t)
+        row[2 * k : 2 * k + 2] = log_counters(traj, t)
         if job.g_name is not None:
             row[2 * k + 2 : 2 * k + 4] = _martingale_pair_path(job, traj)
     return out
@@ -883,7 +891,7 @@ def observed_orders(model, f, t, reference, dts, quadrature, which="exponent") -
     for dt in dts:
         grid = SolverGrid(dt, max(1, round(t / dt)) * dt, quadrature)
         solve = solve_exponent if which == "exponent" else solve_mean
-        errors.append(abs(solve(model, f, grid).boundary_at(t) - reference))
+        errors.append(abs(boundary_at(solve(model, f, grid), t) - reference))
     orders = []
     for a, b in zip(errors, errors[1:]):
         if b == 0.0:

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -450,6 +452,22 @@ def test_traced_validate_sees_each_boundary_solve():
     names = json.loads(res.stdout.strip().splitlines()[-1])
     assert names.count("validate.solver_bound_checks") == 1
     assert names.count("solvers.solve_exponent") == names.count("solvers.solve_mean") == 2
+
+
+def test_tracer_names_resolve_in_the_package():
+    # bench/tracer.py patches every name of its tables with a bare getattr, so a
+    # name deleted from the package breaks every traced benchmark pass
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # the tables only: install() is not called
+    for table in (tracer._SPANS, tracer._TIMED, tracer._COUNTED):
+        for module_name, names in table.items():
+            for qual in names:
+                target = importlib.import_module(f"agebranch.{module_name}")
+                for part in qual.split("."):
+                    target = getattr(target, part)
+                assert callable(target), f"{module_name}.{qual}"
 
 
 # Run one command in a fresh interpreter after the set-up a user pays (import,

@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agebranch import AgeMeasure, ScalarField
+from agebranch.measures import weighted_index
 
-# dyadic ages keep shift/translate identities exact in floating point
-dyadic_ages = st.lists(
-    st.integers(min_value=0, max_value=64).map(lambda k: k / 8.0), min_size=0, max_size=8
-)
+
+def weighted_inverse(nu: AgeMeasure, alpha, y: float) -> float:
+    """The atom of ``nu`` that ``weighted_index`` picks at ``y``, its population taken as one segment.
+
+    It is the right-continuous inverse of the alpha-weighted distribution
+    function: the smallest atom whose cumulative weight exceeds ``y * <nu, alpha>``.
+    """
+    w = np.asarray(alpha(nu.as_array()), dtype=np.float64)
+    return nu.ages[int(weighted_index(w, [y], None, [len(w)])[0])]
 
 
 def test_integrate_null_measure():
@@ -28,17 +34,6 @@ def test_integrate_two_term_exponential():
     assert nu.integrate(f) == pytest.approx(0.4176665095393063, abs=1e-12)
 
 
-def test_dist_fn_boundary_is_inclusive():
-    nu = AgeMeasure.from_ages([1.0, 3.0])
-    assert nu.dist_fn(1.0) == 1
-    assert nu.dist_fn(0.5) == 0
-    assert nu.dist_fn(-1.0) == 0
-
-
-def test_dist_fn_counts_multiplicity():
-    assert AgeMeasure.from_ages([1.0, 1.0, 3.0]).dist_fn(2.0) == 2
-
-
 def test_total_mass_and_sorting():
     nu = AgeMeasure.from_ages([3.0, 1.0, 2.0])
     assert nu.ages == (1.0, 2.0, 3.0)
@@ -50,49 +45,23 @@ def test_negative_age_rejected():
         AgeMeasure.from_ages([-0.5])
 
 
-def test_shift_examples():
-    assert AgeMeasure.from_ages([0.0, 2.0]).shift(1.0).ages == (1.0, 3.0)
-    nu = AgeMeasure.from_ages([0.5, 1.5])
-    assert nu.shift(0.0) is nu
-    with pytest.raises(ValueError):
-        nu.shift(-1.0)
-
-
-@given(dyadic_ages, st.integers(min_value=0, max_value=32).map(lambda k: k / 8.0))
-@settings(max_examples=40, deadline=None)
-def test_shift_integrate_change_of_variables(ages, t):
-    nu = AgeMeasure.from_ages(ages)
-    f = ScalarField.exp_decay(2.0, 0.5, 0.25)
-    shifted = nu.integrate(f) if t == 0 else nu.shift(t).integrate(f)
-    translated = nu.integrate(lambda x: f(np.asarray(x) + t))
-    assert shifted == translated
-
-
-@given(dyadic_ages, st.integers(min_value=0, max_value=16).map(lambda k: k / 8.0),
-       st.integers(min_value=-8, max_value=72).map(lambda k: k / 8.0))
-@settings(max_examples=40, deadline=None)
-def test_shift_distribution_function_translates(ages, t, x):
-    nu = AgeMeasure.from_ages(ages)
-    assert nu.shift(t).dist_fn(x) == nu.dist_fn(x - t)
-
-
 def test_weighted_inverse_uniform_alpha():
     nu = AgeMeasure.from_ages([1.0, 3.0])
     alpha = ScalarField.constant(1.0)
-    assert nu.alpha_weighted_inverse(alpha, 0.25) == 1.0
-    assert nu.alpha_weighted_inverse(alpha, 0.6) == 3.0
+    assert weighted_inverse(nu, alpha, 0.25) == 1.0
+    assert weighted_inverse(nu, alpha, 0.6) == 3.0
     # boundary y: the strict inequality selects the next atom
-    assert nu.alpha_weighted_inverse(alpha, 0.5) == 3.0
+    assert weighted_inverse(nu, alpha, 0.5) == 3.0
 
 
 def test_weighted_inverse_single_atom():
     nu = AgeMeasure.point(2.5)
-    assert nu.alpha_weighted_inverse(ScalarField.rational(3.0), 0.99) == 2.5
+    assert weighted_inverse(nu, ScalarField.rational(3.0), 0.99) == 2.5
 
 
 def test_weighted_inverse_empty_population():
-    with pytest.raises(ValueError):
-        AgeMeasure.empty().alpha_weighted_inverse(ScalarField.constant(1.0), 0.5)
+    with pytest.raises(ValueError, match="mass is zero"):
+        weighted_inverse(AgeMeasure.empty(), ScalarField.constant(1.0), 0.5)
 
 
 @given(
@@ -103,7 +72,7 @@ def test_weighted_inverse_empty_population():
 def test_weighted_inverse_galois_relation(ages, y):
     nu = AgeMeasure.from_ages(ages)
     alpha = ScalarField.exp_decay(1.0, 0.3, 0.5)
-    a = nu.alpha_weighted_inverse(alpha, y)
+    a = weighted_inverse(nu, alpha, y)
     weights = [float(alpha(age)) for age in nu.ages]
     total = sum(weights)
     below = sum(w for age, w in zip(nu.ages, weights) if age < a)
@@ -119,7 +88,7 @@ def test_weighted_inverse_sampling_frequencies_match_enumeration():
     alpha = ScalarField.exp_decay(1.0, 0.5, 0.2)
     rng = np.random.default_rng(1234)
     n = 40_000
-    draws = [nu.alpha_weighted_inverse(alpha, rng.random()) for _ in range(n)]
+    draws = [weighted_inverse(nu, alpha, rng.random()) for _ in range(n)]
     weights = {a: 0.0 for a in set(nu.ages)}
     for a in nu.ages:
         weights[a] += float(alpha(a))
@@ -129,40 +98,6 @@ def test_weighted_inverse_sampling_frequencies_match_enumeration():
         freq = sum(1 for d in draws if d == atom) / n
         se = math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * se
-
-
-def test_rho_identity_and_examples():
-    nu = AgeMeasure.from_ages([0.3, 1.7])
-    assert nu.rho_distance(nu) == 0.0
-    assert AgeMeasure.point(0.0).rho_distance(AgeMeasure.empty()) == pytest.approx(1.0, abs=1e-15)
-    assert AgeMeasure.point(0.0).rho_distance(AgeMeasure.point(1.0)) == pytest.approx(
-        0.6321205588285577, abs=1e-15
-    )
-
-
-def test_rho_against_quadrature_oracle():
-    from scipy.integrate import quad
-
-    nu1 = AgeMeasure.from_ages([0.2, 0.9, 0.9, 3.0])
-    nu2 = AgeMeasure.from_ages([0.5, 1.1])
-    oracle, _ = quad(
-        lambda x: math.exp(-x) * abs(nu1.dist_fn(x) - nu2.dist_fn(x)),
-        0.0,
-        50.0,
-        points=sorted(set(nu1.ages) | set(nu2.ages)),
-        limit=200,
-    )
-    assert nu1.rho_distance(nu2) == pytest.approx(oracle, abs=1e-9)
-
-
-@given(dyadic_ages, dyadic_ages, dyadic_ages)
-@settings(max_examples=40, deadline=None)
-def test_rho_metric_axioms(a, b, c):
-    na, nb, nc = AgeMeasure.from_ages(a), AgeMeasure.from_ages(b), AgeMeasure.from_ages(c)
-    assert na.rho_distance(nb) == nb.rho_distance(na)
-    assert na.rho_distance(nc) <= na.rho_distance(nb) + nb.rho_distance(nc) + 1e-12
-    if a != b:
-        assert na.rho_distance(nb) >= 0.0
 
 
 def test_scalar_field_catalog_bounds():

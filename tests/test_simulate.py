@@ -24,7 +24,9 @@ from agebranch import (
 from agebranch.cli import load_config
 from agebranch.measures import segment_sums, weighted_index
 from agebranch.simulate import simulate_paths
-from oracles import ObjectTrajectory, mass_path, replay_objects, replay_statistics, simulate_objects
+from oracles import (
+    ObjectTrajectory, log_counters, mass_path, replay_objects, replay_statistics, simulate_objects,
+)
 
 ONE = ScalarField.constant(1.0)
 CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))
@@ -170,7 +172,7 @@ def test_replay_statistics_masses_and_counts():
     assert list(times) == [0.5, 1.0, 2.0]
     for (s, m), val in zip(traj.snapshots, integrals):
         assert val == m.total_mass
-    assert counts[-1] == traj.branch_count(2.0) == len(
+    assert counts[-1] == log_counters(traj, 2.0)[1] == traj.branches == len(
         [e for e in traj.events if e.kind == "branch"]
     )
     assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
@@ -189,7 +191,7 @@ def test_replay_statistics_synthetic_bookkeeping():
     times, integrals, counts, biased = replay_statistics(traj, ONE)
     assert list(integrals) == [1.0, 2.0]
     assert list(counts) == [0, 1]
-    assert traj.running_max_mass(1.0) == 2
+    assert log_counters(traj, 1.0) == (2, 1)
 
 
 def test_running_max_and_mass_path():
@@ -200,7 +202,7 @@ def test_running_max_and_mass_path():
     for e in traj.events:
         running += e.mass_delta
         best = max(best, running)
-    assert traj.running_max_mass(2.0) == best
+    assert log_counters(traj, 2.0)[0] == traj.max_mass == best
     if len(masses):
         assert masses[-1] == traj.snapshots[-1][1].total_mass
 
@@ -262,8 +264,7 @@ def assert_same_path(new, old, t_end):
     assert new.snapshot_masses.tolist() == old_masses
     assert new.snapshot_ages.tobytes() == np.array(old_ages, dtype=np.float64).tobytes()
     assert [m.ages for _, m in new.snapshots] == [m.ages for _, m in old.snapshots]
-    assert new.branch_count(t_end) == old.branch_count(t_end)
-    assert new.running_max_mass(t_end) == old.running_max_mass(t_end)
+    assert (new.max_mass, new.branches) == log_counters(old, t_end)
     assert new.n_events == len(old.events)
 
 
@@ -409,14 +410,10 @@ def test_counters_before_t_end_need_the_event_log():
     logged = simulate(sim)
     unlogged = simulate(sim, log_events=False)
     for t in (0.0, 0.3, 1.0, 1.999, 2.0, 5.0):
-        assert logged.branch_count(t) == old.branch_count(t)
-        assert logged.running_max_mass(t) == old.running_max_mass(t)
-    assert unlogged.branch_count(2.0) == old.branch_count(2.0)
-    assert unlogged.running_max_mass(2.0) == old.running_max_mass(2.0)
-    with pytest.raises(ValueError, match="event log"):
-        unlogged.branch_count(1.0)
-    with pytest.raises(ValueError, match="event log"):
-        unlogged.running_max_mass(1.0)
+        assert log_counters(logged, t) == log_counters(old, t)
+    # without the log only the whole-path counters remain
+    assert (unlogged.max_mass, unlogged.branches) == log_counters(old, 2.0)
+    assert unlogged.events == () and unlogged.n_events == len(old.events)
 
 
 def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
@@ -428,7 +425,7 @@ def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
     for log in (True, False):
         traj = simulate(sim, log_events=log)
         assert len(traj.snapshots) == 50 and len(traj.events) == (traj.n_events if log else 0)
-        traj.integrals(ONE)
+        segment_sums(ONE(traj.snapshot_ages), traj.snapshot_masses)
     assert built == []
     traj.snapshots[-1]
     assert len(built) == 1
@@ -441,8 +438,9 @@ def test_snapshot_view_indexing():
     assert list(snaps) == [snaps[0], snaps[1], snaps[2]]
     with pytest.raises(IndexError):
         snaps[3]
-    for (_, m), v in zip(snaps, traj.integrals(ScalarField.exp_decay(1.0, 0.5, 0.1))):
-        assert v == m.integrate(ScalarField.exp_decay(1.0, 0.5, 0.1))
+    f = ScalarField.exp_decay(1.0, 0.5, 0.1)
+    for (_, m), v in zip(snaps, segment_sums(f(traj.snapshot_ages), traj.snapshot_masses)):
+        assert v == m.integrate(f)
 
 
 def test_weighted_index_matches_cumsum_search():
@@ -454,11 +452,11 @@ def test_weighted_index_matches_cumsum_search():
         for y in list(rng.random(20)) + [0.0, 1.0 - 2.0**-53]:
             cum = np.cumsum(w)
             expect = min(int(np.searchsorted(cum, y * hazard, side="right")), n - 1)
-            assert weighted_index(w, y, hazard) == expect
+            assert weighted_index(w, [y], [hazard], [n]).tolist() == [expect]
             expect = min(int(np.searchsorted(cum, y * cum[-1], side="right")), n - 1)
-            assert weighted_index(w, y) == expect
+            assert weighted_index(w, [y], None, [n]).tolist() == [expect]
     with pytest.raises(ValueError):
-        weighted_index(np.zeros(3), 0.5)
+        weighted_index(np.zeros(3), [0.5], None, [3])
 
 
 def test_segment_sums_and_segment_indices_match_each_segment_alone():

@@ -27,6 +27,7 @@ from agebranch import (
 from agebranch import cli, solvers, validate
 from oracles import (
     benchmark_models,
+    boundary_at,
     fan_exponent,
     fan_mean,
     immigration_integral_per_node,
@@ -108,11 +109,11 @@ def test_exponent_critical_binary_closed_form():
     sol = solve_exponent(CRITICAL, ONE, SolverGrid(1e-3, 1.0))
     exact = critical_exponent_closed_form(1.0, 1.0)
     assert exact == pytest.approx(0.6545281299218776, abs=1e-12)  # frozen
-    assert sol.boundary_at(1.0) == pytest.approx(exact, abs=2e-8)
+    assert boundary_at(sol, 1.0) == pytest.approx(exact, abs=2e-8)
     # constant data make the exponent age-independent
     assert sol.at(1.0, 2.5) == pytest.approx(exact, abs=2e-8)
     mid = critical_exponent_closed_form(1.0, 0.5)
-    assert sol.boundary_at(0.5) == pytest.approx(mid, abs=2e-8)
+    assert boundary_at(sol, 0.5) == pytest.approx(mid, abs=2e-8)
 
 
 def test_exponent_pure_death_closed_form():
@@ -120,7 +121,7 @@ def test_exponent_pure_death_closed_form():
     f = ScalarField.constant(theta)
     sol = solve_exponent(PURE_DEATH, f, SolverGrid(1e-3, 2.0))
     for t in (0.5, 1.0, 2.0):
-        assert sol.boundary_at(t) == pytest.approx(
+        assert boundary_at(sol, t) == pytest.approx(
             pure_death_exponent_closed_form(theta, t), abs=1e-7
         )
 
@@ -143,7 +144,7 @@ def test_convergence_orders_mean():
 
 def test_mean_pure_death_is_pure_discount():
     sol = solve_mean(PURE_DEATH, ONE, SolverGrid(1e-3, 1.0))
-    assert sol.boundary_at(1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    assert boundary_at(sol, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert sol.at(1.0, 4.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
@@ -155,7 +156,7 @@ def test_mean_zero_field():
 def test_mean_subcritical_closed_form():
     sol = solve_mean(SUBCRITICAL, ONE, SolverGrid(1e-3, 2.0))
     for t in (0.5, 1.0, 2.0):
-        assert sol.boundary_at(t) == pytest.approx(math.exp(-0.2 * t), abs=1e-7)
+        assert boundary_at(sol, t) == pytest.approx(math.exp(-0.2 * t), abs=1e-7)
     assert sol.at(2.0, 1.0) == pytest.approx(math.exp(-0.4), abs=1e-7)
     assert math.exp(-0.4) == pytest.approx(0.6703200460356393, abs=1e-12)  # frozen
 

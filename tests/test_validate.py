@@ -492,6 +492,15 @@ def test_solver_rows_keep_their_golden_bytes(config):
         assert suite == golden["rows"]
 
 
+def test_validate_refuses_an_infinite_mean_group_size_before_simulating(monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise RuntimeError("simulate_paths called")
+
+    monkeypatch.setattr("agebranch.validate.simulate_paths", no_paths)
+    with pytest.raises(ValueError, match="mean group size is infinite"):
+        validation_suite(load_config(CONFIG_DIR / "heavy_tail_imm.json"))
+
+
 def test_solution_memo_refuses_another_field():
     grid, memo = SolverGrid(1e-2, 1.0), {}
     solver_bound_checks(CRITICAL, ONE, grid, memo)
@@ -501,23 +510,28 @@ def test_solution_memo_refuses_another_field():
         solver_bound_checks(CRITICAL, ScalarField.constant(2.0), grid, memo)
 
 
-@pytest.mark.parametrize("case", ["age_varying", "rising"])
+@pytest.mark.parametrize("case", ["age_varying", "rising", "off_step_rows"])
 def test_survival_bound_rows_are_survival_lower_bound(case):
     # a step alpha: the lattice takes survival_lower_bound's trapezoid hazard along
     # each ray in place of c1 t; the rising one's hazard is below c1 t past age 0.5
-    # (a binary dt puts survival_lower_bound's own nodes exactly on the grid)
-    if case == "age_varying":
-        run = load_config(CONFIG_DIR / "age_varying.json")
-        model, f, grid = run.model, run.f, SolverGrid(run.grid_dt, run.t_end, run.quadrature)
-    else:
+    # (a binary dt puts survival_lower_bound's own nodes exactly on the grid).  At
+    # dt = 1e-3, (i dt) / dt rounds above i for i = 1001 and 1003, where ceil(t / dt)
+    # would take one step more than the grid.
+    if case == "rising":
         model = BranchingModel(ScalarField.step([0.5], [0.5, 2.0]), CRITICAL.offspring)
         f, grid = SMOOTH, SolverGrid(2.0**-6, 2.0)
+    else:
+        run = load_config(CONFIG_DIR / "age_varying.json")
+        model, f, grid = run.model, run.f, SolverGrid(run.grid_dt, run.t_end, run.quadrature)
+        if case == "off_step_rows":
+            grid = SolverGrid(1e-3, 2.0)
     assert not model.alpha.is_constant
     n, dt = grid.n_steps, grid.dt
     rows = list(survival_bound_rows(model, f, grid))
     assert [len(r) for r in rows] == list(range(n + 1, 0, -1))
     rng = np.random.default_rng(12)
-    for i in [0, 1, n, *rng.integers(0, n + 1, 40)]:
+    picks = [1000, 1001, 1003] if case == "off_step_rows" else [0, 1, n, *rng.integers(0, n + 1, 40)]
+    for i in picks:
         for d in {0, n - i, int(rng.integers(0, n + 1 - i))}:
             node = survival_lower_bound(model, f, i * dt, d * dt, dt)
             assert abs(rows[i][d] - node) <= 1e-12
