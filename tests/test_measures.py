@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agebranch import AgeMeasure, ScalarField
-from agebranch.measures import weighted_index
+from agebranch.measures import index_ranges, interleave, json_number, json_numbers, weighted_index
 
 
 def weighted_inverse(nu: AgeMeasure, alpha, y: float) -> float:
@@ -98,6 +98,40 @@ def test_weighted_inverse_sampling_frequencies_match_enumeration():
         freq = sum(1 for d in draws if d == atom) / n
         se = math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * se
+
+
+def test_weighted_index_clamps_to_segment_end():
+    # a passed total above the cumulative sum must not pick past the segment
+    w = np.array([0.25, 0.5, 0.25, 1.0, 1.0])
+    got = weighted_index(w, [0.999, 0.999], [1.5, 4.0], [3, 2])
+    assert got.tolist() == [2, 1]
+
+
+def test_interleave_matches_np_insert():
+    rng = np.random.default_rng(3)
+    for n, k in [(0, 0), (0, 2), (5, 0), (5, 3), (40, 12)]:
+        values = rng.random(n)
+        slots = np.sort(rng.choice(n + k, size=k, replace=False))
+        out, held = interleave(values, slots, -1.0)
+        assert out.tolist() == np.insert(values, slots - np.arange(k), -1.0).tolist()
+        assert out[held].tolist() == values.tolist()
+        assert np.flatnonzero(~held).tolist() == slots.tolist()
+
+
+def test_index_ranges_concatenates_aranges():
+    starts, counts = np.array([4, 0, 9, 2]), np.array([2, 3, 0, 1])
+    assert index_ranges(starts, counts).tolist() == [4, 5, 0, 1, 2, 2]
+    assert index_ranges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).tolist() == []
+
+
+def test_json_number_accepts_finite_numbers_only():
+    assert json_number(2) == 2.0 and isinstance(json_number(2), float)
+    assert json_numbers([0, 1.5]) == [0.0, 1.5]
+    for bad in (True, "1.0", None, math.inf, math.nan, 10**400, [1.0]):
+        with pytest.raises(ValueError, match="rate: must be a finite number"):
+            json_number(bad, "rate")
+    with pytest.raises(ValueError, match="must be a list"):
+        json_numbers("12")
 
 
 def test_scalar_field_catalog_bounds():

@@ -34,6 +34,7 @@ from agebranch.validate import (
     _CHUNK,
     McEstimate,
     ComparisonReport,
+    Z_THRESHOLD,
     _collect,
     _ReplicateJob,
     _Rows,
@@ -508,6 +509,30 @@ def test_solution_memo_refuses_another_field():
     assert solver_bound_checks(CRITICAL, ONE, grid, memo) == solver_bound_checks(CRITICAL, ONE, grid)
     with pytest.raises(ValueError, match="another model or field"):
         solver_bound_checks(CRITICAL, ScalarField.constant(2.0), grid, memo)
+
+
+def test_survival_lower_bound_off_grid_time_keeps_ceil():
+    # t = 10.5 dt is no grid time: the hazard takes ceil(t / dt) = 11 trapezoid steps
+    model = BranchingModel(ScalarField.exp_decay(1.5, 3.0, 0.5), CRITICAL.offspring)
+    t, x, dt = 0.0105, 0.25, 1e-3
+    s = np.linspace(0.0, t, 12)
+    vals = np.asarray(model.alpha(x + s))
+    hazard = (t / 11) * (vals[0] / 2.0 + vals[1:-1].sum() + vals[-1] / 2.0)
+    expect = -math.expm1(-float(SMOOTH(x + t))) * math.exp(-hazard)
+    assert survival_lower_bound(model, SMOOTH, t, x, dt) == pytest.approx(expect, rel=1e-14)
+
+
+def test_verdict_sides_at_z_threshold():
+    def report(value, sided):
+        return ComparisonReport("r", McEstimate(value, 1.0, 100, 0), 0.0, 0.0, sided)
+
+    edge, past = Z_THRESHOLD, math.nextafter(Z_THRESHOLD, math.inf)
+    assert report(edge, "two").verdict and report(-edge, "two").verdict
+    assert not report(past, "two").verdict and not report(-past, "two").verdict
+    assert report(edge, "upper").verdict and report(-100.0, "upper").verdict
+    assert not report(past, "upper").verdict
+    assert report(-edge, "lower").verdict and report(100.0, "lower").verdict
+    assert not report(-past, "lower").verdict
 
 
 @pytest.mark.parametrize("case", ["age_varying", "rising", "off_step_rows"])
