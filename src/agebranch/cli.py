@@ -16,7 +16,7 @@ import csv
 import json
 import locale  # argparse's messages load it through gettext; load it at import
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ class RunConfig:
     replicates: int
     seed: int
     f: ScalarField
-    immigration: ImmigrationMechanism | None = None
+    immigration: ImmigrationMechanism = field(default_factory=ImmigrationMechanism.none)
     snapshots: int = 50
 
     def sim_config(self) -> SimConfig:
@@ -89,9 +89,7 @@ class RunConfig:
         if version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
         model = _parsed("model", BranchingModel.from_dict, req("model"))
-        imm = None
-        if d.get("immigration") is not None:
-            imm = _parsed("immigration", ImmigrationMechanism.from_dict, d["immigration"])
+        imm = _parsed("immigration", ImmigrationMechanism.from_dict, d.get("immigration"))
         initial = _parsed("initial", lambda v: AgeMeasure.from_ages(json_numbers(v)), req("initial"))
         t_end = _parsed("t_end", json_number, req("t_end"))
         if not t_end > 0:
@@ -306,7 +304,7 @@ def _cmd_validate(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
 
 
 def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
-    if cfg.immigration is None:
+    if cfg.immigration.total_rate == 0.0:
         raise ConfigError("immigration: the ergodic command needs an immigration mechanism")
     report = ergodicity_check(cfg.model, cfg.immigration)
     lines = [
@@ -339,7 +337,7 @@ def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
 
 
 def _cmd_stationary(cfg: RunConfig, out: Path) -> int:
-    if cfg.immigration is None:
+    if cfg.immigration.total_rate == 0.0:
         raise ConfigError("immigration: the stationary command needs an immigration mechanism")
     thetas = [0.25, 0.5, 1.0, 2.0]
     rows = []

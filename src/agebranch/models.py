@@ -852,18 +852,31 @@ class ImmigrationMechanism:
         """psi evaluated against a callable or ScalarField h."""
         return self.psi_from_exponents({a: float(h(a)) for a in self.atom_ages()}, tol)
 
+    def first_moment_from_values(self, values: dict):
+        """``integral of <nu, f> dL(nu)`` given f's values at atom ages.
+
+        The twin of ``psi_from_exponents``, with the same float or array
+        ``values`` and result; every entry is +inf for an infinite mean group size.
+        """
+        scalar = all(np.ndim(v) == 0 for v in values.values())
+        out = np.zeros(np.broadcast_shapes((1,), *(np.shape(v) for v in values.values())))
+        if self.kind == "finite":
+            for w, g in self.groups:
+                for a in g.ages:
+                    out += w * values[a]
+        elif self.total_rate > 0.0:
+            assert self.size_law is not None
+            mean_size = self.size_law.mean_size
+            if math.isinf(mean_size):
+                out[...] = math.inf
+            else:
+                for a, p in self.age_atoms:
+                    out += self.total_rate * mean_size * p * values[a]
+        return float(out[0]) if scalar else out
+
     def first_moment_of(self, f) -> float:
         """integral of <nu, f> dL(nu); may be +inf for heavy size tails."""
-        if self.total_rate == 0.0:
-            return 0.0
-        if self.kind == "finite":
-            return sum(w * g.integrate(f) for w, g in self.groups)
-        assert self.size_law is not None
-        mean_size = self.size_law.mean_size
-        if math.isinf(mean_size):
-            return math.inf
-        mean_f = sum(p * float(f(a)) for a, p in self.age_atoms)
-        return self.total_rate * mean_size * mean_f
+        return self.first_moment_from_values({a: float(f(a)) for a in self.atom_ages()})
 
     def second_moment_of(self, f) -> float:
         """integral of <nu, f>^2 dL(nu); may be +inf."""
@@ -937,7 +950,10 @@ class ImmigrationMechanism:
         return sizes, np.concatenate(groups) if groups else np.empty(0)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ImmigrationMechanism":
+    def from_dict(cls, d: dict | None) -> "ImmigrationMechanism":
+        """The mechanism a descriptor names; ``None`` (JSON null) is ``none()``."""
+        if d is None:
+            return cls.none()
         kind = d.get("kind")
         if kind == "finite":
             return cls.finite_support(

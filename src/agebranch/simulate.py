@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import numpy.random  # loaded at import, not inside the first timed draw
@@ -63,13 +63,13 @@ def replicate_rng(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation task: model, optional immigration, horizon, seeding."""
+    """One simulation task: model, immigration (none by default), horizon, seeding."""
 
     model: BranchingModel
     initial: AgeMeasure
     t_end: float
     snapshot_times: tuple[float, ...]
-    immigration: ImmigrationMechanism | None = None
+    immigration: ImmigrationMechanism = field(default_factory=ImmigrationMechanism.none)
     seed: int = 0
     replicate_index: int = 0
     max_events: int = DEFAULT_EVENT_CAP
@@ -264,7 +264,7 @@ def simulate_paths(
     offspring = cfg.model.offspring
     _, c1, _ = cfg.model.constants()
     imm = cfg.immigration
-    rate_arrival = imm.total_rate if imm is not None else 0.0
+    rate_arrival = imm.total_rate
     t_end = cfg.t_end
     snap_times = np.asarray(cfg.snapshot_times, dtype=np.float64)
     n_snap = len(snap_times)
@@ -283,8 +283,7 @@ def simulate_paths(
     ending = np.full(n_paths, _T_END)
     logs: list[list[Event]] = [[] for _ in range(n_paths)] if log_events else []
     recorded: list[tuple[np.ndarray, np.ndarray]] = []  # (path * n_snap + snap, their ages)
-    # the logged groups: one measure per distinct group, a finite mechanism's own
-    group_measures = {g.ages: g for _, g in imm.groups} if log_events and imm is not None else {}
+    group_measures: dict[tuple, AgeMeasure] = {}  # the logged groups: one measure per distinct group
 
     def record_through(paths, stop, first) -> None:
         # Snapshots up to index stop of each path, its particles starting at base[first].

@@ -274,12 +274,9 @@ def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mea
     else:
         pgfs = [r.pgf() for r in model.offspring.regimes]
         g0 = pgfs[int(scheme.cls[0])]
-        trapezoid = grid.quadrature == "trapezoid"
 
         def step(known: float) -> tuple[float, list[float]]:
-            if not trapezoid:
-                z = _clip_unit(known)
-                return known, [g(z) for g in pgfs]
+            # c0 is 0 under the rectangle rule: the iteration returns known, clipped
             w = 0.0 if known < 0.0 else 1.0 if known > 1.0 else known
             for _ in range(_FIXED_POINT_MAX_ITER):
                 w_next = known + c0 * g0(0.0 if w < 0.0 else 1.0 if w > 1.0 else w)
@@ -534,7 +531,7 @@ def immigration_exponent_integral(
 
 def mean_with_immigration(
     model: BranchingModel,
-    imm: ImmigrationMechanism | None,
+    imm: ImmigrationMechanism,
     f: ScalarField,
     initial: AgeMeasure,
     grid: SolverGrid,
@@ -546,27 +543,17 @@ def mean_with_immigration(
     cohort contributes the kernel applied over its residual time, integrated
     against the arrival intensity.
     """
-    atoms = imm.atom_ages() if imm is not None and imm.total_rate > 0.0 else ()
+    atoms = imm.atom_ages() if imm.total_rate > 0.0 else ()
     ages = [*initial.ages, *atoms]
     sol = mean_solution if mean_solution is not None else solve_mean(model, f, grid)
     table = sol.rays(ages)
     total = sum(float(v) for v in table[: len(initial.ages), -1])
     if not atoms:
         return total
-    rays = dict(zip(atoms, table[len(initial.ages) :]))
-    n = grid.n_steps
-    contrib = np.zeros(n + 1)
-    if imm.kind == "finite":
-        for wgt, g in imm.groups:
-            for a in g.ages:
-                contrib += wgt * rays[a]
-    else:
-        mean_size = imm.size_law.mean_size  # type: ignore[union-attr]
-        if math.isinf(mean_size):
-            raise ValueError("mean group size is infinite; the first moment diverges")
-        for a, p in imm.age_atoms:
-            contrib += imm.total_rate * mean_size * p * rays[a]
-    w = _quadrature_weights(n, grid.dt, grid.quadrature)
+    contrib = imm.first_moment_from_values(dict(zip(atoms, table[len(initial.ages) :])))
+    if np.isinf(contrib).any():
+        raise ValueError("mean group size is infinite; the first moment diverges")
+    w = _quadrature_weights(grid.n_steps, grid.dt, grid.quadrature)
     return total + float(np.dot(w, contrib))
 
 

@@ -31,7 +31,6 @@ from .models import BranchingModel, ImmigrationMechanism
 from .simulate import SimConfig, replicate_rng, simulate_paths
 from .solvers import (
     SolverGrid,
-    ergodicity_check,
     immigration_exponent_integral,
     mean_with_immigration,
     solve_exponent,
@@ -222,8 +221,8 @@ def _job(cfg: SimConfig, f: ScalarField, t: float, stream: int, g_name: str | No
 
 def _laplace(rows: _Rows, i: int = -1) -> McEstimate:
     """Mean of exp(-<X_r, f>) at read-out ``i``; exact when the functional is identically 1."""
-    cfg, imm = rows.job.cfg, rows.job.cfg.immigration
-    if rows.job.f.sup == 0.0 or not (cfg.initial.ages or imm is not None and imm.total_rate > 0.0):
+    cfg = rows.job.cfg
+    if rows.job.f.sup == 0.0 or not (cfg.initial.ages or cfg.immigration.total_rate > 0.0):
         return McEstimate(1.0, 0.0, rows.n, cfg.seed)
     return rows.estimate(np.exp(-rows.integral[:, i]))
 
@@ -267,7 +266,7 @@ def snapshot_profile(
 
 def laplace_analytic(
     model: BranchingModel,
-    imm: ImmigrationMechanism | None,
+    imm: ImmigrationMechanism,
     initial: AgeMeasure,
     f: ScalarField,
     t: float,
@@ -283,20 +282,15 @@ def laplace_analytic(
     already in it is read, not solved again.
     """
 
-    def value(step: float) -> float:
-        grid = _grid_to(t, step, quadrature)
+    def value(grid: SolverGrid) -> float:
         sol = _solved(solutions, "exponent", model, f, grid)
         expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
-        if imm is not None and imm.total_rate > 0.0:
+        if imm.total_rate > 0.0:
             integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
             expo += integral
         return math.exp(-expo)
 
-    fine = value(dt)
-    coarse = value(2 * dt)
-    order = 2 if quadrature == "trapezoid" else 1
-    tol = abs(fine - coarse) / (2**order - 1)
-    return fine, tol
+    return _richardson(value, t, dt, quadrature)
 
 
 def compare_laplace(
@@ -340,13 +334,21 @@ def _mean_analytic(
 ) -> tuple[float, float]:
     """``mean_with_immigration`` at t with a Richardson error estimate from dt and 2 dt."""
 
-    def value(step: float) -> float:
-        grid = _grid_to(t, step, "trapezoid")
+    def value(grid: SolverGrid) -> float:
         sol = _solved(solutions, "mean", cfg.model, f, grid)
         return mean_with_immigration(cfg.model, cfg.immigration, f, cfg.initial, grid, sol)
 
-    fine, coarse = value(dt), value(2 * dt)
-    return fine, abs(fine - coarse) / 3.0
+    return _richardson(value, t, dt, "trapezoid")
+
+
+def _richardson(value: Callable[[SolverGrid], float], t: float, dt: float, quadrature: str):
+    """``value`` on the grid of about dt to t, with a Richardson error estimate from 2 dt.
+
+    Each grid lands exactly on t, so an arrival integral covers [0, t].
+    """
+    grids = [SolverGrid(t / max(1, math.ceil(t / step - 1e-12)), t, quadrature) for step in (dt, 2 * dt)]
+    fine, coarse = map(value, grids)
+    return fine, abs(fine - coarse) / (2 ** grids[0].order - 1)
 
 
 def bound_suite(
@@ -378,8 +380,7 @@ def _bound_reports(rows: _Rows, t: float) -> list[ComparisonReport]:
     cfg = rows.job.cfg
     c0, c1, beta = cfg.model.constants()
     m0 = float(cfg.initial.total_mass)
-    imm = cfg.immigration
-    m1 = 0.0 if imm is None else imm.first_moment_of(ScalarField.constant(1.0))
+    m1 = cfg.immigration.first_moment_of(ScalarField.constant(1.0))
     sup_est, n_est, mass_est = map(rows.estimate, (rows.max_mass, rows.branches, rows.mass[:, -1]))
 
     int_exp_beta = t if beta == 0.0 else (math.exp(beta * t) - 1.0) / beta
@@ -495,12 +496,6 @@ def _solved(
     return sol
 
 
-def _grid_to(t: float, step: float, quadrature: str) -> SolverGrid:
-    """The grid of about ``step`` to t, landing exactly on t so an arrival integral covers [0, t]."""
-    n_steps = max(1, math.ceil(t / step - 1e-12))
-    return SolverGrid(t / n_steps, t, quadrature)
-
-
 def martingale_residual(
     cfg: SimConfig,
     g_name: str,
@@ -599,7 +594,7 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
     offspring = model.offspring
 
     imm_f1 = imm_f2 = psi_f = 0.0
-    has_imm = imm is not None and imm.total_rate > 0.0
+    has_imm = imm.total_rate > 0.0
     if has_imm:
         if g_name == "exp":
             psi_f = imm.psi(f)
@@ -670,11 +665,8 @@ def ergodic_convergence(
     stationary value is reported; the gaps must shrink as T grows.  Refuses
     configurations that are not certified ergodic.
     """
-    if cfg.immigration is None:
+    if cfg.immigration.total_rate == 0.0:
         raise ValueError("ergodic convergence needs an immigration mechanism")
-    report = ergodicity_check(cfg.model, cfg.immigration)
-    if report.status != "ergodic":
-        raise ValueError(f"not certified ergodic: {report.status} ({report.detail})")
     stat = stationary_laplace(cfg.model, cfg.immigration, f, tolerance)
     grid = tuple(sorted(horizons))
     sim = replace(cfg, t_end=grid[-1], snapshot_times=grid)

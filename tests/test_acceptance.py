@@ -44,7 +44,7 @@ SUBCRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.6, 2: 0.4}))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def cfg_of(model, ages, t_end, seed, imm=None):
+def cfg_of(model, ages, t_end, seed, imm=ImmigrationMechanism.none()):
     return SimConfig(model, AgeMeasure.from_ages(ages), t_end, (t_end,), imm, seed)
 
 

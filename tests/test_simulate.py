@@ -33,12 +33,12 @@ CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))
 PURE_DEATH = BranchingModel(ONE, OffspringLaw.table({0: 1.0}))
 
 
-def run(model, initial, t_end, snaps, seed, r=0, imm=None, max_events=10_000_000):
+def run(model, initial, t_end, snaps, seed, r=0, imm=ImmigrationMechanism.none(), max_events=10_000_000):
     cfg = SimConfig(model, initial, t_end, snaps, imm, seed, r, max_events)
     return simulate(cfg)
 
 
-def final_masses(model, initial, t, seed, reps, imm=None):
+def final_masses(model, initial, t, seed, reps, imm=ImmigrationMechanism.none()):
     """Mass at t of ``reps`` paths, simulated in chunks of 512 from the streams (seed, chunk)."""
     cfg = SimConfig(model, initial, t, (t,), imm, seed)
     return np.concatenate([
@@ -349,7 +349,7 @@ def test_chunk_paths_match_their_replayed_event_logs():
             endings.add(traj.terminated_by)
             if traj.terminated_by == "extinction":
                 assert sim.initial.total_mass + sum(e.mass_delta for e in traj.events) == 0
-                assert sim.immigration is None
+                assert sim.immigration.total_rate == 0.0
             if traj.terminated_by == "event_cap":
                 assert traj.n_events == sim.max_events
             else:
@@ -426,9 +426,13 @@ def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
         traj = simulate(sim, log_events=log)
         assert len(traj.snapshots) == 50 and len(traj.events) == (traj.n_events if log else 0)
         segment_sums(ONE(traj.snapshot_ages), traj.snapshot_masses)
-    assert built == []
-    traj.snapshots[-1]
+        if log:  # the log builds one measure per distinct group, shared by its arrivals
+            groups = [e.group for e in traj.events if e.kind == "immigrate"]
+            assert len(groups) > 1 and all(g is groups[0] for g in groups)
+            assert len(built) == 1
     assert len(built) == 1
+    traj.snapshots[-1]
+    assert len(built) == 2
 
 
 def test_snapshot_view_indexing():

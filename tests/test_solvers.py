@@ -635,7 +635,7 @@ def _shipped(name: str, quadrature: str | None = None):
 
 def _atoms(cfg) -> tuple:
     imm = cfg.immigration
-    return imm.atom_ages() if imm is not None and imm.total_rate > 0.0 else ()
+    return imm.atom_ages() if imm.total_rate > 0.0 else ()
 
 
 @pytest.mark.parametrize(
@@ -778,7 +778,7 @@ def test_fft_rounding_bound_is_far_below_the_richardson_tolerances(name):
     )
     fine, coarse = _effects(cfg, dt, False), _effects(cfg, 2 * dt, False)
     pairs["laplace"] = (tol, fine[0] + coarse[0], fine[1] + coarse[1])
-    if cfg.immigration is None or math.isfinite(cfg.immigration.size_law.mean_size if cfg.immigration.size_law else 0.0):
+    if math.isfinite(cfg.immigration.first_moment_of(ONE)):
         value = lambda step: mean_with_immigration(
             cfg.model, cfg.immigration, cfg.f, cfg.initial,
             SolverGrid(cfg.t_end / max(1, math.ceil(cfg.t_end / step - 1e-12)), cfg.t_end),
@@ -796,7 +796,7 @@ def test_fft_rounding_bound_is_far_below_the_richardson_tolerances(name):
         bounds = [renewal_rounding_bounds(solve(cfg.model, cfg.f, g)) for g in (grid, coarse_grid)]
         cert = (reports[report].analytic_tol - 1e-9) / 10.0
         pairs[key] = (cert, sum(b[0][0] for b in bounds), sum(b[1][0] for b in bounds))
-    if cfg.immigration is not None and ergodicity_check(cfg.model, cfg.immigration).status == "ergodic":
+    if cfg.immigration.total_rate > 0.0 and ergodicity_check(cfg.model, cfg.immigration).status == "ergodic":
         rep = stationary_laplace(cfg.model, cfg.immigration, cfg.f)
         effects = []
         for step in (rep.dt, 2 * rep.dt):

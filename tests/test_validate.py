@@ -27,6 +27,7 @@ from agebranch import (
     martingale_residual,
     martingale_suite,
     solver_bound_checks,
+    stationary_laplace,
 )
 from agebranch.cli import _fmt, load_config, validation_suite
 from agebranch.simulate import replicate_rng, simulate_paths
@@ -45,13 +46,14 @@ from oracles import ObjectTrajectory, benchmark_models, chunk_rows_objects
 from agebranch.solvers import SolverGrid, survival_bound_rows, survival_lower_bound
 
 ONE = ScalarField.constant(1.0)
+NO_IMMIGRATION = ImmigrationMechanism.none()
 ZERO = ScalarField.constant(0.0)
 CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))
 PURE_DEATH = BranchingModel(ONE, OffspringLaw.table({0: 1.0}))
 SUBCRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.6, 2: 0.4}))
 
 
-def cfg_of(model, ages, t_end, seed, imm=None):
+def cfg_of(model, ages, t_end, seed, imm=NO_IMMIGRATION):
     return SimConfig(model, AgeMeasure.from_ages(ages), t_end, (t_end,), imm, seed)
 
 
@@ -66,7 +68,7 @@ def test_estimate_laplace_empty_initial_exact():
 
 
 def test_laplace_analytic_critical_benchmark():
-    value, tol = laplace_analytic(CRITICAL, None, AgeMeasure.point(0.0), ONE, 1.0, 1e-3)
+    value, tol = laplace_analytic(CRITICAL, NO_IMMIGRATION, AgeMeasure.point(0.0), ONE, 1.0, 1e-3)
     w0 = math.exp(-1.0)
     a = 1.0 - w0
     exact = 1.0 - a / (1.0 + a / 2.0)
@@ -115,11 +117,10 @@ def test_bound_suite_pure_death_zero_beta():
     assert all(r.verdict for r in reports)
 
 
-def test_ergodic_convergence_zero_rate_limit_is_one():
-    cfg = cfg_of(SUBCRITICAL, [], 4.0, 43, imm=ImmigrationMechanism.none())
-    stat, reports, gaps = ergodic_convergence(cfg, ONE, [2.0, 4.0], 100)
-    assert stat == 1.0
-    assert all(r.mc.value == 1.0 and r.verdict for r in reports)
+def test_zero_rate_limit_is_one_and_ergodic_convergence_refuses_it():
+    assert stationary_laplace(SUBCRITICAL, NO_IMMIGRATION, ONE).value == 1.0
+    with pytest.raises(ValueError, match="needs an immigration mechanism"):
+        ergodic_convergence(cfg_of(SUBCRITICAL, [], 4.0, 43), ONE, [2.0, 4.0], 100)
 
 
 def test_bound_suite_critical_and_empty():
@@ -237,7 +238,7 @@ def test_standard_error_scales_as_inverse_sqrt_n():
 
 
 def test_snapshot_profile_initial_time_exact():
-    cfg = SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 7), 1.0, (0.0, 0.5, 1.0), None, 29)
+    cfg = SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 7), 1.0, (0.0, 0.5, 1.0), NO_IMMIGRATION, 29)
     prof = snapshot_profile(cfg, ONE, 300)
     t0, mass0, f0 = prof[0]
     assert t0 == 0.0 and mass0.value == 7.0 and mass0.std_error == 0.0
@@ -248,12 +249,12 @@ def test_snapshot_profile_initial_time_exact():
 
 def test_event_cap_exclusion_counted():
     # a marginal cap truncates only the busy tail of paths
-    cfg = SimConfig(CRITICAL, AgeMeasure.point(0.0), 2.0, (2.0,), None, 30, 0, 4)
+    cfg = SimConfig(CRITICAL, AgeMeasure.point(0.0), 2.0, (2.0,), NO_IMMIGRATION, 30, 0, 4)
     est = estimate_mean(cfg, ONE, 2.0, 300)
     assert est.excluded > 0
     assert est.replicates + est.excluded == 300
     # when almost every path is truncated the estimator refuses
-    hopeless = SimConfig(CRITICAL, AgeMeasure.point(0.0, 60), 4.0, (4.0,), None, 30, 0, 2)
+    hopeless = SimConfig(CRITICAL, AgeMeasure.point(0.0, 60), 4.0, (4.0,), NO_IMMIGRATION, 30, 0, 2)
     with pytest.raises(RuntimeError, match="event cap"):
         estimate_mean(hopeless, ONE, 4.0, 50)
 
@@ -304,11 +305,11 @@ def chunk_cases():
     )
     snaps = tuple(np.linspace(0.0, 1.5, 9))
     return [
-        SimConfig(CRITICAL, AgeMeasure.from_ages([0.0, 0.5]), 1.5, snaps, None, 41),
+        SimConfig(CRITICAL, AgeMeasure.from_ages([0.0, 0.5]), 1.5, snaps, NO_IMMIGRATION, 41),
         SimConfig(regimes, AgeMeasure.from_ages([0.1, 0.9, 2.0]), 1.5, snaps, groups, 42),
         SimConfig(SUBCRITICAL, AgeMeasure.empty(), 1.5, snaps, ImmigrationMechanism.single_arrivals(2.0), 43),
-        SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 4), 1.5, snaps, None, 44),  # extinction
-        SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, snaps, None, 45, 0, 5),  # some capped
+        SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 4), 1.5, snaps, NO_IMMIGRATION, 44),  # extinction
+        SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, snaps, NO_IMMIGRATION, 45, 0, 5),  # some capped
     ]
 
 
@@ -420,7 +421,7 @@ def test_estimators_keep_their_golden_bits(case):
     # recorded when every estimator simulated a set of its own, 600 replicates on stream 3
     n, stream = 600, 3
     if case == "capped":  # an event cap of 5 truncates many paths
-        cfg, f, t = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), None, 45, 0, 5), ONE, 1.5
+        cfg, f, t = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), NO_IMMIGRATION, 45, 0, 5), ONE, 1.5
     else:
         run = load_config(CONFIG_DIR / f"{case}.json")
         cfg, f, t = run.sim_config(), run.f, {"age_varying": 1.0, "subcritical_imm": 5.0}[case]
