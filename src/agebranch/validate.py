@@ -530,11 +530,9 @@ def martingale_suite(
 ) -> list[ComparisonReport]:
     """The martingale check and its negative control, from one set of paths.
 
-    The control scales the generator integral by ``1 + p`` with
-    ``p = max(0.05, 10 se / |mean integral|)``, ``se`` the check's standard
-    error (``p = 0.05`` when the mean integral is 0): the shift of the mean
-    residual is then at least ten check standard errors, so a healthy harness
-    flags the control at any replicate count.
+    The control is ``control_report`` of the check, as for the Laplace and
+    mean checks: it shifts the residual's analytic value 0 by max(0.05, ten
+    standard errors), so a healthy harness flags it at any replicate count.
     """
     rows = _martingale_rows(cfg, g_name, f, t, n, stream, n_jobs)
     return _martingale_reports(g_name, rows, cfg.seed, n)
@@ -552,11 +550,8 @@ def _martingale_rows(
 
 
 def _martingale_reports(g_name: str, rows: _Rows | None, seed: int, n: int) -> list[ComparisonReport]:
-    name = f"martingale:{g_name}"
-    check = _residual_report(name, rows, 0.0, seed, n)
-    integral = 0.0 if rows is None else float(np.mean(rows.pair[rows.flags == 0.0, 1]))
-    perturb = max(0.05, 10.0 * check.mc.std_error / abs(integral)) if integral else 0.05
-    return [check, _residual_report(f"control:{name}", rows, perturb, seed, n)]
+    check = _residual_report(f"martingale:{g_name}", rows, 0.0, seed, n)
+    return [check, control_report(check)]
 
 
 def _residual_report(name: str, rows: _Rows | None, perturb: float, seed: int, n: int):

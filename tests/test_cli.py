@@ -128,6 +128,28 @@ def test_descriptor_numbers_must_be_json_numbers(tmp_path, capsys, path, value, 
     assert not out.exists()
 
 
+def test_null_immigration_is_the_zero_rate_mechanism(tmp_path, capsys):
+    configs = []
+    for name, imm in (("null", None), ("zero", {"kind": "finite", "groups": []})):
+        (tmp_path / name).mkdir()
+        configs.append(small_config(tmp_path / name, "pure_death.json", immigration=imm, replicates=50))
+    for command in ("simulate", "solve-u", "solve-pi", "validate"):
+        outs = []
+        for i, cfg in enumerate(configs):
+            out = tmp_path / f"{command}-{i}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0] == outs[1]
+    for command in ("ergodic", "stationary"):
+        errs = []
+        for cfg in configs:
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            f"config error: immigration: the {command} command needs an immigration mechanism\n"
+        )
+
+
 def test_missing_config_is_a_clean_error(tmp_path, capsys):
     out = tmp_path / "should_not_exist"
     code = main(["validate", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
@@ -524,7 +546,8 @@ def test_identity_check_alone_imports_scipy_integrate():
 
 
 # sha256 prefixes of every output file, recorded when the solver commands formatted
-# numpy scalars cell by cell and validate solved each boundary twice
+# numpy scalars cell by cell and validate solved each boundary twice; validate's
+# again when its martingale control became control_report of the check
 OUTPUT_DIGESTS = {
     "simulate": {"events.csv": "32ba8dbfb9f9775e", "snapshot_stats.csv": "de5cbb939052481e",
                  "summary.txt": "0089920c76edae34"},
@@ -532,7 +555,7 @@ OUTPUT_DIGESTS = {
                 "summary.txt": "bf6d694e54b9e8f5"},
     "solve-pi": {"boundary.csv": "fdadae6a361fe4ef", "lattice.csv": "0f0f1ff35eb69315",
                  "summary.txt": "f8d0c8a967eef3d0"},
-    "validate": {"checks.csv": "d27381abf2681d09", "summary.txt": "72497c78b962353a"},
+    "validate": {"checks.csv": "504a16a838a0d079", "summary.txt": "856dc876e07046f5"},
     "ergodic": {"ergodic.csv": "84203a94c03b9606", "summary.txt": "168f9eeb5c488491"},
     "stationary": {"stationary.csv": "a3c55c79ef6f1de3", "summary.txt": "5def3dde942243e8"},
     "identity-check": {"identity.csv": "3208666b237776e2", "summary.txt": "0eedf5edff33317f"},

@@ -553,6 +553,33 @@ def test_first_and_second_moments_of_groups():
     assert math.isinf(heavy.first_moment_of(f))
 
 
+def test_first_moment_from_values_is_first_moment_of_at_the_atoms():
+    f = ScalarField.exp_decay(1.0, 1.0)
+    finite = ImmigrationMechanism.finite_support(
+        [(2.0, AgeMeasure.from_ages([0.0, 1.0, 1.0])), (1.0, AgeMeasure.from_ages([1.0, 3.0]))]
+    )
+    parametric = ImmigrationMechanism.parametric(
+        1.5, GroupSizeLaw.zeta_tail(3.0), ((0.0, 0.25), (0.5, 0.25), (2.0, 0.5))
+    )
+    zeta_mean = (math.pi**2 / 6.0) / 1.2020569031595942  # zeta(2) / zeta(3)
+    expected = {
+        finite: 2.0 * (1.0 + 2.0 * math.exp(-1.0)) + math.exp(-1.0) + math.exp(-3.0),
+        parametric: 1.5 * zeta_mean * (0.25 + 0.25 * math.exp(-0.5) + 0.5 * math.exp(-2.0)),
+    }
+    scales = np.array([0.0, 0.5, 2.0])
+    for imm, m1 in expected.items():
+        at = {a: float(f(a)) for a in imm.atom_ages()}
+        assert imm.first_moment_from_values(at) == imm.first_moment_of(f)
+        assert imm.first_moment_of(f) == pytest.approx(m1, rel=1e-12)
+        # an array of values gives, entry by entry, the bits of the scalar call
+        got = imm.first_moment_from_values({a: scales * v for a, v in at.items()})
+        assert got.tolist() == [imm.first_moment_from_values({a: s * v for a, v in at.items()}) for s in scales]
+    heavy = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.log_squared_tail(), ((0.0, 0.5), (1.0, 0.5)))
+    assert math.isinf(heavy.first_moment_from_values({0.0: 1.0, 1.0: 0.5}))
+    assert np.isinf(heavy.first_moment_from_values({0.0: scales, 1.0: scales})).all()
+    assert ImmigrationMechanism.none().first_moment_from_values({}) == 0.0
+
+
 def test_model_from_dict():
     alpha = {"kind": "step", "thresholds": [1.5], "values": [2.0, 0.5]}
     pmf = {"kind": "pmf", "pmf": {"2": 0.7, "0": 0.3}}

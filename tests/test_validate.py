@@ -390,10 +390,23 @@ def test_martingale_control_has_power_on_bench_critical(seed):
         assert not control.verdict and control.z < -3.0, (n, control.z)
 
 
+@pytest.mark.parametrize("name", ["pure_death_imm", "subcritical_imm"])
+def test_martingale_control_fails_whenever_the_check_passes(name):
+    # validate's stream and horizon at small replicate counts, where a control
+    # that scales the generator integral lacked power (z = 2.86 on
+    # pure_death_imm, seed 3, 200 replicates)
+    run = load_config(CONFIG_DIR / f"{name}.json")
+    for seed in (1, 2, 3, 4, 5):
+        sim = replace(run.sim_config(), seed=seed)
+        for n in (20, 200):
+            check, control = martingale_suite(sim, "exp", run.f, run.t_end, n, stream=10)
+            assert not (check.verdict and control.verdict), (seed, n, check.z, control.z)
+
+
 def test_martingale_suite_t_zero_exact():
     check, control = martingale_suite(cfg_of(CRITICAL, [0.0], 1.0, 22), "exp", ONE, 0.0, 100)
     assert check.mc.value == 0.0 and check.mc.std_error == 0.0 and check.verdict
-    assert control.name == "control:martingale:exp"
+    assert control.name == "control:martingale:exp" and not control.verdict
 
 
 # ---------------------------------------------------------------------------
