@@ -797,7 +797,7 @@ class ImmigrationMechanism:
     def single_arrivals(cls, rate: float, age: float = 0.0) -> "ImmigrationMechanism":
         """Rate-lambda arrivals of single immigrants at a fixed age."""
         if rate == 0.0:
-            return cls("finite", 0.0)
+            return cls.none()
         return cls.finite_support([(rate, AgeMeasure.point(age))])
 
     @classmethod
@@ -811,6 +811,7 @@ class ImmigrationMechanism:
 
     @classmethod
     def none(cls) -> "ImmigrationMechanism":
+        """The zero-rate mechanism (L = 0, psi = 0): a process without immigration."""
         return cls("finite", 0.0)
 
     # -- analytic face ------------------------------------------------------

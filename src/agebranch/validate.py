@@ -341,7 +341,9 @@ def _mean_analytic(
     return _richardson(value, t, dt, "trapezoid")
 
 
-def _richardson(value: Callable[[SolverGrid], float], t: float, dt: float, quadrature: str):
+def _richardson(
+    value: Callable[[SolverGrid], float], t: float, dt: float, quadrature: str
+) -> tuple[float, float]:
     """``value`` on the grid of about dt to t, with a Richardson error estimate from 2 dt.
 
     Each grid lands exactly on t, so an arrival integral covers [0, t].
@@ -657,8 +659,9 @@ def ergodic_convergence(
     For each horizon T, read from one path set to the last horizon, the
     simulated Laplace functional is compared two-sided with the finite-T
     analytic value, and the gap between the finite-T value and the certified
-    stationary value is reported; the gaps must shrink as T grows.  Refuses
-    configurations that are not certified ergodic.
+    stationary value is reported; the gaps must shrink as T grows.  Refuses a
+    zero-rate mechanism, and (in ``stationary_laplace``) a model that is not
+    certified ergodic.
     """
     if cfg.immigration.total_rate == 0.0:
         raise ValueError("ergodic convergence needs an immigration mechanism")
