@@ -5,8 +5,9 @@ identity-check.  A run is fully determined by one JSON config file plus the
 seed; identical invocations produce byte-identical outputs regardless of the
 parallelism degree (each Monte-Carlo command simulates one path set, in fixed
 chunks of 512 replicates, each from a counter-based stream indexed by (seed,
-stream, chunk), and reductions are performed in replicate order).  Nothing is
-written outside the chosen output directory, and no output carries timestamps.
+stream, chunk), and reductions are performed in replicate order; the event
+log of ``simulate`` is replicate 0 of its set).  Nothing is written outside
+the chosen output directory, and no output carries timestamps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .measures import AgeMeasure, ScalarField, json_number, json_numbers
 from .models import BranchingModel, ImmigrationMechanism
-from .simulate import SimConfig, simulate
+from .simulate import SimConfig
 from .solvers import (
     SolverGrid,
     ergodicity_check,
@@ -188,8 +189,9 @@ def _report_lines(reports: list[ComparisonReport]) -> list[str]:
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
+    """The snapshot profile of the path set on stream 1, and the event log of its replicate 0."""
     sim = cfg.sim_config()
-    traj = simulate(sim)
+    profile, traj = snapshot_profile(sim, cfg.f, cfg.replicates, stream=1, n_jobs=n_jobs)
     write_csv(
         out / "events.csv",
         ["time", "kind", "dying_age", "offspring_count", "group_size"],
@@ -204,7 +206,6 @@ def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
             for e in traj.events
         ],
     )
-    profile = snapshot_profile(sim, cfg.f, cfg.replicates, stream=1, n_jobs=n_jobs)
     mass_rows = [
         [t, m.value, m.std_error, fe.value, fe.std_error] for t, m, fe in profile
     ]

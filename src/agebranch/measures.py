@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "AgeMeasure", "ScalarField", "index_ranges", "interleave", "json_number", "json_numbers",
-    "segment_sums", "weighted_index",
+    "segment_keys", "segment_pick", "segment_sums",
 ]
 
 
@@ -72,31 +72,36 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(interleave(values, leads, 0.0)[0], leads)
 
 
-def weighted_index(weights: np.ndarray, y, total, counts):
-    """Index of the first entry whose cumulative weight exceeds ``y * total``, per segment.
+def segment_keys(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Complex keys ``segment + 1j * values``, which sort by segment, then by value.
 
-    The weights are consecutive nonempty segments of ``counts`` entries, and
-    ``y`` and ``total`` hold one entry per segment.  ``total`` is ``None`` for
-    each segment's last cumulative weight; a caller that already holds the
-    sums passes them.  The index is clamped to the segment's last entry, so
-    rounding between ``total`` and the cumulative sum cannot run past its
-    end.  As ``y ~ Uniform[0, 1)`` entry ``i`` is picked with probability
-    ``weights[i] / total``.  Each result is the same integer as a call on its
-    segment alone: the cumulative sums restart at every segment because a
-    running sum minus itself is exactly 0.
+    Complex numbers order lexicographically (real part, then imaginary), so
+    one ``searchsorted`` on these keys searches each segment on its own.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    seg = np.arange(len(counts)).repeat(counts)
-    sums = np.bincount(seg, weights=weights, minlength=len(counts))  # sequential, as cumsum
+    keys = np.empty(len(segment), dtype=np.complex128)
+    keys.real, keys.imag = segment, values
+    return keys
+
+
+def segment_pick(weights, owner, first, counts, sums, segs, y) -> np.ndarray:
+    """In each segment of ``segs``, the first entry whose cumulative weight exceeds ``y * sums``.
+
+    The weights are consecutive segments, segment ``j`` holding the
+    ``counts[j]`` entries from ``first[j]`` (empty segments allowed);
+    ``owner`` is each entry's segment and ``sums`` each segment's sequential
+    sum, ``np.bincount(owner, weights=weights)``.  ``segs`` lists nonempty
+    segments, with one ``y`` each.  The cumulative sums restart at every
+    segment because a running sum minus itself is exactly 0, so each keeps
+    the bits of a cumulative sum over its segment alone.  The index is
+    clamped to the segment's last entry.  As ``y ~ Uniform[0, 1)`` entry
+    ``i`` of segment ``s`` is picked with probability ``weights[i] / sums[s]``.
+    """
     # minus the running sum leads every segment after the first
-    resets = (counts.cumsum() + np.arange(len(counts)))[:-1]
-    led, held = interleave(weights, resets, -sums[:-1])
-    cum = led.cumsum()[held]
-    totals = sums if total is None else np.asarray(total, dtype=np.float64)
-    if not (totals > 0.0).all():
-        raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
-    below = np.bincount(seg[cum <= (np.asarray(y) * totals)[seg]], minlength=len(counts))
-    return np.minimum(below, counts - 1)
+    led, held = interleave(weights, first[1:] + np.arange(len(first) - 1), -sums[:-1])
+    at = segment_keys(owner, led.cumsum()[held]).searchsorted(
+        segment_keys(segs, y * sums[segs]), side="right"
+    )
+    return np.minimum(at, first[segs] + counts[segs] - 1)
 
 
 @dataclass(frozen=True)

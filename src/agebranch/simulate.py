@@ -22,8 +22,9 @@ lock step from one generator, one proposal per live path per pass, vectorised
 over the paths; :func:`simulate` is that kernel at one path.  It records
 observers, not objects: the population size and ages at each snapshot time
 (flat arrays), the branch count and running maximum of the population size,
-and the event log only when asked for.  A :class:`Trajectory` is one path of
-a :class:`PathSet` and rebuilds ``AgeMeasure`` snapshots on access.
+and the event logs of the leading paths its caller reads, if any.  A
+:class:`Trajectory` is one path of a :class:`PathSet` and rebuilds
+``AgeMeasure`` snapshots on access.
 
 Generators are counter-based (Philox) and keyed by a tuple of integers:
 ``simulate`` reads stream ``(seed, replicate_index)``, and the Monte-Carlo
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import numpy.random  # loaded at import, not inside the first timed draw
 
-from .measures import AgeMeasure, index_ranges, interleave, segment_sums, weighted_index
+from .measures import AgeMeasure, index_ranges, interleave, segment_keys, segment_pick
 from .models import BranchingModel, ImmigrationMechanism
 
 __all__ = [
@@ -138,9 +139,8 @@ class Trajectory:
     particles, whose ascending ages are the next entries of the flat
     ``snapshot_ages``.  ``branches`` and ``max_mass`` count branch events and
     the running maximum of the population size over the whole path.
-    ``events`` is the full log when the path was simulated with
-    ``log_events=True`` and empty otherwise; ``n_events`` counts events either
-    way.
+    ``events`` is the full log when the path was logged and empty otherwise;
+    ``n_events`` counts events either way.
 
     ``terminated_by`` is "t_end" (ran to the horizon), "extinction" (the
     population died and, without immigration, can never recover) or
@@ -182,8 +182,8 @@ class PathSet:
     event cap cut the path; the masses after them are 0).  Their ascending
     ages are consecutive entries of the flat ``snapshot_ages``: path by path,
     snapshot by snapshot.  ``branches``, ``max_mass`` and ``n_events`` are the
-    per-path counters of :class:`Trajectory`, ``events`` the per-path logs
-    when simulated with ``log_events=True`` (empty otherwise).
+    per-path counters of :class:`Trajectory`, ``events`` the logs of the
+    first ``log_paths`` paths (empty if none was logged).
     """
 
     snapshot_times: tuple[float, ...]
@@ -229,7 +229,7 @@ class PathSet:
         return Trajectory(
             self.snapshot_times[:k], masses, ages, int(self.branches[p]), int(self.max_mass[p]),
             int(self.n_events[p]), self.terminated_by[p], self.initial, self.t_end,
-            self.events[p] if self.events else (),
+            self.events[p] if p < len(self.events) else (),
         )
 
 
@@ -238,7 +238,7 @@ _T_END, _EXTINCTION, _EVENT_CAP = range(3)
 
 
 def simulate_paths(
-    cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_events: bool = False
+    cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_paths: int = 0
 ) -> PathSet:
     """Run ``n_paths`` independent exact paths in lock step from one generator.
 
@@ -258,7 +258,12 @@ def simulate_paths(
 
     The live particles sit in one flat array of birth offsets, path by path
     and ascending within a path; a path's segment is located by the
-    cumulative sum of the live masses, so memory is O(live particles).
+    cumulative sum of the live masses, so memory is O(live particles).  Each
+    pass sums every path's hazard in sequence with one ``bincount`` and picks
+    every dying particle from one cumulative sum restarted at each path
+    (:func:`~agebranch.measures.segment_pick`).  Only the first
+    ``log_paths`` paths keep an ``Event`` log; the draws and every recorded
+    number are the same whichever paths are logged.
     """
     alpha = cfg.model.alpha
     offspring = cfg.model.offspring
@@ -281,7 +286,7 @@ def simulate_paths(
     n_events = np.zeros(n_paths, dtype=np.int64)
     max_mass = mass.copy()
     ending = np.full(n_paths, _T_END)
-    logs: list[list[Event]] = [[] for _ in range(n_paths)] if log_events else []
+    logs: list[list[Event]] = [[] for _ in range(min(log_paths, n_paths))]
     recorded: list[tuple[np.ndarray, np.ndarray]] = []  # (path * n_snap + snap, their ages)
     group_measures: dict[tuple, AgeMeasure] = {}  # the logged groups: one measure per distinct group
 
@@ -338,16 +343,12 @@ def simulate_paths(
         # the hazard of every live path is summed, and read where a branch is proposed
         ages_now = base + t_next[owner]
         weights = np.asarray(alpha(ages_now), dtype=np.float64)
-        hazard = segment_sums(weights, m)
+        hazard = np.bincount(owner, weights=weights, minlength=len(act))
         proposed = np.flatnonzero(branching & ~done)
         d = proposed[rng.random(len(proposed)) * c1 * m[proposed] < hazard[proposed]]
         new_pos, new_base, new_owner = [], [], []
         if len(d):
-            dying_path = np.zeros(len(act), dtype=bool)
-            dying_path[d] = True
-            dying = first[d] + weighted_index(
-                weights[dying_path[owner]], rng.random(len(d)), hazard[d], m[d]
-            )
+            dying = segment_pick(weights, owner, first, m, hazard, d, rng.random(len(d)))
             dying_age = ages_now[dying]
             kids = offspring.sample(dying_age, rng)
             keep[dying] = False
@@ -358,8 +359,10 @@ def simulate_paths(
             new_pos.append(first[d].repeat(kids))
             new_base.append((-d_t).repeat(kids))
             new_owner.append(d.repeat(kids))
-            if log_events:
-                for p, t, a, k in zip(d_paths.tolist(), d_t.tolist(), dying_age.tolist(), kids.tolist()):
+            if logs:
+                j = d_paths.searchsorted(len(logs))  # the logged paths lead act
+                for p, t, a, k in zip(d_paths[:j].tolist(), d_t[:j].tolist(), dying_age[:j].tolist(),
+                                      kids[:j].tolist()):
                     logs[p].append(Event(t, "branch", dying_age=a, offspring_count=k))
 
         arriving = np.flatnonzero(~(branching | done))
@@ -368,22 +371,21 @@ def simulate_paths(
             of_new = arriving.repeat(sizes)
             arrived_base = arrived - t_next[of_new]
             # each newcomer goes after the particles of its path with a base at
-            # or below its own; complex numbers order lexicographically (real
-            # part, then imaginary), so owner + 1j * base orders base as it is held
-            held_key = np.empty(len(base), dtype=np.complex128)
-            held_key.real, held_key.imag = owner, base
-            new_key = np.empty(len(of_new), dtype=np.complex128)
-            new_key.real, new_key.imag = of_new, arrived_base
-            new_pos.append(held_key.searchsorted(new_key, side="right"))
+            # or below its own
+            new_pos.append(
+                segment_keys(owner, base).searchsorted(segment_keys(of_new, arrived_base), side="right")
+            )
             new_base.append(arrived_base)
             new_owner.append(of_new)
             a_paths = act[arriving]
             mass[a_paths] += sizes
             n_events[a_paths] += 1
-            if log_events:
-                ends = sizes.cumsum()
-                a_t = t_next[arriving]
-                for p, t, lo, hi in zip(a_paths.tolist(), a_t.tolist(), (ends - sizes).tolist(), ends.tolist()):
+            if logs:
+                j = a_paths.searchsorted(len(logs))
+                ends = sizes[:j].cumsum()
+                a_t = t_next[arriving[:j]]
+                for p, t, lo, hi in zip(a_paths[:j].tolist(), a_t.tolist(), (ends - sizes[:j]).tolist(),
+                                        ends.tolist()):
                     ages = tuple(arrived[lo:hi].tolist())
                     group = group_measures.get(ages)
                     if group is None:
@@ -413,11 +415,13 @@ def simulate_paths(
             base = base[stay]
             act = act[~capped]
 
-    # each recorded snapshot's ages go to its place, path by path then snapshot by snapshot
+    # each recorded snapshot's ages go to its place, path by path then snapshot
+    # by snapshot; a block is dropped once placed, so the two are not both held
     flat = snap_masses.ravel()
     offsets = np.cumsum(flat) - flat
     ages = np.empty(int(flat.sum()))
-    for keys, block in recorded:
+    while recorded:
+        keys, block = recorded.pop()
         ages[index_ranges(offsets[keys], flat[keys])] = block
     snap_masses.flags.writeable = False
     ages.flags.writeable = False
@@ -436,10 +440,9 @@ def simulate(
     The chunk kernel at one path.  Deterministic: identical (seed,
     replicate_index, config) gives a bit-identical trajectory.  Exceeding
     ``max_events`` truncates the path and flags it; it is never silently
-    dropped.  ``log_events=False`` skips the ``Event`` log (Monte-Carlo
-    estimators read only the observers); the random draws and every recorded
-    number are the same either way.
+    dropped.  ``log_events=False`` skips the ``Event`` log; the random draws
+    and every recorded number are the same either way.
     """
     if rng is None:
         rng = replicate_rng(cfg.seed, cfg.replicate_index)
-    return simulate_paths(cfg, rng, 1, log_events=log_events).trajectory(0)
+    return simulate_paths(cfg, rng, 1, log_paths=int(log_events)).trajectory(0)

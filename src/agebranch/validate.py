@@ -28,7 +28,7 @@ import numpy as np
 
 from .measures import AgeMeasure, ScalarField, segment_sums
 from .models import BranchingModel, ImmigrationMechanism
-from .simulate import SimConfig, replicate_rng, simulate_paths
+from .simulate import SimConfig, Trajectory, replicate_rng, simulate_paths
 from .solvers import (
     SolverGrid,
     immigration_exponent_integral,
@@ -146,6 +146,7 @@ class _ReplicateJob:
     A row holds the mass and ``<X_r, f>`` at each snapshot index in ``reads``,
     the running maximum of the mass, the branch count, the martingale pair
     over the whole grid if ``g_name`` names a test function, and the cap flag.
+    With ``log_first``, replicate 0 is also kept whole, with its event log.
     """
 
     cfg: SimConfig
@@ -153,20 +154,26 @@ class _ReplicateJob:
     stream: int
     reads: tuple[int, ...] = (-1,)
     g_name: str | None = None
+    log_first: bool = False
 
 
-def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> np.ndarray:
+def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> tuple[np.ndarray, Trajectory | None]:
     """Rows ``start..stop`` of a job: one chunk, simulated in lock step from one stream.
 
     The chunk's generator is indexed by (seed, stream, chunk), so a row is a
     function of the seed, the job, the replicate count and the replicate
     index alone; the snapshot grid consumes no random draws.  Paths cut by
     the event cap are NaN rows, flagged to be counted and excluded downstream.
+    Replicate 0, logged, comes with the first chunk of a ``log_first`` job
+    (``None`` otherwise).
     """
     if start % _CHUNK or stop - start > _CHUNK:
         raise ValueError(f"replicates {start}..{stop} are not one chunk of {_CHUNK}")
     cfg = job.cfg
-    paths = simulate_paths(cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start)
+    first = job.log_first and start == 0
+    paths = simulate_paths(
+        cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start, log_paths=int(first)
+    )
     k = len(job.reads)
     pair = None if job.g_name is None else _martingale_pair_fn(job)
     out = np.empty((stop - start, 2 * k + (3 if pair is None else 5)))
@@ -180,15 +187,18 @@ def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> np.ndarray:
     capped = paths.capped
     out[capped] = np.nan
     out[:, -1] = capped
-    return out
+    return out, paths.trajectory(0) if first else None
 
 
 class _Rows:
-    """The rows of one path set, by column; ``pair`` is (G(v_T) - G(v_0), integral of L G_f)."""
+    """The rows of one path set, by column; ``pair`` is (G(v_T) - G(v_0), integral of L G_f).
 
-    def __init__(self, job: _ReplicateJob, data: np.ndarray) -> None:
+    ``first`` is replicate 0 with its event log, for a ``log_first`` job.
+    """
+
+    def __init__(self, job: _ReplicateJob, data: np.ndarray, first: Trajectory | None = None) -> None:
         k = len(job.reads)
-        self.job, self.data, self.n, self.flags = job, data, len(data), data[:, -1]
+        self.job, self.data, self.n, self.flags, self.first = job, data, len(data), data[:, -1], first
         self.mass, self.integral = data[:, :k], data[:, k : 2 * k]
         self.max_mass, self.branches = data[:, 2 * k], data[:, 2 * k + 1]
         self.pair = data[:, 2 * k + 2 : 2 * k + 4] if job.g_name is not None else None
@@ -208,9 +218,9 @@ def _collect(job: _ReplicateJob, n: int, n_jobs: int = 1) -> _Rows:
     if n_jobs <= 1 or len(bounds) == 1:
         parts = [_run_chunk(job, s, e) for s, e in bounds]
     else:
-        with get_context("fork").Pool(n_jobs) as pool:
+        with get_context("fork").Pool(min(n_jobs, len(bounds))) as pool:
             parts = pool.starmap(_run_chunk, [(job, s, e) for s, e in bounds])
-    return _Rows(job, np.concatenate(parts, axis=0))
+    return _Rows(job, np.concatenate([rows for rows, _ in parts], axis=0), parts[0][1])
 
 
 def _job(cfg: SimConfig, f: ScalarField, t: float, stream: int, g_name: str | None = None):
@@ -257,11 +267,17 @@ def estimate_extinction(
 
 def snapshot_profile(
     cfg: SimConfig, f: ScalarField, n: int, stream: int = 0, n_jobs: int = 1
-) -> list[tuple[float, McEstimate, McEstimate]]:
-    """Per-snapshot (time, mass estimate, integral-of-f estimate), one pass."""
-    rows = _collect(_ReplicateJob(cfg, f, stream, tuple(range(len(cfg.snapshot_times)))), n, n_jobs)
-    return [(t, rows.estimate(rows.mass[:, i]), rows.estimate(rows.integral[:, i]))
-            for i, t in enumerate(cfg.snapshot_times)]
+) -> tuple[list[tuple[float, McEstimate, McEstimate]], Trajectory]:
+    """Per-snapshot (time, mass estimate, integral-of-f estimate), and replicate 0 with its event log.
+
+    Both come from one path set: replicate 0 is the set's first path, the
+    only one whose events are logged.
+    """
+    reads = tuple(range(len(cfg.snapshot_times)))
+    rows = _collect(_ReplicateJob(cfg, f, stream, reads, log_first=True), n, n_jobs)
+    profile = [(t, rows.estimate(rows.mass[:, i]), rows.estimate(rows.integral[:, i]))
+               for i, t in enumerate(cfg.snapshot_times)]
+    return profile, rows.first
 
 
 def laplace_analytic(

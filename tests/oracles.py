@@ -27,6 +27,9 @@ only as oracles:
   ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
   describes; ``replay_statistics``, ``mass_path`` and ``log_counters`` read
   statistics from the event log of either trajectory type.
+* ``weighted_index``: the dying-particle index of the chunk kernel as it was
+  before one cumulative sum served every path of a pass: the chosen
+  segments compacted, their sums and cumulative sums taken afresh.
 * ``chunk_rows_objects``: the replicate-chunk extractor reading the one row
   layout from ``AgeMeasure`` snapshots and event logs, with the martingale
   pair path by path.
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agebranch.measures import AgeMeasure, ScalarField
+from agebranch.measures import AgeMeasure, ScalarField, interleave
 from agebranch.models import BranchingModel, OffspringLaw, OffspringPmf
 from agebranch.simulate import Event, SimConfig, replicate_rng
 from agebranch.validate import _G_CATALOG
@@ -623,6 +626,33 @@ class ObjectTrajectory:
     events: tuple[Event, ...]
     terminated_by: str
     initial: AgeMeasure
+
+
+def weighted_index(weights: np.ndarray, y, total, counts):
+    """Index of the first entry whose cumulative weight exceeds ``y * total``, per segment.
+
+    The weights are consecutive nonempty segments of ``counts`` entries, and
+    ``y`` and ``total`` hold one entry per segment.  ``total`` is ``None`` for
+    each segment's last cumulative weight; a caller that already holds the
+    sums passes them.  The index is clamped to the segment's last entry, so
+    rounding between ``total`` and the cumulative sum cannot run past its
+    end.  As ``y ~ Uniform[0, 1)`` entry ``i`` is picked with probability
+    ``weights[i] / total``.  Each result is the same integer as a call on its
+    segment alone: the cumulative sums restart at every segment because a
+    running sum minus itself is exactly 0.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    seg = np.arange(len(counts)).repeat(counts)
+    sums = np.bincount(seg, weights=weights, minlength=len(counts))  # sequential, as cumsum
+    # minus the running sum leads every segment after the first
+    resets = (counts.cumsum() + np.arange(len(counts)))[:-1]
+    led, held = interleave(weights, resets, -sums[:-1])
+    cum = led.cumsum()[held]
+    totals = sums if total is None else np.asarray(total, dtype=np.float64)
+    if not (totals > 0.0).all():
+        raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
+    below = np.bincount(seg[cum <= (np.asarray(y) * totals)[seg]], minlength=len(counts))
+    return np.minimum(below, counts - 1)
 
 
 def log_counters(traj, t: float) -> tuple[int, int]:

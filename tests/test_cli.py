@@ -15,6 +15,7 @@ from agebranch import (
     ImmigrationMechanism,
     OffspringLaw,
     ScalarField,
+    simulate,
 )
 from agebranch.cli import RunConfig, load_config, main
 
@@ -357,7 +358,8 @@ def test_excluded_paths_reported(tmp_path, monkeypatch):
     assert lines[-1] == "excluded_paths=3"
 
     est = McEstimate(1.0, 0.1, 96, 0, excluded=4)
-    monkeypatch.setattr(cli, "snapshot_profile", lambda sim, f, n, stream, n_jobs: [(0.0, est, est)])
+    first = simulate(load_config(p).sim_config())
+    monkeypatch.setattr(cli, "snapshot_profile", lambda sim, f, n, stream, n_jobs: ([(0.0, est, est)], first))
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s" / "summary.txt").read_text().splitlines()[-1] == "excluded_paths=4"
 
@@ -410,6 +412,42 @@ def test_one_simulate_paths_call_per_chunk(tmp_path, monkeypatch):
                 "--t-end", "1.0", "--out", str(tmp_path / command)]
         assert main(argv) == 0
         assert calls == [512, 512, 76], command
+
+
+def test_simulate_reads_every_output_from_one_path_set(tmp_path, monkeypatch):
+    # one simulate_paths call per chunk, and the event log is path 0 of chunk 0
+    # of the profile's own set on stream 1, not a path simulated for it alone
+    import csv
+
+    from agebranch import validate
+    from agebranch.cli import _fmt
+    from agebranch.simulate import replicate_rng
+
+    simulate_module = importlib.import_module("agebranch.simulate")  # the package's name is the function
+    calls = []
+    simulate_paths = simulate_module.simulate_paths
+    counted = lambda *a, **k: calls.append(a[2]) or simulate_paths(*a, **k)  # noqa: E731
+    monkeypatch.setattr(simulate_module, "simulate_paths", counted)
+    monkeypatch.setattr(validate, "simulate_paths", counted)
+    p = small_config(tmp_path, base="subcritical_imm.json", t_end=5.0)
+    sim = load_config(p).sim_config()
+    for n, chunks in ((50, [50]), (1100, [512, 512, 76])):
+        calls.clear()
+        out = tmp_path / str(n)
+        assert main(["simulate", "--config", str(p), "--replicates", str(n), "--out", str(out)]) == 0
+        assert calls == chunks
+        path0 = simulate_paths(sim, replicate_rng(sim.seed, 1, 0), min(512, n), log_paths=1).trajectory(0)
+        with open(out / "events.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(path0.events) > 1
+        assert rows == [
+            [_fmt(e.time), e.kind, *((_fmt(e.dying_age), str(e.offspring_count), "") if e.kind == "branch"
+                                    else ("", "", str(e.group.total_mass)))]
+            for e in path0.events
+        ]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[:2] == [f"replicate_0_events={len(path0.events)}",
+                               f"replicate_0_terminated_by={path0.terminated_by}"]
 
 
 def test_ergodic_byte_identical_across_runs_and_parallelism(tmp_path):
@@ -547,9 +585,11 @@ def test_identity_check_alone_imports_scipy_integrate():
 
 # sha256 prefixes of every output file, recorded when the solver commands formatted
 # numpy scalars cell by cell and validate solved each boundary twice; validate's
-# again when its martingale control became control_report of the check
+# again when its martingale control became control_report of the check, and
+# simulate's events.csv when its log became replicate 0 of the profile's set
+# (its summary.txt kept its bytes: both replicates 0 have 10 events to t_end)
 OUTPUT_DIGESTS = {
-    "simulate": {"events.csv": "32ba8dbfb9f9775e", "snapshot_stats.csv": "de5cbb939052481e",
+    "simulate": {"events.csv": "27885064534d11ca", "snapshot_stats.csv": "de5cbb939052481e",
                  "summary.txt": "0089920c76edae34"},
     "solve-u": {"boundary.csv": "2aaaa339a9bdef01", "lattice.csv": "0e1874cfa3c535cd",
                 "summary.txt": "bf6d694e54b9e8f5"},

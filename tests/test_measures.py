@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agebranch import AgeMeasure, ScalarField
-from agebranch.measures import index_ranges, interleave, json_number, json_numbers, weighted_index
+from agebranch.measures import index_ranges, interleave, json_number, json_numbers
+from oracles import weighted_index
 
 
 def weighted_inverse(nu: AgeMeasure, alpha, y: float) -> float:

@@ -22,10 +22,11 @@ from agebranch import (
     simulate,
 )
 from agebranch.cli import load_config
-from agebranch.measures import segment_sums, weighted_index
+from agebranch.measures import segment_pick, segment_sums
 from agebranch.simulate import simulate_paths
 from oracles import (
     ObjectTrajectory, log_counters, mass_path, replay_objects, replay_statistics, simulate_objects,
+    weighted_index,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -340,7 +341,7 @@ def test_chunk_paths_match_their_replayed_event_logs():
     ]
     endings = set()
     for i, sim in enumerate(cases):
-        logged = simulate_paths(sim, replicate_rng(5, i), 300, log_events=True)
+        logged = simulate_paths(sim, replicate_rng(5, i), 300, log_paths=300)
         unlogged = simulate_paths(sim, replicate_rng(5, i), 300)
         for p in range(len(logged)):
             traj = logged.trajectory(p)
@@ -480,6 +481,35 @@ def test_segment_sums_and_segment_indices_match_each_segment_alone():
             for seg, y in zip(segments, ys) if len(seg)
         ]
         assert got.tolist() == want
+
+
+def test_segment_pick_matches_weighted_index_on_random_layouts():
+    # the kernel's dying index, read from one cumulative sum over every live
+    # path of a pass, against the reference that compacts the dying paths'
+    # segments; empty segments lead, sit between and trail the layout
+    rng = np.random.default_rng(7)
+    families = (
+        lambda k: rng.random(k) * 10.0 ** rng.uniform(-3, 3, k),
+        lambda k: rng.integers(0, 4, k).astype(np.float64),  # zero weights and exact ties
+        lambda k: rng.choice([0.5, 1.0, 2.0], k),  # the shipped alpha values
+    )
+    for trial in range(300):
+        counts = rng.integers(0, 40 if trial % 3 else 9, size=rng.integers(3, 30))
+        counts[[0, rng.integers(1, len(counts) - 1), -1]] = 0
+        w = families[trial % 3](int(counts.sum()))
+        owner, first = np.arange(len(counts)).repeat(counts), counts.cumsum() - counts
+        sums = np.bincount(owner, weights=w, minlength=len(counts))
+        full = np.flatnonzero(sums > 0)
+        segs = full[rng.random(len(full)) < 0.7]
+        y = rng.random(len(segs))
+        if trial % 3 == 1:  # y * sum on a cumulative weight
+            y = rng.integers(0, 4, len(segs)) / 4.0
+        got = segment_pick(w, owner, first, counts, sums, segs, y)
+        want = first[segs] + weighted_index(w[np.isin(owner, segs)], y, sums[segs], counts[segs])
+        assert got.tolist() == want.tolist(), trial
+        # y = 1 reaches every segment's sum, past which the index is clamped to its last entry
+        last = segment_pick(w, owner, first, counts, sums, segs, np.ones(len(segs)))
+        assert last.tolist() == (first[segs] + counts[segs] - 1).tolist()
 
 
 def test_regime_index_matches_searchsorted():

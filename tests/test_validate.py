@@ -239,12 +239,14 @@ def test_standard_error_scales_as_inverse_sqrt_n():
 
 def test_snapshot_profile_initial_time_exact():
     cfg = SimConfig(PURE_DEATH, AgeMeasure.point(0.0, 7), 1.0, (0.0, 0.5, 1.0), NO_IMMIGRATION, 29)
-    prof = snapshot_profile(cfg, ONE, 300)
+    prof, first = snapshot_profile(cfg, ONE, 300)
     t0, mass0, f0 = prof[0]
     assert t0 == 0.0 and mass0.value == 7.0 and mass0.std_error == 0.0
     assert f0.value == 7.0
     # masses decay in the mean
     assert prof[0][1].value > prof[1][1].value > prof[2][1].value
+    # replicate 0 of the same set, with its event log
+    assert first.events and first.snapshot_masses[0] == 7
 
 
 def test_event_cap_exclusion_counted():
@@ -288,7 +290,7 @@ def chunk_objects(job, start, stop):
     """The paths of ``_run_chunk(job, start, stop)``, one ``ObjectTrajectory`` each."""
     paths = simulate_paths(
         job.cfg, replicate_rng(job.cfg.seed, job.stream, start // _CHUNK), stop - start,
-        log_events=True,
+        log_paths=stop - start,
     )
     trajs = (paths.trajectory(p) for p in range(len(paths)))
     return [ObjectTrajectory(tuple(t.snapshots), t.events, t.terminated_by, t.initial) for t in trajs]
@@ -326,10 +328,10 @@ def test_run_chunk_rows_match_object_trajectories(case):
         for reads in ((k - 1,), (0, 3, k - 1), tuple(range(k))):
             for f in (ONE, SMOOTH, ScalarField.step([0.5], [1.0, 0.2])):
                 job = _ReplicateJob(cfg, f, 3, reads)
-                assert same_bits(_run_chunk(job, start, stop), chunk_rows_objects(job, objects)), (reads, f)
+                assert same_bits(_run_chunk(job, start, stop)[0], chunk_rows_objects(job, objects)), (reads, f)
         for g_name in ("identity", "exp", "square"):
             job = _ReplicateJob(cfg, SMOOTH, 3, (k - 1,), g_name)
-            new = _run_chunk(job, start, stop)
+            new = _run_chunk(job, start, stop)[0]
             old = chunk_rows_objects(job, objects)
             assert same_bits(np.delete(new, -3, axis=1), np.delete(old, -3, axis=1)), g_name
             assert np.allclose(new[:, -3], old[:, -3], rtol=1e-12, atol=0.0, equal_nan=True), g_name
@@ -342,8 +344,39 @@ def test_collect_is_the_same_at_any_parallelism(n):
     assert same_bits(_collect(job, n, 1).data, _collect(job, n, 2).data)
 
 
+def test_collect_forks_no_more_workers_than_chunks(monkeypatch):
+    # the pool is recorded and run in this process, so no worker is started
+    import itertools
+    from types import SimpleNamespace
+
+    from agebranch import validate
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return list(itertools.starmap(fn, args))
+
+    monkeypatch.setattr(validate, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    job = _ReplicateJob(chunk_cases()[0], ONE, 6)
+    for n, n_jobs, pools in ((1100, 64, [3]), (1100, 2, [2]), (600, 64, [2]), (300, 64, [])):
+        sizes.clear()
+        rows = _collect(job, n, n_jobs)
+        assert sizes == pools, (n, n_jobs)
+        assert same_bits(rows.data, _collect(job, n, 1).data)
+
+
 def test_capped_chunk_rows_are_flagged():
-    data = _run_chunk(_ReplicateJob(chunk_cases()[4], ONE, 3), 0, 40)
+    data = _run_chunk(_ReplicateJob(chunk_cases()[4], ONE, 3), 0, 40)[0]
     capped = data[:, -1] == 1.0
     assert capped.any() and not capped.all()
     assert np.isnan(data[capped, :-1]).all() and not np.isnan(data[~capped]).any()
@@ -372,7 +405,7 @@ def test_martingale_suite_check_is_the_two_pass_check():
 def test_martingale_residual_perturb_scales_the_integral():
     cfg = cfg_of(CRITICAL, [0.0], 1.0, 19)
     job = martingale_job(cfg, ONE, 5)
-    data = _run_chunk(job, 0, 300)
+    data = _run_chunk(job, 0, 300)[0]
     bad = martingale_residual(cfg, "exp", ONE, 1.0, 300, stream=5, perturb=0.05)
     assert bad.name == "martingale:exp"
     assert bad.mc == _Rows(job, data).estimate(data[:, -3] - 1.05 * data[:, -2])
@@ -443,7 +476,7 @@ def test_estimators_keep_their_golden_bits(case):
         "estimate_laplace": estimate_laplace(cfg, f, t, n, stream),
         "estimate_mean": estimate_mean(cfg, f, t, n, stream),
         "estimate_extinction": estimate_extinction(cfg, t, n, stream),
-        "snapshot_profile": snapshot_profile(profile_cfg, f, n, stream),
+        "snapshot_profile": snapshot_profile(profile_cfg, f, n, stream)[0],
         "bound_suite": bound_suite(cfg, t, n, stream),
         "martingale_residual": martingale_residual(cfg, "exp", f, t, n, stream, perturb=0.05),
         "martingale_suite": martingale_suite(cfg, "identity", f, t, n, stream),
