@@ -416,7 +416,7 @@ def simulate_paths(
             act = act[~capped]
 
     # each recorded snapshot's ages go to its place, path by path then snapshot
-    # by snapshot; a block is dropped once placed, so the two are not both held
+    # by snapshot; each block is dropped once placed
     flat = snap_masses.ravel()
     offsets = np.cumsum(flat) - flat
     ages = np.empty(int(flat.sum()))
