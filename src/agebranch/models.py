@@ -517,26 +517,21 @@ class GroupSizeLaw:
     undeclared_tail: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind == "pmf":
+        if self.kind in ("pmf", "declared"):
             if len(self.sizes) != len(self.probs) or not self.sizes:
-                raise ValueError("pmf needs matching, nonempty sizes/probs")
+                raise ValueError(f"{self.kind} law needs matching, nonempty sizes/probs")
             if any(k < 1 or k != int(k) for k in self.sizes):
                 raise ValueError("group sizes must be integers >= 1 (L charges nonzero measures)")
-            if abs(sum(self.probs) - 1.0) > _NORMALIZATION_TOL:
-                raise ValueError("size pmf must sum to 1")
+            if any(p < 0 for p in self.probs):
+                raise ValueError("size probabilities must be >= 0")
+            if self.undeclared_tail < 0 or (self.kind == "pmf" and self.undeclared_tail != 0):
+                raise ValueError("undeclared tail mass must be >= 0, and 0 for a pmf")
+            if abs(sum(self.probs) + self.undeclared_tail - 1.0) > _NORMALIZATION_TOL:
+                raise ValueError("size table plus undeclared tail must sum to 1")
         elif self.kind == "zeta":
             if self.exponent <= 1.0:
                 raise ValueError("zeta size law needs exponent > 1 for a finite measure")
-        elif self.kind == "log_squared":
-            pass
-        elif self.kind == "declared":
-            if len(self.sizes) != len(self.probs) or not self.sizes:
-                raise ValueError("declared law needs a nonempty weight table")
-            if self.undeclared_tail < 0:
-                raise ValueError("undeclared tail mass must be >= 0")
-            if abs(sum(self.probs) + self.undeclared_tail - 1.0) > _NORMALIZATION_TOL:
-                raise ValueError("declared table plus tail must sum to 1")
-        else:
+        elif self.kind != "log_squared":
             raise ValueError(f"unknown group size law {self.kind!r}")
 
     @classmethod

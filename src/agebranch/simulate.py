@@ -28,7 +28,7 @@ and the event logs of the leading paths its caller reads, if any.  A
 
 Generators are counter-based (Philox) and keyed by a tuple of integers:
 ``simulate`` reads stream ``(seed, replicate_index)``, and the Monte-Carlo
-layer reads one stream ``(seed, check, chunk)`` per chunk of 512 replicates.
+layer reads one stream ``(seed, stream, chunk)`` per chunk of 512 replicates.
 """
 
 from __future__ import annotations
@@ -243,7 +243,8 @@ def simulate_paths(
     """Run ``n_paths`` independent exact paths in lock step from one generator.
 
     Each pass of the loop makes one proposal on every live path, vectorised
-    over them: the branch exponentials, then the arrival exponentials (one
+    over them: the branch exponentials of the paths with particles, then one
+    arrival exponential per path if the mechanism's rate is positive (one
     vector draw for both), then the acceptance uniforms of the branch
     proposals, the dying-index uniforms and the offspring counts (one vector
     draw per regime) of the accepted ones, and last the immigrant groups of
@@ -254,7 +255,9 @@ def simulate_paths(
     an exponential of scale s is ``s`` times a standard one, the bits of
     ``rng.exponential(s)``.  Paths leave the loop at ``t_end``, at extinction
     or at the event cap; the passes number about the longest path's
-    proposals, not the sum over paths.
+    proposals, not the sum over paths.  An empty path without immigration
+    proposes at +inf, so in the same pass it records its remaining snapshots
+    at mass 0 and ends by extinction.
 
     The live particles sit in one flat array of birth offsets, path by path
     and ascending within a path; a path's segment is located by the
@@ -307,36 +310,29 @@ def simulate_paths(
 
     act = np.arange(n_paths)  # live paths, ascending; base holds exactly their particles
     while len(act):
-        m = mass[act]
-        if rate_arrival == 0.0 and not m.all():
-            # an empty population without immigration stays empty
-            dead = act[m == 0]
-            record_through(dead, n_snap, np.zeros_like(dead))  # no particles to read
-            ending[dead] = _EXTINCTION
-            act = act[m > 0]
-            continue
         # below, arrays of one entry per live path are indexed by its place in act
+        m = mass[act]
         first = m.cumsum() - m
         owner = np.arange(len(act)).repeat(m)  # of each live particle
         now = clock[act]
-        if rate_arrival > 0.0:
-            # the branch proposals of the paths with particles, then one arrival per path
-            has = m > 0
-            n_has = int(has.sum())
-            draws = rng.standard_exponential(n_has + len(act))
-            t_next = np.full(len(act), np.inf)
-            t_next[has] = now[has] + draws[:n_has] * (1.0 / (c1 * m[has]))
-            t_arrival = now + draws[n_has:] * (1.0 / rate_arrival)
-            branching = t_next <= t_arrival
-            t_next = np.minimum(t_next, t_arrival)
-        else:
-            t_next = now + rng.standard_exponential(len(act)) * (1.0 / (c1 * m))
-            branching = np.ones(len(act), dtype=bool)
+        # the branch proposals of the paths with particles, then one arrival per
+        # path only at a positive rate (so a stream without immigration reads no
+        # arrival); an empty path without immigration proposes at +inf
+        has = m > 0
+        n_has = int(has.sum())
+        n_arrivals = len(act) if rate_arrival > 0.0 else 0
+        draws = rng.standard_exponential(n_has + n_arrivals)
+        t_next = np.full(len(act), np.inf)
+        t_next[has] = now[has] + draws[:n_has] * (1.0 / (c1 * m[has]))
+        t_arrival = now + draws[n_has:] * (1.0 / rate_arrival) if n_arrivals else np.inf
+        branching = t_next <= t_arrival
+        t_next = np.minimum(t_next, t_arrival)
         # snapshots strictly before each path's next event: the path is
         # right-continuous, so a snapshot at a jump time sees the post-jump
         # state; a path whose proposal passes t_end records all of them
         record_through(act, snap_times.searchsorted(t_next), first)
         done = t_next > t_end
+        ending[act[t_next == np.inf]] = _EXTINCTION  # empty, and it stays empty
         keep = ~done[owner]
 
         # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass);

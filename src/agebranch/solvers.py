@@ -543,7 +543,7 @@ def mean_with_immigration(
     cohort contributes the kernel applied over its residual time, integrated
     against the arrival intensity.
     """
-    atoms = imm.atom_ages() if imm.total_rate > 0.0 else ()
+    atoms = imm.atom_ages()
     ages = [*initial.ages, *atoms]
     sol = mean_solution if mean_solution is not None else solve_mean(model, f, grid)
     table = sol.rays(ages)

@@ -230,10 +230,11 @@ def _job(cfg: SimConfig, f: ScalarField, t: float, stream: int, g_name: str | No
 
 
 def _laplace(rows: _Rows, i: int = -1) -> McEstimate:
-    """Mean of exp(-<X_r, f>) at read-out ``i``; exact when the functional is identically 1."""
-    cfg = rows.job.cfg
-    if rows.job.f.sup == 0.0 or not (cfg.initial.ages or cfg.immigration.total_rate > 0.0):
-        return McEstimate(1.0, 0.0, rows.n, cfg.seed)
+    """Mean of exp(-<X_r, f>) at read-out ``i`` over the paths the event cap left whole.
+
+    Where the functional is identically 1 every row is 1.0: the mean is exactly
+    1.0 with standard error 0.0, and the capped paths are still counted.
+    """
     return rows.estimate(np.exp(-rows.integral[:, i]))
 
 
@@ -244,7 +245,8 @@ def estimate_laplace(
 
     Paths cut by the event cap are excluded from the mean and counted in
     ``excluded`` (their inclusion would bias the estimate).  Degenerate cases
-    (zero field, or empty initial state with no immigration) are exact.
+    (zero field, or empty initial state with no immigration) are exact, and
+    count their exclusions like any other.
     """
     return _laplace(_collect(_job(cfg, f, t, stream), n, n_jobs))
 
@@ -301,10 +303,8 @@ def laplace_analytic(
     def value(grid: SolverGrid) -> float:
         sol = _solved(solutions, "exponent", model, f, grid)
         expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
-        if imm.total_rate > 0.0:
-            integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
-            expo += integral
-        return math.exp(-expo)
+        integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
+        return math.exp(-(expo + integral))
 
     return _richardson(value, t, dt, quadrature)
 
@@ -405,12 +405,12 @@ def _bound_reports(rows: _Rows, t: float) -> list[ComparisonReport]:
     sup_bound = m0 * math.exp(beta * t)
     events_bound = c1 * m0 * int_exp_beta
     mass_bound = m0 * math.exp(c0 * t)
-    if m1 > 0.0:  # t > 0, so every integral below is positive
-        # integral_0^t I(r) dr = (exp(beta t) - 1 - beta t) / beta^2
-        int_int = t * t / 2.0 if beta == 0.0 else (math.expm1(beta * t) - beta * t) / beta**2
-        sup_bound += m1 * int_exp_beta
-        events_bound += c1 * m1 * int_int
-        mass_bound += m1 * (t if c0 == 0.0 else math.expm1(c0 * t) / c0)
+    # arrivals add m1 times positive integrals (t > 0); integral_0^t I(r) dr
+    # = (exp(beta t) - 1 - beta t) / beta^2
+    int_int = t * t / 2.0 if beta == 0.0 else (math.expm1(beta * t) - beta * t) / beta**2
+    sup_bound += m1 * int_exp_beta
+    events_bound += c1 * m1 * int_int
+    mass_bound += m1 * (t if c0 == 0.0 else math.expm1(c0 * t) / c0)
     return [
         ComparisonReport("bound:sup_mass", sup_est, sup_bound, 0.0, sided="upper"),
         ComparisonReport("bound:branch_events", n_est, events_bound, 0.0, sided="upper"),
@@ -606,19 +606,17 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
     f0 = float(f(0.0))
     offspring = model.offspring
 
-    imm_f1 = imm_f2 = psi_f = 0.0
-    has_imm = imm.total_rate > 0.0
-    if has_imm:
-        if g_name == "exp":
-            psi_f = imm.psi(f)
-        else:
-            imm_f1 = imm.first_moment_of(f)
-            if math.isinf(imm_f1):
-                raise ValueError("martingale check needs a finite mean group integral")
-            if g_name == "square":
-                imm_f2 = imm.second_moment_of(f)
-                if math.isinf(imm_f2):
-                    raise ValueError("martingale check needs a finite second group moment")
+    imm_f1 = imm_f2 = psi_f = 0.0  # the arrival terms, each 0.0 for the zero-rate mechanism
+    if g_name == "exp":
+        psi_f = imm.psi(f)
+    else:
+        imm_f1 = imm.first_moment_of(f)
+        if math.isinf(imm_f1):
+            raise ValueError("martingale check needs a finite mean group integral")
+        if g_name == "square":
+            imm_f2 = imm.second_moment_of(f)
+            if math.isinf(imm_f2):
+                raise ValueError("martingale check needs a finite second group moment")
 
     h = np.diff(np.array(job.cfg.snapshot_times))
     mean_by_regime = offspring.mean_by_regime()
@@ -641,18 +639,16 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
 
         if g_name == "identity":
             seg_lin = per_snapshot(a_vals * (means * f0 - fa))
-            lg = seg_fp + seg_lin + (imm_f1 if has_imm else 0.0)
+            lg = seg_fp + seg_lin + imm_f1
         elif g_name == "exp":
             g0 = g0_by_regime[ridx]
             seg_g = per_snapshot(a_vals * (np.exp(fa) * g0 - 1.0))
-            lg = np.exp(-vs) * (-seg_fp + seg_g - (psi_f if has_imm else 0.0))
+            lg = np.exp(-vs) * (-seg_fp + seg_g - psi_f)
         else:
             second = second_by_regime[ridx]
             seg_lin = per_snapshot(a_vals * (means * f0 - fa))
             seg_sq = per_snapshot(a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2))
-            lg = 2.0 * vs * seg_fp + 2.0 * vs * seg_lin + seg_sq
-            if has_imm:
-                lg = lg + 2.0 * vs * imm_f1 + imm_f2
+            lg = 2.0 * vs * seg_fp + 2.0 * vs * seg_lin + seg_sq + 2.0 * vs * imm_f1 + imm_f2
 
         integral = np.sum(h * (lg[:, :-1] + lg[:, 1:]) / 2.0, axis=1)
         return G(vs[:, -1]) - G(vs[:, 0]), integral

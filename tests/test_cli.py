@@ -129,6 +129,19 @@ def test_descriptor_numbers_must_be_json_numbers(tmp_path, capsys, path, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes, reason", [
+    ({"kind": "pmf", "pmf": {"1": 1.5, "2": -0.5}}, "size probabilities must be >= 0"),
+    ({"kind": "declared", "pmf": {"-1": 0.5, "1": 0.5}}, "group sizes must be integers >= 1"),
+])
+@pytest.mark.parametrize("command", ["simulate", "stationary"])
+def test_signed_or_nonpositive_size_tables_are_refused(tmp_path, capsys, sizes, reason, command):
+    cfg = small_config(tmp_path, "subcritical_imm.json", immigration={**_ZETA_IMM, "sizes": sizes})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: immigration: {reason}")
+    assert not out.exists()
+
+
 def test_null_immigration_is_the_zero_rate_mechanism(tmp_path, capsys):
     configs = []
     for name, imm in (("null", None), ("zero", {"kind": "finite", "groups": []})):

@@ -540,6 +540,21 @@ def test_immigration_validation_errors():
         GroupSizeLaw.zeta_tail(1.0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: GroupSizeLaw.table({1: 1.5, 2: -0.5}), "probabilities must be >= 0"),
+    (lambda: GroupSizeLaw.declared({1: 1.2, 2: -0.3}, 0.1), "probabilities must be >= 0"),
+    (lambda: GroupSizeLaw.declared({-1: 0.5, 1: 0.5}, 0.0), "integers >= 1"),
+    (lambda: GroupSizeLaw.declared({0: 0.5, 1: 0.5}, 0.0), "integers >= 1"),
+    (lambda: GroupSizeLaw("declared", (1, 2.5), (0.5, 0.5)), "integers >= 1"),
+    (lambda: GroupSizeLaw("pmf", (1,), (0.5,), undeclared_tail=0.5), "0 for a pmf"),
+], ids=["pmf-signed", "declared-signed", "declared-negative-size", "declared-zero-size",
+        "declared-fractional-size", "pmf-with-tail"])
+def test_size_tables_refuse_what_offspring_tables_refuse(make, match):
+    # a signed or non-integer table is no law: sampling and the Laplace series would disagree
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_first_and_second_moments_of_groups():
     imm = ImmigrationMechanism.finite_support(
         [(2.0, AgeMeasure.from_ages([0.0, 1.0])), (1.0, AgeMeasure.point(3.0))]

@@ -396,6 +396,10 @@ _GOLDEN_CHUNKS = {
     "pure_death_imm": "4c544f6dfb02353c61a3fde3a6e32e68c26f9314e9e5e74c8cf648d78295ded6",
     "zeta_groups_imm": "b6223a99fed2f93115a355cfce22cb80748c92ef264ad69e0d25d90ebe599ac8",
     "age_varying": "310c53a9b33371f840929fe0c13a66ae29d43c6be0eedcefed7208761bafa4b0",
+    # the no-immigration stream, recorded while empty paths still took a pass
+    # of their own; 132 of the bench_critical paths end in extinction
+    "bench_critical": "a3c2af0f4119ae7eb0a251310dd104205ca37ba1a35a56fb0f563e1278602287",
+    "pure_death": "2f21979eb2544d37c7064da8de491a05958be19ac455ddb127cd2b85e543b5e5",
 }
 
 

@@ -67,6 +67,13 @@ def test_estimate_laplace_empty_initial_exact():
     assert est.value == 1.0 and est.std_error == 0.0
 
 
+def test_exact_laplace_still_counts_capped_paths():
+    # the functional is identically 1, but the paths the cap cut are still excluded and counted
+    cfg = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), NO_IMMIGRATION, 45, max_events=5)
+    est = estimate_laplace(cfg, ZERO, 1.5, 600, stream=3)
+    assert (est.value, est.std_error, est.replicates, est.excluded) == (1.0, 0.0, 337, 263)
+
+
 def test_laplace_analytic_critical_benchmark():
     value, tol = laplace_analytic(CRITICAL, NO_IMMIGRATION, AgeMeasure.point(0.0), ONE, 1.0, 1e-3)
     w0 = math.exp(-1.0)
