@@ -46,7 +46,6 @@ from .validate import (
     estimate_mean,
     laplace_analytic,
     martingale_residual,
-    martingale_suite,
     solver_bound_checks,
 )
 

@@ -264,10 +264,10 @@ def validation_suite(cfg: RunConfig, n_jobs: int = 1) -> list[ComparisonReport]:
     rectangle config, whose identity checks solve with the trapezoid rule) is
     solved again.
     """
-    g_name = "exp" if cfg.f.kind in ("constant", "expdecay", "rational") else None
+    martingale = cfg.f.derivative_fn() is not None  # the martingale check needs f'
     n, t, dt = cfg.replicates, cfg.t_end, cfg.grid_dt
     solutions: dict = {}  # this run's solutions, by (equation, grid): each solved once
-    reports = monte_carlo_checks(cfg.sim_config(), cfg.f, t, n, dt, 10, n_jobs, g_name, solutions)
+    reports = monte_carlo_checks(cfg.sim_config(), cfg.f, t, n, dt, 10, n_jobs, martingale, solutions)
     grid = SolverGrid(dt, t, cfg.quadrature)
     return reports + solver_bound_checks(cfg.model, cfg.f, grid, solutions)
 

@@ -310,20 +310,19 @@ class ScalarField:
     def inf(self) -> float:
         return self.inf_on(0.0, None)
 
-    def derivative_fn(self) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-        """Derivative as a callable plus a bound on its absolute value.
-
-        Only the C1 catalog kinds support this; step and pwlinear raise.
+    def derivative_fn(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The derivative as a callable for the C1 kinds (constant, expdecay and
+        rational); None for step and pwlinear, whatever their knots.
         """
         if self.kind == "constant":
-            return (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)), 0.0)
+            return lambda x: np.zeros_like(np.asarray(x, dtype=np.float64))
         if self.kind == "expdecay":
             a, b, _ = self.params
-            return (lambda x: -a * b * np.exp(-b * np.asarray(x, dtype=np.float64)), a * b)
+            return lambda x: -a * b * np.exp(-b * np.asarray(x, dtype=np.float64))
         if self.kind == "rational":
             (a,) = self.params
-            return (lambda x: -a / (1.0 + np.asarray(x, dtype=np.float64)) ** 2, a)
-        raise ValueError(f"field kind {self.kind!r} is not continuously differentiable")
+            return lambda x: -a / (1.0 + np.asarray(x, dtype=np.float64)) ** 2
+        return None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalarField":

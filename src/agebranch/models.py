@@ -116,15 +116,6 @@ class OffspringPmf:
             return q / (1.0 - q)
         return self.param
 
-    @property
-    def second_moment(self) -> float:
-        if self.kind == "pmf":
-            return float(sum(k * k * p for k, p in zip(self.counts, self.probs)))
-        if self.kind == "geometric":
-            q = self.param
-            return q * (1.0 + q) / (1.0 - q) ** 2
-        return self.param + self.param**2
-
     @cached_property
     def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cumsum(self.probs), np.asarray(self.counts, dtype=np.int64)
@@ -201,9 +192,6 @@ class OffspringLaw:
 
     def mean_by_regime(self) -> np.ndarray:
         return np.array([r.mean for r in self.regimes])
-
-    def second_moment_by_regime(self) -> np.ndarray:
-        return np.array([r.second_moment for r in self.regimes])
 
     @property
     def sup_mean(self) -> float:
@@ -585,18 +573,6 @@ class GroupSizeLaw:
             return math.inf
         raise ValueError("declared laws do not certify a mean size")
 
-    @property
-    def second_moment_size(self) -> float:
-        if self.kind == "pmf":
-            return float(sum(k * k * p for k, p in zip(self.sizes, self.probs)))
-        if self.kind == "zeta":
-            if self.exponent <= 3.0:
-                return math.inf
-            return _zeta_real(self.exponent - 2.0) / _zeta_real(self.exponent)
-        if self.kind == "log_squared":
-            return math.inf
-        raise ValueError("declared laws do not certify a second moment")
-
     def log_moment(self) -> tuple[str, float | None]:
         """Status and value of the mean of log(size).
 
@@ -873,21 +849,6 @@ class ImmigrationMechanism:
     def first_moment_of(self, f) -> float:
         """integral of <nu, f> dL(nu); may be +inf for heavy size tails."""
         return self.first_moment_from_values({a: float(f(a)) for a in self.atom_ages()})
-
-    def second_moment_of(self, f) -> float:
-        """integral of <nu, f>^2 dL(nu); may be +inf."""
-        if self.total_rate == 0.0:
-            return 0.0
-        if self.kind == "finite":
-            return sum(w * g.integrate(f) ** 2 for w, g in self.groups)
-        assert self.size_law is not None
-        m1, m2 = self.size_law.mean_size, self.size_law.second_moment_size
-        if math.isinf(m1) or math.isinf(m2):
-            return math.inf
-        mean_f = sum(p * float(f(a)) for a, p in self.age_atoms)
-        mean_f2 = sum(p * float(f(a)) ** 2 for a, p in self.age_atoms)
-        var_f = mean_f2 - mean_f**2
-        return self.total_rate * (m1 * var_f + m2 * mean_f**2)
 
     def log_moment_criterion(self) -> tuple[str, float | None]:
         """Finiteness of the group-size log moment, the ergodicity criterion.

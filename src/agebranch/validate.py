@@ -12,6 +12,11 @@ results are independent of scheduling and of the degree of parallelism.  A
 command reads all its checks from one such path set, so they are correlated:
 each keeps its marginal size, but not the joint false-failure rate.
 
+The martingale residual has one test function, G(v) = exp(-v) of
+v = <X, f>: the generator of a measure-valued branching process is
+characterised on the functionals exp(-<X, f>) (Li 2011).  It needs f' and so
+runs for the continuously differentiable fields only.
+
 Each suite run also checks its own power: perturbed-analytic negative controls
 must fail, otherwise the suite's acceptance is meaningless.  A control reads
 its check's paths.
@@ -52,7 +57,6 @@ __all__ = [
     "bound_suite",
     "solver_bound_checks",
     "martingale_residual",
-    "martingale_suite",
     "monte_carlo_checks",
     "ergodic_convergence",
 ]
@@ -144,8 +148,8 @@ class _ReplicateJob:
     """The paths of ``cfg`` on ``stream``, each reduced to one row.
 
     A row holds the mass and ``<X_r, f>`` at each snapshot index in ``reads``,
-    the running maximum of the mass, the branch count, the martingale pair
-    over the whole grid if ``g_name`` names a test function, and the cap flag.
+    the running maximum of the mass, the branch count, the martingale pair of
+    G(v) = exp(-v) over the whole grid if ``martingale``, and the cap flag.
     With ``log_first``, replicate 0 is also kept whole, with its event log.
     """
 
@@ -153,7 +157,7 @@ class _ReplicateJob:
     f: ScalarField
     stream: int
     reads: tuple[int, ...] = (-1,)
-    g_name: str | None = None
+    martingale: bool = False
     log_first: bool = False
 
 
@@ -171,11 +175,11 @@ def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> tuple[np.ndarray, T
         raise ValueError(f"replicates {start}..{stop} are not one chunk of {_CHUNK}")
     cfg = job.cfg
     first = job.log_first and start == 0
+    pair = _martingale_pair_fn(job) if job.martingale else None  # refuses a field without f'
     paths = simulate_paths(
         cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start, log_paths=int(first)
     )
     k = len(job.reads)
-    pair = None if job.g_name is None else _martingale_pair_fn(job)
     out = np.empty((stop - start, 2 * k + (3 if pair is None else 5)))
     for rows, masses, ages in paths.blocks():
         fa = np.asarray(job.f(ages), dtype=np.float64)
@@ -201,7 +205,7 @@ class _Rows:
         self.job, self.data, self.n, self.flags, self.first = job, data, len(data), data[:, -1], first
         self.mass, self.integral = data[:, :k], data[:, k : 2 * k]
         self.max_mass, self.branches = data[:, 2 * k], data[:, 2 * k + 1]
-        self.pair = data[:, 2 * k + 2 : 2 * k + 4] if job.g_name is not None else None
+        self.pair = data[:, 2 * k + 2 : 2 * k + 4] if job.martingale else None
 
     def estimate(self, values: np.ndarray) -> McEstimate:  # over paths the event cap left whole
         good = values[self.flags == 0.0]
@@ -223,10 +227,10 @@ def _collect(job: _ReplicateJob, n: int, n_jobs: int = 1) -> _Rows:
     return _Rows(job, np.concatenate([rows for rows, _ in parts], axis=0), parts[0][1])
 
 
-def _job(cfg: SimConfig, f: ScalarField, t: float, stream: int, g_name: str | None = None):
-    """The path set to t, read at t; with a test function G, on the martingale's grid."""
-    snaps = tuple(np.linspace(0.0, t, MARTINGALE_SNAPSHOTS)) if g_name else (t,)
-    return _ReplicateJob(replace(cfg, t_end=t, snapshot_times=snaps), f, stream, (-1,), g_name)
+def _job(cfg: SimConfig, f: ScalarField, t: float, stream: int, martingale: bool = False):
+    """The path set to t, read at t; with ``martingale``, on the martingale's grid."""
+    snaps = tuple(np.linspace(0.0, t, MARTINGALE_SNAPSHOTS)) if martingale else (t,)
+    return _ReplicateJob(replace(cfg, t_end=t, snapshot_times=snaps), f, stream, (-1,), martingale)
 
 
 def _laplace(rows: _Rows, i: int = -1) -> McEstimate:
@@ -420,24 +424,26 @@ def _bound_reports(rows: _Rows, t: float) -> list[ComparisonReport]:
 
 def monte_carlo_checks(
     cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float, stream: int, n_jobs: int,
-    g_name: str | None,
+    martingale: bool,
     solutions: dict | None = None,
 ) -> list[ComparisonReport]:
     """The reports of ``compare_laplace`` and ``compare_mean`` with their controls,
-    of ``martingale_suite`` if ``g_name`` is given, and of ``bound_suite``, as each
-    gives them on ``stream``, from one path set whose exclusion count each carries.
+    if ``martingale`` of ``martingale_residual`` with its control, and of
+    ``bound_suite``, as each gives them on ``stream``, from one path set whose
+    exclusion count each carries.
     The analytic sides read and fill the memo ``solutions`` (see ``_solved``).
     They are computed first, the mean's first, so a model they refuse (an
     infinite mean group size) is refused before any path is simulated.
     """
     mean_side = _mean_analytic(cfg, f, t, dt, solutions)
     lap_side = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, t, dt, solutions=solutions)
-    rows = _collect(_job(cfg, f, t, stream, g_name), n, n_jobs)
+    rows = _collect(_job(cfg, f, t, stream, martingale), n, n_jobs)
     lap = ComparisonReport("laplace", _laplace(rows, -1), *lap_side)
     mean = ComparisonReport("mean", rows.estimate(rows.integral[:, -1]), *mean_side)
     reports = [lap, control_report(lap), mean, control_report(mean)]
-    if g_name is not None:
-        reports += _martingale_reports(g_name, rows, cfg.seed, n)
+    if martingale:
+        check = _residual_report(rows, 0.0)
+        reports += [check, control_report(check)]
     return reports + _bound_reports(rows, t)
 
 
@@ -516,112 +522,51 @@ def _solved(
 
 def martingale_residual(
     cfg: SimConfig,
-    g_name: str,
     f: ScalarField,
     t: float,
     n: int,
     stream: int = 0,
     n_jobs: int = 1,
     perturb: float = 0.0,
-    name: str | None = None,
 ) -> ComparisonReport:
-    """Generator martingale residual, two-sided against zero.
+    """Generator martingale residual of G(v) = exp(-v), two-sided against zero.
 
     Estimates ``E[G(<X_t, f>)] - G(<X_0, f>) - integral_0^t E[L G_f(X_s)] ds``
     with the time integral taken by trapezoid over a fixed snapshot grid.
     ``perturb`` scales the generator term by (1 + perturb) for negative
-    controls.  G comes from the smooth catalog ("identity", "exp", "square");
-    f must be continuously differentiable.
+    controls; ``control_report`` of the check is ``validate``'s control.
+    f must be continuously differentiable, and t > 0 (``SimConfig`` refuses
+    t = 0, as for every estimator).
     """
-    rows = _martingale_rows(cfg, g_name, f, t, n, stream, n_jobs)
-    return _residual_report(name or f"martingale:{g_name}", rows, perturb, cfg.seed, n)
+    return _residual_report(_collect(_job(cfg, f, t, stream, True), n, n_jobs), perturb)
 
 
-def martingale_suite(
-    cfg: SimConfig,
-    g_name: str,
-    f: ScalarField,
-    t: float,
-    n: int,
-    stream: int = 0,
-    n_jobs: int = 1,
-) -> list[ComparisonReport]:
-    """The martingale check and its negative control, from one set of paths.
-
-    The control is ``control_report`` of the check, as for the Laplace and
-    mean checks: it shifts the residual's analytic value 0 by max(0.05, ten
-    standard errors), so a healthy harness flags it at any replicate count.
-    """
-    rows = _martingale_rows(cfg, g_name, f, t, n, stream, n_jobs)
-    return _martingale_reports(g_name, rows, cfg.seed, n)
-
-
-def _martingale_rows(
-    cfg: SimConfig, g_name: str, f: ScalarField, t: float, n: int, stream: int, n_jobs: int
-) -> _Rows | None:
-    """The path set carrying the martingale pairs of ``g_name``; None at t = 0."""
-    if g_name not in _G_CATALOG:
-        raise ValueError(f"unknown generator test function {g_name!r}")
-    if t == 0.0:
-        return None
-    return _collect(_job(cfg, f, t, stream, g_name), n, n_jobs)
-
-
-def _martingale_reports(g_name: str, rows: _Rows | None, seed: int, n: int) -> list[ComparisonReport]:
-    check = _residual_report(f"martingale:{g_name}", rows, 0.0, seed, n)
-    return [check, control_report(check)]
-
-
-def _residual_report(name: str, rows: _Rows | None, perturb: float, seed: int, n: int):
+def _residual_report(rows: _Rows, perturb: float) -> ComparisonReport:
     """Residual ``G(v_t) - G(v_0) - (1 + perturb) * integral`` against zero."""
-    if rows is None:  # t = 0: the residual is exactly zero
-        return ComparisonReport(name, McEstimate(0.0, 0.0, n, seed), 0.0, 0.0)
     est = rows.estimate(rows.pair[:, 0] - (1.0 + perturb) * rows.pair[:, 1])
-    return ComparisonReport(name, est, 0.0, 0.0)
-
-
-_G_CATALOG: dict[str, Callable] = {
-    "identity": lambda v: v,
-    "exp": lambda v: np.exp(-v),
-    "square": lambda v: v * v,
-}
+    return ComparisonReport("martingale:exp", est, 0.0, 0.0)
 
 
 def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
-    """Per path of a block, the pair ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)``.
+    """Per path of a block, ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)`` for G(v) = exp(-v).
 
     ``block(masses, ages, fa)`` makes one pooled pass over the snapshot
-    particles of a block of paths, ``fa`` holding f at their ages: every
-    generator term factorizes into snapshot-level functions of v = <X_s, f>
-    times per-particle sums, accumulated with one bincount keyed by
-    ``path * n_snap + snap``.  Everything that does not depend on the paths is
-    computed here, once.
+    particles of a block of paths, ``fa`` holding f at their ages.  With
+    v = <X_s, f> the generator term is
+    ``exp(-v) (<X_s, alpha (e^f g(e^-f(0)) - 1) - f'> - psi(f))``: a function
+    of v times per-particle sums, accumulated with one bincount keyed by
+    ``path * n_snap + snap``.  Everything that does not depend on the paths
+    is computed here, once.
     """
     model = job.cfg.model
     f = job.f
-    imm = job.cfg.immigration
-    g_name = job.g_name
-    G = _G_CATALOG[g_name]
-    fprime, _ = f.derivative_fn()
-    f0 = float(f(0.0))
+    fprime = f.derivative_fn()
+    if fprime is None:
+        raise ValueError(f"field kind {f.kind!r} is not continuously differentiable")
     offspring = model.offspring
-
-    imm_f1 = imm_f2 = psi_f = 0.0  # the arrival terms, each 0.0 for the zero-rate mechanism
-    if g_name == "exp":
-        psi_f = imm.psi(f)
-    else:
-        imm_f1 = imm.first_moment_of(f)
-        if math.isinf(imm_f1):
-            raise ValueError("martingale check needs a finite mean group integral")
-        if g_name == "square":
-            imm_f2 = imm.second_moment_of(f)
-            if math.isinf(imm_f2):
-                raise ValueError("martingale check needs a finite second group moment")
-
+    psi_f = job.cfg.immigration.psi(f)  # 0.0 for the zero-rate mechanism
     h = np.diff(np.array(job.cfg.snapshot_times))
-    mean_by_regime = offspring.mean_by_regime()
-    g0_by_regime = offspring.g_by_regime(math.exp(-f0))
-    second_by_regime = offspring.second_moment_by_regime()
+    g0_by_regime = offspring.g_by_regime(math.exp(-float(f(0.0))))
 
     def block(masses: np.ndarray, ages: np.ndarray, fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shape = masses.shape
@@ -632,26 +577,13 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
             return np.bincount(seg, weights=weights, minlength=size).reshape(shape)
 
         a_vals = np.asarray(model.alpha(ages), dtype=np.float64)
-        ridx = offspring.regime_indices(ages)
-        means = mean_by_regime[ridx]
+        g0 = g0_by_regime[offspring.regime_indices(ages)]
         vs = per_snapshot(fa)
         seg_fp = per_snapshot(fprime(ages))
-
-        if g_name == "identity":
-            seg_lin = per_snapshot(a_vals * (means * f0 - fa))
-            lg = seg_fp + seg_lin + imm_f1
-        elif g_name == "exp":
-            g0 = g0_by_regime[ridx]
-            seg_g = per_snapshot(a_vals * (np.exp(fa) * g0 - 1.0))
-            lg = np.exp(-vs) * (-seg_fp + seg_g - psi_f)
-        else:
-            second = second_by_regime[ridx]
-            seg_lin = per_snapshot(a_vals * (means * f0 - fa))
-            seg_sq = per_snapshot(a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2))
-            lg = 2.0 * vs * seg_fp + 2.0 * vs * seg_lin + seg_sq + 2.0 * vs * imm_f1 + imm_f2
-
+        seg_g = per_snapshot(a_vals * (np.exp(fa) * g0 - 1.0))
+        lg = np.exp(-vs) * (-seg_fp + seg_g - psi_f)
         integral = np.sum(h * (lg[:, :-1] + lg[:, 1:]) / 2.0, axis=1)
-        return G(vs[:, -1]) - G(vs[:, 0]), integral
+        return np.exp(-vs[:, -1]) - np.exp(-vs[:, 0]), integral
 
     return block
 

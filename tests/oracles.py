@@ -32,7 +32,11 @@ only as oracles:
   segments compacted, their sums and cumulative sums taken afresh.
 * ``chunk_rows_objects``: the replicate-chunk extractor reading the one row
   layout from ``AgeMeasure`` snapshots and event logs, with the martingale
-  pair path by path.
+  pair path by path for any test function of ``TEST_FUNCTIONS`` (the
+  package's check has G(v) = exp(-v) only).
+* ``pmf_second_moment``, ``size_second_moment`` and ``group_second_moment``:
+  the second moments of offspring counts, group sizes and ``<nu, f>`` under
+  the immigration measure, which the quadratic generator term reads.
 * ``observed_orders``: empirical convergence orders of the boundary solvers
   against a closed form; ``benchmark_models``: a small catalog of models
   across regimes for the bound checks.
@@ -46,10 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from agebranch import models
 from agebranch.measures import AgeMeasure, ScalarField, interleave
 from agebranch.models import BranchingModel, OffspringLaw, OffspringPmf
 from agebranch.simulate import Event, SimConfig, replicate_rng
-from agebranch.validate import _G_CATALOG
 
 from agebranch.solvers import (
     _FIXED_POINT_MAX_ITER,
@@ -818,17 +822,18 @@ def mass_path(traj) -> tuple[np.ndarray, np.ndarray]:
     return times, masses
 
 
-def chunk_rows_objects(job, trajs) -> np.ndarray:
+def chunk_rows_objects(job, trajs, g: str = "exp") -> np.ndarray:
     """A ``validate`` job's chunk rows, path by path, from ``ObjectTrajectory`` objects.
 
     Rows match the package's one chunk layout (mass and integral at each
     read-out snapshot, running maximum, branch count, the martingale pair
-    when the job names a test function, the event-cap flag); every statistic
-    is read from the ``AgeMeasure`` snapshots or replayed from the event
-    log, and the martingale pair is computed one path at a time.
+    of the test function ``TEST_FUNCTIONS[g]`` for a martingale job, the
+    event-cap flag); every statistic is read from the ``AgeMeasure``
+    snapshots or replayed from the event log, and the martingale pair is
+    computed one path at a time.
     """
     k = len(job.reads)
-    out = np.empty((len(trajs), 2 * k + (3 if job.g_name is None else 5)))
+    out = np.empty((len(trajs), 2 * k + (5 if job.martingale else 3)))
     for row, traj in zip(out, trajs):
         biased = 1.0 if traj.terminated_by == "event_cap" else 0.0
         row[-1] = biased
@@ -840,34 +845,40 @@ def chunk_rows_objects(job, trajs) -> np.ndarray:
         row[k : 2 * k] = [m.integrate(job.f) for m in read]
         t = job.cfg.t_end
         row[2 * k : 2 * k + 2] = log_counters(traj, t)
-        if job.g_name is not None:
-            row[2 * k + 2 : 2 * k + 4] = _martingale_pair_path(job, traj)
+        if job.martingale:
+            row[2 * k + 2 : 2 * k + 4] = _martingale_pair_path(job, traj, g)
     return out
 
 
-def _martingale_pair_path(job, traj) -> tuple[float, float]:
+TEST_FUNCTIONS = {"identity": lambda v: v, "exp": lambda v: np.exp(-v), "square": lambda v: v * v}
+
+
+def _martingale_pair_path(job, traj, g: str) -> tuple[float, float]:
+    """``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)`` of one path, G = ``TEST_FUNCTIONS[g]``."""
     # One pooled pass over all snapshot particles: every generator term
     # factorizes into snapshot-level functions of v = <X_s, f> times
     # per-particle sums, accumulated with bincount over the snapshot index.
     model = job.cfg.model
     f = job.f
     imm = job.cfg.immigration
-    G = _G_CATALOG[job.g_name]
-    fprime, _ = f.derivative_fn()
+    G = TEST_FUNCTIONS[g]
+    fprime = f.derivative_fn()
+    if fprime is None:
+        raise ValueError(f"field kind {f.kind!r} is not continuously differentiable")
     f0 = float(f(0.0))
     offspring = model.offspring
 
     imm_f1 = imm_f2 = psi_f = 0.0
-    has_imm = imm is not None and imm.total_rate > 0.0
+    has_imm = imm.total_rate > 0.0
     if has_imm:
-        if job.g_name == "exp":
+        if g == "exp":
             psi_f = imm.psi(f)
         else:
             imm_f1 = imm.first_moment_of(f)
             if math.isinf(imm_f1):
                 raise ValueError("martingale check needs a finite mean group integral")
-            if job.g_name == "square":
-                imm_f2 = imm.second_moment_of(f)
+            if g == "square":
+                imm_f2 = group_second_moment(imm, f)
                 if math.isinf(imm_f2):
                     raise ValueError("martingale check needs a finite second group moment")
 
@@ -887,15 +898,15 @@ def _martingale_pair_path(job, traj) -> tuple[float, float]:
     vs = np.bincount(seg, weights=fa, minlength=n_snap)
     seg_fp = np.bincount(seg, weights=fprime(ages), minlength=n_snap)
 
-    if job.g_name == "identity":
+    if g == "identity":
         seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
         lg = seg_fp + seg_lin + (imm_f1 if has_imm else 0.0)
-    elif job.g_name == "exp":
+    elif g == "exp":
         g0 = offspring.g_by_regime(math.exp(-f0))[ridx]
         seg_g = np.bincount(seg, weights=a_vals * (np.exp(fa) * g0 - 1.0), minlength=n_snap)
         lg = np.exp(-vs) * (-seg_fp + seg_g - (psi_f if has_imm else 0.0))
     else:
-        second = offspring.second_moment_by_regime()[ridx]
+        second = np.array([pmf_second_moment(r) for r in offspring.regimes])[ridx]
         seg_lin = np.bincount(seg, weights=a_vals * (means * f0 - fa), minlength=n_snap)
         seg_sq = np.bincount(
             seg, weights=a_vals * (f0**2 * second - 2.0 * f0 * fa * means + fa**2), minlength=n_snap
@@ -907,6 +918,44 @@ def _martingale_pair_path(job, traj) -> tuple[float, float]:
     h = np.diff(times)
     integral = float(np.sum(h * (lg[:-1] + lg[1:]) / 2.0))
     return G(float(vs[-1])) - G(float(vs[0])), integral
+
+
+def pmf_second_moment(pmf) -> float:
+    """E[N^2] of an ``OffspringPmf``."""
+    if pmf.kind == "pmf":
+        return float(sum(k * k * p for k, p in zip(pmf.counts, pmf.probs)))
+    if pmf.kind == "geometric":
+        q = pmf.param
+        return q * (1.0 + q) / (1.0 - q) ** 2
+    return pmf.param + pmf.param**2
+
+
+def size_second_moment(law) -> float:
+    """E[K^2] of a ``GroupSizeLaw``; zeta(s - 2) / zeta(s) for a zeta tail, +inf where it diverges."""
+    if law.kind == "pmf":
+        return float(sum(k * k * p for k, p in zip(law.sizes, law.probs)))
+    if law.kind == "zeta":
+        if law.exponent <= 3.0:
+            return math.inf
+        return models._zeta_real(law.exponent - 2.0) / models._zeta_real(law.exponent)
+    if law.kind == "log_squared":
+        return math.inf
+    raise ValueError("declared laws do not certify a second moment")
+
+
+def group_second_moment(imm, f) -> float:
+    """integral of <nu, f>^2 dL(nu) of an ``ImmigrationMechanism``; may be +inf."""
+    if imm.total_rate == 0.0:
+        return 0.0
+    if imm.kind == "finite":
+        return sum(w * g.integrate(f) ** 2 for w, g in imm.groups)
+    m1, m2 = imm.size_law.mean_size, size_second_moment(imm.size_law)
+    if math.isinf(m1) or math.isinf(m2):
+        return math.inf
+    mean_f = sum(p * float(f(a)) for a, p in imm.age_atoms)
+    mean_f2 = sum(p * float(f(a)) ** 2 for a, p in imm.age_atoms)
+    var_f = mean_f2 - mean_f**2
+    return imm.total_rate * (m1 * var_f + m2 * mean_f**2)
 
 
 

@@ -124,9 +124,9 @@ def test_criterion_05_solver_convergence_order():
 
 def test_criterion_06_generator_martingale_residual():
     cfg = cfg_of(CRITICAL, [0.0], 1.0, 1006)
-    rep = martingale_residual(cfg, "exp", ONE, 1.0, 100_000)
+    rep = martingale_residual(cfg, ONE, 1.0, 100_000)
     assert abs(rep.z) <= 3.0
-    control = martingale_residual(cfg, "exp", ONE, 1.0, 100_000, perturb=0.05)
+    control = martingale_residual(cfg, ONE, 1.0, 100_000, perturb=0.05)
     assert abs(control.z) > 3.0
     announce(6, "generator martingale residual",
              f"z={rep.z:.2f} control_z={control.z:.2f}")

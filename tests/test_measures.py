@@ -187,14 +187,13 @@ def test_pwlinear_interpolation_and_extrapolation():
 
 
 def test_derivative_fn_smooth_kinds():
-    f = ScalarField.exp_decay(2.0, 0.5, 0.1)
-    deriv, bound = f.derivative_fn()
     xs = np.linspace(0.0, 10.0, 101)
-    fd = (np.asarray(f(xs + 1e-6)) - np.asarray(f(xs - 1e-6))) / 2e-6
-    assert np.allclose(deriv(xs), fd, atol=1e-6)
-    assert np.max(np.abs(deriv(xs))) <= bound + 1e-12
-    with pytest.raises(ValueError):
-        ScalarField.step([1.0], [1.0, 2.0]).derivative_fn()
+    for f in (ScalarField.constant(0.5), ScalarField.exp_decay(2.0, 0.5, 0.1), ScalarField.rational(2.0)):
+        fd = (np.asarray(f(xs + 1e-6)) - np.asarray(f(xs - 1e-6))) / 2e-6
+        assert np.allclose(f.derivative_fn()(xs), fd, atol=1e-6), f.kind
+    for f in (ScalarField.step([1.0], [1.0, 2.0]), ScalarField.step([], [1.0]),
+              ScalarField.pwlinear([0.0, 1.0], [1.0, 0.5])):
+        assert f.derivative_fn() is None, f.kind
 
 
 def test_field_from_dict():

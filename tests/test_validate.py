@@ -25,7 +25,6 @@ from agebranch import (
     estimate_mean,
     laplace_analytic,
     martingale_residual,
-    martingale_suite,
     solver_bound_checks,
     stationary_laplace,
 )
@@ -172,41 +171,49 @@ def test_solver_bound_checks_pass_on_catalog():
         assert all(r.verdict for r in reports), f"{name} violated a lattice bound"
 
 
+# The simulator against the linear and quadratic generator terms: the
+# package checks G(v) = exp(-v) only, the oracle computes any test function on
+# the same paths (``martingale_residual``'s, on stream 0).
+
+
 def test_martingale_identity_pure_death():
-    rep = martingale_residual(cfg_of(PURE_DEATH, [0.0] * 30, 1.0, 18), "identity", ONE, 1.0, 800)
+    rep = oracle_residual(cfg_of(PURE_DEATH, [0.0] * 30, 1.0, 18), "identity", ONE, 800)
     assert rep.verdict
 
 
 def test_martingale_exp_critical_and_perturbation_direction():
     cfg = cfg_of(CRITICAL, [0.0], 1.0, 19)
-    rep = martingale_residual(cfg, "exp", ONE, 1.0, 4000)
+    rep = martingale_residual(cfg, ONE, 1.0, 4000)
     assert rep.verdict
-    bad = martingale_residual(cfg, "exp", ONE, 1.0, 4000, perturb=0.05)
+    bad = martingale_residual(cfg, ONE, 1.0, 4000, perturb=0.05)
     # same streams: the perturbation shifts every path's integral the same way
     assert bad.mc.value < rep.mc.value
 
 
 def test_martingale_square_generator():
-    rep = martingale_residual(cfg_of(SUBCRITICAL, [0.0, 0.5], 1.0, 20), "square", ONE, 1.0, 4000)
+    rep = oracle_residual(cfg_of(SUBCRITICAL, [0.0, 0.5], 1.0, 20), "square", ONE, 4000)
     assert rep.verdict
 
 
 def test_martingale_with_immigration():
     imm = ImmigrationMechanism.single_arrivals(2.0)
     cfg = cfg_of(PURE_DEATH, [0.0], 1.0, 21, imm=imm)
-    for g in ("identity", "exp"):
-        rep = martingale_residual(cfg, g, ONE, 1.0, 4000)
-        assert rep.verdict, f"{g} residual z={rep.z}"
+    for rep in (oracle_residual(cfg, "identity", ONE, 4000), martingale_residual(cfg, ONE, 1.0, 4000)):
+        assert rep.verdict, f"{rep.name} residual z={rep.z}"
 
 
-def test_martingale_t_zero_exact():
-    rep = martingale_residual(cfg_of(CRITICAL, [0.0], 1.0, 22), "exp", ONE, 0.0, 100)
-    assert rep.mc.value == 0.0 and rep.mc.std_error == 0.0 and rep.verdict
+def test_martingale_t_zero_refused():
+    with pytest.raises(ValueError, match="t_end must be > 0"):
+        martingale_residual(cfg_of(CRITICAL, [0.0], 1.0, 22), ONE, 0.0, 100)
 
 
-def test_martingale_rejects_unknown_generator():
-    with pytest.raises(ValueError):
-        martingale_residual(cfg_of(CRITICAL, [0.0], 1.0, 23), "cubic", ONE, 1.0, 100)
+def test_martingale_refuses_a_field_without_derivative_before_simulating(monkeypatch):
+    from agebranch import validate
+
+    monkeypatch.setattr(validate, "simulate_paths", lambda *a, **k: pytest.fail("simulated"))
+    for f in (ScalarField.step([0.5], [1.0, 0.2]), ScalarField.pwlinear([0.0, 1.0], [1.0, 0.5])):
+        with pytest.raises(ValueError, match="not continuously differentiable"):
+            martingale_residual(cfg_of(CRITICAL, [0.0], 1.0, 22), f, 1.0, 100)
 
 
 def test_ergodic_convergence_gaps_decrease():
@@ -336,18 +343,17 @@ def test_run_chunk_rows_match_object_trajectories(case):
             for f in (ONE, SMOOTH, ScalarField.step([0.5], [1.0, 0.2])):
                 job = _ReplicateJob(cfg, f, 3, reads)
                 assert same_bits(_run_chunk(job, start, stop)[0], chunk_rows_objects(job, objects)), (reads, f)
-        for g_name in ("identity", "exp", "square"):
-            job = _ReplicateJob(cfg, SMOOTH, 3, (k - 1,), g_name)
-            new = _run_chunk(job, start, stop)[0]
-            old = chunk_rows_objects(job, objects)
-            assert same_bits(np.delete(new, -3, axis=1), np.delete(old, -3, axis=1)), g_name
-            assert np.allclose(new[:, -3], old[:, -3], rtol=1e-12, atol=0.0, equal_nan=True), g_name
+        job = _ReplicateJob(cfg, SMOOTH, 3, (k - 1,), martingale=True)
+        new = _run_chunk(job, start, stop)[0]
+        old = chunk_rows_objects(job, objects)
+        assert same_bits(np.delete(new, -3, axis=1), np.delete(old, -3, axis=1))
+        assert np.allclose(new[:, -3], old[:, -3], rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 @pytest.mark.parametrize("n", [511, 512, 513, 1100])
 def test_collect_is_the_same_at_any_parallelism(n):
     # chunk bounds and streams depend on the replicate count only
-    job = _ReplicateJob(chunk_cases()[1], SMOOTH, 6, tuple(range(9)), "exp")
+    job = _ReplicateJob(chunk_cases()[1], SMOOTH, 6, tuple(range(9)), martingale=True)
     assert same_bits(_collect(job, n, 1).data, _collect(job, n, 2).data)
 
 
@@ -389,31 +395,41 @@ def test_capped_chunk_rows_are_flagged():
     assert np.isnan(data[capped, :-1]).all() and not np.isnan(data[~capped]).any()
 
 
-def martingale_job(cfg, f, stream, g_name="exp"):
+def martingale_job(cfg, f, stream):
     snaps = tuple(np.linspace(0.0, 1.0, 50))
-    return _ReplicateJob(replace(cfg, t_end=1.0, snapshot_times=snaps), f, stream, (-1,), g_name)
+    return _ReplicateJob(replace(cfg, t_end=1.0, snapshot_times=snaps), f, stream, (-1,), True)
 
 
-def test_martingale_suite_check_is_the_two_pass_check():
-    for cfg, g_name in ((cfg_of(CRITICAL, [0.0], 1.0, 19), "exp"),
-                        (chunk_cases()[1], "identity"), (chunk_cases()[2], "square")):
-        check, control = martingale_suite(cfg, g_name, SMOOTH, 1.0, 700, stream=4)
-        assert check == martingale_residual(cfg, g_name, SMOOTH, 1.0, 700, stream=4)
-        job = martingale_job(cfg, SMOOTH, 4, g_name)
-        old = np.concatenate(
-            [chunk_rows_objects(job, chunk_objects(job, s, e)) for s, e in ((0, 512), (512, 700))]
-        )
-        assert check.mc == _Rows(job, old).estimate(old[:, -3] - old[:, -2])
-        assert control.name == f"control:martingale:{g_name}"
-        assert control.mc.replicates == check.mc.replicates
-        assert control.mc.excluded == check.mc.excluded
+def oracle_rows(job, n, g="exp"):
+    """The rows of ``_collect(job, n)``, path by path, with the pair of ``TEST_FUNCTIONS[g]``."""
+    return np.concatenate([chunk_rows_objects(job, chunk_objects(job, s, min(s + _CHUNK, n)), g)
+                           for s in range(0, n, _CHUNK)])
+
+
+def oracle_residual(cfg, g, f, n):
+    """``martingale_residual(cfg, f, 1.0, n)`` for the test function ``TEST_FUNCTIONS[g]``."""
+    job = martingale_job(cfg, f, 0)
+    rows = oracle_rows(job, n, g)
+    return ComparisonReport(f"martingale:{g}", _Rows(job, rows).estimate(rows[:, -3] - rows[:, -2]), 0.0, 0.0)
+
+
+def test_martingale_check_is_the_two_pass_check():
+    cfg = cfg_of(CRITICAL, [0.0], 1.0, 19)
+    check = martingale_residual(cfg, SMOOTH, 1.0, 700, stream=4)
+    control = control_report(check)
+    job = martingale_job(cfg, SMOOTH, 4)
+    old = oracle_rows(job, 700)
+    assert check.mc == _Rows(job, old).estimate(old[:, -3] - old[:, -2])
+    assert control.name == "control:martingale:exp"
+    assert control.mc.replicates == check.mc.replicates
+    assert control.mc.excluded == check.mc.excluded
 
 
 def test_martingale_residual_perturb_scales_the_integral():
     cfg = cfg_of(CRITICAL, [0.0], 1.0, 19)
     job = martingale_job(cfg, ONE, 5)
     data = _run_chunk(job, 0, 300)[0]
-    bad = martingale_residual(cfg, "exp", ONE, 1.0, 300, stream=5, perturb=0.05)
+    bad = martingale_residual(cfg, ONE, 1.0, 300, stream=5, perturb=0.05)
     assert bad.name == "martingale:exp"
     assert bad.mc == _Rows(job, data).estimate(data[:, -3] - 1.05 * data[:, -2])
 
@@ -425,7 +441,8 @@ def test_martingale_control_has_power_on_bench_critical(seed):
     run = load_config(CONFIG_DIR / "bench_critical.json")
     sim = replace(run.sim_config(), seed=seed)
     for n in (2000, 10_000):
-        check, control = martingale_suite(sim, "exp", run.f, run.t_end, n, stream=30)
+        check = martingale_residual(sim, run.f, run.t_end, n, stream=30)
+        control = control_report(check)
         assert check.verdict, (n, check.z)
         assert not control.verdict and control.z < -3.0, (n, control.z)
 
@@ -439,14 +456,20 @@ def test_martingale_control_fails_whenever_the_check_passes(name):
     for seed in (1, 2, 3, 4, 5):
         sim = replace(run.sim_config(), seed=seed)
         for n in (20, 200):
-            check, control = martingale_suite(sim, "exp", run.f, run.t_end, n, stream=10)
+            check = martingale_residual(sim, run.f, run.t_end, n, stream=10)
+            control = control_report(check)
             assert not (check.verdict and control.verdict), (seed, n, check.z, control.z)
 
 
-def test_martingale_suite_t_zero_exact():
-    check, control = martingale_suite(cfg_of(CRITICAL, [0.0], 1.0, 22), "exp", ONE, 0.0, 100)
-    assert check.mc.value == 0.0 and check.mc.std_error == 0.0 and check.verdict
-    assert control.name == "control:martingale:exp" and not control.verdict
+def test_martingale_t_zero_refused_as_every_estimator():
+    # a horizon of 0 is no path set: the check refuses as the other estimators do
+    cfg = cfg_of(CRITICAL, [0.0], 1.0, 22)
+    for estimate in (lambda: martingale_residual(cfg, ONE, 0.0, 100, perturb=0.05),
+                     lambda: estimate_laplace(cfg, ONE, 0.0, 100),
+                     lambda: estimate_mean(cfg, ONE, 0.0, 100),
+                     lambda: estimate_extinction(cfg, 0.0, 100)):
+        with pytest.raises(ValueError, match="t_end must be > 0"):
+            estimate()
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +508,7 @@ def test_estimators_keep_their_golden_bits(case):
         "estimate_extinction": estimate_extinction(cfg, t, n, stream),
         "snapshot_profile": snapshot_profile(profile_cfg, f, n, stream)[0],
         "bound_suite": bound_suite(cfg, t, n, stream),
-        "martingale_residual": martingale_residual(cfg, "exp", f, t, n, stream, perturb=0.05),
-        "martingale_suite": martingale_suite(cfg, "identity", f, t, n, stream),
+        "martingale_residual": martingale_residual(cfg, f, t, n, stream, perturb=0.05),
         "compare_laplace": compare_laplace(cfg, f, t, n, dt=1e-2, stream=stream),
         "compare_mean": compare_mean(cfg, f, t, n, dt=1e-2, stream=stream),
     }
@@ -512,10 +534,25 @@ def test_validation_suite_is_the_public_checks_on_stream_10(config, t_end, f, qu
     mean = compare_mean(sim, run.f, t_end, n, dt=dt, stream=10)
     expected = [lap, control_report(lap), mean, control_report(mean)]
     if f is None:
-        expected += martingale_suite(sim, "exp", run.f, t_end, n, stream=10)
+        check = martingale_residual(sim, run.f, t_end, n, stream=10)
+        expected += [check, control_report(check)]
     expected += bound_suite(sim, t_end, n, stream=10)
     expected += solver_bound_checks(run.model, run.f, SolverGrid(dt, t_end, run.quadrature))
     assert validation_suite(run) == expected
+
+
+@pytest.mark.parametrize("f, martingale", [
+    (ScalarField.constant(0.5), True),
+    (ScalarField.exp_decay(1.0, 0.7, 0.2), True),
+    (ScalarField.rational(2.0), True),
+    (ScalarField.step([0.5], [1.0, 0.2]), False),
+    (ScalarField.step([], [1.0]), False),  # constant, but of the step kind
+    (ScalarField.pwlinear([0.0, 1.0], [1.0, 0.5]), False),
+], ids=["constant", "expdecay", "rational", "step", "step-no-thresholds", "pwlinear"])
+def test_validate_checks_the_martingale_where_the_field_has_a_derivative(f, martingale):
+    run = replace(load_config(CONFIG_DIR / "bench_critical.json"), replicates=50, grid_dt=1e-2, f=f)
+    names = [r.name for r in validation_suite(run)]
+    assert ("martingale:exp" in names, "control:martingale:exp" in names) == (martingale, martingale)
 
 
 def test_ergodic_last_horizon_is_compare_laplace():
