@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-12
+_PSI_TOL = 1e-12  # absolute accuracy of psi where a group-size series is truncated
 
 
 @dataclass(frozen=True)
@@ -120,21 +121,18 @@ class OffspringPmf:
     def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cumsum(self.probs), np.asarray(self.counts, dtype=np.int64)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """One count, or an array of ``size`` counts drawn as ``size`` one-count calls would be."""
-        n = 1 if size is None else size
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """An array of ``n`` counts, read from the stream as ``n`` draws of one."""
         if self.kind == "pmf":
             # inverse CDF: the first count whose cumulative probability exceeds u
             cum, counts = self._inverse_cdf
-            out = counts[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(counts) - 1)]
-        elif self.kind == "poisson":
-            out = rng.poisson(self.param, n)
-        elif self.param == 0.0:  # geometric with q = 0 never branches and draws nothing
-            out = np.zeros(n, dtype=np.int64)
-        else:
-            # numpy's geometric counts trials to first success (support >= 1)
-            out = rng.geometric(1.0 - self.param, n) - 1
-        return int(out[0]) if size is None else out
+            return counts[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(counts) - 1)]
+        if self.kind == "poisson":
+            return rng.poisson(self.param, n)
+        if self.param == 0.0:  # geometric with q = 0 never branches and draws nothing
+            return np.zeros(n, dtype=np.int64)
+        # numpy's geometric counts trials to first success (support >= 1)
+        return rng.geometric(1.0 - self.param, n) - 1
 
 
 @dataclass(frozen=True)
@@ -197,14 +195,12 @@ class OffspringLaw:
     def sup_mean(self) -> float:
         return max(r.mean for r in self.regimes)
 
-    def sample(self, x, rng: np.random.Generator):
-        """Offspring count at age x; for an array of ages, one count each.
+    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One offspring count for each age in the array ``x``.
 
-        An array takes one vector draw per regime, in regime order, so one
-        age consumes the stream exactly as a scalar call does.
+        One vector draw per regime, in regime order, so an array of one age
+        reads the stream as one draw of its regime.
         """
-        if np.ndim(x) == 0:
-            return self.regimes[self.regime_index(x)].sample(rng)
         if len(self.regimes) == 1:
             return self.regimes[0].sample(rng, len(x))
         ridx = self.regime_indices(x)
@@ -665,19 +661,17 @@ class GroupSizeLaw:
     def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         return np.cumsum(self.probs), np.asarray(self.sizes, dtype=np.int64)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """One size, or an array of ``size`` sizes drawn as ``size`` one-size calls would be.
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """An array of ``n`` sizes, read from the stream as ``n`` draws of one.
 
         Inverse CDF of one uniform per size; the infinite-support kinds walk
         the chunks of sizes once for all the uniforms.
         """
-        n = 1 if size is None else size
         if self.kind == "pmf" or self.kind == "declared":
             if self.kind == "declared" and self.undeclared_tail > 0:
                 raise ValueError("declared law with undeclared tail mass cannot be sampled")
             cum, sizes = self._inverse_cdf
-            out = sizes[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(sizes) - 1)]
-            return int(out[0]) if size is None else out
+            return sizes[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(sizes) - 1)]
         u = rng.random(n)
         out = np.empty(n, dtype=np.int64)
         left = np.arange(n)  # the draws not yet placed in a chunk
@@ -689,7 +683,7 @@ class GroupSizeLaw:
             out[left[hit]] = ks[idx[hit]]
             left = left[~hit]
             if not len(left):
-                return int(out[0]) if size is None else out
+                return out
             acc = float(cum[-1])
         raise RuntimeError(
             f"group-size draw exceeded the supported range ({_SIZE_TABLE_CAP}); "
@@ -765,11 +759,11 @@ class ImmigrationMechanism:
         return cls("finite", sum(w for w, _ in gs), groups=gs)
 
     @classmethod
-    def single_arrivals(cls, rate: float, age: float = 0.0) -> "ImmigrationMechanism":
-        """Rate-lambda arrivals of single immigrants at a fixed age."""
+    def single_arrivals(cls, rate: float) -> "ImmigrationMechanism":
+        """Rate-lambda arrivals of single newborn immigrants (age 0)."""
         if rate == 0.0:
             return cls.none()
-        return cls.finite_support([(rate, AgeMeasure.point(age))])
+        return cls.finite_support([(rate, AgeMeasure.point(0.0))])
 
     @classmethod
     def parametric(
@@ -796,14 +790,14 @@ class ImmigrationMechanism:
             return tuple(sorted(ages))
         return tuple(sorted({a for a, _ in self.age_atoms}))
 
-    def psi_from_exponents(self, exponents: dict, tol: float = 1e-12):
+    def psi_from_exponents(self, exponents: dict):
         """The arrival-compensation functional given a field's values at atom ages.
 
         ``psi(h) = integral of (1 - exp(-<nu, h>)) dL(nu)``; ``exponents`` maps
         each atom age to h(age), a float or an array (one entry per grid node,
         say).  Returns a float for floats and an array of the broadcast shape
         otherwise, each entry as a scalar call would compute it.  Lies in
-        [0, total_rate].
+        [0, total_rate], within ``_PSI_TOL`` where a group series is truncated.
         """
         scalar = all(np.ndim(e) == 0 for e in exponents.values())
         e = {a: np.atleast_1d(np.asarray(v, dtype=np.float64)) for a, v in exponents.items()}
@@ -816,13 +810,13 @@ class ImmigrationMechanism:
         else:
             q = np.clip(sum(p * np.exp(-e[a]) for a, p in self.age_atoms), 0.0, 1.0)
             assert self.size_law is not None
-            s = self.size_law.laplace_sum(q, tol / max(self.total_rate, 1.0))
+            s = self.size_law.laplace_sum(q, _PSI_TOL / max(self.total_rate, 1.0))
             out = self.total_rate * (1.0 - s)
         return float(out[0]) if scalar else out
 
-    def psi(self, h, tol: float = 1e-12) -> float:
-        """psi evaluated against a callable or ScalarField h."""
-        return self.psi_from_exponents({a: float(h(a)) for a in self.atom_ages()}, tol)
+    def psi(self, h) -> float:
+        """psi evaluated against a callable or ScalarField h, within ``_PSI_TOL``."""
+        return self.psi_from_exponents({a: float(h(a)) for a in self.atom_ages()})
 
     def first_moment_from_values(self, values: dict):
         """``integral of <nu, f> dL(nu)`` given f's values at atom ages.
@@ -902,7 +896,7 @@ class ImmigrationMechanism:
         probs = np.array([p for _, p in self.age_atoms])
         sizes, groups = np.empty(n, dtype=np.int64), []
         for i in range(n):
-            sizes[i] = self.size_law.sample(rng)
+            sizes[i] = self.size_law.sample(rng, 1)[0]
             groups.append(np.sort(ages[rng.choice(len(ages), size=sizes[i], p=probs)]))
         return sizes, np.concatenate(groups) if groups else np.empty(0)
 

@@ -428,17 +428,14 @@ def simulate_paths(
     )
 
 
-def simulate(
-    cfg: SimConfig, rng: np.random.Generator | None = None, *, log_events: bool = True
-) -> Trajectory:
+def simulate(cfg: SimConfig, rng: np.random.Generator | None = None) -> Trajectory:
     """Run one exact path of the branching process, with immigration if configured.
 
-    The chunk kernel at one path.  Deterministic: identical (seed,
-    replicate_index, config) gives a bit-identical trajectory.  Exceeding
-    ``max_events`` truncates the path and flags it; it is never silently
-    dropped.  ``log_events=False`` skips the ``Event`` log; the random draws
-    and every recorded number are the same either way.
+    The chunk kernel at one path, with its ``Event`` log.  Deterministic:
+    identical (seed, replicate_index, config) gives a bit-identical
+    trajectory.  Exceeding ``max_events`` truncates the path and flags it; it
+    is never silently dropped.
     """
     if rng is None:
         rng = replicate_rng(cfg.seed, cfg.replicate_index)
-    return simulate_paths(cfg, rng, 1, log_paths=int(log_events)).trajectory(0)
+    return simulate_paths(cfg, rng, 1, log_paths=1).trajectory(0)

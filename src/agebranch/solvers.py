@@ -119,9 +119,25 @@ _RAY_CHUNK = 2  # rays convolved together; a few at a time keep the peak memory 
 _STATIONARY_MAX_STEPS = 2**18
 
 
+def _whole_steps(t, dt):
+    """The number of steps of ``dt`` in ``t`` where it is whole, else -1; elementwise for arrays.
+
+    The one grid rule: ``k dt`` must match ``t`` within 1e-9, relative above 1.
+    A count past the float range (``t / dt`` overflows) is not whole.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.rint(t / dt)
+        return np.where(np.abs(k * dt - t) <= 1e-9 * np.maximum(1.0, np.abs(t)), k, -1.0)
+
+
 @dataclass(frozen=True)
 class SolverGrid:
-    """Uniform time grid with a quadrature rule for the marching schemes."""
+    """Uniform time grid with a quadrature rule for the marching schemes.
+
+    The horizon must be a whole number of steps (``_whole_steps``).  ``order``
+    is the rule's convergence order, and ``richardson`` the error estimate of
+    a value on this grid from the same value on the grid of twice the step.
+    """
 
     dt: float
     horizon: float
@@ -132,9 +148,8 @@ class SolverGrid:
             raise ValueError("dt and horizon must be > 0")
         if self.quadrature not in ("rectangle", "trapezoid"):
             raise ValueError("quadrature must be 'rectangle' or 'trapezoid'")
-        n = round(self.horizon / self.dt)
-        if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("horizon must be an integral number of steps")
+        if _whole_steps(self.horizon, self.dt) < 1:
+            raise ValueError(f"horizon {self.horizon:g} is not a whole number of steps of dt {self.dt:g}")
 
     @property
     def n_steps(self) -> int:
@@ -143,6 +158,10 @@ class SolverGrid:
     @property
     def order(self) -> int:
         return 2 if self.quadrature == "trapezoid" else 1
+
+    def richardson(self, fine, coarse):
+        """``|fine - coarse| / (2^order - 1)``, elementwise for arrays."""
+        return abs(fine - coarse) / (2**self.order - 1)
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
@@ -175,8 +194,8 @@ def _ray_offsets(offsets) -> np.ndarray:
 
 
 def _grid_node(grid: SolverGrid, t: float) -> int:
-    i = round(t / grid.dt) if math.isfinite(t) else -1
-    if not 0 <= i <= grid.n_steps or abs(i * grid.dt - t) > 1e-9 * max(1.0, abs(t)):
+    i = int(_whole_steps(t, grid.dt))
+    if not 0 <= i <= grid.n_steps:
         raise ValueError(
             f"time {t} is not a node of the solved grid (dt={grid.dt}, horizon={grid.horizon})"
         )
@@ -345,8 +364,8 @@ class _FanSolution:
         """
         offsets = _ray_offsets(offsets)
         n, dt = self.grid.n_steps, self.grid.dt
-        ks = np.rint(offsets / dt)
-        aligned = (np.abs(ks * dt - offsets) <= 1e-9 * np.maximum(1.0, offsets)) & (ks <= n)
+        ks = _whole_steps(offsets, dt)
+        aligned = (ks >= 0) & (ks <= n)
         table = np.empty((len(offsets), n + 1))
         zero = aligned & (ks == 0)
         table[zero] = self.boundary
@@ -447,8 +466,8 @@ def survival_lower_bound(
     ``(1 - exp(-f(x+t))) * exp(-integral_0^t alpha(x+s) ds)``: the exponent of
     the event that the initial particle is still alive with no branch yet.
     The hazard integral is exact for constant alpha and composite-trapezoid at
-    the given dt otherwise: ``t / dt`` steps when that is an integer to
-    ``SolverGrid``'s tolerance, so a grid time takes the grid's own nodes, and
+    the given dt otherwise: ``t / dt`` steps when that is whole by the grid
+    rule (``_whole_steps``), so a grid time takes the grid's own nodes, and
     ``ceil(t / dt)`` steps otherwise.
     """
     if t < 0 or x < 0:
@@ -459,8 +478,8 @@ def survival_lower_bound(
     elif alpha.is_constant:
         hazard = float(alpha(x)) * t
     else:
-        n = round(t / dt)
-        if n < 1 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+        n = int(_whole_steps(t, dt))
+        if n < 1:
             n = max(1, math.ceil(t / dt))
         s = np.linspace(0.0, t, n + 1)
         vals = np.asarray(alpha(x + s), dtype=np.float64)
@@ -512,7 +531,8 @@ def immigration_exponent_integral(
     Evaluates the exponent at each group atom age along its ray, applies the
     mechanism's analytic functional to every grid node in one call, and
     integrates with the grid's quadrature.  Returns (integral,
-    per-node values).
+    per-node values).  A passed ``exponent_solution`` must be solved on
+    ``grid`` itself, quadrature included.
     """
     n = grid.n_steps
     if imm.total_rate == 0.0:
@@ -520,8 +540,8 @@ def immigration_exponent_integral(
     sol = exponent_solution
     if sol is None:
         sol = solve_exponent(model, f, grid)
-    elif abs(sol.grid.horizon - grid.horizon) > 1e-12 or sol.grid.dt != grid.dt:
-        raise ValueError("exponent solution grid does not match the requested grid")
+    elif sol.grid != grid:
+        raise ValueError(f"exponent solution grid {sol.grid} is not the requested grid {grid}")
     ages = imm.atom_ages()
     rays = sol.rays(ages)
     psi_vals = imm.psi_from_exponents(dict(zip(ages, rays)))
@@ -579,24 +599,14 @@ def ergodicity_check(model: BranchingModel, imm: ImmigrationMechanism) -> Ergodi
     c0, _, _ = model.constants()
     crit_status, crit_value = imm.log_moment_criterion()
     if c0 >= 0.0:
-        return ErgodicityReport(
-            "unknown",
-            c0,
-            crit_status,
-            crit_value,
-            f"mean growth exponent c0={c0:.6g} is not negative; no convergence certificate",
-        )
-    if crit_status == "finite":
-        return ErgodicityReport(
-            "ergodic", c0, crit_status, crit_value, "c0 < 0 and group log-moment finite"
-        )
-    if crit_status == "infinite":
-        return ErgodicityReport(
-            "not_ergodic", c0, crit_status, crit_value, "group log-moment diverges"
-        )
-    return ErgodicityReport(
-        "unknown", c0, crit_status, crit_value, "group log-moment not certified"
-    )
+        status = "unknown"
+        detail = f"mean growth exponent c0={c0:.6g} is not negative; no convergence certificate"
+    else:
+        status, detail = {
+            "finite": ("ergodic", "c0 < 0 and group log-moment finite"),
+            "infinite": ("not_ergodic", "group log-moment diverges"),
+        }.get(crit_status, ("unknown", "group log-moment not certified"))
+    return ErgodicityReport(status, c0, crit_status, crit_value, detail)
 
 
 @dataclass(frozen=True)
@@ -657,10 +667,10 @@ def stationary_laplace(
 
     prev: float | None = None
     while True:
-        grid = SolverGrid(dt, T, "trapezoid")
+        grid = SolverGrid(dt, T)
         integral, _ = immigration_exponent_integral(model, imm, f, grid)
         if prev is not None:
-            quad_err = abs(integral - prev) / 3.0
+            quad_err = grid.richardson(integral, prev)
             if quad_err <= tolerance / 2.0:
                 return StationaryReport(
                     math.exp(-integral), integral, T, dt, tail_bound, quad_err
@@ -675,16 +685,15 @@ def stationary_laplace(
         dt /= 2.0
 
 
-def exponential_tail_identity(
-    a: float, c: float, group_mass: int, tol: float = 1e-9
-) -> tuple[float, float]:
+def exponential_tail_identity(a: float, c: float, group_mass: int) -> tuple[float, float]:
     """Two quadrature forms of the exponential-decay tail integral.
 
     Left: ``integral_0^inf (1 - exp(-a n exp(-c s))) ds`` by this package's
     trapezoid stack (truncated with a certified exponential tail bound and
     step-halving).  Right: the substitution ``z = a n exp(-c s)`` giving
     ``c^-1 integral_0^{a n} (1 - exp(-z)) / z dz`` via adaptive quadrature.
-    Used as a self-test of the quadrature machinery; the two must agree.
+    Used as a self-test of the quadrature machinery; the two must agree, each
+    side to within ``tol = 1e-9``.
 
     The right side is scipy's adaptive quadrature, independent of this
     package's; scipy is imported here, not at module level, so only this
@@ -694,6 +703,7 @@ def exponential_tail_identity(
 
     if a <= 0 or c <= 0 or group_mass < 1:
         raise ValueError("need a > 0, c > 0, group_mass >= 1")
+    tol = 1e-9
     an = a * group_mass
     # truncate where the integrand's tail integral a n exp(-c S) / c < tol/4
     S = math.log(max(4.0 * an / (c * tol), 2.0)) / c

@@ -150,7 +150,7 @@ class _ReplicateJob:
     A row holds the mass and ``<X_r, f>`` at each snapshot index in ``reads``,
     the running maximum of the mass, the branch count, the martingale pair of
     G(v) = exp(-v) over the whole grid if ``martingale``, and the cap flag.
-    With ``log_first``, replicate 0 is also kept whole, with its event log.
+    Replicate 0 is also kept whole, with its event log.
     """
 
     cfg: SimConfig
@@ -158,7 +158,6 @@ class _ReplicateJob:
     stream: int
     reads: tuple[int, ...] = (-1,)
     martingale: bool = False
-    log_first: bool = False
 
 
 def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> tuple[np.ndarray, Trajectory | None]:
@@ -168,13 +167,13 @@ def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> tuple[np.ndarray, T
     function of the seed, the job, the replicate count and the replicate
     index alone; the snapshot grid consumes no random draws.  Paths cut by
     the event cap are NaN rows, flagged to be counted and excluded downstream.
-    Replicate 0, logged, comes with the first chunk of a ``log_first`` job
-    (``None`` otherwise).
+    The first chunk also returns replicate 0 with its event log (later chunks
+    ``None``): one path's log per path set.
     """
     if start % _CHUNK or stop - start > _CHUNK:
         raise ValueError(f"replicates {start}..{stop} are not one chunk of {_CHUNK}")
     cfg = job.cfg
-    first = job.log_first and start == 0
+    first = start == 0
     pair = _martingale_pair_fn(job) if job.martingale else None  # refuses a field without f'
     paths = simulate_paths(
         cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start, log_paths=int(first)
@@ -197,7 +196,7 @@ def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> tuple[np.ndarray, T
 class _Rows:
     """The rows of one path set, by column; ``pair`` is (G(v_T) - G(v_0), integral of L G_f).
 
-    ``first`` is replicate 0 with its event log, for a ``log_first`` job.
+    ``first`` is replicate 0 with its event log.
     """
 
     def __init__(self, job: _ReplicateJob, data: np.ndarray, first: Trajectory | None = None) -> None:
@@ -277,10 +276,10 @@ def snapshot_profile(
     """Per-snapshot (time, mass estimate, integral-of-f estimate), and replicate 0 with its event log.
 
     Both come from one path set: replicate 0 is the set's first path, the
-    only one whose events are logged.
+    only one whose events are logged (as in every path set).
     """
     reads = tuple(range(len(cfg.snapshot_times)))
-    rows = _collect(_ReplicateJob(cfg, f, stream, reads, log_first=True), n, n_jobs)
+    rows = _collect(_ReplicateJob(cfg, f, stream, reads), n, n_jobs)
     profile = [(t, rows.estimate(rows.mass[:, i]), rows.estimate(rows.integral[:, i]))
                for i, t in enumerate(cfg.snapshot_times)]
     return profile, rows.first
@@ -293,15 +292,14 @@ def laplace_analytic(
     f: ScalarField,
     t: float,
     dt: float,
-    quadrature: str = "trapezoid",
     solutions: dict | None = None,
 ) -> tuple[float, float]:
     """Analytic Laplace functional with a Richardson error estimate.
 
-    Solves the exponent at dt and 2 dt; the difference scaled by the scheme
-    order certifies the returned fine-grid value.  ``solutions`` is a memo of
-    one run's solutions of ``model`` and ``f`` (see ``_solved``): a grid
-    already in it is read, not solved again.
+    Solves the exponent at dt and 2 dt by the trapezoid rule; the difference
+    scaled by the scheme order certifies the returned fine-grid value.
+    ``solutions`` is a memo of one run's solutions of ``model`` and ``f``
+    (see ``_solved``): a grid already in it is read, not solved again.
     """
 
     def value(grid: SolverGrid) -> float:
@@ -310,43 +308,25 @@ def laplace_analytic(
         integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
         return math.exp(-(expo + integral))
 
-    return _richardson(value, t, dt, quadrature)
+    return _richardson(value, t, dt)
 
 
 def compare_laplace(
-    cfg: SimConfig,
-    f: ScalarField,
-    t: float,
-    n: int,
-    dt: float = 1e-3,
-    stream: int = 0,
-    n_jobs: int = 1,
-    name: str = "laplace",
+    cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float = 1e-3, stream: int = 0, n_jobs: int = 1
 ) -> ComparisonReport:
     """Simulated Laplace functional against the exponent solver, two-sided."""
-    return _laplace_report(_collect(_job(cfg, f, t, stream), n, n_jobs), t, dt, name)
-
-
-def _laplace_report(rows: _Rows, t: float, dt: float, name: str, i: int = -1) -> ComparisonReport:
-    cfg = rows.job.cfg
-    analytic, tol = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, rows.job.f, t, dt)
-    return ComparisonReport(name, _laplace(rows, i), analytic, tol)
+    analytic = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, t, dt)
+    rows = _collect(_job(cfg, f, t, stream), n, n_jobs)
+    return ComparisonReport("laplace", _laplace(rows), *analytic)
 
 
 def compare_mean(
-    cfg: SimConfig,
-    f: ScalarField,
-    t: float,
-    n: int,
-    dt: float = 1e-3,
-    stream: int = 0,
-    n_jobs: int = 1,
-    name: str = "mean",
+    cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float = 1e-3, stream: int = 0, n_jobs: int = 1
 ) -> ComparisonReport:
     """Simulated first moment against the moment-kernel solver, two-sided."""
     analytic = _mean_analytic(cfg, f, t, dt)
     rows = _collect(_job(cfg, f, t, stream), n, n_jobs)
-    return ComparisonReport(name, rows.estimate(rows.integral[:, -1]), *analytic)
+    return ComparisonReport("mean", rows.estimate(rows.integral[:, -1]), *analytic)
 
 
 def _mean_analytic(
@@ -358,19 +338,20 @@ def _mean_analytic(
         sol = _solved(solutions, "mean", cfg.model, f, grid)
         return mean_with_immigration(cfg.model, cfg.immigration, f, cfg.initial, grid, sol)
 
-    return _richardson(value, t, dt, "trapezoid")
+    return _richardson(value, t, dt)
 
 
-def _richardson(
-    value: Callable[[SolverGrid], float], t: float, dt: float, quadrature: str
-) -> tuple[float, float]:
-    """``value`` on the grid of about dt to t, with a Richardson error estimate from 2 dt.
+def _richardson(value: Callable[[SolverGrid], float], t: float, dt: float) -> tuple[float, float]:
+    """``value`` on the trapezoid grid of about dt to t, with a Richardson error estimate from 2 dt.
 
-    Each grid lands exactly on t, so an arrival integral covers [0, t].
+    Each grid lands exactly on t, so an arrival integral covers [0, t].  A
+    horizon of no finite number of steps is refused.
     """
-    grids = [SolverGrid(t / max(1, math.ceil(t / step - 1e-12)), t, quadrature) for step in (dt, 2 * dt)]
+    if math.isinf(t / dt):
+        raise ValueError(f"horizon {t:g} is not a finite number of steps of dt {dt:g}")
+    grids = [SolverGrid(t / max(1, math.ceil(t / step - 1e-12)), t) for step in (dt, 2 * dt)]
     fine, coarse = map(value, grids)
-    return fine, abs(fine - coarse) / (2 ** grids[0].order - 1)
+    return fine, grids[0].richardson(fine, coarse)
 
 
 def bound_suite(
@@ -471,11 +452,10 @@ def solver_bound_checks(
     half = grid.n_steps // 2
     coarse = SolverGrid(2 * grid.dt, 2 * half * grid.dt, grid.quadrature)
     shared = slice(0, 2 * half + 1, 2)  # fine nodes that coincide with coarse nodes
-    shift = 2**grid.order - 1
     ucoarse = _solved(solutions, "exponent", model, f, coarse)
     mcoarse = _solved(solutions, "mean", model, f, coarse)
-    cert_u = float(np.max(np.abs(usol.boundary[shared] - ucoarse.boundary)) / shift)
-    cert_p = float(np.max(np.abs(msol.boundary[shared] - mcoarse.boundary)) / shift)
+    cert_u = float(np.max(grid.richardson(usol.boundary[shared], ucoarse.boundary)))
+    cert_p = float(np.max(grid.richardson(msol.boundary[shared], mcoarse.boundary)))
     times, sup = grid.times(), f.sup
 
     nonneg = survival = below = norm = math.inf
@@ -605,13 +585,16 @@ def ergodic_convergence(
     analytic value, and the gap between the finite-T value and the certified
     stationary value is reported; the gaps must shrink as T grows.  Refuses a
     zero-rate mechanism, and (in ``stationary_laplace``) a model that is not
-    certified ergodic.
+    certified ergodic.  The analytic sides are computed before any path is
+    simulated, so a horizon they refuse is refused at once.
     """
     if cfg.immigration.total_rate == 0.0:
         raise ValueError("ergodic convergence needs an immigration mechanism")
     stat = stationary_laplace(cfg.model, cfg.immigration, f, tolerance)
+    sides = [laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, T, dt) for T in horizons]
     grid = tuple(sorted(horizons))
     sim = replace(cfg, t_end=grid[-1], snapshot_times=grid)
     rows = _collect(_ReplicateJob(sim, f, stream, tuple(map(grid.index, horizons))), n, n_jobs)
-    reports = [_laplace_report(rows, T, dt, f"ergodic:T={T:g}", i) for i, T in enumerate(horizons)]
+    reports = [ComparisonReport(f"ergodic:T={T:g}", _laplace(rows, i), *side)
+               for i, (T, side) in enumerate(zip(horizons, sides))]
     return stat.value, reports, [abs(r.analytic - stat.value) for r in reports]

@@ -740,7 +740,7 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
                 idx = int(np.searchsorted(cum, rng.random() * hazard, side="right"))
                 idx = min(idx, mass - 1)
                 dying_age = float(ages_now[idx])
-                k = offspring.sample(dying_age, rng)
+                k = int(offspring.sample(np.array([dying_age]), rng)[0])
                 del bases[idx]
                 if k:
                     bases[0:0] = [-t_next] * k

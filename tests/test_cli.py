@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -565,6 +567,21 @@ def _modules_of_run(argv: list[str]) -> dict:
         capture_output=True, text=True, check=True, timeout=300,
     )
     return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve-u", "bench_critical"), ("validate", "bench_critical"), ("ergodic", "pure_death_imm"),
+])
+def test_horizon_of_no_finite_step_count_is_refused(tmp_path, command, config):
+    # t_end / dt overflows: a clean refusal before any solve or path, not a
+    # traceback (solve-u, validate) or a simulation to t = 1e308 (ergodic)
+    res = subprocess.run(
+        [sys.executable, "-m", "agebranch.cli", command, "--config", str(CONFIG_DIR / f"{config}.json"),
+         "--t-end", "1e308", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert re.fullmatch(r"error: horizon \S+ is not a (whole|finite) number of steps of dt \S+\n", res.stderr)
 
 
 def test_import_loads_no_scipy():

@@ -91,7 +91,7 @@ def test_offspring_sampling_matches_pmf():
     law = OffspringLaw.table({0: 0.3, 1: 0.2, 3: 0.5})
     rng = np.random.default_rng(77)
     n = 30_000
-    draws = np.array([law.sample(0.0, rng) for _ in range(n)])
+    draws = np.array([law.sample(np.zeros(1), rng)[0] for _ in range(n)])
     for k, p in [(0, 0.3), (1, 0.2), (3, 0.5)]:
         freq = np.mean(draws == k)
         assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / n)
@@ -214,7 +214,7 @@ def test_finite_group_log_moment_value():
 
 
 def test_sample_group_point_mass():
-    imm = ImmigrationMechanism.single_arrivals(5.0, age=0.0)
+    imm = ImmigrationMechanism.single_arrivals(5.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
         sizes, ages = imm.sample_groups(rng, 1)
@@ -245,7 +245,7 @@ def test_sample_group_zeta_size_frequencies():
     law = GroupSizeLaw.zeta_tail(3.0)
     rng = np.random.default_rng(11)
     n = 20_000
-    draws = np.array([law.sample(rng) for _ in range(n)])
+    draws = np.array([law.sample(rng, 1)[0] for _ in range(n)])
     zeta3 = 1.2020569031595942
     for k in (1, 2, 3):
         p = k**-3.0 / zeta3
@@ -294,10 +294,10 @@ def _one_group(imm, rng):
 def test_vector_size_draws_equal_one_size_draws(law, n):
     one, many = np.random.default_rng(2), np.random.default_rng(2)
     expected = [_one_size(law, one) for _ in range(n)]
-    drawn = law.sample(many, size=n)
+    drawn = law.sample(many, n)
     assert drawn.dtype == np.int64 and drawn.tolist() == expected
-    assert law.sample(many, size=0).tolist() == []
-    assert [law.sample(many) for _ in range(5)] == [_one_size(law, one) for _ in range(5)]
+    assert law.sample(many, 0).tolist() == []
+    assert [law.sample(many, 1).tolist() for _ in range(5)] == [[_one_size(law, one)] for _ in range(5)]
     assert many.random() == one.random()  # both read the stream to the same place
 
 
@@ -331,7 +331,7 @@ def test_vector_group_draws_equal_one_group_draws(imm):
 def test_size_draw_past_the_table_cap_raises():
     law = GroupSizeLaw.log_squared_tail()
     with pytest.raises(RuntimeError, match="group-size draw exceeded the supported range"):
-        law.sample(np.random.default_rng(0), size=40)
+        law.sample(np.random.default_rng(0), 40)
     with pytest.raises(RuntimeError, match="group-size draw exceeded the supported range"):
         ImmigrationMechanism.parametric(1.0, law).sample_groups(np.random.default_rng(0), 40)
     rng = np.random.default_rng(0)
@@ -362,7 +362,7 @@ def test_declared_tail_refuses_uncertified_laplace():
     with pytest.raises(ValueError):
         law.laplace_sum(0.5, 1e-6)
     with pytest.raises(ValueError):
-        law.sample(np.random.default_rng(0))
+        law.sample(np.random.default_rng(0), 1)
 
 
 _SEAM = math.exp(-1.0)  # direct series at or below, the mu = log q expansion above

@@ -269,6 +269,11 @@ def assert_same_path(new, old, t_end):
     assert new.n_events == len(old.events)
 
 
+def unlogged_path(sim, rng):
+    """The path ``simulate`` runs on ``rng``, from the kernel with no event log."""
+    return simulate_paths(sim, rng, 1, log_paths=0).trajectory(0)
+
+
 def check_against_oracle(sim, seed, replicates, stream=1):
     for r in range(replicates):
         try:
@@ -279,7 +284,7 @@ def check_against_oracle(sim, seed, replicates, stream=1):
             continue
         logged = simulate(sim, replicate_rng(seed, stream, r))
         assert_same_path(logged, old, sim.t_end)
-        unlogged = simulate(sim, replicate_rng(seed, stream, r), log_events=False)
+        unlogged = unlogged_path(sim, replicate_rng(seed, stream, r))
         assert unlogged.events == ()
         assert unlogged == replace(logged, events=())
 
@@ -326,7 +331,7 @@ def test_kernel_matches_object_simulator_on_edge_paths():
     cases = edge_cases()
     for sim in cases:
         check_against_oracle(sim, seed=5, replicates=15)
-    capped = simulate(cases[4], replicate_rng(5, 1, 0), log_events=False)
+    capped = unlogged_path(cases[4], replicate_rng(5, 1, 0))
     assert capped.terminated_by == "event_cap" and capped.n_events == 10
     assert len(capped.snapshots) == 2  # the snapshot at t_end was never reached
 
@@ -413,7 +418,7 @@ def test_counters_before_t_end_need_the_event_log():
     sim = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 2.0, (2.0,), seed=21)
     old = simulate_objects(sim)
     logged = simulate(sim)
-    unlogged = simulate(sim, log_events=False)
+    unlogged = unlogged_path(sim, replicate_rng(sim.seed, sim.replicate_index))
     for t in (0.0, 0.3, 1.0, 1.999, 2.0, 5.0):
         assert log_counters(logged, t) == log_counters(old, t)
     # without the log only the whole-path counters remain
@@ -427,8 +432,8 @@ def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
     built = []
     original = AgeMeasure.__post_init__
     monkeypatch.setattr(AgeMeasure, "__post_init__", lambda self: built.append(1) or original(self))
-    for log in (True, False):
-        traj = simulate(sim, log_events=log)
+    for log in (1, 0):
+        traj = simulate_paths(sim, replicate_rng(sim.seed, sim.replicate_index), 1, log_paths=log).trajectory(0)
         assert len(traj.snapshots) == 50 and len(traj.events) == (traj.n_events if log else 0)
         segment_sums(ONE(traj.snapshot_ages), traj.snapshot_masses)
         if log:  # the log builds one measure per distinct group, shared by its arrivals

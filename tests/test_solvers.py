@@ -77,8 +77,10 @@ def test_closed_form_rederived_by_high_accuracy_integration():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SolverGrid(0.3, 1.0)  # horizon not an integral number of steps
+    with pytest.raises(ValueError, match="horizon 1 is not a whole number of steps of dt 0.3"):
+        SolverGrid(0.3, 1.0)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        SolverGrid(1e-2, 1e308)  # 1e310 steps: past the float range, not a count
     with pytest.raises(ValueError):
         SolverGrid(1e-3, 1.0, "simpson")
     grid = SolverGrid(0.25, 1.0)
@@ -538,6 +540,20 @@ def test_immigration_helpers_solve_the_boundary_once_without_a_solution(monkeypa
     assert mean == mean_with_immigration(AGE_VARYING, imm, ONE, initial, grid, solve_mean(AGE_VARYING, ONE, grid))
 
 
+def test_immigration_integral_refuses_a_solution_from_another_grid():
+    # bench_critical's model with single arrivals: a rectangle solution under
+    # trapezoid weights gave 1.098173, neither rule's value
+    imm = ImmigrationMechanism.single_arrivals(2.0)
+    grid = SolverGrid(1e-2, 1.0)
+    assert immigration_exponent_integral(CRITICAL, imm, ONE, grid)[0] == pytest.approx(1.098571, abs=1e-6)
+    rect = SolverGrid(1e-2, 1.0, "rectangle")
+    assert immigration_exponent_integral(CRITICAL, imm, ONE, rect)[0] == pytest.approx(1.099694, abs=1e-6)
+    # the horizon a rounding away: 100 steps either way, but not the same grid
+    for other in (rect, SolverGrid(1e-2, 1.0 + 1e-13)):
+        with pytest.raises(ValueError, match="is not the requested grid"):
+            immigration_exponent_integral(CRITICAL, imm, ONE, grid, solve_exponent(CRITICAL, ONE, other))
+
+
 def test_label_rows_trip_no_guard_a_single_ray_would_not():
     # the moment march's guards must see only the ages the boundary and the
     # requested rays visit
@@ -773,9 +789,7 @@ def test_fft_rounding_bound_is_far_below_the_richardson_tolerances(name):
     cfg, grid = _shipped(name)
     dt = cfg.grid_dt
     pairs = {}  # tolerance name -> (tolerance, fft effect, total effect)
-    _, tol = validate.laplace_analytic(
-        cfg.model, cfg.immigration, cfg.initial, cfg.f, cfg.t_end, dt, cfg.quadrature
-    )
+    _, tol = validate.laplace_analytic(cfg.model, cfg.immigration, cfg.initial, cfg.f, cfg.t_end, dt)
     fine, coarse = _effects(cfg, dt, False), _effects(cfg, 2 * dt, False)
     pairs["laplace"] = (tol, fine[0] + coarse[0], fine[1] + coarse[1])
     if math.isfinite(cfg.immigration.first_moment_of(ONE)):
