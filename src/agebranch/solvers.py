@@ -43,10 +43,19 @@ orders are those of the march.
   of ``2^k`` leaves is added to the next ``2^k`` leaves with one FFT product
   (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541),
   and within a leaf of ``_LEAF`` steps the sum is direct.  The new value
-  appears in its own k = i term through ``C_0``: the exponent's step closes
-  it by the damped fixed point ``w = known + C_0 g(w)`` to ``_FIXED_POINT_TOL``
-  (the contraction needs ``dt * sup alpha < 1``, enforced up front); the
-  mean's is ``known / (1 - C_0)``.
+  appears in its own k = i term through ``C_0``: the exponent's step solves
+  ``F(w) = w - known - C_0 g(w) = 0`` by Newton's method, with ``g`` and
+  ``g'`` in closed form (``OffspringPmf.pgf_slope``), from ``known`` clipped
+  to [0, 1] until a step moves ``w`` by at most ``_FIXED_POINT_TOL``.  ``g``
+  is absolutely monotone, so F is concave and its slope ``1 - C_0 g'(w)``
+  falls as w rises: from ``known``, where F <= 0, the iterates rise
+  monotonically to the root the damped iteration ``w = known + C_0 g(w)``
+  finds, about four of them a step.  The scheme keeps ``known <= 1 - C_0``,
+  so ``F(1) >= 0`` and a root lies in [known, 1] (``dt * sup alpha < 1`` is
+  enforced up front); a slope <= 0, which only rounding at a nearly tangent
+  root reaches, would mean no root above the iterate.  The step then
+  refuses, as it does after ``_FIXED_POINT_MAX_ITER`` iterations.  The
+  mean's step is ``known / (1 - C_0)``.
 * A ray at any age x, once the boundary is known, is one plain convolution of
   the boundary's sources with the ray's own kernel over the ages
   ``x + d dt`` (``rays``).  A grid-aligned age ``K dt`` with ``K <= n`` uses
@@ -115,8 +124,9 @@ _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
 _LEAF = 64  # steps of the boundary solve summed directly, below the FFT blocks
 _RAY_CHUNK = 2  # rays convolved together; a few at a time keep the peak memory O(n)
-# most grid steps stationary_laplace refines to (zeta_groups_imm needs 54,912)
-_STATIONARY_MAX_STEPS = 2**18
+# most steps of any grid: every shipped grid has at most 10,000, and
+# stationary_laplace refines zeta_groups_imm to 54,912
+_MAX_STEPS = 2**18
 
 
 def _whole_steps(t, dt):
@@ -134,7 +144,8 @@ def _whole_steps(t, dt):
 class SolverGrid:
     """Uniform time grid with a quadrature rule for the marching schemes.
 
-    The horizon must be a whole number of steps (``_whole_steps``).  ``order``
+    The horizon must be a whole number of steps (``_whole_steps``), at most
+    ``_MAX_STEPS`` of them, refused before any array is built.  ``order``
     is the rule's convergence order, and ``richardson`` the error estimate of
     a value on this grid from the same value on the grid of twice the step.
     """
@@ -150,6 +161,8 @@ class SolverGrid:
             raise ValueError("quadrature must be 'rectangle' or 'trapezoid'")
         if _whole_steps(self.horizon, self.dt) < 1:
             raise ValueError(f"horizon {self.horizon:g} is not a whole number of steps of dt {self.dt:g}")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError(f"{self.n_steps} steps of dt {self.dt:g} pass the cap of {_MAX_STEPS} steps per grid")
 
     @property
     def n_steps(self) -> int:
@@ -180,7 +193,7 @@ def _clip_unit(w: float) -> float:
     # w = exp(-exponent) must stay in (0, 1]; tolerate only rounding spill.
     if w > 1.0 + 1e-9:
         raise RuntimeError(f"exponent marching left the unit interval (w={w!r})")
-    return min(max(w, 1e-300), 1.0)
+    return 1.0 if w > 1.0 else 1e-300 if w < 1e-300 else w
 
 
 def _ray_offsets(offsets) -> np.ndarray:
@@ -286,22 +299,31 @@ def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mea
     values[0] = w0[0]
     if mean:
 
-        def step(known: float) -> tuple[float, list[float]]:
+        def step(known: float) -> tuple[float, float]:
             value = known / (1.0 - c0)
-            return value, [value]
+            return value, value
 
     else:
         pgfs = [r.pgf() for r in model.offspring.regimes]
-        g0 = pgfs[int(scheme.cls[0])]
+        g0 = model.offspring.regimes[int(scheme.cls[0])].pgf_slope()
+        single = pgfs[0] if len(pgfs) == 1 else None
+        tol, iterations = _FIXED_POINT_TOL, range(_FIXED_POINT_MAX_ITER)
 
-        def step(known: float) -> tuple[float, list[float]]:
-            # c0 is 0 under the rectangle rule: the iteration returns known, clipped
+        def step(known: float) -> tuple[float, float | list[float]]:
+            # Newton on F(w) = w - known - c0 g(w), concave and rising from the
+            # clipped `known` to its root; c0 is 0 under the rectangle rule,
+            # where the first step returns `known`, clipped
             w = 0.0 if known < 0.0 else 1.0 if known > 1.0 else known
-            for _ in range(_FIXED_POINT_MAX_ITER):
-                w_next = known + c0 * g0(0.0 if w < 0.0 else 1.0 if w > 1.0 else w)
-                if abs(w_next - w) <= _FIXED_POINT_TOL:
+            for _ in iterations:
+                g, dg = g0(0.0 if w < 0.0 else 1.0 if w > 1.0 else w)
+                slope = 1.0 - c0 * dg
+                if slope <= 0.0:  # F falls from here on: no root above w
+                    break
+                fixed = known + c0 * g  # the damped iteration's next value
+                w_next = fixed + (fixed - w) * (c0 * dg) / slope
+                if -tol <= w_next - w <= tol:
                     z = _clip_unit(w_next)
-                    return z, [g(z) for g in pgfs]
+                    return z, single(z) if single else [p(z) for p in pgfs]
                 w = w_next
             raise RuntimeError("boundary fixed point did not converge; use a smaller dt")
 
@@ -309,14 +331,17 @@ def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mea
     kernels = scheme.by_class(scheme.K).T.copy()  # row d: K_d by class
     acc = scheme.P * w0 - scheme.E * sources[0, scheme.cls]
     lags = kernels[_LEAF:0:-1].copy()  # lags _LEAF..1 (fewer when n < _LEAF), for the leaves
+    top = len(lags)
+    source_rows = sources[:, 0] if scheme.n_cls == 1 else sources  # a single class is set as a scalar
     spectra: dict[int, np.ndarray] = {}
     for lo in range(0, n + 1, _LEAF):
         hi = min(lo + _LEAF, n + 1)
+        leaf = acc[lo:hi].tolist()
         for j in range(max(lo, 1), hi):
-            known = float(acc[j])
+            known = leaf[j - lo]
             if j > lo:  # the leaf's own earlier steps, summed directly
-                known += float(np.vdot(lags[len(lags) - (j - lo) :], sources[lo:j]))
-            values[j], sources[j] = step(known)
+                known += float(np.vdot(lags[top - (j - lo) :], sources[lo:j]))
+            values[j], source_rows[j] = step(known)
         if hi > n:
             break
         # the block [hi - size, hi) just completed feeds the next `size` steps:
@@ -639,7 +664,7 @@ def stationary_laplace(
     bound of the moment kernel times the mechanism's first moment) is below
     tolerance/2; the quadrature error is certified below tolerance/2 by step
     halving, refused once the next halving would pass
-    ``_STATIONARY_MAX_STEPS`` steps.  Refuses models that are not certified
+    ``_MAX_STEPS`` steps.  Refuses models that are not certified
     ergodic, and mechanisms with infinite mean group size (the prescribed tail
     bound is vacuous there).
     """
@@ -675,11 +700,11 @@ def stationary_laplace(
                 return StationaryReport(
                     math.exp(-integral), integral, T, dt, tail_bound, quad_err
                 )
-            if 2 * grid.n_steps > _STATIONARY_MAX_STEPS:
+            if 2 * grid.n_steps > _MAX_STEPS:
                 raise RuntimeError(
                     f"stationary quadrature did not certify tolerance {tolerance}: the "
                     f"error estimate is {quad_err:.3g} at {grid.n_steps} steps and the "
-                    f"next halving would pass the cap of {_STATIONARY_MAX_STEPS} steps"
+                    f"next halving would pass the cap of {_MAX_STEPS} steps"
                 )
         prev = integral
         dt /= 2.0

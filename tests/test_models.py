@@ -78,6 +78,36 @@ def test_g_monotone_and_convex_in_z():
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pgf_slope_is_the_pgf_and_its_derivative():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    pmfs = [
+        OffspringPmf.table({0: 0.25, 1: 0.3, 2: 0.25, 5: 0.2}),
+        OffspringPmf.table({3: 1.0}),
+        OffspringPmf.geometric(0.35),
+        OffspringPmf.geometric(0.0),
+        OffspringPmf.poisson(2.0),
+        OffspringPmf.poisson(0.0),
+    ]
+    for pmf in pmfs:
+        g, pgf_slope = pmf.pgf(), pmf.pgf_slope()
+        q = mpmath.mpf(pmf.param)
+        if pmf.kind == "pmf":
+            exact = lambda z: (sum(p * z**k for k, p in zip(pmf.counts, pmf.probs)),
+                               sum(k * p * z ** (k - 1) for k, p in zip(pmf.counts, pmf.probs) if k))
+        elif pmf.kind == "geometric":
+            exact = lambda z: ((1 - q) / (1 - q * z), q * (1 - q) / (1 - q * z) ** 2)
+        else:
+            exact = lambda z: (mpmath.exp(q * (z - 1)), q * mpmath.exp(q * (z - 1)))
+        for z in (0.0, 1e-3, 0.3, 0.77, 1.0):
+            value, slope = pgf_slope(z)
+            ref_value, ref_slope = exact(mpmath.mpf(z))
+            assert value == pytest.approx(g(z), rel=4 * _EPS, abs=0.0), (pmf, z)
+            assert abs(value - ref_value) <= 4 * _EPS * abs(ref_value), (pmf, z)
+            assert abs(slope - ref_slope) <= 8 * _EPS * abs(ref_slope), (pmf, z)
+        assert pgf_slope(1.0)[1] == pytest.approx(pmf.mean, rel=4 * _EPS)
+
+
 def test_pmf_must_normalize():
     with pytest.raises(ValueError):
         OffspringPmf.table({0: 0.6, 2: 0.5})
@@ -520,6 +550,14 @@ def test_array_laplace_sum_and_psi_equal_scalar_calls(monkeypatch):
         scalar = [imm.psi_from_exponents({0.0: float(a), 1.0: float(b)}) for a, b in zip(*h)]
         assert all(isinstance(v, float) for v in scalar)
         assert np.array_equal(values, scalar)
+
+
+def test_zeta_log_moment_is_minus_the_zeta_derivative():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    for s in (1.001, 1.1, 1.5, 2.0, 3.0, 3.25, 6.0, 10.0, 25.0):
+        ref = -mpmath.zeta(s, derivative=1)
+        assert abs(mpmath.mpf(models._zeta_log_moment(s)) - ref) <= 2 * _EPS * abs(ref), s
 
 
 def test_zeta_log_moment_is_computed_once_per_exponent():

@@ -86,6 +86,9 @@ def test_grid_validation():
     grid = SolverGrid(0.25, 1.0)
     assert grid.n_steps == 4
     assert list(grid.times()) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert SolverGrid(1.0, float(solvers._MAX_STEPS)).n_steps == solvers._MAX_STEPS
+    with pytest.raises(ValueError, match=f"50000000 steps of dt 0.002 pass the cap of {solvers._MAX_STEPS} steps"):
+        SolverGrid(2e-3, 1e5)
 
 
 def test_contraction_precondition():
@@ -678,6 +681,37 @@ def test_renewal_solve_matches_the_march_on_shipped_grids(name, quadrature):
         assert b_gap <= b_bound and np.all(r_gap <= r_bound)
 
 
+# The offspring kinds no shipped config has: geometric and Poisson laws, and two
+# regimes of different kinds either way round.  Thresholds are > 0, so
+# regimes[0] is the age-0 regime whose pgf closes every boundary step; a short
+# first regime leaves every other age to regimes[1].
+OFFSPRING_KINDS = {
+    "geometric": BranchingModel(ScalarField.exp_decay(1.5, 3.0, 0.5), OffspringLaw.geometric(0.45)),
+    "poisson": BranchingModel(ScalarField.step([0.7], [1.2, 0.6]), OffspringLaw.poisson(1.4)),
+    "poisson_then_geometric": BranchingModel(
+        ONE, OffspringLaw((OffspringPmf.poisson(0.5), OffspringPmf.geometric(0.6)), (0.05,))
+    ),
+    "geometric_then_poisson": BranchingModel(
+        ScalarField.constant(1.5), OffspringLaw((OffspringPmf.geometric(0.3), OffspringPmf.poisson(1.8)), (0.05,))
+    ),
+}
+
+
+@pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
+@pytest.mark.parametrize("name", sorted(OFFSPRING_KINDS))
+def test_renewal_solve_matches_the_march_for_every_offspring_kind(name, quadrature):
+    model, f = OFFSPRING_KINDS[name], ScalarField.exp_decay(1.0, 0.7, 0.2)
+    for dt in (0.01, 0.3):  # a coarse step makes the closing term C_0 g(w) large
+        grid = SolverGrid(dt, 3.0, quadrature)
+        n = grid.n_steps
+        ages = [dt, 7 * dt, n * dt, (n + 1) * dt, 0.0123, 1.7]
+        for solve, march in ((solve_exponent, march_exponent), (solve_mean, march_mean)):
+            sol = solve(model, f, grid)
+            boundary, table, _ = march(model, f, grid, ages)
+            assert np.max(np.abs(sol.boundary - boundary)) <= 1e-12
+            assert np.max(np.abs(sol.rays(ages) - table)) <= 1e-12
+
+
 @pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
 def test_rows_are_the_marched_lattice(quadrature):
     # n = 300 across the step at age 1.5, which no node hits exactly
@@ -731,6 +765,54 @@ def test_boundary_fixed_point_refuses_when_it_does_not_converge(monkeypatch):
         solve_exponent(CRITICAL, ONE, SolverGrid(1e-2, 1.0))
 
 
+def _count_newton_steps(monkeypatch):
+    """``g'(w)`` at every Newton step, one entry per call of a ``pgf_slope`` function."""
+    derivatives = []
+    original = OffspringPmf.pgf_slope
+
+    def counted(self):
+        inner = original(self)
+
+        def pgf_slope(z):
+            value, slope = inner(z)
+            derivatives.append(slope)
+            return value, slope
+
+        return pgf_slope
+
+    monkeypatch.setattr(OffspringPmf, "pgf_slope", counted)
+    return derivatives
+
+
+def test_boundary_newton_step_refuses_a_slope_that_is_not_positive(monkeypatch):
+    # From `known` <= 1 - C_0 a root lies in [known, 1], so in exact arithmetic
+    # every slope below it is positive.  Rounding breaks this only at a nearly
+    # tangent root: the zero field, with C_0 = 1/5 at dt = 0.5 and a Poisson mean
+    # just above 1 / C_0, puts an iterate at w = 1, where 1 - C_0 g'(1) = -1e-9.
+    derivatives = _count_newton_steps(monkeypatch)
+    model = BranchingModel(ONE, OffspringLaw.poisson(5.0 * (1.0 + 1e-9)))
+    with pytest.raises(RuntimeError, match="did not converge; use a smaller dt"):
+        solve_exponent(model, ScalarField.constant(0.0), SolverGrid(0.5, 10.0))
+    c0 = 0.25 / 1.25
+    assert len(derivatives) < solvers._FIXED_POINT_MAX_ITER  # refused by the slope, not the cap
+    assert 1.0 - c0 * derivatives[-1] <= 0.0 < min(1.0 - c0 * d for d in derivatives[:-1])
+
+
+def test_boundary_newton_steps_on_the_stationary_zeta_grids(monkeypatch):
+    # the benchmark's stationary-zeta solves: about four Newton steps per boundary step
+    derivatives = _count_newton_steps(monkeypatch)
+    steps = []
+    original = solvers.solve_exponent
+    monkeypatch.setattr(
+        solvers, "solve_exponent", lambda model, f, grid: steps.append(grid.n_steps) or original(model, f, grid)
+    )
+    cfg = cli.load_config(CONFIG_DIR / "zeta_groups_imm.json")
+    for theta in (0.25, 0.5, 1.0):
+        stationary_laplace(cfg.model, cfg.immigration, ScalarField.constant(theta), 2e-3)
+    assert sum(steps) == 1836
+    assert len(derivatives) / sum(steps) <= 4.0
+
+
 def test_stationary_laplace_refuses_past_the_step_cap(monkeypatch):
     grids = []
     original = solvers.immigration_exponent_integral
@@ -742,10 +824,10 @@ def test_stationary_laplace_refuses_past_the_step_cap(monkeypatch):
     # the quadrature error falls about fourfold per halving from about 1e-5:
     # 1e-12 would need far more steps than the cap
     imm = ImmigrationMechanism.single_arrivals(1.0)
-    with pytest.raises(RuntimeError, match=f"cap of {solvers._STATIONARY_MAX_STEPS} steps"):
+    with pytest.raises(RuntimeError, match=f"cap of {solvers._MAX_STEPS} steps"):
         stationary_laplace(SUBCRITICAL, imm, ONE, 1e-12)
-    assert max(grids) <= solvers._STATIONARY_MAX_STEPS < 2 * max(grids)
-    assert solvers._STATIONARY_MAX_STEPS > 54_912  # what zeta_groups_imm needs at f = 2
+    assert max(grids) <= solvers._MAX_STEPS < 2 * max(grids)
+    assert solvers._MAX_STEPS > 54_912  # what zeta_groups_imm needs at f = 2
 
 
 def test_fft_products_stay_within_the_stated_allowance():

@@ -494,7 +494,9 @@ def flat(x):
 
 @pytest.mark.parametrize("case", ["age_varying", "subcritical_imm", "capped"])
 def test_estimators_keep_their_golden_bits(case):
-    # recorded when every estimator simulated a set of its own, 600 replicates on stream 3
+    # recorded when every estimator simulated a set of its own, 600 replicates on stream 3;
+    # compare_laplace's analytic side and tolerance again when the boundary steps closed
+    # by Newton's method (at most 1.8e-15 apart)
     n, stream = 600, 3
     if case == "capped":  # an event cap of 5 truncates many paths
         cfg, f, t = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), NO_IMMIGRATION, 45, 0, 5), ONE, 1.5
@@ -573,7 +575,10 @@ SOLVER_ROWS = json.loads((Path(__file__).resolve().parent / "solver_row_goldens.
 @pytest.mark.parametrize("config", sorted(SOLVER_ROWS))
 def test_solver_rows_keep_their_golden_bytes(config):
     # the checks.csv rows as recorded when each check solved its own boundaries; the four
-    # 10,000-step grids are cut to about 2,000 steps (t_end in the file) for the suite's time
+    # 10,000-step grids are cut to about 2,000 steps (t_end in the file) for the suite's time.
+    # The exponent rows again when the boundary steps closed by Newton's method: tolerances
+    # at most 1.5e-15 apart, so their z (near 4e5 where the tolerance is at rounding level)
+    # up to 3e-9 relative
     golden = SOLVER_ROWS[config]
     run = replace(load_config(CONFIG_DIR / f"{config}.json"), t_end=golden["t_end"], replicates=2)
     grid = SolverGrid(run.grid_dt, run.t_end, run.quadrature)

@@ -7,9 +7,12 @@ checkout's ``src/``.  Each run works in a scratch directory holding a copy of
 ``configs/``, so every path it sees is relative and the same in any checkout.
 The manifest records the exit code and the sha256 of stdout, stderr and
 every output file.  Two checkouts that compute the same bytes write equal
-manifests:
+manifests.  With ``--compare`` the new manifest is checked against an older
+one: each config/command whose exit code, stdout, stderr or output file
+moved is listed, one line each, and the exit status is 1 if any moved:
 
     python3 tools/command_digests.py manifest.json
+    python3 tools/command_digests.py new.json --compare old.json
 """
 
 from __future__ import annotations
@@ -49,10 +52,29 @@ def _run(work: Path, config: str, command: str, env: dict) -> dict:
     }
 
 
+def moved(new: dict, old: dict) -> list[str]:
+    """``config command part`` for every digest that differs between two manifests."""
+    lines = []
+    for key in sorted(new.keys() | old.keys()):
+        a, b = new.get(key), old.get(key)
+        if a is None or b is None:
+            lines.append(f"{key}: {'added' if b is None else 'removed'}")
+            continue
+        for part in ("exit", "stdout", "stderr"):
+            if a[part] != b[part]:
+                lines.append(f"{key} {part}")
+        for name in sorted(a["files"].keys() | b["files"].keys()):
+            if a["files"].get(name) != b["files"].get(name):
+                lines.append(f"{key} {name}")
+    return lines
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
-        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+    args = sys.argv[1:]
+    if len(args) not in (1, 3) or (len(args) == 3 and args[1] != "--compare"):
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[-2:]), file=sys.stderr)
         return 2
+    old = json.loads(Path(args[2]).read_text()) if len(args) == 3 else None
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     configs = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
@@ -65,8 +87,13 @@ def main() -> int:
                 key = f"{Path(config).stem} {command}"
                 manifest[key] = _run(work, config, command, env)
                 print(f"{key}: exit {manifest[key]['exit']}", flush=True)
-    Path(sys.argv[1]).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    return 0
+    Path(args[0]).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    if old is None:
+        return 0
+    lines = moved(manifest, old)
+    print(f"{len(lines)} digests moved against {args[2]}")
+    print("\n".join(lines))
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
