@@ -62,8 +62,8 @@ class OffspringPmf:
             if not (0.0 <= self.param < 1.0):
                 raise ValueError("geometric parameter q must lie in [0, 1)")
         elif self.kind == "poisson":
-            if self.param < 0:
-                raise ValueError("poisson mean must be >= 0")
+            if not 0.0 <= self.param < math.inf:  # an infinite mean has no slope at 1
+                raise ValueError("poisson mean must be finite and >= 0")
         else:
             raise ValueError(f"unknown offspring pmf kind {self.kind!r}")
 
@@ -80,35 +80,12 @@ class OffspringPmf:
     def poisson(cls, mu: float) -> "OffspringPmf":
         return cls("poisson", param=float(mu))
 
-    def pgf(self) -> Callable[[float], float]:
-        """The generating function as a plain scalar function, unchecked.
-
-        ``g`` is this function behind the range check; the boundary solve
-        calls it at every time step, on arguments clipped to [0, 1] already,
-        for the sources of each new boundary value.
-        """
-        if self.kind == "pmf":
-            terms = tuple(zip(self.counts, self.probs))
-
-            def pmf_pgf(z: float) -> float:
-                total = 0.0
-                for k, p in terms:
-                    total += p * z**k
-                return float(total)
-
-            return pmf_pgf
-        if self.kind == "geometric":
-            q = self.param
-            return lambda z: (1.0 - q) / (1.0 - q * z)
-        mu = self.param
-        return lambda z: math.exp(mu * (z - 1.0))
-
     def pgf_slope(self) -> Callable[[float], tuple[float, float]]:
-        """``z -> (g(z), g'(z))`` in closed form, unchecked, as ``pgf``.
+        """``z -> (g(z), g'(z))`` in closed form, unchecked: the law's one generating function.
 
-        The boundary solve's Newton steps call it on arguments in [0, 1].  A
-        pmf gives both from one pass over its terms, so ``g`` may differ from
-        ``pgf`` in the last bits.
+        ``g`` and ``mean`` read it, and the boundary solve's Newton steps and
+        sources call it on arguments clipped to [0, 1] already.  A pmf sums
+        ``p z**k`` and ``k p z**(k-1)`` in one pass over its terms.
         """
         if self.kind == "pmf":
             terms = tuple((k, p, k * p) for k, p in zip(self.counts, self.probs))
@@ -117,10 +94,9 @@ class OffspringPmf:
                 value = slope = 0.0
                 for k, p, kp in terms:
                     if k:
-                        lower = z ** (k - 1)
-                        value += p * (lower * z)
-                        slope += kp * lower
-                    else:
+                        value += p * z**k
+                        slope += kp * z ** (k - 1)
+                    else:  # p z**0 is p, bit for bit
                         value += p
                 return value, slope
 
@@ -142,19 +118,15 @@ class OffspringPmf:
         return poisson_pgf_slope
 
     def g(self, z: float) -> float:
-        """Probability generating function at z in [0, 1]."""
+        """Probability generating function at z in [0, 1]: ``pgf_slope``'s value."""
         if not (0.0 <= z <= 1.0):
             raise ValueError(f"generating function argument must lie in [0, 1], got {z!r}")
-        return self.pgf()(z)
+        return self.pgf_slope()(z)[0]
 
     @property
     def mean(self) -> float:
-        if self.kind == "pmf":
-            return float(sum(k * p for k, p in zip(self.counts, self.probs)))
-        if self.kind == "geometric":
-            q = self.param
-            return q / (1.0 - q)
-        return self.param
+        """Mean offspring number: ``pgf_slope``'s slope at 1."""
+        return self.pgf_slope()(1.0)[1]
 
     @cached_property
     def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
@@ -335,22 +307,35 @@ _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate((
     43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730), 1))
 
 
-def _zeta_em(x: float, xm1: float) -> float:
-    """zeta(x), x >= 1/2, by Euler-Maclaurin, given x - 1 exactly.
+def _zeta_em(x: float, xm1: float) -> tuple[float, float]:
+    """``(zeta(x), -zeta'(x))``, x >= 1/2, by one Euler-Maclaurin pass, given x - 1 exactly.
 
     ``sum_{k<N} k^-x + N^(1-x)/(x-1) + N^-x/2 + sum_j B_2j/(2j)! (x)_(2j-1)
-    N^(1-x-2j)``, smallest terms first.  The pole term takes x - 1 from the
-    caller, so a reflected argument 1 - x near 1 keeps its relative accuracy.
+    N^(1-x-2j)``, smallest terms first, and the same terms differentiated in
+    x: ``sum_{k<N} k^-x log k + N^(1-x) (log N/(x-1) + 1/(x-1)^2) + N^-x
+    log N/2 + sum_j B_2j/(2j)! (x)_(2j-1) N^(1-x-2j) (log N - sum_(i<2j-1)
+    1/(x+i))``.  The pole term takes x - 1 from the caller, so a reflected
+    argument 1 - x near 1 keeps its relative accuracy.
     """
     N = float(_EM_HEAD)
-    terms, rising = [], x * N ** (-x - 1.0)
+    log_n = math.log(N)
+    terms, slopes, rising, harmonic = [], [], x * N ** (-x - 1.0), 1.0 / x
     for j, c in enumerate(_EM_COEFFS, 1):
-        terms.append(c * rising)
+        term = c * rising
+        terms.append(term)
+        slopes.append(term * (log_n - harmonic))
         rising *= (x + 2 * j - 1) * (x + 2 * j) / (N * N)
-    total = sum(reversed(terms)) + N**-x / 2.0 + N**-xm1 / xm1
+        harmonic += 1.0 / (x + 2 * j - 1) + 1.0 / (x + 2 * j)
+    head, pole, square = N**-x, N**-xm1, xm1 * xm1
+    # a square that underflows to 0 comes only from a reflected argument, whose slope goes unread
+    inverse_square = 1.0 / square if square else math.inf
+    value = sum(reversed(terms)) + head / 2.0 + pole / xm1
+    slope = sum(reversed(slopes)) + head * log_n / 2.0 + pole * (log_n / xm1 + inverse_square)
     for k in range(_EM_HEAD - 1, 0, -1):
-        total += float(k) ** -x
-    return total
+        power = float(k) ** -x
+        value += power
+        slope += math.log(k) * power
+    return value, slope
 
 
 @lru_cache(maxsize=1024)
@@ -371,11 +356,11 @@ def _zeta_real(x: float) -> float:
     if x == 0.0:
         return -0.5
     if x >= 0.5:
-        return _zeta_em(x, x - 1.0)
+        return _zeta_em(x, x - 1.0)[0]
     if x / 2.0 == math.floor(x / 2.0):  # a trivial zero, x = -2k
         return 0.0
     return (2.0**x * math.pi ** (x - 1.0) * math.sin(math.pi * x / 2.0) * math.gamma(1.0 - x)
-            * _zeta_em(1.0 - x, -x))
+            * _zeta_em(1.0 - x, -x)[0])
 
 
 # Elementwise over arrays, one libm evaluation per entry, so an entry does not
@@ -402,25 +387,12 @@ def _log_squared_total() -> float:
 
 @lru_cache(maxsize=32)
 def _zeta_log_moment(s: float) -> float:
-    """``sum_k k^-s log k = -zeta'(s)``, s > 1: ``_zeta_em``'s terms differentiated in s.
+    """``sum_k k^-s log k = -zeta'(s)``, s > 1, from ``_zeta_em``.
 
-    ``sum_{k<N} k^-s log k + N^(1-s) (log N/(s-1) + 1/(s-1)^2) + N^-s log N/2
-    + sum_j B_2j/(2j)! (s)_(2j-1) N^(1-s-2j) (log N - sum_(i<2j-1) 1/(s+i))``,
-    smallest terms first, with the same head N and coefficients.  Against
-    120-bit mpmath at 400 points of s from 1.001 to 25: at most 1.3 ulps
-    relative.  Cached: one evaluation per exponent.
+    Against 120-bit mpmath at 400 points of s from 1.001 to 25: at most 1.3
+    ulps relative.  Cached: one evaluation per exponent.
     """
-    N, sm1 = float(_EM_HEAD), s - 1.0
-    log_n = math.log(N)
-    terms, rising, harmonic = [], s * N ** (-s - 1.0), 1.0 / s
-    for j, c in enumerate(_EM_COEFFS, 1):
-        terms.append(c * rising * (log_n - harmonic))
-        rising *= (s + 2 * j - 1) * (s + 2 * j) / (N * N)
-        harmonic += 1.0 / (s + 2 * j - 1) + 1.0 / (s + 2 * j)
-    total = sum(reversed(terms)) + N**-s * log_n / 2.0 + N**-sm1 * (log_n / sm1 + 1.0 / (sm1 * sm1))
-    for k in range(_EM_HEAD - 1, 1, -1):
-        total += math.log(k) * float(k) ** -s
-    return total
+    return _zeta_em(s, s - 1.0)[1]
 
 
 # The polylogarithm Li_s(q) = sum_k q^k k^-s, the zeta law's Laplace sum up to

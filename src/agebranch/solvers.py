@@ -44,18 +44,26 @@ orders are those of the march.
   (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541),
   and within a leaf of ``_LEAF`` steps the sum is direct.  The new value
   appears in its own k = i term through ``C_0``: the exponent's step solves
-  ``F(w) = w - known - C_0 g(w) = 0`` by Newton's method, with ``g`` and
-  ``g'`` in closed form (``OffspringPmf.pgf_slope``), from ``known`` clipped
-  to [0, 1] until a step moves ``w`` by at most ``_FIXED_POINT_TOL``.  ``g``
+  ``F(w) = w - known - C_0 g(w) = 0`` by Newton's method, from ``known``
+  clipped to [0, 1] until a step moves ``w`` by at most ``_FIXED_POINT_TOL``.
+  Each offspring regime gives one closure ``z -> (g(z), g'(z))``
+  (``OffspringPmf.pgf_slope``): the age-0 regime's takes the Newton steps,
+  and every regime's value at the clipped root is the step's source.  ``g``
   is absolutely monotone, so F is concave and its slope ``1 - C_0 g'(w)``
-  falls as w rises: from ``known``, where F <= 0, the iterates rise
-  monotonically to the root the damped iteration ``w = known + C_0 g(w)``
-  finds, about four of them a step.  The scheme keeps ``known <= 1 - C_0``,
-  so ``F(1) >= 0`` and a root lies in [known, 1] (``dt * sup alpha < 1`` is
-  enforced up front); a slope <= 0, which only rounding at a nearly tangent
-  root reaches, would mean no root above the iterate.  The step then
-  refuses, as it does after ``_FIXED_POINT_MAX_ITER`` iterations.  The
-  mean's step is ``known / (1 - C_0)``.
+  falls as w rises, to its least value at w = 1.  The solve therefore
+  requires ``C_0 g'(1) < 1`` and refuses up front otherwise, as it does
+  ``dt * sup alpha >= 1``.  Then F rises on [0, 1], and since the scheme
+  keeps ``known <= 1 - C_0``, ``F(1) >= 0``: F has one root, in [known, 1],
+  and from ``known``, where F <= 0, the iterates rise monotonically to it,
+  about four of them a step.  Without the precondition F can have a root
+  below the solution, on which Newton's method and the damped iteration
+  ``w = known + C_0 g(w)`` both close: the zero field with alpha = 1, dt =
+  0.5 and Poisson(10) offspring gave [0, 0.174, 0.603, ...] for an exponent
+  that is 0.  A closure is monotone only up to rounding, so with ``C_0
+  g'(1)`` just below 1 a slope <= 0 can still occur; it would mean no root
+  above the iterate, so the step refuses there, as it does after
+  ``_FIXED_POINT_MAX_ITER`` iterations.  The mean's step is
+  ``known / (1 - C_0)``.
 * A ray at any age x, once the boundary is known, is one plain convolution of
   the boundary's sources with the ray's own kernel over the ages
   ``x + d dt`` (``rays``).  A grid-aligned age ``K dt`` with ``K <= n`` uses
@@ -304,9 +312,15 @@ def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mea
             return value, value
 
     else:
-        pgfs = [r.pgf() for r in model.offspring.regimes]
-        g0 = model.offspring.regimes[int(scheme.cls[0])].pgf_slope()
-        single = pgfs[0] if len(pgfs) == 1 else None
+        closures = [r.pgf_slope() for r in model.offspring.regimes]
+        g0 = closures[int(scheme.cls[0])]
+        tangent = c0 * g0(1.0)[1]  # F'(1) = 1 - tangent, the Newton slope's least value
+        if tangent >= 1.0:
+            raise ValueError(
+                f"C_0 g'(1) = {tangent:.3g} >= 1 at age 0: the boundary step can close "
+                "on a root below the solution; use a smaller dt"
+            )
+        single = len(closures) == 1
         tol, iterations = _FIXED_POINT_TOL, range(_FIXED_POINT_MAX_ITER)
 
         def step(known: float) -> tuple[float, float | list[float]]:
@@ -317,17 +331,17 @@ def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mea
             for _ in iterations:
                 g, dg = g0(0.0 if w < 0.0 else 1.0 if w > 1.0 else w)
                 slope = 1.0 - c0 * dg
-                if slope <= 0.0:  # F falls from here on: no root above w
+                if slope <= 0.0:  # only rounding gets here: F falls from w on, no root above
                     break
                 fixed = known + c0 * g  # the damped iteration's next value
                 w_next = fixed + (fixed - w) * (c0 * dg) / slope
                 if -tol <= w_next - w <= tol:
                     z = _clip_unit(w_next)
-                    return z, single(z) if single else [p(z) for p in pgfs]
+                    return z, g0(z)[0] if single else [p(z)[0] for p in closures]
                 w = w_next
             raise RuntimeError("boundary fixed point did not converge; use a smaller dt")
 
-    sources[0] = w0[0] if mean else [g(_clip_unit(w0[0])) for g in pgfs]
+    sources[0] = w0[0] if mean else [p(_clip_unit(w0[0]))[0] for p in closures]
     kernels = scheme.by_class(scheme.K).T.copy()  # row d: K_d by class
     acc = scheme.P * w0 - scheme.E * sources[0, scheme.cls]
     lags = kernels[_LEAF:0:-1].copy()  # lags _LEAF..1 (fewer when n < _LEAF), for the leaves

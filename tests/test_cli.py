@@ -196,6 +196,16 @@ def test_solve_u_boundary_matches_closed_form(tmp_path):
     assert (out / "lattice.csv").exists()
 
 
+def test_solve_u_refuses_a_tangent_of_one_or_more_at_age_zero(tmp_path, capsys):
+    # C_0 g'(1) = (0.25 / 1.25) * 5.5 = 1.1: the boundary step could close on a spurious root
+    model = {"alpha": {"kind": "constant", "value": 1.0}, "offspring": {"kind": "poisson", "mean": 5.5}}
+    p = small_config(tmp_path, base="pure_death.json", model=model, t_end=10.0, grid={"dt": 0.5})
+    out = tmp_path / "out"
+    assert main(["solve-u", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "C_0 g'(1) = 1.1 >= 1 at age 0" in err and err.endswith("use a smaller dt")
+
+
 def test_solve_pi_boundary(tmp_path):
     p = small_config(tmp_path, base="pure_death.json")
     out = tmp_path / "out"
@@ -543,6 +553,26 @@ def test_tracer_names_resolve_in_the_package():
                 for part in qual.split("."):
                     target = getattr(target, part)
                 assert callable(target), f"{module_name}.{qual}"
+
+
+def test_command_digests_moved_lists_each_moved_digest():
+    # the manifest comparison alone, with no command run
+    path = Path(__file__).resolve().parent.parent / "tools" / "command_digests.py"
+    spec = importlib.util.spec_from_file_location("command_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)  # main() is not called
+
+    def run(exit_code=0, **files):
+        return {"exit": exit_code, "stdout": "a", "stderr": "b", "files": files}
+
+    old = {"pure_death solve-u": run(**{"boundary.csv": "c", "lattice.csv": "d"}), "pure_death simulate": run()}
+    assert digests.moved(old, json.loads(json.dumps(old))) == []
+    new = {**old, "pure_death solve-u": run(**{"boundary.csv": "c", "lattice.csv": "e"})}
+    assert digests.moved(new, old) == ["pure_death solve-u lattice.csv"]
+    new = {**old, "pure_death simulate": run(2)}
+    assert digests.moved(new, old) == ["pure_death simulate exit"]
+    new = {"pure_death solve-u": old["pure_death solve-u"], "pure_death solve-pi": run()}
+    assert digests.moved(new, old) == ["pure_death simulate: removed", "pure_death solve-pi: added"]
 
 
 # Run one command in a fresh interpreter after the set-up a user pays (import,

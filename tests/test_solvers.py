@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -765,8 +766,12 @@ def test_boundary_fixed_point_refuses_when_it_does_not_converge(monkeypatch):
         solve_exponent(CRITICAL, ONE, SolverGrid(1e-2, 1.0))
 
 
-def _count_newton_steps(monkeypatch):
-    """``g'(w)`` at every Newton step, one entry per call of a ``pgf_slope`` function."""
+def _count_step_calls(monkeypatch):
+    """``g'(z)`` at every closure call the boundary step makes: its Newton steps, then one source call a regime.
+
+    Calls from elsewhere (the solve's up-front test at z = 1, its node-0
+    sources, ``OffspringPmf.mean``) are not counted.
+    """
     derivatives = []
     original = OffspringPmf.pgf_slope
 
@@ -775,7 +780,8 @@ def _count_newton_steps(monkeypatch):
 
         def pgf_slope(z):
             value, slope = inner(z)
-            derivatives.append(slope)
+            if sys._getframe(1).f_code.co_name == "step":
+                derivatives.append(slope)
             return value, slope
 
         return pgf_slope
@@ -784,23 +790,65 @@ def _count_newton_steps(monkeypatch):
     return derivatives
 
 
+# The zero field at alpha = 1 and dt = 0.5: C_0 = 0.25 / 1.25 = 1/5, so the
+# exponent is 0 while C_0 g'(1) = mu / 5 < 1 for a Poisson mean mu.
+ZERO_FIELD_GRID = SolverGrid(0.5, 10.0)
+
+
+@pytest.mark.parametrize("mu", [10.0, 5.5])
+def test_boundary_solve_refuses_a_tangent_of_one_or_more_at_age_zero(mu):
+    # With C_0 g'(1) >= 1 the step F(w) = w - known - C_0 g(w) has a root below
+    # the solution, and Newton's method (like the damped iteration) converges to
+    # it: Poisson(10) gave [0, 0.174, 0.603, ...] and Poisson(5.5) [0, 0.036,
+    # 0.203, ...] for an exponent that is 0
+    model = BranchingModel(ONE, OffspringLaw.poisson(mu))
+    with pytest.raises(ValueError, match=r"C_0 g'\(1\) = .* >= 1 at age 0: .*; use a smaller dt$"):
+        solve_exponent(model, ScalarField.constant(0.0), ZERO_FIELD_GRID)
+
+
+def test_boundary_solve_keeps_the_zero_exponent_below_a_tangent_of_one():
+    # Poisson(4.99) is supercritical, so w = 1 repels: a rounding error at a
+    # node grows like exp(3.99 t), and past t = 3.5 the trace leaves 0 (at
+    # t = 10 it reads 2.76), as the field 1e-16 does sooner.  The horizon stops
+    # before.
+    model = BranchingModel(ONE, OffspringLaw.poisson(4.99))
+    sol = solve_exponent(model, ScalarField.constant(0.0), SolverGrid(0.5, 3.0))
+    assert np.all(sol.boundary == 0.0)
+
+
 def test_boundary_newton_step_refuses_a_slope_that_is_not_positive(monkeypatch):
-    # From `known` <= 1 - C_0 a root lies in [known, 1], so in exact arithmetic
-    # every slope below it is positive.  Rounding breaks this only at a nearly
-    # tangent root: the zero field, with C_0 = 1/5 at dt = 0.5 and a Poisson mean
-    # just above 1 / C_0, puts an iterate at w = 1, where 1 - C_0 g'(1) = -1e-9.
-    derivatives = _count_newton_steps(monkeypatch)
+    # The model that once reached the guard through rounding, C_0 g'(1) = 1 + 1e-9
+    # at an iterate w = 1, is now refused before the first step
     model = BranchingModel(ONE, OffspringLaw.poisson(5.0 * (1.0 + 1e-9)))
+    with pytest.raises(ValueError, match="use a smaller dt$"):
+        solve_exponent(model, ScalarField.constant(0.0), ZERO_FIELD_GRID)
+    # Past that test g' is largest at 1, so every Newton slope 1 - C_0 g'(w) is
+    # positive in exact arithmetic; the guard stays for rounding.  A closure whose
+    # slope inside [0, 1) exceeds its slope at 1 reaches it at the first Newton
+    # step.  At z = 1 it is the law's own, so the law's mean is unchanged.
+    c0, newton = 0.25 / 1.25, []
+    original = OffspringPmf.pgf_slope
+
+    def steep(self):
+        inner = original(self)
+
+        def pgf_slope(z):
+            if z == 1.0:
+                return inner(z)
+            newton.append(z)
+            return inner(z)[0], 2.0 / c0
+
+        return pgf_slope
+
+    monkeypatch.setattr(OffspringPmf, "pgf_slope", steep)
     with pytest.raises(RuntimeError, match="did not converge; use a smaller dt"):
-        solve_exponent(model, ScalarField.constant(0.0), SolverGrid(0.5, 10.0))
-    c0 = 0.25 / 1.25
-    assert len(derivatives) < solvers._FIXED_POINT_MAX_ITER  # refused by the slope, not the cap
-    assert 1.0 - c0 * derivatives[-1] <= 0.0 < min(1.0 - c0 * d for d in derivatives[:-1])
+        solve_exponent(CRITICAL, ScalarField.constant(0.0), ZERO_FIELD_GRID)
+    assert newton == [pytest.approx(0.8)]  # refused by the slope, not the cap
 
 
 def test_boundary_newton_steps_on_the_stationary_zeta_grids(monkeypatch):
     # the benchmark's stationary-zeta solves: about four Newton steps per boundary step
-    derivatives = _count_newton_steps(monkeypatch)
+    derivatives = _count_step_calls(monkeypatch)
     steps = []
     original = solvers.solve_exponent
     monkeypatch.setattr(
@@ -810,7 +858,9 @@ def test_boundary_newton_steps_on_the_stationary_zeta_grids(monkeypatch):
     for theta in (0.25, 0.5, 1.0):
         stationary_laplace(cfg.model, cfg.immigration, ScalarField.constant(theta), 2e-3)
     assert sum(steps) == 1836
-    assert len(derivatives) / sum(steps) <= 4.0
+    assert len(cfg.model.offspring.regimes) == 1
+    newton = len(derivatives) - sum(steps)  # less each step's one source call
+    assert newton / sum(steps) <= 4.0
 
 
 def test_stationary_laplace_refuses_past_the_step_cap(monkeypatch):
