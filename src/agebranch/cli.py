@@ -8,6 +8,11 @@ chunks of 512 replicates, each from a counter-based stream indexed by (seed,
 stream, chunk), and reductions are performed in replicate order; the event
 log of ``simulate`` is replicate 0 of its set).  Nothing is written outside
 the chosen output directory, and no output carries timestamps.
+
+Tables are written a column at a time (``write_csv``), 512 rows per chunk:
+each double as its shortest round-trip repr, each integer in decimal, each
+flag as ``true`` / ``false``, and text quoted only where CSV needs it.  The
+solver commands' coarse (t, x) table always ends at the horizon.
 """
 
 from __future__ import annotations
@@ -160,12 +165,52 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+_CSV_CHUNK_ROWS = 512  # rows formatted at a time: the text of one chunk is all a table holds
+
+
+def _cells(part) -> list[str]:
+    """``_fmt`` of each entry of a column slice.
+
+    A float64 array is formatted with ``float.__repr__`` and an integer array
+    with ``str``, each from one ``tolist()``; a str array is already text.
+    """
+    if isinstance(part, np.ndarray):
+        if part.dtype == np.float64:
+            return list(map(float.__repr__, part.tolist()))
+        if part.dtype.kind in "iu":
+            return list(map(str, part.tolist()))
+        if part.dtype.kind == "U":
+            return part.tolist()
+    return list(map(_fmt, part))
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """A header line, then one row per entry of the equal-length ``columns``.
+
+    Columns are NumPy arrays or sequences, formatted ``_CSV_CHUNK_ROWS`` rows
+    at a time.  A chunk is joined with commas and newlines; where a cell would
+    be quoted (it holds a comma, a quote, a CR or a newline, or it is the
+    empty sole cell of its row) csv's minimal quoting writes the chunk instead.
+    """
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            cells = [_cells(c[start : start + _CSV_CHUNK_ROWS]) for c in columns]
+            rows = len(cells[0])
+            text = "\n".join(map(",".join, zip(*cells)))
+            if (
+                text.count(",") == rows * (len(cells) - 1)
+                and text.count("\n") == rows - 1
+                and '"' not in text
+                and "\r" not in text
+                and (len(cells) > 1 or "" not in cells[0])
+            ):
+                fh.write(text + "\n")
+            else:
+                writer.writerows(zip(*cells))
 
 
 def write_summary(path: Path, lines: list[str]) -> None:
@@ -195,21 +240,21 @@ def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
     write_csv(
         out / "events.csv",
         ["time", "kind", "dying_age", "offspring_count", "group_size"],
-        [
-            [
+        zip(*(
+            (
                 e.time,
                 e.kind,
                 e.dying_age if e.kind == "branch" else "",
                 e.offspring_count if e.kind == "branch" else "",
                 e.group.total_mass if e.group is not None else "",
-            ]
+            )
             for e in traj.events
-        ],
+        )),
     )
     mass_rows = [
         [t, m.value, m.std_error, fe.value, fe.std_error] for t, m, fe in profile
     ]
-    write_csv(out / "snapshot_stats.csv", ["time", "mean_mass", "se_mass", "mean_f", "se_f"], mass_rows)
+    write_csv(out / "snapshot_stats.csv", ["time", "mean_mass", "se_mass", "mean_f", "se_f"], zip(*mass_rows))
     write_summary(
         out / "summary.txt",
         [
@@ -231,18 +276,20 @@ def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> int:
     """solve-u / solve-pi: the boundary trace and a coarse (t, x) table, from one boundary solve."""
     grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
     times = grid.times()
-    # coarse (t, x, value) table: at most ~40 nodes per axis to keep files small
-    stride = max(1, len(times) // 40)
-    coarse = times[::stride]
+    n = len(times) - 1
+    # coarse (t, x, value) table: about 40 nodes per axis to keep files small, ending at the horizon
+    nodes = np.arange(0, n + 1, max(1, (n + 1) // 40))
+    if nodes[-1] != n:
+        nodes = np.append(nodes, n)
     sol = solve(cfg.model, cfg.f, grid)
-    boundary, rays = sol.boundary, sol.rays(coarse)
-    # Python floats: the writer formats them without a per-cell numpy dispatch
-    write_csv(out / "boundary.csv", ["t", value_name], list(zip(times.tolist(), boundary.tolist())))
-    rows = []
-    nodes = coarse.tolist()
-    for x, ray in zip(nodes, rays):
-        rows.extend([t, x, v] for t, v in zip(nodes, ray[::stride].tolist()))
-    write_csv(out / "lattice.csv", ["t", "x", value_name], rows)
+    boundary, rays = sol.boundary, sol.rays(times[nodes])
+    write_csv(out / "boundary.csv", ["t", value_name], [times, boundary])
+    labels = np.array([float.__repr__(t) for t in times[nodes].tolist()])  # formatted once
+    write_csv(
+        out / "lattice.csv",
+        ["t", "x", value_name],
+        [np.tile(labels, len(nodes)), np.repeat(labels, len(nodes)), rays[:, nodes].ravel()],
+    )
     write_summary(
         out / "summary.txt",
         [f"t_end={_fmt(cfg.t_end)}", f"dt={_fmt(cfg.grid_dt)}", f"quadrature={cfg.quadrature}",
@@ -290,7 +337,7 @@ def _suite_outcome(reports: list[ComparisonReport]) -> tuple[bool, list[str]]:
 
 def _cmd_validate(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
     reports = validation_suite(cfg, n_jobs)
-    write_csv(out / "checks.csv", CHECK_COLUMNS, [r.row() for r in reports])
+    write_csv(out / "checks.csv", CHECK_COLUMNS, zip(*(r.row() for r in reports)))
     ok, lines = _suite_outcome(reports)
     checks = [r for r in reports if not r.name.startswith("control:")]
     excluded = max(r.mc.excluded for r in reports)  # each carries its one path set's count
@@ -332,7 +379,7 @@ def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
         # every report reads the one path set and carries its excluded paths
         lines += [f"gaps_decreasing={'true' if ok else 'false'}",
                   f"excluded_paths={max(r.mc.excluded for r in reps)}"]
-    write_csv(out / "ergodic.csv", CHECK_COLUMNS, [r.row() for r in reps])
+    write_csv(out / "ergodic.csv", CHECK_COLUMNS, zip(*(r.row() for r in reps)))
     write_summary(out / "summary.txt", lines)
     return 0 if ok or not ci else 1
 
@@ -351,7 +398,7 @@ def _cmd_stationary(cfg: RunConfig, out: Path) -> int:
     write_csv(
         out / "stationary.csv",
         ["f", "value", "exponent_integral", "horizon", "dt", "tail_bound", "quadrature_error"],
-        rows,
+        zip(*rows),
     )
     write_summary(out / "summary.txt", [f"f={r[0]} value={_fmt(r[1])}" for r in rows])
     return 0
@@ -367,7 +414,7 @@ def _cmd_identity_check(out: Path, ci: bool) -> int:
                 diff = abs(lhs - rhs)
                 worst = max(worst, diff)
                 rows.append([a, c, n, lhs, rhs, diff])
-    write_csv(out / "identity.csv", ["a", "c", "group_mass", "lhs", "rhs", "abs_diff"], rows)
+    write_csv(out / "identity.csv", ["a", "c", "group_mass", "lhs", "rhs", "abs_diff"], zip(*rows))
     ok = worst <= 1e-8
     write_summary(
         out / "summary.txt",

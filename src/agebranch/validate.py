@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 from typing import Callable, Sequence
 
 import numpy as np
@@ -221,6 +220,8 @@ def _collect(job: _ReplicateJob, n: int, n_jobs: int = 1) -> _Rows:
     if n_jobs <= 1 or len(bounds) == 1:
         parts = [_run_chunk(job, s, e) for s, e in bounds]
     else:
+        from multiprocessing import get_context  # here only: a serial run never pays for its import
+
         with get_context("fork").Pool(min(n_jobs, len(bounds))) as pool:
             parts = pool.starmap(_run_chunk, [(job, s, e) for s, e in bounds])
     return _Rows(job, np.concatenate([rows for rows, _ in parts], axis=0), parts[0][1])

@@ -40,17 +40,21 @@ only as oracles:
 * ``observed_orders``: empirical convergence orders of the boundary solvers
   against a closed form; ``benchmark_models``: a small catalog of models
   across regimes for the bound checks.
+* ``write_csv_rows``: the CSV writer as it was before it took columns, one
+  ``csv.writer`` row at a time with ``cli._fmt`` per cell.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from agebranch import models
+from agebranch.cli import _fmt
 from agebranch.measures import AgeMeasure, ScalarField, interleave
 from agebranch.models import BranchingModel, OffspringLaw, OffspringPmf
 from agebranch.simulate import Event, SimConfig, replicate_rng
@@ -995,3 +999,12 @@ def benchmark_models() -> dict[str, BranchingModel]:
             ),
         ),
     }
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A header line, then each row of ``rows`` with ``_fmt`` per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])

@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from agebranch import (
@@ -19,7 +21,8 @@ from agebranch import (
     ScalarField,
     simulate,
 )
-from agebranch.cli import RunConfig, load_config, main
+from agebranch.cli import RunConfig, load_config, main, write_csv
+from oracles import write_csv_rows
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -212,6 +215,26 @@ def test_solve_pi_boundary(tmp_path):
     assert main(["solve-pi", "--config", str(p), "--out", str(out)]) == 0
     t, v = (out / "boundary.csv").read_text().strip().split("\n")[-1].split(",")
     assert float(v) == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+
+def test_coarse_table_ends_at_the_horizon(tmp_path):
+    # dt 0.0004: n = 2500 steps, not a multiple of the stride 62, so the
+    # horizon is added as the last node of both axes
+    from agebranch.solvers import SolverGrid, solve_exponent
+
+    out = tmp_path / "out"
+    config = CONFIG_DIR / "age_varying.json"
+    assert main(["solve-u", "--config", str(config), "--dt", "0.0004", "--out", str(out)]) == 0
+    boundary = [line.split(",") for line in (out / "boundary.csv").read_text().splitlines()[1:]]
+    lattice = [line.split(",") for line in (out / "lattice.csv").read_text().splitlines()[1:]]
+    nodes = [0.0004 * k for k in [*range(0, 2500, 62), 2500]]
+    assert [float(row[0]) for row in lattice[:len(nodes)]] == pytest.approx(nodes, abs=1e-12)
+    assert len(lattice) == len(nodes) ** 2
+    assert lattice[-1][:2] == ["1.0", "1.0"] and boundary[-1][0] == "1.0"
+    assert lattice[len(nodes) - 1][1:] == ["0.0", boundary[-1][1]]  # x = 0 reads the boundary
+    cfg = load_config(config)
+    sol = solve_exponent(cfg.model, cfg.f, SolverGrid(0.0004, cfg.t_end, cfg.quadrature))
+    assert float(lattice[-1][2]) == sol.rays([1.0])[0, -1]
 
 
 def test_simulate_outputs(tmp_path):
@@ -614,13 +637,22 @@ def test_horizon_of_no_finite_step_count_is_refused(tmp_path, command, config):
     assert re.fullmatch(r"error: horizon \S+ is not a (whole|finite) number of steps of dt \S+\n", res.stderr)
 
 
-def test_import_loads_no_scipy():
+def _modules_after_import() -> list[str]:
     res = subprocess.run(
         [sys.executable, "-c", "import json, sys; sys.path.insert(0, sys.argv[1]); import agebranch, "
          "agebranch.cli; print(json.dumps(sorted(sys.modules)))", str(SRC_DIR)],
         capture_output=True, text=True, check=True, timeout=300,
     )
-    assert not [m for m in json.loads(res.stdout) if m.split(".")[0] == "scipy"]
+    return json.loads(res.stdout)
+
+
+def test_import_loads_no_scipy():
+    assert not [m for m in _modules_after_import() if m.split(".")[0] == "scipy"]
+
+
+def test_import_loads_no_multiprocessing():
+    # only a run with --parallelism above 1 starts a pool and imports it
+    assert not [m for m in _modules_after_import() if m.split(".")[0] == "multiprocessing"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -679,3 +711,63 @@ def test_every_command_writes_its_recorded_bytes(tmp_path, command, flags):
     assert main([command, *flags, "--out", str(out)]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in sorted(out.iterdir())}
     assert digests == OUTPUT_DIGESTS[command]
+
+
+def _writer_table(n: int) -> list:
+    """Columns of ``n`` rows, cycling through the values the writer formats each way."""
+    floats = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1.0, -2.5]
+    scalars = [3, np.int64(-7), True, np.bool_(False), np.float64(1e16), 0.1 + 0.2, np.float64(-0.0),
+               np.uint8(255), math.nan]
+    texts = ["", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "plain", "-inf"]
+    cycle = lambda values: [values[i % len(values)] for i in range(n)]
+    words = [f"w{i}" if i < 512 else texts[i % len(texts)] for i in range(n)]  # quoted from chunk 2 on
+    return [
+        np.array(cycle(floats)),
+        np.arange(n, dtype=np.int64) - n // 2,
+        np.arange(n, dtype=np.uint32),
+        np.array(cycle([True, False, False])),
+        np.array(cycle(floats), dtype=np.float32),
+        cycle(scalars),
+        tuple(words),
+        np.array(words),
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 1024, 1300])
+def test_column_writer_writes_the_row_writers_bytes(tmp_path, n):
+    # the first chunk is plain text, later ones hold quoted cells; 1024 rows end
+    # on a chunk boundary (no empty last chunk is written), 1300 span three chunks
+    columns = _writer_table(n)
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "new.csv", header, columns)
+    write_csv_rows(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[""], ["x"], [""]], [["x"], [1]], [["a,b", 1.5], ['"', np.float64(2.0)]], [["", ""], ["", 0]],
+    [['say "hi"', 1.0]], [["two\nlines", 1.0]], [["cr\rlf", 2]],
+])
+def test_row_tables_written_as_columns_keep_their_bytes(tmp_path, rows):
+    # the commands' small tables pass zip(*rows): no rows at all is the header alone
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+    write_csv(tmp_path / "new.csv", header, zip(*rows))
+    write_csv_rows(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_column_writer_holds_one_chunk_of_text(tmp_path):
+    # the longest boundary trace a grid allows: its text (about 11 MB) is never held whole
+    from agebranch.solvers import _MAX_STEPS
+
+    times = np.arange(_MAX_STEPS) * 0.0004
+    values = np.sqrt(times)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "long.csv", ["t", "value"], [times, values])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert (tmp_path / "long.csv").read_text().count("\n") == _MAX_STEPS + 1
+

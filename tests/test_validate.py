@@ -362,7 +362,7 @@ def test_collect_forks_no_more_workers_than_chunks(monkeypatch):
     import itertools
     from types import SimpleNamespace
 
-    from agebranch import validate
+    import multiprocessing
 
     sizes = []
 
@@ -379,7 +379,7 @@ def test_collect_forks_no_more_workers_than_chunks(monkeypatch):
         def starmap(self, fn, args):
             return list(itertools.starmap(fn, args))
 
-    monkeypatch.setattr(validate, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
     job = _ReplicateJob(chunk_cases()[0], ONE, 6)
     for n, n_jobs, pools in ((1100, 64, [3]), (1100, 2, [2]), (600, 64, [2]), (300, 64, [])):
         sizes.clear()
