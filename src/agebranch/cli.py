@@ -168,29 +168,18 @@ def _fmt(x) -> str:
 _CSV_CHUNK_ROWS = 512  # rows formatted at a time: the text of one chunk is all a table holds
 
 
-def _cells(part) -> list[str]:
-    """``_fmt`` of each entry of a column slice.
-
-    A float64 array is formatted with ``float.__repr__`` and an integer array
-    with ``str``, each from one ``tolist()``; a str array is already text.
-    """
-    if isinstance(part, np.ndarray):
-        if part.dtype == np.float64:
-            return list(map(float.__repr__, part.tolist()))
-        if part.dtype.kind in "iu":
-            return list(map(str, part.tolist()))
-        if part.dtype.kind == "U":
-            return part.tolist()
-    return list(map(_fmt, part))
+def _cells(part):
+    """``_fmt`` of each entry of a column slice; a float64 array from one ``tolist()``."""
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return map(float.__repr__, part.tolist())
+    return map(_fmt, part)
 
 
 def write_csv(path: Path, header: list[str], columns) -> None:
     """A header line, then one row per entry of the equal-length ``columns``.
 
     Columns are NumPy arrays or sequences, formatted ``_CSV_CHUNK_ROWS`` rows
-    at a time.  A chunk is joined with commas and newlines; where a cell would
-    be quoted (it holds a comma, a quote, a CR or a newline, or it is the
-    empty sole cell of its row) csv's minimal quoting writes the chunk instead.
+    at a time and written with csv's minimal quoting.
     """
     columns = list(columns)
     n = len(columns[0]) if columns else 0
@@ -198,19 +187,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, n, _CSV_CHUNK_ROWS):
-            cells = [_cells(c[start : start + _CSV_CHUNK_ROWS]) for c in columns]
-            rows = len(cells[0])
-            text = "\n".join(map(",".join, zip(*cells)))
-            if (
-                text.count(",") == rows * (len(cells) - 1)
-                and text.count("\n") == rows - 1
-                and '"' not in text
-                and "\r" not in text
-                and (len(cells) > 1 or "" not in cells[0])
-            ):
-                fh.write(text + "\n")
-            else:
-                writer.writerows(zip(*cells))
+            writer.writerows(zip(*(_cells(c[start : start + _CSV_CHUNK_ROWS]) for c in columns)))
 
 
 def write_summary(path: Path, lines: list[str]) -> None:
@@ -281,14 +258,14 @@ def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> int:
     nodes = np.arange(0, n + 1, max(1, (n + 1) // 40))
     if nodes[-1] != n:
         nodes = np.append(nodes, n)
+    coarse = times[nodes]
     sol = solve(cfg.model, cfg.f, grid)
-    boundary, rays = sol.boundary, sol.rays(times[nodes])
+    boundary, rays = sol.boundary, sol.rays(coarse)
     write_csv(out / "boundary.csv", ["t", value_name], [times, boundary])
-    labels = np.array([float.__repr__(t) for t in times[nodes].tolist()])  # formatted once
     write_csv(
         out / "lattice.csv",
         ["t", "x", value_name],
-        [np.tile(labels, len(nodes)), np.repeat(labels, len(nodes)), rays[:, nodes].ravel()],
+        [np.tile(coarse, len(nodes)), np.repeat(coarse, len(nodes)), rays[:, nodes].ravel()],
     )
     write_summary(
         out / "summary.txt",
