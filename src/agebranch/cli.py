@@ -284,9 +284,9 @@ def validation_suite(cfg: RunConfig, n_jobs: int = 1) -> list[ComparisonReport]:
     expected to fail; the suite's own power is asserted by their failure.
     The analytic values and the lattice inequalities share one memo of
     solutions, so each boundary (exponent and mean, at dt and 2 dt) is solved
-    once per run; a grid that does not line up (an odd step count, or a
-    rectangle config, whose identity checks solve with the trapezoid rule) is
-    solved again.
+    once per run; only a rectangle config, whose identity checks solve with
+    the trapezoid rule, solves again.  A dt that does not divide t, or an odd
+    step count, is refused before any path is simulated.
     """
     martingale = cfg.f.derivative_fn() is not None  # the martingale check needs f'
     n, t, dt = cfg.replicates, cfg.t_end, cfg.grid_dt

@@ -153,9 +153,9 @@ class SolverGrid:
     """Uniform time grid with a quadrature rule for the marching schemes.
 
     The horizon must be a whole number of steps (``_whole_steps``), at most
-    ``_MAX_STEPS`` of them, refused before any array is built.  ``order``
-    is the rule's convergence order, and ``richardson`` the error estimate of
-    a value on this grid from the same value on the grid of twice the step.
+    ``_MAX_STEPS`` of them, refused before any array is built.  ``richardson``
+    is the error estimate of a value on this grid from the same value on
+    ``coarse()``, the grid of twice the step, which an odd step count lacks.
     """
 
     dt: float
@@ -180,9 +180,25 @@ class SolverGrid:
     def order(self) -> int:
         return 2 if self.quadrature == "trapezoid" else 1
 
+    def coarse(self) -> SolverGrid:
+        """The grid of every other node: twice the step, the same horizon and quadrature."""
+        if self.n_steps % 2:
+            raise ValueError(f"horizon {self.horizon:g} is an odd number of steps ({self.n_steps}) "
+                             f"of dt {self.dt:g}: no grid of twice the step ends on it")
+        return SolverGrid(2 * self.dt, self.horizon, self.quadrature)
+
     def richardson(self, fine, coarse):
         """``|fine - coarse| / (2^order - 1)``, elementwise for arrays."""
         return abs(fine - coarse) / (2**self.order - 1)
+
+    def weights(self) -> np.ndarray:
+        """The quadrature weights at the nodes: trapezoid, or left rectangle."""
+        w = np.full(self.n_steps + 1, self.dt)
+        if self.quadrature == "trapezoid":
+            w[0] = w[-1] = self.dt / 2.0
+        else:
+            w[-1] = 0.0
+        return w
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
@@ -549,15 +565,6 @@ def survival_bound_rows(model: BranchingModel, f: ScalarField, grid: SolverGrid)
         yield surv[i:] * np.exp(H[: n + 1 - i] - H[i:])
 
 
-def _quadrature_weights(n: int, dt: float, rule: str) -> np.ndarray:
-    w = np.full(n + 1, dt)
-    if rule == "trapezoid":
-        w[0] = w[-1] = dt / 2.0
-    else:
-        w[-1] = 0.0  # left rectangle
-    return w
-
-
 def immigration_exponent_integral(
     model: BranchingModel,
     imm: ImmigrationMechanism,
@@ -573,19 +580,15 @@ def immigration_exponent_integral(
     per-node values).  A passed ``exponent_solution`` must be solved on
     ``grid`` itself, quadrature included.
     """
-    n = grid.n_steps
     if imm.total_rate == 0.0:
-        return 0.0, np.zeros(n + 1)
-    sol = exponent_solution
-    if sol is None:
-        sol = solve_exponent(model, f, grid)
-    elif sol.grid != grid:
+        return 0.0, np.zeros(grid.n_steps + 1)
+    sol = solve_exponent(model, f, grid) if exponent_solution is None else exponent_solution
+    if sol.grid != grid:
         raise ValueError(f"exponent solution grid {sol.grid} is not the requested grid {grid}")
     ages = imm.atom_ages()
     rays = sol.rays(ages)
     psi_vals = imm.psi_from_exponents(dict(zip(ages, rays)))
-    w = _quadrature_weights(n, grid.dt, grid.quadrature)
-    return float(np.dot(w, psi_vals)), psi_vals
+    return float(np.dot(grid.weights(), psi_vals)), psi_vals
 
 
 def mean_with_immigration(
@@ -600,11 +603,13 @@ def mean_with_immigration(
 
     Initial particles contribute through the moment kernel; each arrival
     cohort contributes the kernel applied over its residual time, integrated
-    against the arrival intensity.
+    against the arrival intensity.  A passed ``mean_solution`` must be on ``grid``.
     """
     atoms = imm.atom_ages()
     ages = [*initial.ages, *atoms]
-    sol = mean_solution if mean_solution is not None else solve_mean(model, f, grid)
+    sol = solve_mean(model, f, grid) if mean_solution is None else mean_solution
+    if sol.grid != grid:
+        raise ValueError(f"mean solution grid {sol.grid} is not the requested grid {grid}")
     table = sol.rays(ages)
     total = sum(float(v) for v in table[: len(initial.ages), -1])
     if not atoms:
@@ -612,8 +617,7 @@ def mean_with_immigration(
     contrib = imm.first_moment_from_values(dict(zip(atoms, table[len(initial.ages) :])))
     if np.isinf(contrib).any():
         raise ValueError("mean group size is infinite; the first moment diverges")
-    w = _quadrature_weights(grid.n_steps, grid.dt, grid.quadrature)
-    return total + float(np.dot(w, contrib))
+    return total + float(np.dot(grid.weights(), contrib))
 
 
 @dataclass(frozen=True)

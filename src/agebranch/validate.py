@@ -297,10 +297,10 @@ def laplace_analytic(
 ) -> tuple[float, float]:
     """Analytic Laplace functional with a Richardson error estimate.
 
-    Solves the exponent at dt and 2 dt by the trapezoid rule; the difference
-    scaled by the scheme order certifies the returned fine-grid value.
-    ``solutions`` is a memo of one run's solutions of ``model`` and ``f``
-    (see ``_solved``): a grid already in it is read, not solved again.
+    Solves the exponent by the trapezoid rule at dt and 2 dt (``_richardson``,
+    which refuses a t of no even number of steps); the difference scaled by
+    the scheme order certifies the returned fine-grid value.  ``solutions``
+    is a memo of one run's solutions of ``model`` and ``f`` (see ``_solved``).
     """
 
     def value(grid: SolverGrid) -> float:
@@ -343,16 +343,15 @@ def _mean_analytic(
 
 
 def _richardson(value: Callable[[SolverGrid], float], t: float, dt: float) -> tuple[float, float]:
-    """``value`` on the trapezoid grid of about dt to t, with a Richardson error estimate from 2 dt.
+    """``value`` on ``SolverGrid(dt, t)`` (trapezoid), with a Richardson estimate from ``coarse()``.
 
-    Each grid lands exactly on t, so an arrival integral covers [0, t].  A
-    horizon of no finite number of steps is refused.
+    Both grids end on t, so an arrival integral covers [0, t].  A t of no
+    whole or no even number of steps is refused before ``value`` is called.
     """
-    if math.isinf(t / dt):
-        raise ValueError(f"horizon {t:g} is not a finite number of steps of dt {dt:g}")
-    grids = [SolverGrid(t / max(1, math.ceil(t / step - 1e-12)), t) for step in (dt, 2 * dt)]
-    fine, coarse = map(value, grids)
-    return fine, grids[0].richardson(fine, coarse)
+    grid = SolverGrid(dt, t)
+    coarse = grid.coarse()
+    fine = value(grid)
+    return fine, grid.richardson(fine, value(coarse))
 
 
 def bound_suite(
@@ -443,20 +442,16 @@ def solver_bound_checks(
     criticality).  The lattice is swept one time row at a time and each row
     is reduced to the four margins as it is produced, so memory stays O(n).
 
-    Both equations are solved on ``grid`` and on the grid of twice its step,
-    each read from the memo ``solutions`` when a run already solved it there
-    (see ``_solved``), so a ``validate`` run solves each boundary once.
+    Both equations are solved on ``grid`` and ``grid.coarse()`` (which an odd
+    step count lacks), each read from the memo ``solutions`` if a run solved
+    it there already (``_solved``), so a ``validate`` run solves each once.
     """
     c0, _, _ = model.constants()
-    usol = _solved(solutions, "exponent", model, f, grid)
-    msol = _solved(solutions, "mean", model, f, grid)
-    half = grid.n_steps // 2
-    coarse = SolverGrid(2 * grid.dt, 2 * half * grid.dt, grid.quadrature)
-    shared = slice(0, 2 * half + 1, 2)  # fine nodes that coincide with coarse nodes
-    ucoarse = _solved(solutions, "exponent", model, f, coarse)
-    mcoarse = _solved(solutions, "mean", model, f, coarse)
-    cert_u = float(np.max(grid.richardson(usol.boundary[shared], ucoarse.boundary)))
-    cert_p = float(np.max(grid.richardson(msol.boundary[shared], mcoarse.boundary)))
+    usol, msol, ucoarse, mcoarse = (
+        _solved(solutions, eq, model, f, g) for g in (grid, grid.coarse()) for eq in ("exponent", "mean")
+    )
+    cert_u = float(np.max(grid.richardson(usol.boundary[::2], ucoarse.boundary)))
+    cert_p = float(np.max(grid.richardson(msol.boundary[::2], mcoarse.boundary)))
     times, sup = grid.times(), f.sup
 
     nonneg = survival = below = norm = math.inf
@@ -487,8 +482,8 @@ def _solved(
 
     ``solutions`` is a memo of one model and field, keyed by ``(equation,
     grid)``: a solution already in it is returned, a new one is stored.  Grids
-    match only when exactly equal, quadrature included, so a grid that does
-    not line up is solved again.  With ``solutions=None`` every call solves.
+    match only when exactly equal, quadrature included, so a rectangle grid
+    is not the identity checks' trapezoid one.  ``None`` solves every call.
     """
     solve = solve_exponent if equation == "exponent" else solve_mean
     if solutions is None:
@@ -586,13 +581,13 @@ def ergodic_convergence(
     analytic value, and the gap between the finite-T value and the certified
     stationary value is reported; the gaps must shrink as T grows.  Refuses a
     zero-rate mechanism, and (in ``stationary_laplace``) a model that is not
-    certified ergodic.  The analytic sides are computed before any path is
-    simulated, so a horizon they refuse is refused at once.
+    certified ergodic.  The analytic sides come first, so a horizon they refuse
+    is refused before the stationary solve and before any path.
     """
     if cfg.immigration.total_rate == 0.0:
         raise ValueError("ergodic convergence needs an immigration mechanism")
-    stat = stationary_laplace(cfg.model, cfg.immigration, f, tolerance)
     sides = [laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, T, dt) for T in horizons]
+    stat = stationary_laplace(cfg.model, cfg.immigration, f, tolerance)
     grid = tuple(sorted(horizons))
     sim = replace(cfg, t_end=grid[-1], snapshot_times=grid)
     rows = _collect(_ReplicateJob(sim, f, stream, tuple(map(grid.index, horizons))), n, n_jobs)

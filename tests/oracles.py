@@ -67,7 +67,6 @@ from agebranch.solvers import (
     SolverGrid,
     _check_contraction,
     _clip_unit,
-    _quadrature_weights,
     _ray_offsets,
     _Scheme,
     solve_exponent,
@@ -616,8 +615,7 @@ def immigration_integral_per_node(imm, ages, rays, grid, tol=1e-12):
             q = min(max(sum(p * math.exp(-h[a]) for a, p in imm.age_atoms), 0.0), 1.0)
             s = imm.size_law.laplace_sum(q, tol / max(imm.total_rate, 1.0))
             psi[j] = imm.total_rate * (1.0 - s)
-    w = _quadrature_weights(n, grid.dt, grid.quadrature)
-    return float(np.dot(w, psi)), psi
+    return float(np.dot(grid.weights(), psi)), psi
 
 
 @dataclass(frozen=True)

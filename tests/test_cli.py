@@ -454,10 +454,12 @@ def test_one_simulate_paths_call_per_chunk(tmp_path, monkeypatch):
     monkeypatch.setattr(
         validate, "simulate_paths", lambda *a, **k: calls.append(a[2]) or simulate_paths(*a, **k)
     )
-    for command, config in (("validate", "bench_critical.json"), ("ergodic", "pure_death_imm.json")):
+    # ergodic's quarter horizon must be an even number of steps: 2.0 / 4 is 250 of 0.002
+    for command, config, t_end in (("validate", "bench_critical.json", "1.0"),
+                                   ("ergodic", "pure_death_imm.json", "2.0")):
         calls.clear()
         argv = [command, "--config", str(CONFIG_DIR / config), "--replicates", "1100",
-                "--t-end", "1.0", "--out", str(tmp_path / command)]
+                "--t-end", t_end, "--out", str(tmp_path / command)]
         assert main(argv) == 0
         assert calls == [512, 512, 76], command
 

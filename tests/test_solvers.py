@@ -92,6 +92,21 @@ def test_grid_validation():
         SolverGrid(2e-3, 1e5)
 
 
+def test_coarse_grid_has_twice_the_step_to_the_same_horizon():
+    for quadrature in ("trapezoid", "rectangle"):
+        grid = SolverGrid(1e-2, 1.0, quadrature)
+        coarse = grid.coarse()
+        assert coarse == SolverGrid(2e-2, 1.0, quadrature) and coarse.n_steps == 50
+        assert coarse.times().tobytes() == grid.times()[::2].tobytes()
+    with pytest.raises(ValueError, match=r"horizon 1.01 is an odd number of steps \(101\) of dt 0.01"):
+        SolverGrid(1e-2, 1.01).coarse()
+
+
+def test_grid_weights_are_the_quadrature_rule():
+    assert list(SolverGrid(0.25, 1.0).weights()) == [0.125, 0.25, 0.25, 0.25, 0.125]
+    assert list(SolverGrid(0.25, 1.0, "rectangle").weights()) == [0.25, 0.25, 0.25, 0.25, 0.0]
+
+
 def test_contraction_precondition():
     fast = BranchingModel(ScalarField.constant(30.0), OffspringLaw.table({0: 1.0}))
     with pytest.raises(ValueError, match="smaller dt"):
@@ -558,6 +573,16 @@ def test_immigration_integral_refuses_a_solution_from_another_grid():
             immigration_exponent_integral(CRITICAL, imm, ONE, grid, solve_exponent(CRITICAL, ONE, other))
 
 
+def test_mean_with_immigration_refuses_a_solution_from_another_grid():
+    # 100 steps either way: the solution on [0, 1] read as [0, 2] gave 2.63 for 2.32
+    imm, one = ImmigrationMechanism.single_arrivals(1.0), AgeMeasure.point(0.0)
+    grid = SolverGrid(0.02, 2.0)
+    expect = math.exp(-0.4) + (1.0 - math.exp(-0.4)) / 0.2
+    assert mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid) == pytest.approx(expect, abs=1e-4)
+    with pytest.raises(ValueError, match="mean solution grid .* is not the requested grid"):
+        mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(SUBCRITICAL, ONE, SolverGrid(0.01, 1.0)))
+
+
 def test_label_rows_trip_no_guard_a_single_ray_would_not():
     # the moment march's guards must see only the ages the boundary and the
     # requested rays visit
@@ -893,10 +918,8 @@ def test_fft_products_stay_within_the_stated_allowance():
         assert np.max(np.abs(got - exact)) <= allowance / 4.0  # measured: about 3 ulps of the norms
 
 
-def _effects(cfg, step: float, mean: bool) -> tuple[float, float]:
+def _effects(cfg, grid: SolverGrid, mean: bool) -> tuple[float, float]:
     """How far the (fft, total) rounding bounds can move the value a tolerance certifies."""
-    n_steps = max(1, math.ceil(cfg.t_end / step - 1e-12))
-    grid = SolverGrid(cfg.t_end / n_steps, cfg.t_end, cfg.quadrature)
     sol = (solve_mean if mean else solve_exponent)(cfg.model, cfg.f, grid)
     atoms, k = _atoms(cfg), len(cfg.initial.ages)
     effects = []
@@ -919,27 +942,20 @@ def _effects(cfg, step: float, mean: bool) -> tuple[float, float]:
 @pytest.mark.parametrize("name", SHIPPED)
 def test_fft_rounding_bound_is_far_below_the_richardson_tolerances(name):
     cfg, grid = _shipped(name)
-    dt = cfg.grid_dt
     pairs = {}  # tolerance name -> (tolerance, fft effect, total effect)
-    _, tol = validate.laplace_analytic(cfg.model, cfg.immigration, cfg.initial, cfg.f, cfg.t_end, dt)
-    fine, coarse = _effects(cfg, dt, False), _effects(cfg, 2 * dt, False)
+    _, tol = validate.laplace_analytic(cfg.model, cfg.immigration, cfg.initial, cfg.f, cfg.t_end, grid.dt)
+    fine, coarse = _effects(cfg, grid, False), _effects(cfg, grid.coarse(), False)
     pairs["laplace"] = (tol, fine[0] + coarse[0], fine[1] + coarse[1])
     if math.isfinite(cfg.immigration.first_moment_of(ONE)):
-        value = lambda step: mean_with_immigration(
-            cfg.model, cfg.immigration, cfg.f, cfg.initial,
-            SolverGrid(cfg.t_end / max(1, math.ceil(cfg.t_end / step - 1e-12)), cfg.t_end),
-        )
-        tol = abs(value(dt) - value(2 * dt)) / 3.0
-        fine, coarse = _effects(cfg, dt, True), _effects(cfg, 2 * dt, True)
+        _, tol = validate._mean_analytic(cfg, cfg.f, cfg.t_end, grid.dt)
+        fine, coarse = _effects(cfg, grid, True), _effects(cfg, grid.coarse(), True)
         pairs["mean"] = (tol, fine[0] + coarse[0], fine[1] + coarse[1])
     reports = {r.name: r for r in solver_bound_checks(cfg.model, cfg.f, grid)}
-    half = grid.n_steps // 2
-    coarse_grid = SolverGrid(2 * grid.dt, 2 * half * grid.dt, grid.quadrature)
     for key, solve, report in (
         ("cert_u", solve_exponent, "solver:exponent_nonneg"),
         ("cert_p", solve_mean, "solver:mean_norm_bound"),
     ):
-        bounds = [renewal_rounding_bounds(solve(cfg.model, cfg.f, g)) for g in (grid, coarse_grid)]
+        bounds = [renewal_rounding_bounds(solve(cfg.model, cfg.f, g)) for g in (grid, grid.coarse())]
         cert = (reports[report].analytic_tol - 1e-9) / 10.0
         pairs[key] = (cert, sum(b[0][0] for b in bounds), sum(b[1][0] for b in bounds))
     if cfg.immigration.total_rate > 0.0 and ergodicity_check(cfg.model, cfg.immigration).status == "ergodic":

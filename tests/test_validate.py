@@ -28,7 +28,7 @@ from agebranch import (
     solver_bound_checks,
     stationary_laplace,
 )
-from agebranch.cli import _fmt, load_config, validation_suite
+from agebranch.cli import _fmt, load_config, main, validation_suite
 from agebranch.simulate import replicate_rng, simulate_paths
 from agebranch.validate import (
     _CHUNK,
@@ -521,9 +521,8 @@ def test_estimators_keep_their_golden_bits(case):
     ("bench_critical", 1.0, None, "trapezoid"),
     ("pure_death_imm", 2.0, None, "trapezoid"),
     ("age_varying", 1.0, ScalarField.step([0.5], [1.0, 0.2]), "trapezoid"),  # no martingale check
-    # grids the memo cannot share: an odd step count has no coarse grid to the same
-    # horizon, and the identity checks of a rectangle config solve with the trapezoid rule
-    ("bench_critical", 1.01, None, "trapezoid"),
+    # grids the memo cannot share: the identity checks of a rectangle config solve
+    # with the trapezoid rule
     ("pure_death_imm", 2.0, None, "rectangle"),
 ])
 def test_validation_suite_is_the_public_checks_on_stream_10(config, t_end, f, quadrature):
@@ -589,13 +588,63 @@ def test_solver_rows_keep_their_golden_bytes(config):
         assert suite == golden["rows"]
 
 
-def test_validate_refuses_an_infinite_mean_group_size_before_simulating(monkeypatch):
+def _no_paths(monkeypatch) -> list:
+    """Make ``simulate_paths`` record each call and raise; returns the record."""
+    calls = []
+
     def no_paths(*args, **kwargs):
+        calls.append(args)
         raise RuntimeError("simulate_paths called")
 
     monkeypatch.setattr("agebranch.validate.simulate_paths", no_paths)
+    return calls
+
+
+def test_validate_refuses_an_infinite_mean_group_size_before_simulating(monkeypatch):
+    calls = _no_paths(monkeypatch)
     with pytest.raises(ValueError, match="mean group size is infinite"):
         validation_suite(load_config(CONFIG_DIR / "heavy_tail_imm.json"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("t_end, dt, reason", [
+    (1.0, 0.003, "horizon 1 is not a whole number of steps of dt 0.003"),
+    (1.01, 0.01, r"horizon 1.01 is an odd number of steps \(101\) of dt 0.01"),
+], ids=["off-grid-dt", "odd-steps"])
+def test_validate_refuses_a_grid_without_a_coarse_grid_before_simulating(monkeypatch, t_end, dt, reason):
+    calls = _no_paths(monkeypatch)
+    run = replace(load_config(CONFIG_DIR / "bench_critical.json"), replicates=700, t_end=t_end, grid_dt=dt)
+    with pytest.raises(ValueError, match=reason):
+        validation_suite(run)
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--dt", "0.003"], "horizon 5 is not a whole number of steps of dt 0.003"),
+    (["--t-end", "1.0"], "horizon 0.25 is an odd number of steps (125) of dt 0.002"),
+], ids=["off-grid-dt", "odd-quarter-horizon"])
+def test_ergodic_refuses_a_grid_without_a_coarse_grid_before_simulating(monkeypatch, capsys, tmp_path, flags, reason):
+    # refused before the stationary solve too, not only before the paths
+    calls = _no_paths(monkeypatch)
+    monkeypatch.setattr("agebranch.validate.stationary_laplace", lambda *a, **k: calls.append(a))
+    argv = ["ergodic", "--config", str(CONFIG_DIR / "pure_death_imm.json"), *flags, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert reason in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 100, 101])
+def test_laplace_tolerance_covers_the_critical_closed_form_error(n):
+    # Richardson's |I_h - I_2h| / 3 needs nested grids: at odd n the rounded pair
+    # missed the true error by up to 2.36 times, so odd n is refused
+    args = (CRITICAL, NO_IMMIGRATION, AgeMeasure.point(0.0), ONE, 1.0, 1.0 / n)
+    if n % 2:
+        with pytest.raises(ValueError, match=f"odd number of steps \\({n}\\)"):
+            laplace_analytic(*args)
+        return
+    a = -math.expm1(-1.0)
+    value, tol = laplace_analytic(*args)
+    assert abs(value - (1.0 - a / (1.0 + a / 2.0))) <= tol
 
 
 def test_solution_memo_refuses_another_field():
