@@ -5,7 +5,7 @@ speed, dies at an age-dependent rate, and is replaced by a random number of
 age-zero offspring, optionally alongside Poisson arrivals of immigrant groups.
 The package provides an exact event-driven simulator, solvers for the Laplace
 exponent and first-moment kernel of the transition law, an ergodicity decision
-for the immigration model with a certified stationary Laplace functional, and
+for the immigration model with its stationary Laplace functional, and
 a Monte-Carlo validation layer comparing the two routes.
 """
 

@@ -1,7 +1,7 @@
 """Command-line front end: configuration, orchestration, and CSV/report output.
 
-Subcommands: simulate, solve-u, solve-pi, validate, ergodic, stationary,
-identity-check.  A run is fully determined by one JSON config file plus the
+Every command in ``COMMANDS`` takes the one flag set of ``build_parser``, each
+flag written in full.  A run is fully determined by one JSON config file plus the
 seed; identical invocations produce byte-identical outputs regardless of the
 parallelism degree (each Monte-Carlo command simulates one path set, in fixed
 chunks of 512 replicates, each from a counter-based stream indexed by (seed,
@@ -206,7 +206,7 @@ def _report_lines(reports: list[ComparisonReport]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Commands
 # ---------------------------------------------------------------------------
 
 
@@ -400,58 +400,57 @@ def _cmd_identity_check(out: Path, ci: bool) -> int:
     return 0 if ok or not ci else 1
 
 
+# name: (reads --config, run(cfg, out, args)), for the parser's choices and main's dispatch
+COMMANDS = {
+    "simulate": (True, lambda cfg, out, a: _cmd_simulate(cfg, out, a.parallelism)),
+    "solve-u": (True, lambda cfg, out, a: _cmd_solve(cfg, out, solve_exponent, "exponent")),
+    "solve-pi": (True, lambda cfg, out, a: _cmd_solve(cfg, out, solve_mean, "mean")),
+    "validate": (True, lambda cfg, out, a: _cmd_validate(cfg, out, a.parallelism, a.ci)),
+    "ergodic": (True, lambda cfg, out, a: _cmd_ergodic(cfg, out, a.parallelism, a.ci)),
+    "stationary": (True, lambda cfg, out, a: _cmd_stationary(cfg, out)),
+    "identity-check": (False, lambda cfg, out, a: _cmd_identity_check(out, a.ci)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agebranch",
         description="Exact simulation and solvers for age-structured branching processes",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "solve-u", "solve-pi", "validate", "ergodic", "stationary", "identity-check"):
-        p = sub.add_parser(name)
-        if name != "identity-check":
-            p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--replicates", type=int, default=None, help="override replicate count")
-        p.add_argument("--t-end", type=float, default=None, help="override the horizon")
-        p.add_argument("--dt", type=float, default=None, help="override the solver step")
-        p.add_argument("--out", default="out", help="output directory (all files go here)")
-        p.add_argument("--parallelism", type=int, default=1, help="replicate worker processes")
-        p.add_argument("--ci", action="store_true", help="nonzero exit on any failed check")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON run configuration (every command but identity-check)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--replicates", type=int, help="override replicate count")
+    parser.add_argument("--t-end", type=float, help="override the horizon")
+    parser.add_argument("--dt", type=float, help="override the solver step")
+    parser.add_argument("--out", default="out", help="output directory (all files go here)")
+    parser.add_argument("--parallelism", type=int, default=1, help="replicate worker processes")
+    parser.add_argument("--ci", action="store_true", help="nonzero exit on any failed check")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    reads_config, run = COMMANDS[args.command]
+    if reads_config != (args.config is not None):
+        parser.error(f"{args.command} {'needs' if reads_config else 'takes no'} --config")
     try:
-        if args.command == "identity-check":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            return _cmd_identity_check(out, args.ci)
-        # flags edit the config as written, which must be valid on its own
-        raw = _read_json(args.config)
-        RunConfig.from_dict(raw)
-        for key, value in (("seed", args.seed), ("replicates", args.replicates), ("t_end", args.t_end)):
-            if value is not None:
-                raw[key] = value
-        if args.dt is not None:
-            raw["grid"] = {**raw.get("grid", {}), "dt": args.dt}
-        cfg = RunConfig.from_dict(raw)
+        cfg = None
+        if reads_config:
+            # flags edit the config as written, which must be valid on its own
+            raw = _read_json(args.config)
+            RunConfig.from_dict(raw)
+            for key, value in (("seed", args.seed), ("replicates", args.replicates), ("t_end", args.t_end)):
+                if value is not None:
+                    raw[key] = value
+            if args.dt is not None:
+                raw["grid"] = {**raw.get("grid", {}), "dt": args.dt}
+            cfg = RunConfig.from_dict(raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, out, args.parallelism)
-        if args.command == "solve-u":
-            return _cmd_solve(cfg, out, solve_exponent, "exponent")
-        if args.command == "solve-pi":
-            return _cmd_solve(cfg, out, solve_mean, "mean")
-        if args.command == "validate":
-            return _cmd_validate(cfg, out, args.parallelism, args.ci)
-        if args.command == "ergodic":
-            return _cmd_ergodic(cfg, out, args.parallelism, args.ci)
-        if args.command == "stationary":
-            return _cmd_stationary(cfg, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return run(cfg, out, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -178,17 +178,17 @@ class ScalarField:
             raise ValueError(f"unknown field kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == "constant":
             (c,) = self.params
-            if c < 0:
+            if not c >= 0:  # NaN fails every comparison
                 raise ValueError("constant field must be >= 0")
         elif self.kind == "expdecay":
             a, b, c = self.params
-            if a < 0 or c < 0:
+            if not (a >= 0 and c >= 0):
                 raise ValueError("expdecay requires amplitude >= 0 and floor >= 0")
-            if b <= 0:
+            if not b > 0:
                 raise ValueError("expdecay requires rate > 0")
         elif self.kind == "rational":
             (a,) = self.params
-            if a < 0:
+            if not a >= 0:
                 raise ValueError("rational scale must be >= 0")
         elif self.kind == "step":
             if len(self.knots_y) != len(self.knots_x) + 1:
@@ -200,11 +200,11 @@ class ScalarField:
             self._check_knots()
 
     def _check_knots(self) -> None:
-        if any(x < 0 for x in self.knots_x):
+        if not all(x >= 0 for x in self.knots_x):
             raise ValueError("knot positions must be >= 0")
-        if any(self.knots_x[i] >= self.knots_x[i + 1] for i in range(len(self.knots_x) - 1)):
+        if not all(self.knots_x[i] < self.knots_x[i + 1] for i in range(len(self.knots_x) - 1)):
             raise ValueError("knot positions must be strictly increasing")
-        if any(v < 0 for v in self.knots_y):
+        if not all(v >= 0 for v in self.knots_y):
             raise ValueError("field values must be >= 0")
 
     # -- constructors ------------------------------------------------------

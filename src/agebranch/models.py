@@ -54,9 +54,9 @@ class OffspringPmf:
                 raise ValueError("pmf needs matching, nonempty counts/probs")
             if any(k < 0 or k != int(k) for k in self.counts):
                 raise ValueError("offspring counts must be nonnegative integers")
-            if any(p < 0 for p in self.probs):
+            if not all(p >= 0 for p in self.probs):  # NaN fails every comparison
                 raise ValueError("probabilities must be >= 0")
-            if abs(sum(self.probs) - 1.0) > _NORMALIZATION_TOL:
+            if not abs(sum(self.probs) - 1.0) <= _NORMALIZATION_TOL:
                 raise ValueError(f"pmf sums to {sum(self.probs)!r}, not 1")
         elif self.kind == "geometric":
             if not (0.0 <= self.param < 1.0):
@@ -163,7 +163,7 @@ class OffspringLaw:
             raise ValueError("need at least one offspring regime")
         if len(self.thresholds) != len(self.regimes) - 1:
             raise ValueError("need exactly one threshold between consecutive regimes")
-        if any(t <= 0 for t in self.thresholds):
+        if not all(t > 0 for t in self.thresholds):
             raise ValueError("regime thresholds must be > 0")
         if any(self.thresholds[i] >= self.thresholds[i + 1] for i in range(len(self.thresholds) - 1)):
             raise ValueError("regime thresholds must be strictly increasing")
@@ -265,7 +265,7 @@ class BranchingModel:
         Within one offspring regime the mean is constant, so the supremum of
         ``alpha * (mean - 1)`` over that interval sits at the supremum of alpha
         when ``mean >= 1`` and at the infimum when ``mean < 1``.  Computed once
-        per model: the simulator asks for c1 on every path.
+        per model: the simulator asks for c1 once per chunk of paths.
         """
         return _model_constants(self)
 
@@ -526,14 +526,14 @@ class GroupSizeLaw:
                 raise ValueError(f"{self.kind} law needs matching, nonempty sizes/probs")
             if any(k < 1 or k != int(k) for k in self.sizes):
                 raise ValueError("group sizes must be integers >= 1 (L charges nonzero measures)")
-            if any(p < 0 for p in self.probs):
+            if not all(p >= 0 for p in self.probs):
                 raise ValueError("size probabilities must be >= 0")
-            if self.undeclared_tail < 0 or (self.kind == "pmf" and self.undeclared_tail != 0):
+            if not self.undeclared_tail >= 0 or (self.kind == "pmf" and self.undeclared_tail != 0):
                 raise ValueError("undeclared tail mass must be >= 0, and 0 for a pmf")
-            if abs(sum(self.probs) + self.undeclared_tail - 1.0) > _NORMALIZATION_TOL:
+            if not abs(sum(self.probs) + self.undeclared_tail - 1.0) <= _NORMALIZATION_TOL:
                 raise ValueError("size table plus undeclared tail must sum to 1")
         elif self.kind == "zeta":
-            if self.exponent <= 1.0:
+            if not self.exponent > 1.0:
                 raise ValueError("zeta size law needs exponent > 1 for a finite measure")
         elif self.kind != "log_squared":
             raise ValueError(f"unknown group size law {self.kind!r}")
@@ -764,11 +764,11 @@ class ImmigrationMechanism:
             if self.total_rate > 0:
                 if self.size_law is None or not self.age_atoms:
                     raise ValueError("parametric mechanism needs a size law and age atoms")
-                if any(a < 0 for a, _ in self.age_atoms):
+                if not all(a >= 0 for a, _ in self.age_atoms):
                     raise ValueError("age atoms must be >= 0")
-                if any(p < 0 for _, p in self.age_atoms):
+                if not all(p >= 0 for _, p in self.age_atoms):
                     raise ValueError("age atom probabilities must be >= 0")
-                if abs(sum(p for _, p in self.age_atoms) - 1.0) > _NORMALIZATION_TOL:
+                if not abs(sum(p for _, p in self.age_atoms) - 1.0) <= _NORMALIZATION_TOL:
                     raise ValueError("age atom probabilities must sum to 1")
         else:
             raise ValueError(f"unknown immigration kind {self.kind!r}")

@@ -81,7 +81,7 @@ class SimConfig:
         if self.max_events <= 0:
             raise ValueError("max_events must be > 0")
         times = tuple(float(s) for s in self.snapshot_times)
-        if any(s < 0 or s > self.t_end for s in times):
+        if not all(0 <= s <= self.t_end for s in times):  # NaN fails every comparison
             raise ValueError("snapshot times must lie within [0, t_end]")
         if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
             times = tuple(sorted(times))

@@ -675,13 +675,13 @@ def stationary_laplace(
     f: ScalarField,
     tolerance: float = 1e-6,
 ) -> StationaryReport:
-    """Stationary Laplace functional of the immigration model, certified.
+    """Stationary Laplace functional of the immigration model, with its error.
 
     Computes ``exp(-integral_0^inf psi(u_s f) ds)``.  The truncation horizon T
     is chosen so that the analytic tail bound (exponent dominated by the norm
     bound of the moment kernel times the mechanism's first moment) is below
-    tolerance/2; the quadrature error is certified below tolerance/2 by step
-    halving, refused once the next halving would pass
+    tolerance/2; step halving brings the Richardson estimate of the quadrature
+    error below tolerance/2, and is refused once the next halving would pass
     ``_MAX_STEPS`` steps.  Refuses models that are not certified
     ergodic, and mechanisms with infinite mean group size (the prescribed tail
     bound is vacuous there).
@@ -689,8 +689,8 @@ def stationary_laplace(
     report = ergodicity_check(model, imm)
     if report.status != "ergodic":
         raise ValueError(f"stationary law not certified: {report.status} ({report.detail})")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not tolerance > 0:  # NaN too
+        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if imm.total_rate == 0.0 or f.sup == 0.0:
         return StationaryReport(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     c0, c1, _ = model.constants()

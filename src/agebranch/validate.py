@@ -1,7 +1,7 @@
 """Monte-Carlo estimators and the statistical layer tying simulator to solvers.
 
 Identity claims (Laplace functional, first moments, martingale residuals) are
-tested two-sided at |z| <= 3 with the solver's certified numerical tolerance
+tested two-sided at |z| <= 3 with the solver's Richardson error estimate
 added in quadrature to the Monte-Carlo standard error.  Inequality claims
 (growth and event-count bounds) are tested one-sided: the estimate minus three
 standard errors must not exceed the bound.  Every report is a pure function of
@@ -299,7 +299,7 @@ def laplace_analytic(
 
     Solves the exponent by the trapezoid rule at dt and 2 dt (``_richardson``,
     which refuses a t of no even number of steps); the difference scaled by
-    the scheme order certifies the returned fine-grid value.  ``solutions``
+    the scheme order is the returned value's error estimate.  ``solutions``
     is a memo of one run's solutions of ``model`` and ``f`` (see ``_solved``).
     """
 
@@ -437,8 +437,8 @@ def solver_bound_checks(
     survival bound (``survival_lower_bound`` at each node), and is dominated by the moment kernel (Jensen), and that
     the moment kernel respects the exponential norm bound.  The inequalities
     are exact for the continuous objects but the lattice values carry scheme
-    error, so the allowed slack is ten times the Richardson-certified boundary
-    error of each solver (several bounds are tight, e.g. the norm bound at
+    error, so the allowed slack is ten times the Richardson estimate of each
+    solver's boundary error (several bounds are tight, e.g. the norm bound at
     criticality).  The lattice is swept one time row at a time and each row
     is reduced to the four margins as it is produced, so memory stays O(n).
 
@@ -569,7 +569,6 @@ def ergodic_convergence(
     f: ScalarField,
     horizons: Sequence[float],
     n: int,
-    tolerance: float = 1e-6,
     dt: float = 1e-3,
     stream: int = 0,
     n_jobs: int = 1,
@@ -578,16 +577,17 @@ def ergodic_convergence(
 
     For each horizon T, read from one path set to the last horizon, the
     simulated Laplace functional is compared two-sided with the finite-T
-    analytic value, and the gap between the finite-T value and the certified
-    stationary value is reported; the gaps must shrink as T grows.  Refuses a
-    zero-rate mechanism, and (in ``stationary_laplace``) a model that is not
-    certified ergodic.  The analytic sides come first, so a horizon they refuse
-    is refused before the stationary solve and before any path.
+    analytic value, and the gap between the finite-T value and the stationary
+    value (``stationary_laplace`` at its default tolerance) is reported; the
+    gaps must shrink as T grows.  Refuses a zero-rate mechanism, and (in
+    ``stationary_laplace``) a model that is not certified ergodic.  The
+    analytic sides come first, so a horizon they refuse is refused before the
+    stationary solve and before any path.
     """
     if cfg.immigration.total_rate == 0.0:
         raise ValueError("ergodic convergence needs an immigration mechanism")
     sides = [laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, T, dt) for T in horizons]
-    stat = stationary_laplace(cfg.model, cfg.immigration, f, tolerance)
+    stat = stationary_laplace(cfg.model, cfg.immigration, f)
     grid = tuple(sorted(horizons))
     sim = replace(cfg, t_end=grid[-1], snapshot_times=grid)
     rows = _collect(_ReplicateJob(sim, f, stream, tuple(map(grid.index, horizons))), n, n_jobs)

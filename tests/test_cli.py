@@ -177,6 +177,39 @@ def test_missing_config_is_a_clean_error(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+_CONFIG_COMMANDS = ["simulate", "solve-u", "solve-pi", "validate", "ergodic", "stationary"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--config", str(CONFIG_DIR / "bench_critical.json"), "--rep", "5"],
+     "unrecognized arguments: --rep 5"),
+    (["validate", "--config", str(CONFIG_DIR / "bench_critical.json"), "--replicates=20", "--s", "3"],
+     "unrecognized arguments: --s 3"),
+    *[([command], f"{command} needs --config") for command in _CONFIG_COMMANDS],
+    (["identity-check", "--config", "x"], "identity-check takes no --config"),
+    (["bogus", "--config", str(CONFIG_DIR / "bench_critical.json")], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=["abbreviated-replicates", "abbreviated-seed", *[f"{c}-without-config" for c in _CONFIG_COMMANDS],
+        "identity-check-with-config", "unknown-command", "no-command"])
+def test_argument_errors_exit_2_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"agebranch: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [*_CONFIG_COMMANDS, "identity-check"])
+def test_every_command_takes_every_flag(tmp_path, command):
+    # the benchmark passes --parallelism 1 to the solver commands, and the digest
+    # tool --replicates 200 --seed 3 to all six config commands
+    config = [] if command == "identity-check" else ["--config", str(CONFIG_DIR / "pure_death_imm.json")]
+    flags = ["--seed", "3", "--replicates", "200", "--t-end", "2", "--dt", "0.01", "--ci"]
+    assert main([command, *config, *flags, "--parallelism", "1", "--out", str(tmp_path)]) == 0
+    assert any(tmp_path.iterdir())
+
+
 def test_invalid_config_field_diagnostics(tmp_path, capsys):
     p = small_config(tmp_path, model={"alpha": {"kind": "constant", "value": 1.0},
                                       "offspring": {"kind": "pmf", "pmf": {"0": 0.7, "2": 0.7}}})

@@ -16,6 +16,8 @@ from agebranch import (
     OffspringLaw,
     OffspringPmf,
     ScalarField,
+    SimConfig,
+    stationary_laplace,
 )
 from agebranch import models
 from oracles import group_second_moment, pmf_second_moment
@@ -592,6 +594,44 @@ def test_immigration_validation_errors():
         "declared-fractional-size", "pmf-with-tail"])
 def test_size_tables_refuse_what_offspring_tables_refuse(make, match):
     # a signed or non-integer table is no law: sampling and the Laplace series would disagree
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+NAN = math.nan
+_SUBCRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.6, 2: 0.4}))
+_PMF = OffspringPmf.table({0: 0.5, 2: 0.5})
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: OffspringPmf.table({0: NAN, 2: 1.0}), "probabilities must be >= 0"),
+    (lambda: OffspringLaw((_PMF, _PMF), (NAN,)), "thresholds must be > 0"),
+    (lambda: GroupSizeLaw.zeta_tail(NAN), "exponent > 1"),
+    (lambda: GroupSizeLaw.table({1: NAN, 2: 1.0}), "probabilities must be >= 0"),
+    (lambda: GroupSizeLaw.declared({1: 1.0}, NAN), "undeclared tail mass must be >= 0"),
+    (lambda: ScalarField.constant(NAN), "constant field must be >= 0"),
+    (lambda: ScalarField.exp_decay(NAN, 1.0), "amplitude >= 0"),
+    (lambda: ScalarField.exp_decay(1.0, NAN), "rate > 0"),
+    (lambda: ScalarField.exp_decay(1.0, 1.0, NAN), "floor >= 0"),
+    (lambda: ScalarField.rational(NAN), "rational scale must be >= 0"),
+    (lambda: ScalarField.step([NAN], [1.0, 2.0]), "knot positions must be >= 0"),
+    (lambda: ScalarField.step([1.0], [1.0, NAN]), "field values must be >= 0"),
+    (lambda: ScalarField.pwlinear([0.0, NAN], [1.0, 2.0]), "knot positions must be"),
+    (lambda: ScalarField.pwlinear([0.0, 1.0], [NAN, 2.0]), "field values must be >= 0"),
+    (lambda: ImmigrationMechanism.parametric(1.0, GroupSizeLaw.table({1: 1.0}), [(NAN, 1.0)]),
+     "age atoms must be >= 0"),
+    (lambda: ImmigrationMechanism.parametric(1.0, GroupSizeLaw.table({1: 1.0}), [(0.0, NAN)]),
+     "age atom probabilities must be >= 0"),
+    (lambda: SimConfig(_SUBCRITICAL, AgeMeasure.point(0.0), 1.0, (0.5, NAN)),
+     "snapshot times must lie within"),
+    (lambda: stationary_laplace(_SUBCRITICAL, ImmigrationMechanism.single_arrivals(1.0), ONE, NAN),
+     "tolerance must be > 0, got nan"),
+], ids=["offspring-prob", "offspring-threshold", "zeta-exponent", "size-prob", "declared-tail",
+        "constant", "expdecay-amplitude", "expdecay-rate", "expdecay-floor", "rational",
+        "step-threshold", "step-value", "pwlinear-x", "pwlinear-y", "age-atom", "age-atom-prob",
+        "snapshot-time", "stationary-tolerance"])
+def test_public_constructors_refuse_nan(make, match):
+    # NaN fails every comparison, so each range check is written to fail on it
     with pytest.raises(ValueError, match=match):
         make()
 

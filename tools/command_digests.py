@@ -2,9 +2,10 @@
 
 Runs each of the six config commands (simulate, solve-u, solve-pi, validate,
 ergodic, stationary) on each config in ``configs/`` at ``--replicates 200
---seed 3``, one fresh interpreter per run, importing the package from this
-checkout's ``src/``.  Each run works in a scratch directory holding a copy of
-``configs/``, so every path it sees is relative and the same in any checkout.
+--seed 3``, and ``identity-check`` once with no config, one fresh interpreter
+per run, importing the package from this checkout's ``src/``.  Each run works
+in a scratch directory holding a copy of ``configs/``, so every path it sees is
+relative and the same in any checkout.
 The manifest records the exit code and the sha256 of stdout, stderr and
 every output file.  Two checkouts that compute the same bytes write equal
 manifests.  With ``--compare`` the new manifest is checked against an older
@@ -35,12 +36,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(work: Path, config: str, command: str, env: dict) -> dict:
+def _run(work: Path, argv: list[str], env: dict) -> dict:
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     proc = subprocess.run(
-        [sys.executable, "-m", "agebranch.cli", command, "--config", f"configs/{config}",
-         *FLAGS, "--out", "out"],
+        [sys.executable, "-m", "agebranch.cli", *argv, "--out", "out"],
         cwd=work, env=env, capture_output=True,
     )
     files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
@@ -78,15 +78,16 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     configs = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+    runs = {f"{Path(config).stem} {command}": [command, "--config", f"configs/{config}", *FLAGS]
+            for config in configs for command in COMMANDS}
+    runs["identity-check"] = ["identity-check"]
     manifest = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "configs", work / "configs")
-        for config in configs:
-            for command in COMMANDS:
-                key = f"{Path(config).stem} {command}"
-                manifest[key] = _run(work, config, command, env)
-                print(f"{key}: exit {manifest[key]['exit']}", flush=True)
+        for key, argv in runs.items():
+            manifest[key] = _run(work, argv, env)
+            print(f"{key}: exit {manifest[key]['exit']}", flush=True)
     Path(args[0]).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     if old is None:
         return 0
