@@ -178,18 +178,20 @@ class ScalarField:
             raise ValueError(f"unknown field kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == "constant":
             (c,) = self.params
-            if not c >= 0:  # NaN fails every comparison
-                raise ValueError("constant field must be >= 0")
+            if not 0 <= c < math.inf:  # NaN fails every comparison
+                raise ValueError(f"constant field must be >= 0 and finite, got {c!r}")
         elif self.kind == "expdecay":
             a, b, c = self.params
-            if not (a >= 0 and c >= 0):
-                raise ValueError("expdecay requires amplitude >= 0 and floor >= 0")
-            if not b > 0:
-                raise ValueError("expdecay requires rate > 0")
+            if not (0 <= a < math.inf and 0 <= c < math.inf):
+                raise ValueError(
+                    f"expdecay requires finite amplitude >= 0 and floor >= 0, got {a!r} and {c!r}"
+                )
+            if not 0 < b < math.inf:
+                raise ValueError(f"expdecay requires a finite rate > 0, got {b!r}")
         elif self.kind == "rational":
             (a,) = self.params
-            if not a >= 0:
-                raise ValueError("rational scale must be >= 0")
+            if not 0 <= a < math.inf:
+                raise ValueError(f"rational scale must be >= 0 and finite, got {a!r}")
         elif self.kind == "step":
             if len(self.knots_y) != len(self.knots_x) + 1:
                 raise ValueError("step needs one more value than thresholds")
@@ -200,12 +202,14 @@ class ScalarField:
             self._check_knots()
 
     def _check_knots(self) -> None:
-        if not all(x >= 0 for x in self.knots_x):
-            raise ValueError("knot positions must be >= 0")
+        bad = [x for x in self.knots_x if not 0 <= x < math.inf]
+        if bad:
+            raise ValueError(f"knot positions must be >= 0 and finite, got {bad[0]!r}")
         if not all(self.knots_x[i] < self.knots_x[i + 1] for i in range(len(self.knots_x) - 1)):
             raise ValueError("knot positions must be strictly increasing")
-        if not all(v >= 0 for v in self.knots_y):
-            raise ValueError("field values must be >= 0")
+        bad = [v for v in self.knots_y if not 0 <= v < math.inf]
+        if bad:
+            raise ValueError(f"field values must be >= 0 and finite, got {bad[0]!r}")
 
     # -- constructors ------------------------------------------------------
 

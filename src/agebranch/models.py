@@ -533,8 +533,10 @@ class GroupSizeLaw:
             if not abs(sum(self.probs) + self.undeclared_tail - 1.0) <= _NORMALIZATION_TOL:
                 raise ValueError("size table plus undeclared tail must sum to 1")
         elif self.kind == "zeta":
-            if not self.exponent > 1.0:
-                raise ValueError("zeta size law needs exponent > 1 for a finite measure")
+            if not 1.0 < self.exponent < math.inf:
+                raise ValueError(
+                    f"zeta size law needs a finite exponent > 1 for a finite measure, got {self.exponent!r}"
+                )
         elif self.kind != "log_squared":
             raise ValueError(f"unknown group size law {self.kind!r}")
 

@@ -76,8 +76,8 @@ class SimConfig:
     max_events: int = DEFAULT_EVENT_CAP
 
     def __post_init__(self) -> None:
-        if not (self.t_end > 0):
-            raise ValueError("t_end must be > 0")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be > 0 and finite, got {self.t_end!r}")
         if self.max_events <= 0:
             raise ValueError("max_events must be > 0")
         times = tuple(float(s) for s in self.snapshot_times)

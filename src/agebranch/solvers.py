@@ -68,8 +68,10 @@ orders are those of the march.
   the boundary's sources with the ray's own kernel over the ages
   ``x + d dt`` (``rays``).  A grid-aligned age ``K dt`` with ``K <= n`` uses
   the ages ``(K + d) dt``, the labels the march would visit.
-* ``rows`` sweeps the recurrence row by row in time, driven by the known
-  boundary, for the values on the whole (time, age) lattice with O(n) memory.
+* ``lattice_margins`` sweeps the recurrence over the whole (time, age)
+  lattice of both solutions, driven by their known boundaries, a block of
+  time rows at a time in one reused buffer, and reduces each block to the
+  four margins of the lattice checks: O(n^2) work, O(n) memory.
 
 Rounding.  ``numpy.fft`` is pocketfft, single-threaded, so no output depends
 on a worker setting.  Its worst-case error bound for a circular convolution
@@ -97,8 +99,8 @@ feeds, except the Laplace tolerance on ``pure_death_imm``, which is itself at
 rounding level (the trapezoid error of the pure-death exponent cancels in the
 trapezoid integral over its arrivals).  ``tests/oracles.py`` computes the bound.
 
-The boundary trace (``boundary``) and ``at``, ``rays`` and ``rows`` hold
-values at grid times only; nothing interpolates between nodes.
+The boundary trace (``boundary``), ``at``, ``rays`` and ``lattice_margins``
+read values at grid times only; nothing interpolates between nodes.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ __all__ = [
     "solve_exponent",
     "solve_mean",
     "survival_lower_bound",
-    "survival_bound_rows",
+    "lattice_margins",
     "immigration_exponent_integral",
     "mean_with_immigration",
     "StationaryReport",
@@ -132,6 +134,7 @@ _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
 _LEAF = 64  # steps of the boundary solve summed directly, below the FFT blocks
 _RAY_CHUNK = 2  # rays convolved together; a few at a time keep the peak memory O(n)
+_BLOCK_ENTRIES = 2**15  # lattice values swept per block of time rows (lattice_margins)
 # most steps of any grid: every shipped grid has at most 10,000, and
 # stationary_laplace refines zeta_groups_imm to 54,912
 _MAX_STEPS = 2**18
@@ -455,38 +458,13 @@ class _FanSolution:
         i = _grid_node(self.grid, t)
         return float(self.f(offsets[0])) if i == 0 else float(self.rays(offsets)[0, i])
 
-    def rows(self):
-        """Yield ``(i, values)`` for i = 0..n: ages 0, dt, .., (n - i) dt at time t_i.
-
-        The recurrence swept one time step at a time over every
-        characteristic that reaches age 0 by the horizon, driven by the known
-        boundary: the whole triangular lattice in O(n) memory.  ``values[0]``
-        is the boundary.
-        """
-        n = self.grid.n_steps
-        ages = self.grid.dt * np.arange(n + 1)
-        scheme = _Scheme(self.model, self.grid, ages, self._mean)
-        B, C = scheme.by_class(scheme.B), scheme.by_class(scheme.C)
-        w = self._start(np.asarray(self.f(ages), dtype=np.float64))
-        for i in range(n + 1):
-            if i:
-                m = n + 1 - i
-                live = w[i:]
-                live *= scheme.A[1 : m + 1]
-                for c in range(scheme.n_cls):
-                    live += B[c, 1 : m + 1] * self.sources[c, i - 1]
-                    live += C[c, :m] * self.sources[c, i]
-            values = self._finish(w[i:])
-            values[0] = self.boundary[i]
-            yield i, values
-
 
 @dataclass(frozen=True)
 class ExponentSolution(_FanSolution):
     """The exponent of the population Laplace functional on a grid.
 
     ``boundary[j]`` is the exponent at age 0 and time ``j * dt``; other ages
-    are reached through ``rays`` and ``rows``.
+    are reached through ``rays``.
     """
 
 
@@ -542,27 +520,114 @@ def survival_lower_bound(
     return -math.expm1(-float(f(x + t))) * math.exp(-hazard)
 
 
-def survival_bound_rows(model: BranchingModel, f: ScalarField, grid: SolverGrid):
-    """``survival_lower_bound`` on the lattice, row by row in the order of ``rows``.
+def _sweep_block(block: np.ndarray, i0: int, tri, A, terms, carry, boundary, mean: bool) -> np.ndarray:
+    """The lattice's time rows i0, i0 + 1, .. into ``block[r, c]``, label i0 + c.
 
-    Row i holds the bound at ages 0, dt, .., (n - i) dt and time t_i.  The
-    hazard is ``survival_lower_bound``'s: alpha t for a constant alpha,
-    otherwise its trapezoid at dt, which along the ray from age x = d dt is
-    ``H[d + i] - H[d]`` with ``H`` the cumulative trapezoid of alpha over the
-    grid ages.
+    The recurrence runs a row at a time into ``block[r, r:]``, from ``carry``,
+    which holds by label the row before i0 (at i0 = 0 the start values, which
+    are row 0) and on return the block's last row.  ``A`` is
+    ``_Scheme.A[1:]`` and ``terms`` holds ``(B[1:], C, sources)`` by class.
+    The exponent is finished from exp(-exponent), the diagonal (age 0) is the
+    boundary, and the entries ``tri`` (c < r) take their row's age-0 node.
     """
-    n, times = grid.n_steps, grid.times()
-    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))  # at x + t = j dt
+    prev = carry[i0:]
+    for r in range(len(block)):
+        row, i = block[r, r:], i0 + r
+        if i:
+            m = len(row)
+            np.multiply(prev, A[:m], out=row)
+            for b, c, s in terms:
+                row += b[:m] * s[i - 1]
+                row += c[:m] * s[i]
+        else:
+            row[:] = prev
+        prev = block[r, r + 1 :]
+    carry[i0 + len(block) :] = prev
+    if not mean:
+        np.maximum(block, 1e-300, out=block)
+        np.log(block, out=block)
+        np.negative(block, out=block)
+    block.reshape(-1)[:: block.shape[1] + 1] = boundary[i0 : i0 + len(block)]
+    block[tri] = block[tri[0], tri[0]]
+    return block
+
+
+def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
+    """The four margins of the lattice checks, each a minimum over every lattice node.
+
+    Both solutions must be of one model, field f and grid; the nodes are
+    ``(t_i, x)`` for i = 0..n and ages x = 0, dt, .., (n - i) dt.  With u the
+    exponent and p the moment kernel of f, and ``label = (x + t_i) / dt``, the
+    margins are
+
+        [min u,  min (u - lower),  min (p - u),  min_i (exp(c0 t_i) sup f - max_x p(t_i, x))]
+
+    where ``lower = (1 - exp(-f(x + t))) exp(-hazard)`` is the single-particle
+    survival bound: the hazard is alpha t for a constant alpha, and otherwise
+    ``H[label] - H[x / dt]``, ``H`` the cumulative trapezoid of alpha over the
+    grid ages.  A NaN at any node makes its margins NaN.
+
+    The recurrence of the renewal form's scheme is swept over both lattices,
+    driven by the known boundaries (each node's age-0 value), a block of at
+    most ``_BLOCK_ENTRIES`` values (one row if a row is longer) at a time:
+    ``block[r, c]`` is the node at time ``i0 + r`` and label ``i0 + c``.  The
+    entries ``c < r``, which are not nodes, take their own row's age-0 node, so
+    each reduction runs on whole blocks.  Every block is a view of one buffer
+    of two blocks, allocated once: memory is O(n + _BLOCK_ENTRIES).
+    """
+    model, f, grid = usol.model, usol.f, usol.grid
+    if (msol.model, msol.f, msol.grid) != (model, f, grid):
+        raise ValueError("the exponent and mean solutions are of different models, fields or grids")
+    n, times = grid.n_steps, grid.times()  # the times are also the ages d dt
+    c0, _, _ = model.constants()
+    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))  # at x + t = label dt
+    sup = f.sup
+    norm = np.array([math.exp(c0 * t) * sup for t in times.tolist()])
     alpha = model.alpha
     if alpha.is_constant:
         rate = float(alpha(0.0))
-        for i in range(n + 1):
-            yield surv[i:] * math.exp(-rate * times[i])
-        return
-    a = np.asarray(alpha(times), dtype=np.float64)
-    H = np.concatenate(([0.0], np.cumsum(grid.dt / 2.0 * (a[1:] + a[:-1]))))
-    for i in range(n + 1):
-        yield surv[i:] * np.exp(H[: n + 1 - i] - H[i:])
+        decay = np.array([math.exp(-rate * t) for t in times.tolist()])[:, None]
+    else:
+        a = np.asarray(alpha(times), dtype=np.float64)
+        H = np.concatenate(([0.0], np.cumsum(grid.dt / 2.0 * (a[1:] + a[:-1]))))
+        padded = np.concatenate((np.zeros(n), H))  # window n - r reads H[c - r]
+    sweeps = []
+    for sol in (usol, msol):
+        scheme = _Scheme(model, grid, times, sol._mean)
+        B, C = scheme.by_class(scheme.B), scheme.by_class(scheme.C)
+        terms = [(B[c, 1:], C[c], sol.sources[c].tolist()) for c in range(scheme.n_cls)]
+        carry = np.array(sol._start(np.asarray(f(times), dtype=np.float64)))
+        sweeps.append((scheme.A[1:], terms, carry, sol.boundary, sol._mean))
+    buf = np.zeros((2, max(min(_BLOCK_ENTRIES, (n + 1) ** 2), n + 1)))
+    margins = np.full(4, np.inf)
+    below_diagonal = {}  # block height -> its entries c < r
+    i0 = 0
+    while i0 <= n:
+        width = n + 1 - i0
+        h = min(max(1, _BLOCK_ENTRIES // width), width)
+        X, Y = (b[: h * width].reshape(h, width) for b in buf)
+        tri = below_diagonal.get(h)
+        if tri is None:
+            tri = below_diagonal[h] = np.tril_indices(h, -1)
+        U = _sweep_block(X, i0, tri, *sweeps[0])
+        lower = Y  # the survival bound, then u - lower
+        if alpha.is_constant:
+            np.multiply(decay[i0 : i0 + h], surv[i0:], out=lower)
+        else:
+            skew = np.lib.stride_tricks.sliding_window_view(padded, width)[n - h + 1 : n + 1][::-1]
+            np.subtract(skew, H[i0:], out=lower)
+            np.exp(lower, out=lower)
+            lower *= surv[i0:]
+        lower[tri] = lower[tri[0], tri[0]]
+        nonneg = U.min()
+        survival = np.subtract(U, lower, out=lower).min()
+        P = _sweep_block(Y, i0, tri, *sweeps[1])
+        # min(bound - p) in one subtraction a row: rounded subtraction is monotone
+        norm_margin = (norm[i0 : i0 + h] - P.max(axis=1)).min()
+        below = np.subtract(P, U, out=U).min()
+        np.minimum(margins, (nonneg, survival, below, norm_margin), out=margins)
+        i0 += h
+    return margins.tolist()
 
 
 def immigration_exponent_integral(

@@ -36,11 +36,11 @@ from .simulate import SimConfig, Trajectory, replicate_rng, simulate_paths
 from .solvers import (
     SolverGrid,
     immigration_exponent_integral,
+    lattice_margins,
     mean_with_immigration,
     solve_exponent,
     solve_mean,
     stationary_laplace,
-    survival_bound_rows,
 )
 
 __all__ = [
@@ -434,34 +434,27 @@ def solver_bound_checks(
     """Deterministic inequalities at every characteristic lattice node.
 
     Checks that the exponent is nonnegative, dominates the single-particle
-    survival bound (``survival_lower_bound`` at each node), and is dominated by the moment kernel (Jensen), and that
-    the moment kernel respects the exponential norm bound.  The inequalities
-    are exact for the continuous objects but the lattice values carry scheme
-    error, so the allowed slack is ten times the Richardson estimate of each
-    solver's boundary error (several bounds are tight, e.g. the norm bound at
-    criticality).  The lattice is swept one time row at a time and each row
-    is reduced to the four margins as it is produced, so memory stays O(n).
+    survival bound, and is dominated by the moment kernel (Jensen), and that
+    the moment kernel respects the exponential norm bound (``lattice_margins``
+    states the four margins).  The inequalities are exact for the continuous
+    objects but the lattice values carry scheme error, so the allowed slack is
+    ten times the Richardson estimate of each solver's boundary error (several
+    bounds are tight, e.g. the norm bound at criticality).  The lattice is
+    swept a block of time rows at a time, each block reduced to the four
+    margins as it is produced, so memory stays O(n) beyond one buffer of
+    ``solvers._BLOCK_ENTRIES`` values per lattice.  A NaN at any node fails
+    its checks.
 
     Both equations are solved on ``grid`` and ``grid.coarse()`` (which an odd
     step count lacks), each read from the memo ``solutions`` if a run solved
     it there already (``_solved``), so a ``validate`` run solves each once.
     """
-    c0, _, _ = model.constants()
     usol, msol, ucoarse, mcoarse = (
         _solved(solutions, eq, model, f, g) for g in (grid, grid.coarse()) for eq in ("exponent", "mean")
     )
     cert_u = float(np.max(grid.richardson(usol.boundary[::2], ucoarse.boundary)))
     cert_p = float(np.max(grid.richardson(msol.boundary[::2], mcoarse.boundary)))
-    times, sup = grid.times(), f.sup
-
-    nonneg = survival = below = norm = math.inf
-    rows = zip(usol.rows(), msol.rows(), survival_bound_rows(model, f, grid))
-    for (i, urow), (_, prow), lower in rows:
-        nonneg = min(nonneg, float(urow.min()))
-        survival = min(survival, float((urow - lower).min()))
-        below = min(below, float((prow - urow).min()))
-        # min(bound - prow) in one subtraction: rounded subtraction is monotone
-        norm = min(norm, math.exp(c0 * times[i]) * sup - float(prow.max()))
+    nonneg, survival, below, norm = lattice_margins(usol, msol)
     return [
         ComparisonReport(
             name, McEstimate(margin, 0.0, 0, 0), 0.0, 1e-9 + 10.0 * cert, sided="lower"

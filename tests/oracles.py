@@ -9,6 +9,10 @@ only as oracles:
   (``keep_lattice``, capped at ``_LATTICE_MAX_STEPS``);
   ``lattice_bound_margins`` reduces those lattices to the four margins of
   ``solver_bound_checks``.
+* ``lattice_rows`` / ``survival_bound_rows``: a solved lattice and the
+  survival bound swept one time row at a time in O(n) memory, as the package
+  did before it swept blocks of rows; ``row_loop_margins`` reduces them row
+  by row to the four margins of ``solvers.lattice_margins``.
 * ``renewal_rounding_bounds``: the rounding bounds that the ``solvers``
   module docstring states for the renewal-form solve.
 * ``fan_exponent`` / ``fan_mean``: one O(n^2) characteristic fan per ray,
@@ -277,6 +281,76 @@ def lattice_bound_margins(model, f, grid) -> dict[str, float]:
             ("solver:mean_norm_bound", (norm_bound - prow).min()),
         ):
             margins[name] = min(margins[name], float(value))
+    return margins
+
+
+def lattice_rows(sol):
+    """Yield ``(i, values)`` for i = 0..n: ages 0, dt, .., (n - i) dt at time t_i.
+
+    The recurrence swept one time step at a time over every characteristic
+    that reaches age 0 by the horizon, driven by the solution's known
+    boundary: the whole triangular lattice in O(n) memory.  ``values[0]`` is
+    the boundary.
+    """
+    n = sol.grid.n_steps
+    ages = sol.grid.dt * np.arange(n + 1)
+    scheme = _Scheme(sol.model, sol.grid, ages, sol._mean)
+    B, C = scheme.by_class(scheme.B), scheme.by_class(scheme.C)
+    w = sol._start(np.asarray(sol.f(ages), dtype=np.float64))
+    for i in range(n + 1):
+        if i:
+            m = n + 1 - i
+            live = w[i:]
+            live *= scheme.A[1 : m + 1]
+            for c in range(scheme.n_cls):
+                live += B[c, 1 : m + 1] * sol.sources[c, i - 1]
+                live += C[c, :m] * sol.sources[c, i]
+        values = sol._finish(w[i:])
+        values[0] = sol.boundary[i]
+        yield i, values
+
+
+def survival_bound_rows(model, f, grid):
+    """The single-particle survival bound on the lattice, in the rows of ``lattice_rows``.
+
+    Row i holds ``(1 - exp(-f(x + t_i))) exp(-hazard)`` at ages x = 0, dt,
+    .., (n - i) dt.  The hazard is alpha t_i for a constant alpha, otherwise
+    the trapezoid of alpha at dt along the ray, ``H[d + i] - H[d]`` from age
+    x = d dt with ``H`` the cumulative trapezoid of alpha over the grid ages.
+    """
+    n, times = grid.n_steps, grid.times()
+    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))  # at x + t = j dt
+    alpha = model.alpha
+    if alpha.is_constant:
+        rate = float(alpha(0.0))
+        for i in range(n + 1):
+            yield surv[i:] * math.exp(-rate * times[i])
+        return
+    a = np.asarray(alpha(times), dtype=np.float64)
+    H = np.concatenate(([0.0], np.cumsum(grid.dt / 2.0 * (a[1:] + a[:-1]))))
+    for i in range(n + 1):
+        yield surv[i:] * np.exp(H[: n + 1 - i] - H[i:])
+
+
+def row_loop_margins(usol, msol) -> list[float]:
+    """``lattice_margins`` one lattice row at a time, each row reduced as it is swept.
+
+    The margins fold with ``numpy.minimum``, so a NaN at any node reaches
+    its margin.
+    """
+    model, f = usol.model, usol.f
+    c0, _, _ = model.constants()
+    times, sup = usol.grid.times(), f.sup
+    margins = [math.inf] * 4
+    rows = zip(lattice_rows(usol), lattice_rows(msol), survival_bound_rows(model, f, usol.grid))
+    for (i, urow), (_, prow), lower in rows:
+        row = (
+            urow.min(),
+            (urow - lower).min(),
+            (prow - urow).min(),
+            math.exp(c0 * times[i]) * sup - float(prow.max()),
+        )
+        margins = [float(np.minimum(m, v)) for m, v in zip(margins, row)]
     return margins
 
 

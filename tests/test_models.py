@@ -636,6 +636,30 @@ def test_public_constructors_refuse_nan(make, match):
         make()
 
 
+INF = math.inf
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: GroupSizeLaw.zeta_tail(INF), "finite exponent > 1 .*, got inf"),
+    (lambda: ScalarField.constant(INF), "constant field must be >= 0 and finite, got inf"),
+    (lambda: ScalarField.exp_decay(INF, 1.0), "finite amplitude >= 0 and floor >= 0, got inf and 0.0"),
+    (lambda: ScalarField.exp_decay(1.0, INF), "finite rate > 0, got inf"),
+    (lambda: ScalarField.exp_decay(1.0, 1.0, INF), "finite amplitude >= 0 and floor >= 0, got 1.0 and inf"),
+    (lambda: ScalarField.rational(INF), "rational scale must be >= 0 and finite, got inf"),
+    (lambda: ScalarField.step([INF], [1.0, 2.0]), "knot positions must be >= 0 and finite, got inf"),
+    (lambda: ScalarField.step([1.0], [1.0, INF]), "field values must be >= 0 and finite, got inf"),
+    (lambda: ScalarField.pwlinear([0.0, INF], [1.0, 2.0]), "knot positions must be >= 0 and finite, got inf"),
+    (lambda: ScalarField.pwlinear([0.0, 1.0], [INF, 2.0]), "field values must be >= 0 and finite, got inf"),
+    (lambda: SimConfig(_SUBCRITICAL, AgeMeasure.point(0.0), INF, (0.5,)), "t_end must be > 0 and finite, got inf"),
+], ids=["zeta-exponent", "constant", "expdecay-amplitude", "expdecay-rate", "expdecay-floor", "rational",
+        "step-threshold", "step-value", "pwlinear-x", "pwlinear-y", "t-end"])
+def test_public_constructors_refuse_infinities(make, match):
+    # each would build an object whose moments or suprema are inf or nan
+    # (a zeta law's first moment, a field's sup), refused later or not at all
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_first_and_second_moments_of_groups():
     imm = ImmigrationMechanism.finite_support(
         [(2.0, AgeMeasure.from_ages([0.0, 1.0])), (1.0, AgeMeasure.point(3.0))]

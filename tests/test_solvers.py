@@ -33,11 +33,13 @@ from oracles import (
     fan_mean,
     immigration_integral_per_node,
     lattice_bound_margins,
+    lattice_rows,
     march_exponent,
     march_mean,
     observed_orders,
     renewal_exponent_boundary,
     renewal_rounding_bounds,
+    row_loop_margins,
     scalar_exponent_at,
     scalar_mean_at,
 )
@@ -230,7 +232,7 @@ def test_exponent_monotone_in_field():
     u2 = solve_exponent(AGE_VARYING, f2, grid)
     assert np.all(u1.boundary <= u2.boundary + 1e-10)
     nodes = 0
-    for (i, l1), (_, l2) in zip(u1.rows(), u2.rows()):
+    for (i, l1), (_, l2) in zip(lattice_rows(u1), lattice_rows(u2)):
         assert np.all(l1 <= l2 + 1e-10)
         nodes += len(l1)
     assert nodes == (grid.n_steps + 1) * (grid.n_steps + 2) // 2  # every lattice node
@@ -245,7 +247,7 @@ def test_exponent_bounds_on_lattice():
     times = grid.times()
     fv = np.asarray(ONE(times))
     nodes = 0
-    for (i, urow), (_, prow) in zip(usol.rows(), msol.rows()):
+    for (i, urow), (_, prow) in zip(lattice_rows(usol), lattice_rows(msol)):
         lower = -np.expm1(-fv[i:]) * math.exp(-c1 * times[i])
         assert np.all(urow >= lower - 1e-6)
         assert np.all(urow <= prow + 1e-5)
@@ -487,8 +489,8 @@ def test_zero_ray_is_the_boundary_bit_for_bit(quadrature):
         again = solve(AGE_VARYING, ONE, grid)
         assert again.boundary.tobytes() == sol.boundary.tobytes()
         assert again.rays([0.3, 0.0, 0.0123]).tobytes() == table.tobytes()
-        rows = [row.tobytes() for _, row in sol.rows()]
-        assert rows == [row.tobytes() for _, row in again.rows()]
+        rows = [row.tobytes() for _, row in lattice_rows(sol)]
+        assert rows == [row.tobytes() for _, row in lattice_rows(again)]
 
 
 def test_rays_reject_bad_offsets():
@@ -748,7 +750,7 @@ def test_rows_are_the_marched_lattice(quadrature):
         lattice = march(AGE_VARYING, f, grid, keep_lattice=True)[2]
         if solve is solve_exponent:
             lattice = -np.log(np.maximum(lattice, 1e-300))
-        seen = [i for i, row in sol.rows() if np.max(np.abs(row - lattice[i, i:])) <= 1e-12]
+        seen = [i for i, row in lattice_rows(sol) if np.max(np.abs(row - lattice[i, i:])) <= 1e-12]
         assert seen == list(range(grid.n_steps + 1))
 
 
@@ -768,6 +770,59 @@ def test_bound_check_margins_match_the_lattice_oracle(quadrature):
         assert [r.name for r in reports] == BOUND_NAMES
         for rep in reports:
             assert abs(rep.mc.value - oracle[rep.name]) <= 1e-12
+
+
+_LATTICE_FIELD = ScalarField.exp_decay(1.0, 0.7, 0.2)
+
+
+@pytest.mark.parametrize("budget", ["one-row", "ragged", "default"])
+@pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
+@pytest.mark.parametrize("model", ["one-regime", "two-regimes"])
+def test_lattice_margins_are_the_row_loop_bit_for_bit(monkeypatch, model, quadrature, budget):
+    # n = 300; the two-regime model steps its alpha and offspring law at age
+    # 1.5, which no node hits, so both survival hazards (alpha t and the
+    # trapezoid along the ray) and one and two source classes are swept
+    model = CRITICAL if model == "one-regime" else AGE_VARYING
+    grid = SolverGrid(7e-3, 2.1, quadrature)
+    if budget == "one-row":
+        monkeypatch.setattr(solvers, "_BLOCK_ENTRIES", 1)
+    elif budget == "ragged":  # 7 rows of 301, then blocks whose heights leave a remainder
+        monkeypatch.setattr(solvers, "_BLOCK_ENTRIES", 7 * (grid.n_steps + 1) + 5)
+    usol, msol = solve_exponent(model, _LATTICE_FIELD, grid), solve_mean(model, _LATTICE_FIELD, grid)
+    margins = solvers.lattice_margins(usol, msol)
+    expect = row_loop_margins(usol, msol)
+    assert np.array(margins).tobytes() == np.array(expect).tobytes()
+    assert all(math.isfinite(m) for m in margins)
+
+
+def test_lattice_margins_refuse_solutions_of_different_problems():
+    grid = SolverGrid(1e-2, 1.0)
+    usol = solve_exponent(CRITICAL, ONE, grid)
+    for msol in (solve_mean(CRITICAL, ONE, SolverGrid(2e-2, 1.0)), solve_mean(CRITICAL, _LATTICE_FIELD, grid),
+                 solve_mean(SUBCRITICAL, ONE, grid)):
+        with pytest.raises(ValueError, match="different models, fields or grids"):
+            solvers.lattice_margins(usol, msol)
+
+
+def test_a_nan_on_the_lattice_fails_every_bound_check(monkeypatch):
+    # a NaN at age 3 dt of the time-0 row, which is not a boundary node: the
+    # boundaries and their error estimates stay finite, and the NaN runs
+    # along its characteristic through both lattices until it reaches age 0
+    cfg, _ = _shipped("bench_critical")
+    grid, memo = SolverGrid(0.01, cfg.t_end), {}
+    solver_bound_checks(cfg.model, cfg.f, grid, memo)
+    start = solvers._FanSolution._start
+
+    def poisoned(self, fvals):
+        w = np.array(start(self, fvals))
+        w[3] = math.nan
+        return w
+
+    monkeypatch.setattr(solvers._FanSolution, "_start", poisoned)
+    reports = solver_bound_checks(cfg.model, cfg.f, grid, memo)
+    assert [r.name for r in reports] == BOUND_NAMES
+    assert all(math.isnan(r.mc.value) and math.isfinite(r.analytic_tol) for r in reports)
+    assert [r.row()[-1] for r in reports] == ["fail"] * 4
 
 
 @pytest.mark.parametrize("name", ["pure_death_imm", "subcritical_imm"])

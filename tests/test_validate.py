@@ -41,8 +41,8 @@ from agebranch.validate import (
     _run_chunk,
     snapshot_profile,
 )
-from oracles import ObjectTrajectory, benchmark_models, chunk_rows_objects
-from agebranch.solvers import SolverGrid, survival_bound_rows, survival_lower_bound
+from oracles import ObjectTrajectory, benchmark_models, chunk_rows_objects, survival_bound_rows
+from agebranch.solvers import SolverGrid, survival_lower_bound
 
 ONE = ScalarField.constant(1.0)
 NO_IMMIGRATION = ImmigrationMechanism.none()
