@@ -92,16 +92,18 @@ def segment_pick(weights, owner, first, counts, sums, segs, y) -> np.ndarray:
     sum, ``np.bincount(owner, weights=weights)``.  ``segs`` lists nonempty
     segments, with one ``y`` each.  The cumulative sums restart at every
     segment because a running sum minus itself is exactly 0, so each keeps
-    the bits of a cumulative sum over its segment alone.  The index is
-    clamped to the segment's last entry.  As ``y ~ Uniform[0, 1)`` entry
-    ``i`` of segment ``s`` is picked with probability ``weights[i] / sums[s]``.
+    the bits of a cumulative sum over its segment alone; they do not
+    decrease, so one ``bincount`` of those at or below ``y * sums`` gives the
+    index of ``searchsorted(..., side="right")``, clamped to the segment's
+    last entry.  As ``y ~ Uniform[0, 1)`` entry ``i`` of segment ``s`` is
+    picked with probability ``weights[i] / sums[s]``.
     """
     # minus the running sum leads every segment after the first
     led, held = interleave(weights, first[1:] + np.arange(len(first) - 1), -sums[:-1])
-    at = segment_keys(owner, led.cumsum()[held]).searchsorted(
-        segment_keys(segs, y * sums[segs]), side="right"
-    )
-    return np.minimum(at, first[segs] + counts[segs] - 1)
+    bound = np.zeros(len(first))
+    bound[segs] = y * sums[segs]
+    below = np.bincount(owner[led.cumsum()[held] <= bound[owner]], minlength=len(first))
+    return first[segs] + np.minimum(below[segs], counts[segs] - 1)
 
 
 @dataclass(frozen=True)

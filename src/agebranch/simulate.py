@@ -24,7 +24,8 @@ observers, not objects: the population size and ages at each snapshot time
 (flat arrays), the branch count and running maximum of the population size,
 and the event logs of the leading paths its caller reads, if any.  A
 :class:`Trajectory` is one path of a :class:`PathSet` and rebuilds
-``AgeMeasure`` snapshots on access.
+``AgeMeasure`` snapshots on access.  Only an accepted event past the cap
+``max_events``, at or before ``t_end``, cuts a path, and it does not happen.
 
 Generators are counter-based (Philox) and keyed by a tuple of integers:
 ``simulate`` reads stream ``(seed, replicate_index)``, and the Monte-Carlo
@@ -78,8 +79,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be > 0 and finite, got {self.t_end!r}")
-        if self.max_events <= 0:
-            raise ValueError("max_events must be > 0")
+        for name, least in (("max_events", 1), ("seed", 0), ("replicate_index", 0)):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be >= {least} and an integer, got {v!r}")
         times = tuple(float(s) for s in self.snapshot_times)
         if not all(0 <= s <= self.t_end for s in times):  # NaN fails every comparison
             raise ValueError("snapshot times must lie within [0, t_end]")
@@ -257,16 +259,21 @@ def simulate_paths(
     or at the event cap; the passes number about the longest path's
     proposals, not the sum over paths.  An empty path without immigration
     proposes at +inf, so in the same pass it records its remaining snapshots
-    at mass 0 and ends by extinction.
+    at mass 0 and ends by extinction.  A path with ``max_events`` events is
+    cut by its next accepted event at or before ``t_end``, drawing nothing
+    after the acceptance uniform and keeping the snapshots before it.
 
     The live particles sit in one flat array of birth offsets, path by path
-    and ascending within a path; a path's segment is located by the
-    cumulative sum of the live masses, so memory is O(live particles).  Each
-    pass sums every path's hazard in sequence with one ``bincount`` and picks
-    every dying particle from one cumulative sum restarted at each path
-    (:func:`~agebranch.measures.segment_pick`).  Only the first
-    ``log_paths`` paths keep an ``Event`` log; the draws and every recorded
-    number are the same whichever paths are logged.
+    and ascending within a path, located by the cumulative sum of the live
+    masses, so memory is O(live particles).  The live paths' mass, clock,
+    running maximum and snapshot cursor are kept in live order and written
+    out when a path ends.  Each pass records the ages of the snapshots its
+    paths pass, keyed ``path * n_snap + snap`` and joined 16 passes at a
+    time, sums every path's hazard in sequence with one ``bincount`` and
+    picks every dying particle by counting partial sums of one cumulative
+    sum restarted at each path (:func:`~agebranch.measures.segment_pick`).
+    Only the first ``log_paths`` paths keep an ``Event`` log; the draws and
+    every recorded number are the same whichever paths are logged.
     """
     alpha = cfg.model.alpha
     offspring = cfg.model.offspring
@@ -281,87 +288,100 @@ def simulate_paths(
     # which is below every base of their path, so they go first in its segment
     m0 = cfg.initial.total_mass
     base = np.tile(np.asarray(cfg.initial.ages, dtype=np.float64), n_paths)
-    mass = np.full(n_paths, m0, dtype=np.int64)
-    clock = np.zeros(n_paths)
-    snap_pos = np.zeros(n_paths, dtype=np.int64)
     snap_masses = np.zeros((n_paths, n_snap), dtype=np.int64)
+    flat = snap_masses.reshape(-1)
     branches = np.zeros(n_paths, dtype=np.int64)
-    n_events = np.zeros(n_paths, dtype=np.int64)
-    max_mass = mass.copy()
+    arrivals = np.zeros(n_paths, dtype=np.int64)
+    max_mass = np.empty(n_paths, dtype=np.int64)
+    snap_pos = np.empty(n_paths, dtype=np.int64)
     ending = np.full(n_paths, _T_END)
     logs: list[list[Event]] = [[] for _ in range(min(log_paths, n_paths))]
-    recorded: list[tuple[np.ndarray, np.ndarray]] = []  # (path * n_snap + snap, their ages)
+    # snapshot records (path * n_snap + snap, their ages); every 16 fresh ones are joined into one
+    recorded: list[tuple[np.ndarray, np.ndarray]] = []
+    fresh: list[tuple[np.ndarray, np.ndarray]] = []
     group_measures: dict[tuple, AgeMeasure] = {}  # the logged groups: one measure per distinct group
 
-    def record_through(paths, stop, first) -> None:
-        # Snapshots up to index stop of each path, its particles starting at base[first].
-        lo = snap_pos[paths]
-        cnt = stop - lo
-        if not cnt.any():
-            return
-        snap_pos[paths] = stop
-        pair_path = paths.repeat(cnt)
-        pair_snap = index_ranges(lo, cnt)
-        m = mass[pair_path]
-        snap_masses[pair_path, pair_snap] = m
-        if m.any():
-            ages = base[index_ranges(first.repeat(cnt), m)] + snap_times[pair_snap].repeat(m)
-            recorded.append((pair_path * n_snap + pair_snap, ages))
-
-    act = np.arange(n_paths)  # live paths, ascending; base holds exactly their particles
+    # the live paths, ascending, and their mass, clock, running maximum and
+    # snapshot cursor in the same order; base holds exactly their particles
+    act = np.arange(n_paths)
+    m = np.full(n_paths, m0, dtype=np.int64)
+    now = np.zeros(n_paths)
+    top = m.copy()
+    lo = np.zeros(n_paths, dtype=np.int64)
+    passes = 0
     while len(act):
         # below, arrays of one entry per live path are indexed by its place in act
-        m = mass[act]
         first = m.cumsum() - m
         owner = np.arange(len(act)).repeat(m)  # of each live particle
-        now = clock[act]
         # the branch proposals of the paths with particles, then one arrival per
         # path only at a positive rate (so a stream without immigration reads no
         # arrival); an empty path without immigration proposes at +inf
-        has = m > 0
-        n_has = int(has.sum())
+        n_has = int(np.count_nonzero(m))
         n_arrivals = len(act) if rate_arrival > 0.0 else 0
         draws = rng.standard_exponential(n_has + n_arrivals)
-        t_next = np.full(len(act), np.inf)
-        t_next[has] = now[has] + draws[:n_has] * (1.0 / (c1 * m[has]))
+        if n_has == len(act):
+            t_next = now + draws[:n_has] * (1.0 / (c1 * m))
+        else:
+            has = m > 0
+            t_next = np.full(len(act), np.inf)
+            t_next[has] = now[has] + draws[:n_has] * (1.0 / (c1 * m[has]))
         t_arrival = now + draws[n_has:] * (1.0 / rate_arrival) if n_arrivals else np.inf
         branching = t_next <= t_arrival
         t_next = np.minimum(t_next, t_arrival)
         # snapshots strictly before each path's next event: the path is
         # right-continuous, so a snapshot at a jump time sees the post-jump
         # state; a path whose proposal passes t_end records all of them
-        record_through(act, snap_times.searchsorted(t_next), first)
-        done = t_next > t_end
-        ending[act[t_next == np.inf]] = _EXTINCTION  # empty, and it stays empty
-        keep = ~done[owner]
+        stop = snap_times.searchsorted(t_next)
+        cnt = stop - lo
+        if np.count_nonzero(cnt):
+            keys = index_ranges(act * n_snap + lo, cnt)
+            pm = m.repeat(cnt)
+            flat[keys] = pm
+            if np.count_nonzero(pm):
+                fresh.append((keys, base[index_ranges(first.repeat(cnt), pm)]
+                               + snap_times[keys % n_snap].repeat(pm)))
+                if len(fresh) == 16:
+                    recorded.append(tuple(map(np.concatenate, zip(*fresh))))
+                    fresh.clear()
+            lo = stop
+        live = t_next <= t_end  # the paths whose proposal falls by t_end
 
         # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass);
         # the hazard of every live path is summed, and read where a branch is proposed
         ages_now = base + t_next[owner]
         weights = np.asarray(alpha(ages_now), dtype=np.float64)
         hazard = np.bincount(owner, weights=weights, minlength=len(act))
-        proposed = np.flatnonzero(branching & ~done)
+        proposed = np.flatnonzero(branching & live)
         d = proposed[rng.random(len(proposed)) * c1 * m[proposed] < hazard[proposed]]
+        arriving = np.flatnonzero(live > branching)  # live and not branching
+        passes += 1
+        if passes > cfg.max_events:  # a path has at most one event a pass
+            # an accepted event past the cap cuts its path instead of happening
+            full = branches[act] + arrivals[act] >= cfg.max_events
+            cut = np.concatenate((d[full[d]], arriving[full[arriving]]))
+            ending[act[cut]] = _EVENT_CAP
+            live[cut] = False
+            d, arriving = d[~full[d]], arriving[~full[arriving]]
+        keep = live[owner]
         new_pos, new_base, new_owner = [], [], []
         if len(d):
             dying = segment_pick(weights, owner, first, m, hazard, d, rng.random(len(d)))
             dying_age = ages_now[dying]
             kids = offspring.sample(dying_age, rng)
             keep[dying] = False
-            d_paths, d_t = act[d], t_next[d]
-            mass[d_paths] += kids - 1
+            m[d] += kids - 1
+            d_paths = act[d]
             branches[d_paths] += 1
-            n_events[d_paths] += 1
-            new_pos.append(first[d].repeat(kids))
-            new_base.append((-d_t).repeat(kids))
-            new_owner.append(d.repeat(kids))
+            born = d.repeat(kids)
+            new_pos.append(first[born])
+            new_base.append(-t_next[born])
+            new_owner.append(born)
             if logs:
                 j = d_paths.searchsorted(len(logs))  # the logged paths lead act
-                for p, t, a, k in zip(d_paths[:j].tolist(), d_t[:j].tolist(), dying_age[:j].tolist(),
+                for p, t, a, k in zip(d_paths[:j].tolist(), t_next[d[:j]].tolist(), dying_age[:j].tolist(),
                                       kids[:j].tolist()):
                     logs[p].append(Event(t, "branch", dying_age=a, offspring_count=k))
 
-        arriving = np.flatnonzero(~(branching | done))
         if len(arriving):
             sizes, arrived = imm.sample_groups(rng, len(arriving))
             of_new = arriving.repeat(sizes)
@@ -373,16 +393,16 @@ def simulate_paths(
             )
             new_base.append(arrived_base)
             new_owner.append(of_new)
+            m[arriving] += sizes
             a_paths = act[arriving]
-            mass[a_paths] += sizes
-            n_events[a_paths] += 1
+            arrivals[a_paths] += 1
             if logs:
                 j = a_paths.searchsorted(len(logs))
                 ends = sizes[:j].cumsum()
                 a_t = t_next[arriving[:j]]
-                for p, t, lo, hi in zip(a_paths[:j].tolist(), a_t.tolist(), (ends - sizes[:j]).tolist(),
-                                        ends.tolist()):
-                    ages = tuple(arrived[lo:hi].tolist())
+                for p, t, s, e in zip(a_paths[:j].tolist(), a_t.tolist(), (ends - sizes[:j]).tolist(),
+                                      ends.tolist()):
+                    ages = tuple(arrived[s:e].tolist())
                     group = group_measures.get(ages)
                     if group is None:
                         group = group_measures[ages] = AgeMeasure(ages)
@@ -399,21 +419,18 @@ def simulate_paths(
             base = interleave(base[keep], kept_before[pos] + np.arange(len(pos)), values)[0]
         elif not keep.all():
             base = base[keep]
-        act, t_next = act[~done], t_next[~done]
-        max_mass[act] = np.maximum(max_mass[act], mass[act])
-        clock[act] = t_next
-        capped = n_events[act] >= cfg.max_events
-        if capped.any():
-            ending[act[capped]] = _EVENT_CAP
-            m = mass[act]
-            stay = np.ones(len(base), dtype=bool)
-            stay[index_ranges((m.cumsum() - m)[capped], m[capped])] = False
-            base = base[stay]
-            act = act[~capped]
+        np.maximum(top, m, out=top)
+        if live.all():
+            now = t_next
+        else:
+            ending[act[t_next == np.inf]] = _EXTINCTION  # empty, and it stays empty
+            ended = act[~live]
+            max_mass[ended], snap_pos[ended] = top[~live], lo[~live]
+            act, m, now, top, lo = act[live], m[live], t_next[live], top[live], lo[live]
 
-    # each recorded snapshot's ages go to its place, path by path then snapshot
-    # by snapshot; each block is dropped once placed
-    flat = snap_masses.ravel()
+    # each recorded snapshot's ages go to their place, path by path then
+    # snapshot by snapshot; each record is dropped once placed
+    recorded += fresh
     offsets = np.cumsum(flat) - flat
     ages = np.empty(int(flat.sum()))
     while recorded:
@@ -422,7 +439,7 @@ def simulate_paths(
     snap_masses.flags.writeable = False
     ages.flags.writeable = False
     return PathSet(
-        cfg.snapshot_times, snap_masses, ages, snap_pos, branches, max_mass, n_events,
+        cfg.snapshot_times, snap_masses, ages, snap_pos, branches, max_mass, branches + arrivals,
         tuple(_ENDINGS[e] for e in ending.tolist()), cfg.initial, t_end,
         tuple(tuple(log) for log in logs),
     )
@@ -433,8 +450,8 @@ def simulate(cfg: SimConfig, rng: np.random.Generator | None = None) -> Trajecto
 
     The chunk kernel at one path, with its ``Event`` log.  Deterministic:
     identical (seed, replicate_index, config) gives a bit-identical
-    trajectory.  Exceeding ``max_events`` truncates the path and flags it; it
-    is never silently dropped.
+    trajectory.  An accepted event past ``max_events`` by ``t_end`` truncates
+    the path before it happens and flags it; it is never silently dropped.
     """
     if rng is None:
         rng = replicate_rng(cfg.seed, cfg.replicate_index)

@@ -31,6 +31,10 @@ only as oracles:
   ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
   describes; ``replay_statistics``, ``mass_path`` and ``log_counters`` read
   statistics from the event log of either trajectory type.
+* ``lockstep_paths``: the chunk kernel ``simulate_paths`` as it was before
+  it kept its live-path state compact and picked the dying particle by
+  counts, with its complex-key pick ``keyed_segment_pick``; it pins every
+  bit of the kernel's ``PathSet``.
 * ``weighted_index``: the dying-particle index of the chunk kernel as it was
   before one cumulative sum served every path of a pass: the chosen
   segments compacted, their sums and cumulative sums taken afresh.
@@ -59,9 +63,11 @@ import numpy as np
 
 from agebranch import models
 from agebranch.cli import _fmt
-from agebranch.measures import AgeMeasure, ScalarField, interleave
+from agebranch.measures import AgeMeasure, ScalarField, index_ranges, interleave, segment_keys
 from agebranch.models import BranchingModel, OffspringLaw, OffspringPmf
-from agebranch.simulate import Event, SimConfig, replicate_rng
+from agebranch.simulate import (
+    _ENDINGS, _EVENT_CAP, _EXTINCTION, _T_END, Event, PathSet, SimConfig, replicate_rng,
+)
 
 from agebranch.solvers import (
     _FIXED_POINT_MAX_ITER,
@@ -756,8 +762,9 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
     """Run one exact path of the branching process, with immigration if configured.
 
     Deterministic: identical (seed, replicate_index, config) gives a
-    bit-identical trajectory.  Exceeding ``max_events`` truncates the path and
-    flags it; it is never silently dropped.
+    bit-identical trajectory.  An accepted event past ``max_events`` at or
+    before ``t_end`` truncates the path before it happens and flags it, with
+    the snapshots before that event; it is never silently dropped.
     """
     if rng is None:
         rng = replicate_rng(cfg.seed, cfg.replicate_index)
@@ -812,6 +819,9 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
             weights = np.asarray(alpha(ages_now), dtype=np.float64)
             hazard = float(weights.sum())
             if rng.random() * c1 * mass < hazard:
+                if n_events >= cfg.max_events:  # an accepted event past the cap cuts the path
+                    terminated_by = "event_cap"
+                    break
                 cum = np.cumsum(weights)
                 idx = int(np.searchsorted(cum, rng.random() * hazard, side="right"))
                 idx = min(idx, mass - 1)
@@ -824,26 +834,28 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
                 n_events += 1
         else:
             assert imm is not None
+            if n_events >= cfg.max_events:
+                terminated_by = "event_cap"
+                break
             group = AgeMeasure(tuple(imm.sample_groups(rng, 1)[1].tolist()))
             for a in group.ages:
                 bisect.insort(bases, a - t_next)
             events.append(Event(t_next, "immigrate", group=group))
             n_events += 1
         clock = t_next
-        if n_events >= cfg.max_events:
-            terminated_by = "event_cap"
-            break
 
     return ObjectTrajectory(tuple(snapshots), tuple(events), terminated_by, cfg.initial)
 
 
-def replay_objects(cfg: SimConfig, events, terminated_by: str) -> ObjectTrajectory:
+def replay_objects(cfg: SimConfig, events, terminated_by: str, recorded: int | None = None) -> ObjectTrajectory:
     """The path an event log describes, rebuilt from the initial state without randomness.
 
     Each branch event removes a particle of exactly its dying age (there must
     be one) and adds its offspring at age zero; each arrival adds its group.
     Snapshots are taken as ``simulate_objects`` takes them, through ``t_end``
-    unless the event cap cut the path.
+    unless the event cap cut the path.  The log does not hold the event past
+    the cap that cut a path, so a cut path takes its first ``recorded``
+    snapshots, those after its last event included.
     """
     bases: list[float] = list(cfg.initial.ages)
     snapshots: list[tuple[float, AgeMeasure]] = []
@@ -869,7 +881,230 @@ def replay_objects(cfg: SimConfig, events, terminated_by: str) -> ObjectTrajecto
                 bisect.insort(bases, a - e.time)
     if terminated_by != "event_cap":
         record_through(cfg.t_end, inclusive=True)
+    elif recorded:
+        record_through(snap_times[recorded - 1], inclusive=True)
     return ObjectTrajectory(tuple(snapshots), tuple(events), terminated_by, cfg.initial)
+
+
+def keyed_segment_pick(weights, owner, first, counts, sums, segs, y) -> np.ndarray:
+    """``measures.segment_pick`` as it was: one ``searchsorted`` on complex keys, segment + 1j * value.
+
+    In each segment of ``segs``, the first entry whose cumulative weight
+    exceeds ``y * sums``.
+
+    The weights are consecutive segments, segment ``j`` holding the
+    ``counts[j]`` entries from ``first[j]`` (empty segments allowed);
+    ``owner`` is each entry's segment and ``sums`` each segment's sequential
+    sum, ``np.bincount(owner, weights=weights)``.  ``segs`` lists nonempty
+    segments, with one ``y`` each.  The cumulative sums restart at every
+    segment because a running sum minus itself is exactly 0, so each keeps
+    the bits of a cumulative sum over its segment alone.  The index is
+    clamped to the segment's last entry.  As ``y ~ Uniform[0, 1)`` entry
+    ``i`` of segment ``s`` is picked with probability ``weights[i] / sums[s]``.
+    """
+    # minus the running sum leads every segment after the first
+    led, held = interleave(weights, first[1:] + np.arange(len(first) - 1), -sums[:-1])
+    at = segment_keys(owner, led.cumsum()[held]).searchsorted(
+        segment_keys(segs, y * sums[segs]), side="right"
+    )
+    return np.minimum(at, first[segs] + counts[segs] - 1)
+
+
+def lockstep_paths(
+    cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_paths: int = 0
+) -> PathSet:
+    """``simulate.simulate_paths`` as it was, frozen as the oracle of every bit of its ``PathSet``.
+
+    Each pass gathered and scattered the per-path mass, clock and running
+    maximum through the live paths, and picked every dying particle with
+    ``keyed_segment_pick``.  Its event cap cut a path as the path's
+    ``max_events``-th event landed, so compare it with the kernel only where
+    no path reaches the cap.
+
+    Each pass of the loop makes one proposal on every live path, vectorised
+    over them: the branch exponentials of the paths with particles, then one
+    arrival exponential per path if the mechanism's rate is positive (one
+    vector draw for both), then the acceptance uniforms of the branch
+    proposals, the dying-index uniforms and the offspring counts (one vector
+    draw per regime) of the accepted ones, and last the immigrant groups of
+    the arrivals, in ascending path order (one vector draw, or group by group
+    for members spread over several ages).  A vector draw of size k consumes
+    the stream as k scalar draws and a size-0 draw consumes nothing, so at
+    ``n_paths = 1`` the stream is read in the order of a one-path event loop;
+    an exponential of scale s is ``s`` times a standard one, the bits of
+    ``rng.exponential(s)``.  Paths leave the loop at ``t_end``, at extinction
+    or at the event cap; the passes number about the longest path's
+    proposals, not the sum over paths.  An empty path without immigration
+    proposes at +inf, so in the same pass it records its remaining snapshots
+    at mass 0 and ends by extinction.
+
+    The live particles sit in one flat array of birth offsets, path by path
+    and ascending within a path; a path's segment is located by the
+    cumulative sum of the live masses, so memory is O(live particles).  Each
+    pass sums every path's hazard in sequence with one ``bincount`` and picks
+    every dying particle from one cumulative sum restarted at each path
+    (``keyed_segment_pick``).  Only the first
+    ``log_paths`` paths keep an ``Event`` log; the draws and every recorded
+    number are the same whichever paths are logged.
+    """
+    alpha = cfg.model.alpha
+    offspring = cfg.model.offspring
+    _, c1, _ = cfg.model.constants()
+    imm = cfg.immigration
+    rate_arrival = imm.total_rate
+    t_end = cfg.t_end
+    snap_times = np.asarray(cfg.snapshot_times, dtype=np.float64)
+    n_snap = len(snap_times)
+
+    # the age of a particle at time t is its base + t; newborns get base = -t,
+    # which is below every base of their path, so they go first in its segment
+    m0 = cfg.initial.total_mass
+    base = np.tile(np.asarray(cfg.initial.ages, dtype=np.float64), n_paths)
+    mass = np.full(n_paths, m0, dtype=np.int64)
+    clock = np.zeros(n_paths)
+    snap_pos = np.zeros(n_paths, dtype=np.int64)
+    snap_masses = np.zeros((n_paths, n_snap), dtype=np.int64)
+    branches = np.zeros(n_paths, dtype=np.int64)
+    n_events = np.zeros(n_paths, dtype=np.int64)
+    max_mass = mass.copy()
+    ending = np.full(n_paths, _T_END)
+    logs: list[list[Event]] = [[] for _ in range(min(log_paths, n_paths))]
+    recorded: list[tuple[np.ndarray, np.ndarray]] = []  # (path * n_snap + snap, their ages)
+    group_measures: dict[tuple, AgeMeasure] = {}  # the logged groups: one measure per distinct group
+
+    def record_through(paths, stop, first) -> None:
+        # Snapshots up to index stop of each path, its particles starting at base[first].
+        lo = snap_pos[paths]
+        cnt = stop - lo
+        if not cnt.any():
+            return
+        snap_pos[paths] = stop
+        pair_path = paths.repeat(cnt)
+        pair_snap = index_ranges(lo, cnt)
+        m = mass[pair_path]
+        snap_masses[pair_path, pair_snap] = m
+        if m.any():
+            ages = base[index_ranges(first.repeat(cnt), m)] + snap_times[pair_snap].repeat(m)
+            recorded.append((pair_path * n_snap + pair_snap, ages))
+
+    act = np.arange(n_paths)  # live paths, ascending; base holds exactly their particles
+    while len(act):
+        # below, arrays of one entry per live path are indexed by its place in act
+        m = mass[act]
+        first = m.cumsum() - m
+        owner = np.arange(len(act)).repeat(m)  # of each live particle
+        now = clock[act]
+        # the branch proposals of the paths with particles, then one arrival per
+        # path only at a positive rate (so a stream without immigration reads no
+        # arrival); an empty path without immigration proposes at +inf
+        has = m > 0
+        n_has = int(has.sum())
+        n_arrivals = len(act) if rate_arrival > 0.0 else 0
+        draws = rng.standard_exponential(n_has + n_arrivals)
+        t_next = np.full(len(act), np.inf)
+        t_next[has] = now[has] + draws[:n_has] * (1.0 / (c1 * m[has]))
+        t_arrival = now + draws[n_has:] * (1.0 / rate_arrival) if n_arrivals else np.inf
+        branching = t_next <= t_arrival
+        t_next = np.minimum(t_next, t_arrival)
+        # snapshots strictly before each path's next event: the path is
+        # right-continuous, so a snapshot at a jump time sees the post-jump
+        # state; a path whose proposal passes t_end records all of them
+        record_through(act, snap_times.searchsorted(t_next), first)
+        done = t_next > t_end
+        ending[act[t_next == np.inf]] = _EXTINCTION  # empty, and it stays empty
+        keep = ~done[owner]
+
+        # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass);
+        # the hazard of every live path is summed, and read where a branch is proposed
+        ages_now = base + t_next[owner]
+        weights = np.asarray(alpha(ages_now), dtype=np.float64)
+        hazard = np.bincount(owner, weights=weights, minlength=len(act))
+        proposed = np.flatnonzero(branching & ~done)
+        d = proposed[rng.random(len(proposed)) * c1 * m[proposed] < hazard[proposed]]
+        new_pos, new_base, new_owner = [], [], []
+        if len(d):
+            dying = keyed_segment_pick(weights, owner, first, m, hazard, d, rng.random(len(d)))
+            dying_age = ages_now[dying]
+            kids = offspring.sample(dying_age, rng)
+            keep[dying] = False
+            d_paths, d_t = act[d], t_next[d]
+            mass[d_paths] += kids - 1
+            branches[d_paths] += 1
+            n_events[d_paths] += 1
+            new_pos.append(first[d].repeat(kids))
+            new_base.append((-d_t).repeat(kids))
+            new_owner.append(d.repeat(kids))
+            if logs:
+                j = d_paths.searchsorted(len(logs))  # the logged paths lead act
+                for p, t, a, k in zip(d_paths[:j].tolist(), d_t[:j].tolist(), dying_age[:j].tolist(),
+                                      kids[:j].tolist()):
+                    logs[p].append(Event(t, "branch", dying_age=a, offspring_count=k))
+
+        arriving = np.flatnonzero(~(branching | done))
+        if len(arriving):
+            sizes, arrived = imm.sample_groups(rng, len(arriving))
+            of_new = arriving.repeat(sizes)
+            arrived_base = arrived - t_next[of_new]
+            # each newcomer goes after the particles of its path with a base at
+            # or below its own
+            new_pos.append(
+                segment_keys(owner, base).searchsorted(segment_keys(of_new, arrived_base), side="right")
+            )
+            new_base.append(arrived_base)
+            new_owner.append(of_new)
+            a_paths = act[arriving]
+            mass[a_paths] += sizes
+            n_events[a_paths] += 1
+            if logs:
+                j = a_paths.searchsorted(len(logs))
+                ends = sizes[:j].cumsum()
+                a_t = t_next[arriving[:j]]
+                for p, t, lo, hi in zip(a_paths[:j].tolist(), a_t.tolist(), (ends - sizes[:j]).tolist(),
+                                        ends.tolist()):
+                    ages = tuple(arrived[lo:hi].tolist())
+                    group = group_measures.get(ages)
+                    if group is None:
+                        group = group_measures[ages] = AgeMeasure(ages)
+                    logs[p].append(Event(t, "immigrate", group=group))
+
+        if new_pos:
+            # the new particles listed by path have non-decreasing positions in
+            # base; each goes after the kept particles before its position
+            pos, values = np.concatenate(new_pos), np.concatenate(new_base)
+            if len(new_pos) > 1:
+                order = np.concatenate(new_owner).argsort(kind="stable")
+                pos, values = pos[order], values[order]
+            kept_before = np.concatenate(([0], keep.cumsum()))
+            base = interleave(base[keep], kept_before[pos] + np.arange(len(pos)), values)[0]
+        elif not keep.all():
+            base = base[keep]
+        act, t_next = act[~done], t_next[~done]
+        max_mass[act] = np.maximum(max_mass[act], mass[act])
+        clock[act] = t_next
+        capped = n_events[act] >= cfg.max_events
+        if capped.any():
+            ending[act[capped]] = _EVENT_CAP
+            m = mass[act]
+            stay = np.ones(len(base), dtype=bool)
+            stay[index_ranges((m.cumsum() - m)[capped], m[capped])] = False
+            base = base[stay]
+            act = act[~capped]
+
+    # each recorded snapshot's ages go to its place, path by path then snapshot
+    # by snapshot; each block is dropped once placed
+    flat = snap_masses.ravel()
+    offsets = np.cumsum(flat) - flat
+    ages = np.empty(int(flat.sum()))
+    while recorded:
+        keys, block = recorded.pop()
+        ages[index_ranges(offsets[keys], flat[keys])] = block
+    snap_masses.flags.writeable = False
+    ages.flags.writeable = False
+    return PathSet(
+        cfg.snapshot_times, snap_masses, ages, snap_pos, branches, max_mass, n_events,
+        tuple(_ENDINGS[e] for e in ending.tolist()), cfg.initial, t_end,
+        tuple(tuple(log) for log in logs),
+    )
 
 
 def replay_statistics(traj, f) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:

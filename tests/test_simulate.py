@@ -2,7 +2,7 @@ import hashlib
 import inspect
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,10 @@ from agebranch import (
 )
 from agebranch.cli import load_config
 from agebranch.measures import segment_pick, segment_sums
-from agebranch.simulate import simulate_paths
+from agebranch.simulate import PathSet, simulate_paths
 from oracles import (
-    ObjectTrajectory, log_counters, mass_path, replay_objects, replay_statistics, simulate_objects,
-    weighted_index,
+    ObjectTrajectory, lockstep_paths, log_counters, mass_path, replay_objects, replay_statistics,
+    simulate_objects, weighted_index,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -215,6 +215,17 @@ def test_snapshot_time_validation():
         SimConfig(CRITICAL, AgeMeasure.point(0.0), -1.0, ())
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_events", math.nan), ("max_events", 2.5), ("max_events", True),
+    ("seed", -1), ("seed", 1.5), ("seed", True),
+    ("replicate_index", -1), ("replicate_index", 1.5), ("replicate_index", True),
+])
+def test_sim_config_refuses_caps_and_seeds_that_are_not_counts(name, value):
+    # NaN disabled the cap, and the seeds failed later inside numpy's SeedSequence
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+        SimConfig(CRITICAL, AgeMeasure.point(0.0), 1.0, (1.0,), **{name: value})
+
+
 def test_replicate_rng_streams_are_independent_and_stable():
     a = replicate_rng(1, 2, 3).random(4)
     b = replicate_rng(1, 2, 3).random(4)
@@ -336,6 +347,32 @@ def test_kernel_matches_object_simulator_on_edge_paths():
     assert len(capped.snapshots) == 2  # the snapshot at t_end was never reached
 
 
+def test_a_path_with_exactly_max_events_events_is_complete():
+    # only an accepted event past the cap, at or before t_end, cuts a path, and the
+    # path keeps the snapshots before that event
+    sim = load_config(CONFIG_DIR / "bench_critical.json").sim_config()
+    for r in range(40):
+        free = simulate_paths(sim, replicate_rng(1, 0, r), 1, log_paths=1).trajectory(0)
+        k = free.n_events
+        if k == 0:
+            continue
+        assert simulate(replace(sim, max_events=k), replicate_rng(1, 0, r)) == free
+        if k > 1:
+            cut = simulate(replace(sim, max_events=k - 1), replicate_rng(1, 0, r))
+            n = sum(s < free.events[-1].time for s in sim.snapshot_times)
+            assert (cut.terminated_by, cut.n_events, len(cut.snapshots)) == ("event_cap", k - 1, n)
+            assert cut.events == free.events[:-1]
+            assert cut.snapshot_masses.tolist() == free.snapshot_masses[:n].tolist()
+    # the chunk of 512 from stream (1, 0, 0) has 47 paths with exactly 2 events, path 2 among
+    # them; at a cap of 2 each capped path has 2 events and misses a snapshot
+    free = simulate_paths(sim, replicate_rng(1, 0, 0), 512)
+    capped = simulate_paths(replace(sim, max_events=2), replicate_rng(1, 0, 0), 512)
+    assert np.count_nonzero(free.n_events == 2) == 47 and free.n_events[2] == 2
+    assert (capped.terminated_by[2], capped.recorded[2]) == ("t_end", 50)
+    assert (capped.n_events[capped.capped] == 2).all() and (capped.recorded[capped.capped] < 50).all()
+    assert (capped.recorded[~capped.capped] == 50).all()
+
+
 def test_chunk_paths_match_their_replayed_event_logs():
     # many paths in lock step: each path's snapshots and counters are those of
     # the path its own event log describes, and its ending is consistent
@@ -350,7 +387,8 @@ def test_chunk_paths_match_their_replayed_event_logs():
         unlogged = simulate_paths(sim, replicate_rng(5, i), 300)
         for p in range(len(logged)):
             traj = logged.trajectory(p)
-            assert_same_path(traj, replay_objects(sim, traj.events, traj.terminated_by), sim.t_end)
+            replayed = replay_objects(sim, traj.events, traj.terminated_by, len(traj.snapshots))
+            assert_same_path(traj, replayed, sim.t_end)
             assert unlogged.trajectory(p) == replace(traj, events=())
             endings.add(traj.terminated_by)
             if traj.terminated_by == "extinction":
@@ -412,6 +450,22 @@ _GOLDEN_CHUNKS = {
 def test_chunk_paths_keep_their_recorded_digest(name):
     sim = load_config(CONFIG_DIR / f"{name}.json").sim_config()
     assert pathset_digest(simulate_paths(sim, replicate_rng(2, 1, 0), 400)) == _GOLDEN_CHUNKS[name]
+
+
+@pytest.mark.parametrize("name", [n for n in SHIPPED if n != "heavy_tail_imm"])
+def test_kernel_keeps_every_bit_of_the_frozen_lockstep_kernel(name):
+    # lockstep_paths is the kernel before its live-path state was kept compact and the
+    # dying particle was picked by counts; no path reaches the default cap
+    sim = load_config(CONFIG_DIR / f"{name}.json").sim_config()
+    for width in (1, 37, 400, 512):
+        for log_paths in (0, 1, 3):
+            got = simulate_paths(sim, replicate_rng(2, 1, width), width, log_paths=log_paths)
+            want = lockstep_paths(sim, replicate_rng(2, 1, width), width, log_paths=log_paths)
+            for f in fields(PathSet):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(a, np.ndarray):
+                    a, b = (a.dtype, a.shape, a.tobytes()), (b.dtype, b.shape, b.tobytes())
+                assert a == b, (f.name, width, log_paths)
 
 
 def test_counters_before_t_end_need_the_event_log():

@@ -67,10 +67,11 @@ def test_estimate_laplace_empty_initial_exact():
 
 
 def test_exact_laplace_still_counts_capped_paths():
-    # the functional is identically 1, but the paths the cap cut are still excluded and counted
+    # the functional is identically 1, but the paths the cap cut are still excluded and counted;
+    # a path with exactly 5 events is complete (337 kept and 263 excluded while it was cut)
     cfg = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), NO_IMMIGRATION, 45, max_events=5)
     est = estimate_laplace(cfg, ZERO, 1.5, 600, stream=3)
-    assert (est.value, est.std_error, est.replicates, est.excluded) == (1.0, 0.0, 337, 263)
+    assert (est.value, est.std_error, est.replicates, est.excluded) == (1.0, 0.0, 410, 190)
 
 
 def test_laplace_analytic_critical_benchmark():
@@ -496,7 +497,8 @@ def flat(x):
 def test_estimators_keep_their_golden_bits(case):
     # recorded when every estimator simulated a set of its own, 600 replicates on stream 3;
     # compare_laplace's analytic side and tolerance again when the boundary steps closed
-    # by Newton's method (at most 1.8e-15 apart)
+    # by Newton's method (at most 1.8e-15 apart); the capped case again when a path with
+    # exactly max_events events stopped counting as cut
     n, stream = 600, 3
     if case == "capped":  # an event cap of 5 truncates many paths
         cfg, f, t = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), NO_IMMIGRATION, 45, 0, 5), ONE, 1.5
