@@ -194,15 +194,10 @@ def write_summary(path: Path, lines: list[str]) -> None:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def _report_lines(reports: list[ComparisonReport]) -> list[str]:
-    lines = []
-    for r in reports:
-        lines.append(
-            f"{r.name}: mc={_fmt(r.mc.value)} se={_fmt(r.mc.std_error)} "
-            f"analytic={_fmt(r.analytic)} tol={_fmt(r.analytic_tol)} z={_fmt(r.z)} "
-            f"verdict={'pass' if r.verdict else 'fail'}"
-        )
-    return lines
+def _report_lines(rows: list[list]) -> list[str]:
+    """``name: mc=... verdict=...`` for each ``ComparisonReport.row()``, labelled by ``CHECK_COLUMNS``."""
+    return [f"{name}: " + " ".join(f"{c}={_fmt(v)}" for c, v in zip(CHECK_COLUMNS[1:], rest))
+            for name, *rest in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def _report_lines(reports: list[ComparisonReport]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
+def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> bool:
     """The snapshot profile of the path set on stream 1, and the event log of its replicate 0."""
     sim = cfg.sim_config()
     profile, traj = snapshot_profile(sim, cfg.f, cfg.replicates, stream=1, n_jobs=n_jobs)
@@ -246,10 +241,10 @@ def _cmd_simulate(cfg: RunConfig, out: Path, n_jobs: int) -> int:
         ]
         + [f"excluded_paths={profile[0][1].excluded}"],
     )
-    return 0
+    return True
 
 
-def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> int:
+def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> bool:
     """solve-u / solve-pi: the boundary trace and a coarse (t, x) table, from one boundary solve."""
     grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
     times = grid.times()
@@ -272,7 +267,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, solve, value_name: str) -> int:
         [f"t_end={_fmt(cfg.t_end)}", f"dt={_fmt(cfg.grid_dt)}", f"quadrature={cfg.quadrature}",
          f"boundary_at_t_end={_fmt(boundary[-1])}"],
     )
-    return 0
+    return True
 
 
 def validation_suite(cfg: RunConfig, n_jobs: int = 1) -> list[ComparisonReport]:
@@ -312,23 +307,24 @@ def _suite_outcome(reports: list[ComparisonReport]) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _cmd_validate(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
+def _cmd_validate(cfg: RunConfig, out: Path, n_jobs: int) -> bool:
     reports = validation_suite(cfg, n_jobs)
-    write_csv(out / "checks.csv", CHECK_COLUMNS, zip(*(r.row() for r in reports)))
+    rows = [r.row() for r in reports]
+    write_csv(out / "checks.csv", CHECK_COLUMNS, zip(*rows))
     ok, lines = _suite_outcome(reports)
     checks = [r for r in reports if not r.name.startswith("control:")]
     excluded = max(r.mc.excluded for r in reports)  # each carries its one path set's count
     write_summary(
         out / "summary.txt",
-        _report_lines(reports)
+        _report_lines(rows)
         + lines
         + [f"checks={len(checks)}", f"controls={len(reports) - len(checks)}",
            f"suite={'pass' if ok else 'fail'}", f"excluded_paths={excluded}"],
     )
-    return 0 if ok or not ci else 1
+    return ok
 
 
-def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
+def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int) -> bool:
     if cfg.immigration.total_rate == 0.0:
         raise ConfigError("immigration: the ergodic command needs an immigration mechanism")
     report = ergodicity_check(cfg.model, cfg.immigration)
@@ -358,10 +354,10 @@ def _cmd_ergodic(cfg: RunConfig, out: Path, n_jobs: int, ci: bool) -> int:
                   f"excluded_paths={max(r.mc.excluded for r in reps)}"]
     write_csv(out / "ergodic.csv", CHECK_COLUMNS, zip(*(r.row() for r in reps)))
     write_summary(out / "summary.txt", lines)
-    return 0 if ok or not ci else 1
+    return ok
 
 
-def _cmd_stationary(cfg: RunConfig, out: Path) -> int:
+def _cmd_stationary(cfg: RunConfig, out: Path) -> bool:
     if cfg.immigration.total_rate == 0.0:
         raise ConfigError("immigration: the stationary command needs an immigration mechanism")
     thetas = [0.25, 0.5, 1.0, 2.0]
@@ -378,10 +374,10 @@ def _cmd_stationary(cfg: RunConfig, out: Path) -> int:
         zip(*rows),
     )
     write_summary(out / "summary.txt", [f"f={r[0]} value={_fmt(r[1])}" for r in rows])
-    return 0
+    return True
 
 
-def _cmd_identity_check(out: Path, ci: bool) -> int:
+def _cmd_identity_check(out: Path) -> bool:
     rows = []
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
@@ -397,18 +393,18 @@ def _cmd_identity_check(out: Path, ci: bool) -> int:
         out / "summary.txt",
         [f"cases={len(rows)}", f"max_abs_diff={_fmt(worst)}", f"verdict={'pass' if ok else 'fail'}"],
     )
-    return 0 if ok or not ci else 1
+    return ok
 
 
-# name: (reads --config, run(cfg, out, args)), for the parser's choices and main's dispatch
+# name: (reads --config, run(cfg, out, args) -> all checks passed), for the parser's choices and main
 COMMANDS = {
     "simulate": (True, lambda cfg, out, a: _cmd_simulate(cfg, out, a.parallelism)),
     "solve-u": (True, lambda cfg, out, a: _cmd_solve(cfg, out, solve_exponent, "exponent")),
     "solve-pi": (True, lambda cfg, out, a: _cmd_solve(cfg, out, solve_mean, "mean")),
-    "validate": (True, lambda cfg, out, a: _cmd_validate(cfg, out, a.parallelism, a.ci)),
-    "ergodic": (True, lambda cfg, out, a: _cmd_ergodic(cfg, out, a.parallelism, a.ci)),
+    "validate": (True, lambda cfg, out, a: _cmd_validate(cfg, out, a.parallelism)),
+    "ergodic": (True, lambda cfg, out, a: _cmd_ergodic(cfg, out, a.parallelism)),
     "stationary": (True, lambda cfg, out, a: _cmd_stationary(cfg, out)),
-    "identity-check": (False, lambda cfg, out, a: _cmd_identity_check(out, a.ci)),
+    "identity-check": (False, lambda cfg, out, a: _cmd_identity_check(out)),
 }
 
 
@@ -450,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig.from_dict(raw)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return run(cfg, out, args)
+        return 0 if run(cfg, out, args) or not args.ci else 1
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ sampling); the test suite cross-validates the two.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -39,6 +38,31 @@ _NORMALIZATION_TOL = 1e-12
 _PSI_TOL = 1e-12  # absolute accuracy of psi where a group-size series is truncated
 
 
+def _sorted_table(pmf: dict[int, float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """A finite law's values in ascending order, and their probabilities as floats."""
+    items = sorted(pmf.items())
+    return tuple(k for k, _ in items), tuple(float(p) for _, p in items)
+
+
+def _check_table(what: str, law: str, values: tuple, probs: tuple, least: int, tail: float = 0.0) -> None:
+    """Refuse a table that is no law, on which sampling and the generating functions would disagree."""
+    if len(values) != len(probs) or not values:
+        raise ValueError(f"{law} table needs matching, nonempty values and probabilities")
+    if any(k < least or k != int(k) for k in values):
+        raise ValueError(f"{what} must be integers >= {least}")
+    if not all(p >= 0 for p in probs):  # NaN fails every comparison
+        raise ValueError(f"{law} probabilities must be >= 0")
+    total = sum(probs) + tail
+    if not abs(total - 1.0) <= _NORMALIZATION_TOL:
+        raise ValueError(f"{law} table{' plus undeclared tail' if tail else ''} sums to {total!r}, not 1")
+
+
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF: each u's first index whose running sum exceeds it, clamped in place to the last."""
+    idx = cum.searchsorted(u, side="right")
+    return np.minimum(idx, len(cum) - 1, out=idx)
+
+
 @dataclass(frozen=True)
 class OffspringPmf:
     """A single offspring distribution over counts in one age regime."""
@@ -50,14 +74,7 @@ class OffspringPmf:
 
     def __post_init__(self) -> None:
         if self.kind == "pmf":
-            if len(self.counts) != len(self.probs) or not self.counts:
-                raise ValueError("pmf needs matching, nonempty counts/probs")
-            if any(k < 0 or k != int(k) for k in self.counts):
-                raise ValueError("offspring counts must be nonnegative integers")
-            if not all(p >= 0 for p in self.probs):  # NaN fails every comparison
-                raise ValueError("probabilities must be >= 0")
-            if not abs(sum(self.probs) - 1.0) <= _NORMALIZATION_TOL:
-                raise ValueError(f"pmf sums to {sum(self.probs)!r}, not 1")
+            _check_table("offspring counts", "offspring", self.counts, self.probs, 0)
         elif self.kind == "geometric":
             if not (0.0 <= self.param < 1.0):
                 raise ValueError("geometric parameter q must lie in [0, 1)")
@@ -69,8 +86,7 @@ class OffspringPmf:
 
     @classmethod
     def table(cls, pmf: dict[int, float]) -> "OffspringPmf":
-        items = sorted(pmf.items())
-        return cls("pmf", tuple(k for k, _ in items), tuple(float(p) for _, p in items))
+        return cls("pmf", *_sorted_table(pmf))
 
     @classmethod
     def geometric(cls, q: float) -> "OffspringPmf":
@@ -135,9 +151,8 @@ class OffspringPmf:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """An array of ``n`` counts, read from the stream as ``n`` draws of one."""
         if self.kind == "pmf":
-            # inverse CDF: the first count whose cumulative probability exceeds u
             cum, counts = self._inverse_cdf
-            return counts[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(counts) - 1)]
+            return counts[_pick(cum, rng.random(n))]
         if self.kind == "poisson":
             return rng.poisson(self.param, n)
         if self.param == 0.0:  # geometric with q = 0 never branches and draws nothing
@@ -180,9 +195,6 @@ class OffspringLaw:
     def poisson(cls, mu: float) -> "OffspringLaw":
         return cls((OffspringPmf.poisson(mu),))
 
-    def regime_index(self, x: float) -> int:
-        return bisect.bisect_right(self.thresholds, x)
-
     @cached_property
     def _thresholds(self) -> np.ndarray:
         return np.asarray(self.thresholds, dtype=np.float64)
@@ -190,14 +202,8 @@ class OffspringLaw:
     def regime_indices(self, xs: np.ndarray) -> np.ndarray:
         return self._thresholds.searchsorted(xs, side="right")
 
-    def g(self, x: float, z: float) -> float:
-        return self.regimes[self.regime_index(x)].g(z)
-
     def g_by_regime(self, z: float) -> np.ndarray:
         return np.array([r.g(z) for r in self.regimes])
-
-    def mean(self, x: float) -> float:
-        return self.regimes[self.regime_index(x)].mean
 
     def mean_by_regime(self) -> np.ndarray:
         return np.array([r.mean for r in self.regimes])
@@ -522,16 +528,10 @@ class GroupSizeLaw:
 
     def __post_init__(self) -> None:
         if self.kind in ("pmf", "declared"):
-            if len(self.sizes) != len(self.probs) or not self.sizes:
-                raise ValueError(f"{self.kind} law needs matching, nonempty sizes/probs")
-            if any(k < 1 or k != int(k) for k in self.sizes):
-                raise ValueError("group sizes must be integers >= 1 (L charges nonzero measures)")
-            if not all(p >= 0 for p in self.probs):
-                raise ValueError("size probabilities must be >= 0")
             if not self.undeclared_tail >= 0 or (self.kind == "pmf" and self.undeclared_tail != 0):
                 raise ValueError("undeclared tail mass must be >= 0, and 0 for a pmf")
-            if not abs(sum(self.probs) + self.undeclared_tail - 1.0) <= _NORMALIZATION_TOL:
-                raise ValueError("size table plus undeclared tail must sum to 1")
+            # sizes >= 1: L charges nonzero measures
+            _check_table("group sizes", "size", self.sizes, self.probs, 1, self.undeclared_tail)
         elif self.kind == "zeta":
             if not 1.0 < self.exponent < math.inf:
                 raise ValueError(
@@ -542,8 +542,7 @@ class GroupSizeLaw:
 
     @classmethod
     def table(cls, pmf: dict[int, float]) -> "GroupSizeLaw":
-        items = sorted(pmf.items())
-        return cls("pmf", tuple(k for k, _ in items), tuple(float(p) for _, p in items))
+        return cls("pmf", *_sorted_table(pmf))
 
     @classmethod
     def zeta_tail(cls, exponent: float) -> "GroupSizeLaw":
@@ -555,13 +554,7 @@ class GroupSizeLaw:
 
     @classmethod
     def declared(cls, pmf: dict[int, float], undeclared_tail: float) -> "GroupSizeLaw":
-        items = sorted(pmf.items())
-        return cls(
-            "declared",
-            tuple(k for k, _ in items),
-            tuple(float(p) for _, p in items),
-            undeclared_tail=float(undeclared_tail),
-        )
+        return cls("declared", *_sorted_table(pmf), undeclared_tail=float(undeclared_tail))
 
     def _prob(self, ks: np.ndarray) -> np.ndarray:
         if self.kind == "zeta":
@@ -693,7 +686,7 @@ class GroupSizeLaw:
             if self.kind == "declared" and self.undeclared_tail > 0:
                 raise ValueError("declared law with undeclared tail mass cannot be sampled")
             cum, sizes = self._inverse_cdf
-            return sizes[np.minimum(cum.searchsorted(rng.random(n), side="right"), len(sizes) - 1)]
+            return sizes[_pick(cum, rng.random(n))]
         u = rng.random(n)
         out = np.empty(n, dtype=np.int64)
         left = np.arange(n)  # the draws not yet placed in a chunk
@@ -908,7 +901,7 @@ class ImmigrationMechanism:
             raise ValueError("cannot sample a group from a zero-rate mechanism")
         if self.kind == "finite":
             cum, sizes, firsts, members = self._finite_table
-            idx = np.minimum(cum.searchsorted(rng.random(n) * self.total_rate, side="right"), len(cum) - 1)
+            idx = _pick(cum, rng.random(n) * self.total_rate)
             return sizes[idx], members[index_ranges(firsts[idx], sizes[idx])]
         assert self.size_law is not None
         ages = np.array([a for a, _ in self.age_atoms], dtype=np.float64)

@@ -796,9 +796,10 @@ def stationary_laplace(
 def exponential_tail_identity(a: float, c: float, group_mass: int) -> tuple[float, float]:
     """Two quadrature forms of the exponential-decay tail integral.
 
-    Left: ``integral_0^inf (1 - exp(-a n exp(-c s))) ds`` by this package's
-    trapezoid stack (truncated with a certified exponential tail bound and
-    step-halving).  Right: the substitution ``z = a n exp(-c s)`` giving
+    Left: ``integral_0^inf (1 - exp(-a n exp(-c s))) ds`` by its own composite
+    trapezoid rule on a uniform grid, outside ``SolverGrid``: truncated with a
+    certified exponential tail bound, with the steps halved from 2048 until
+    successive sums agree.  Right: the substitution ``z = a n exp(-c s)`` giving
     ``c^-1 integral_0^{a n} (1 - exp(-z)) / z dz`` via adaptive quadrature.
     Used as a self-test of the quadrature machinery; the two must agree, each
     side to within ``tol = 1e-9``.

@@ -30,7 +30,9 @@ only as oracles:
   validated ``AgeMeasure`` and always keeps the ``Event`` log, returning an
   ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
   describes; ``replay_statistics``, ``mass_path`` and ``log_counters`` read
-  statistics from the event log of either trajectory type.
+  statistics from the event log of either trajectory type;
+  ``running_hazard`` adds a path's death rates in sequence, as the kernel's
+  ``bincount`` adds them.
 * ``lockstep_paths``: the chunk kernel ``simulate_paths`` as it was before
   it kept its live-path state compact and picked the dying particle by
   counts, with its complex-key pick ``keyed_segment_pick``; it pins every
@@ -636,14 +638,14 @@ def scalar_exponent_at(sol, t, x):
         h = min(dt, t - r)
         age_l = y - r
         zb_l = math.exp(-boundary_at(sol, r))
-        F_l = float(alpha(age_l)) * (offspring.g(age_l, zb_l) - w)
+        F_l = float(alpha(age_l)) * (offspring.g_by_regime(zb_l)[offspring.regime_indices(age_l)] - w)
         if not trapezoid:
             w = w + h * F_l
         else:
             age_r = y - (r + h)
             a_r = float(alpha(age_r))
             zb_r = math.exp(-boundary_at(sol, r + h))
-            g_r = offspring.g(age_r, min(max(zb_r, 0.0), 1.0))
+            g_r = offspring.g_by_regime(min(max(zb_r, 0.0), 1.0))[offspring.regime_indices(age_r)]
             w = (w + (h / 2.0) * (F_l + a_r * g_r)) / (1.0 + (h / 2.0) * a_r)
         r += h
     return -math.log(_clip_unit(w))
@@ -656,6 +658,7 @@ def scalar_mean_at(sol, t, x):
     dt = sol.grid.dt
     trapezoid = sol.grid.quadrature == "trapezoid"
     alpha, offspring = sol.model.alpha, sol.model.offspring
+    means = offspring.mean_by_regime()
     y = x + t
     A = 0.0
     J = 0.0
@@ -664,8 +667,7 @@ def scalar_mean_at(sol, t, x):
         h = min(dt, t - r)
         age_l, age_r = y - r, y - (r + h)
         a_l, a_r = float(alpha(age_l)), float(alpha(age_r))
-        am_l = a_l * offspring.mean(age_l)
-        am_r = a_r * offspring.mean(age_r)
+        am_l, am_r = a_l * means[offspring.regime_indices(age_l)], a_r * means[offspring.regime_indices(age_r)]
         h_left = math.exp(A) * am_l * boundary_at(sol, r)
         if trapezoid:
             A_new = A + (h / 2.0) * (a_l + a_r)
@@ -758,6 +760,15 @@ def log_counters(traj, t: float) -> tuple[int, int]:
     return best, branches
 
 
+def running_hazard(alpha, ages: np.ndarray) -> np.ndarray:
+    """Running sums of the death rates at ``ages``, added in sequence; the last is the path's hazard.
+
+    ``ndarray.sum`` adds pairwise past 8 entries and can differ from the
+    kernel's sequential ``bincount`` in the last bit.
+    """
+    return np.cumsum(np.asarray(alpha(ages), dtype=np.float64))
+
+
 def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> ObjectTrajectory:
     """Run one exact path of the branching process, with immigration if configured.
 
@@ -816,13 +827,12 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
         record_through(t_next, inclusive=False)
         if t_branch <= t_arrival:
             ages_now = np.asarray(bases) + t_next
-            weights = np.asarray(alpha(ages_now), dtype=np.float64)
-            hazard = float(weights.sum())
+            cum = running_hazard(alpha, ages_now)
+            hazard = float(cum[-1])
             if rng.random() * c1 * mass < hazard:
                 if n_events >= cfg.max_events:  # an accepted event past the cap cuts the path
                     terminated_by = "event_cap"
                     break
-                cum = np.cumsum(weights)
                 idx = int(np.searchsorted(cum, rng.random() * hazard, side="right"))
                 idx = min(idx, mass - 1)
                 dying_age = float(ages_now[idx])

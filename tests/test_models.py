@@ -27,18 +27,18 @@ ONE = ScalarField.constant(1.0)
 
 def test_generating_function_examples():
     law = OffspringLaw.table({0: 0.5, 2: 0.5})
-    assert law.g(0.0, 0.0) == 0.5
-    assert law.g(3.0, 1.0) == 1.0
+    assert law.g_by_regime(0.0)[law.regime_indices(0.0)] == 0.5
+    assert law.g_by_regime(1.0)[law.regime_indices(3.0)] == 1.0
     law2 = OffspringLaw.table({0: 0.6, 2: 0.4})
-    assert law2.g(0.0, 0.5) == pytest.approx(0.7, abs=1e-15)
+    assert law2.g_by_regime(0.5)[0] == pytest.approx(0.7, abs=1e-15)
     with pytest.raises(ValueError):
-        law.g(0.0, 1.5)
+        law.g_by_regime(1.5)
 
 
 def test_mean_examples():
-    assert OffspringLaw.table({0: 1.0}).mean(0.0) == 0.0
-    assert OffspringLaw.table({0: 0.5, 2: 0.5}).mean(1.0) == 1.0
-    assert OffspringLaw.table({0: 0.6, 2: 0.4}).mean(0.0) == pytest.approx(0.8, abs=1e-15)
+    assert OffspringLaw.table({0: 1.0}).mean_by_regime().tolist() == [0.0]
+    assert OffspringLaw.table({0: 0.5, 2: 0.5}).mean_by_regime().tolist() == [1.0]
+    assert OffspringLaw.table({0: 0.6, 2: 0.4}).mean_by_regime()[0] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_geometric_and_poisson_closed_forms_vs_series():
@@ -61,9 +61,9 @@ def test_mean_matches_finite_difference_of_g():
     # Richardson-extrapolated one-sided difference of (1 - g(z)) / (1 - z)
     law = OffspringLaw.table({0: 0.25, 1: 0.3, 2: 0.25, 5: 0.2})
     h = 1e-4
-    d1 = (1.0 - law.g(0.0, 1.0 - h)) / h
-    d2 = (1.0 - law.g(0.0, 1.0 - h / 2)) / (h / 2)
-    assert 2 * d2 - d1 == pytest.approx(law.mean(0.0), abs=1e-6)
+    d1 = (1.0 - law.g_by_regime(1.0 - h)[0]) / h
+    d2 = (1.0 - law.g_by_regime(1.0 - h / 2)[0]) / (h / 2)
+    assert 2 * d2 - d1 == pytest.approx(law.mean_by_regime()[0], abs=1e-6)
 
 
 def test_g_monotone_and_convex_in_z():
@@ -74,7 +74,7 @@ def test_g_monotone_and_convex_in_z():
     ]
     zs = np.linspace(0.0, 1.0, 51)
     for law in laws:
-        vals = np.array([law.g(0.0, z) for z in zs])
+        vals = np.array([law.g_by_regime(z)[0] for z in zs])
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(np.diff(vals, 2) >= -1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
@@ -131,14 +131,40 @@ def test_offspring_sampling_matches_pmf():
         assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
+class _Uniforms:
+    """A generator stand-in whose ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+
+_SHORT = 0.5 - 1e-13  # a second weight that leaves the table 1e-13 short of 1
+
+
+@pytest.mark.parametrize("draw, first, last", [
+    (lambda u: OffspringPmf.table({0: 0.5, 2: _SHORT}).sample(u, 3), 0, 2),
+    (lambda u: GroupSizeLaw.table({1: 0.5, 3: _SHORT}).sample(u, 3), 1, 3),
+    (lambda u: GroupSizeLaw.declared({1: 0.5, 3: _SHORT}, 0.0).sample(u, 3), 1, 3),
+    (lambda u: ImmigrationMechanism("finite", 1.0, groups=(
+        (0.5, AgeMeasure.point(0.0)), (_SHORT, AgeMeasure.from_ages([1.0, 1.0, 2.0])),
+    )).sample_groups(u, 3)[0], 1, 3),
+], ids=["offspring-pmf", "size-pmf", "size-declared", "finite-mechanism"])
+def test_a_uniform_past_a_short_table_draws_its_last_entry(draw, first, last):
+    top = 0.5 + _SHORT  # the last cumulative weight, below 1 and below the largest uniform
+    assert top < 1.0 - 2.0**-53
+    assert draw(_Uniforms([0.0, top, 1.0 - 2.0**-53])).tolist() == [first, last, last]
+
+
 def test_regime_selection():
     law = OffspringLaw(
         (OffspringPmf.table({0: 1.0}), OffspringPmf.table({2: 1.0})),
         (1.0,),
     )
-    assert law.mean(0.5) == 0.0
-    assert law.mean(1.0) == 2.0  # regimes are left-closed at the threshold
-    assert law.mean(5.0) == 2.0
+    xs = [0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 5.0]  # regimes are left-closed at the threshold
+    assert law.mean_by_regime()[law.regime_indices(xs)].tolist() == [0.0, 0.0, 0.0, 2.0, 2.0]
 
 
 def test_constants_plug_in_examples():
@@ -161,7 +187,7 @@ def test_constants_exact_for_age_varying_catalog():
     c0, c1, beta = model.constants()
     xs = np.linspace(0.0, 25.0, 250_001)
     a = np.asarray(alpha(xs))
-    m = np.array([law.mean(x) for x in xs])
+    m = law.mean_by_regime()[law.regime_indices(xs)]
     assert c1 == pytest.approx(float(a.max()), abs=0.0)
     assert c0 >= float((a * (m - 1)).max()) - 1e-12
     assert c0 == pytest.approx(float((a * (m - 1)).max()), abs=1e-6)

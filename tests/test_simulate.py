@@ -26,7 +26,7 @@ from agebranch.measures import segment_pick, segment_sums
 from agebranch.simulate import PathSet, simulate_paths
 from oracles import (
     ObjectTrajectory, lockstep_paths, log_counters, mass_path, replay_objects, replay_statistics,
-    simulate_objects, weighted_index,
+    running_hazard, simulate_objects, weighted_index,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -575,14 +575,14 @@ def test_segment_pick_matches_weighted_index_on_random_layouts():
         assert last.tolist() == (first[segs] + counts[segs] - 1).tolist()
 
 
-def test_regime_index_matches_searchsorted():
-    law = OffspringLaw(
-        (OffspringPmf.table({0: 1.0}), OffspringPmf.table({2: 1.0}), OffspringPmf.table({1: 1.0})),
-        (0.5, 1.5),
-    )
-    xs = [0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1.0, 1.5, 7.0, np.float64(1.5)]
-    for x in xs:
-        assert law.regime_index(x) == int(np.searchsorted(np.asarray(law.thresholds), x, side="right"))
+def test_oracle_hazard_is_added_in_sequence_as_the_kernel_adds_it():
+    alpha = ScalarField.exp_decay(1.0, 0.7, 0.3)
+    ages = np.random.default_rng(1).exponential(2.0, 40)
+    weights = np.asarray(alpha(ages), dtype=np.float64)
+    kernel = float(np.bincount(np.zeros(40, dtype=np.int64), weights=weights)[0])
+    assert float(running_hazard(alpha, ages)[-1]) == kernel
+    # ndarray.sum adds pairwise and lands a bit away here (27.11931145883338 against ...373)
+    assert float(weights.sum()) != kernel
 
 
 def test_constants_computed_once_per_model():
