@@ -283,10 +283,9 @@ def validation_suite(cfg: RunConfig, n_jobs: int = 1) -> list[ComparisonReport]:
     the trapezoid rule, solves again.  A dt that does not divide t, or an odd
     step count, is refused before any path is simulated.
     """
-    martingale = cfg.f.derivative_fn() is not None  # the martingale check needs f'
     n, t, dt = cfg.replicates, cfg.t_end, cfg.grid_dt
-    solutions: dict = {}  # this run's solutions, by (equation, grid): each solved once
-    reports = monte_carlo_checks(cfg.sim_config(), cfg.f, t, n, dt, 10, n_jobs, martingale, solutions)
+    solutions: dict = {}  # this run's solutions, by (solve function, grid): each solved once
+    reports = monte_carlo_checks(cfg.sim_config(), cfg.f, t, n, dt, 10, n_jobs, solutions)
     grid = SolverGrid(dt, t, cfg.quadrature)
     return reports + solver_bound_checks(cfg.model, cfg.f, grid, solutions)
 
@@ -432,6 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     reads_config, run = COMMANDS[args.command]
     if reads_config != (args.config is not None):
         parser.error(f"{args.command} {'needs' if reads_config else 'takes no'} --config")
+    if args.parallelism < 1:
+        parser.error(f"--parallelism must be >= 1, got {args.parallelism}")
     try:
         cfg = None
         if reads_config:
@@ -450,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, OSError) as e:  # an --out that is a file, too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

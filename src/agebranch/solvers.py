@@ -308,18 +308,17 @@ class _Scheme:
         return np.stack([np.where(self.cls == c, coef, 0.0) for c in range(self.n_cls)])
 
 
-def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mean: bool):
-    """The boundary trace and its sources, by online convolution (module docstring).
+def _solve_boundary(kind: type[_FanSolution], model: BranchingModel, f: ScalarField, grid: SolverGrid):
+    """The ``kind`` solution (exponent or mean) of ``model`` and ``f`` on ``grid``.
 
-    Returns ``(values, sources)``: the exponent (or the mean) at age 0 for
-    every grid time, and the source rows ``s(., t_k)`` by class.
+    Its boundary trace, at age 0 for every grid time, and the source rows
+    ``s(., t_k)`` by class, by online convolution (module docstring).
     """
     _check_contraction(model, grid)
-    n = grid.n_steps
+    mean, n = kind._mean, grid.n_steps
     ages = grid.dt * np.arange(n + 1)
     scheme = _Scheme(model, grid, ages, mean)
-    fvals = np.asarray(f(ages), dtype=np.float64)
-    w0 = fvals if mean else np.exp(-fvals)
+    w0 = kind._start(np.asarray(f(ages), dtype=np.float64))
     c0 = float(scheme.C[0])
     sources = np.empty((n + 1, scheme.n_cls))  # row k: s(., t_k) by class
     values = np.empty(n + 1)
@@ -390,9 +389,7 @@ def _solve_boundary(model: BranchingModel, f: ScalarField, grid: SolverGrid, mea
         tail = np.fft.irfft((block * spec).sum(axis=1), 2 * size)[size:]
         stop = min(hi + size, n + 1)
         acc[hi:stop] += tail[: stop - hi]
-    if not mean:
-        values = -np.log(np.maximum(values, 1e-300))
-    return values, sources.T.copy()
+    return kind(model, f, grid, kind._finish(values), sources.T.copy())
 
 
 @dataclass(frozen=True)
@@ -406,13 +403,25 @@ class _FanSolution:
     # s(., t_k) by source class: what every ray's convolution reads
     sources: np.ndarray = field(repr=False, compare=False)
 
-    _mean = False
+    _mean = False  # the equation solved, exponent or mean: every solve, sweep and check reads it here
 
-    def _start(self, fvals: np.ndarray) -> np.ndarray:
-        return fvals if self._mean else np.exp(-fvals)
+    @classmethod
+    def _start(cls, fvals: np.ndarray) -> np.ndarray:
+        """The scheme's start values from f: exp(-f) for the exponent."""
+        return fvals if cls._mean else np.exp(-fvals)
 
-    def _finish(self, w: np.ndarray) -> np.ndarray:
-        return w if self._mean else -np.log(np.maximum(w, 1e-300))
+    @classmethod
+    def _finish(cls, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The values from the scheme's: -log w for the exponent, into ``out`` if given."""
+        return w if cls._mean else np.negative(np.log(np.maximum(w, 1e-300, out=out), out=out), out=out)
+
+    def _check_of(self, model: BranchingModel, f: ScalarField, grid: SolverGrid) -> None:
+        """Refuse to stand for the solution of another model, field f or grid (quadrature included)."""
+        name, mix = "mean" if self._mean else "exponent", "solutions of different models, fields or grids do not mix"
+        if self.grid != grid:
+            raise ValueError(f"{name} solution grid {self.grid} is not the requested grid {grid}: {mix}")
+        if (self.model, self.f) != (model, f):
+            raise ValueError(f"{name} solution is of another model or field: {mix}")
 
     def rays(self, offsets) -> np.ndarray:
         """Values at each fixed age in ``offsets`` (rows) for every grid time.
@@ -445,7 +454,7 @@ class _FanSolution:
             w[:, 0] = w0[:, 0]
             if not self._mean:
                 np.minimum(w, 1.0, out=w)  # exp(-exponent) <= 1: no rounding spill past it
-            table[rows] = self._finish(w)
+            table[rows] = self._finish(w, out=w)
         return table
 
     def along_ray(self, offset: float) -> np.ndarray:
@@ -474,8 +483,7 @@ def solve_exponent(model: BranchingModel, f: ScalarField, grid: SolverGrid) -> E
     The returned evaluator is deterministic; the exponent is nonnegative with
     ``u_0 f = f`` exactly by construction.
     """
-    boundary, sources = _solve_boundary(model, f, grid, mean=False)
-    return ExponentSolution(model, f, grid, boundary, sources)
+    return _solve_boundary(ExponentSolution, model, f, grid)
 
 
 @dataclass(frozen=True)
@@ -487,8 +495,7 @@ class MeanSolution(_FanSolution):
 
 def solve_mean(model: BranchingModel, f: ScalarField, grid: SolverGrid) -> MeanSolution:
     """Solve the linear renewal equation for the first-moment kernel."""
-    boundary, sources = _solve_boundary(model, f, grid, mean=True)
-    return MeanSolution(model, f, grid, boundary, sources)
+    return _solve_boundary(MeanSolution, model, f, grid)
 
 
 def survival_lower_bound(
@@ -520,15 +527,15 @@ def survival_lower_bound(
     return -math.expm1(-float(f(x + t))) * math.exp(-hazard)
 
 
-def _sweep_block(block: np.ndarray, i0: int, tri, A, terms, carry, boundary, mean: bool) -> np.ndarray:
-    """The lattice's time rows i0, i0 + 1, .. into ``block[r, c]``, label i0 + c.
+def _sweep_block(block: np.ndarray, i0: int, tri, A, terms, carry, sol: _FanSolution) -> np.ndarray:
+    """The lattice of ``sol``: its time rows i0, i0 + 1, .. into ``block[r, c]``, label i0 + c.
 
     The recurrence runs a row at a time into ``block[r, r:]``, from ``carry``,
     which holds by label the row before i0 (at i0 = 0 the start values, which
     are row 0) and on return the block's last row.  ``A`` is
     ``_Scheme.A[1:]`` and ``terms`` holds ``(B[1:], C, sources)`` by class.
-    The exponent is finished from exp(-exponent), the diagonal (age 0) is the
-    boundary, and the entries ``tri`` (c < r) take their row's age-0 node.
+    The block is finished in place, the diagonal (age 0) is the boundary,
+    and the entries ``tri`` (c < r) take their row's age-0 node.
     """
     prev = carry[i0:]
     for r in range(len(block)):
@@ -543,11 +550,8 @@ def _sweep_block(block: np.ndarray, i0: int, tri, A, terms, carry, boundary, mea
             row[:] = prev
         prev = block[r, r + 1 :]
     carry[i0 + len(block) :] = prev
-    if not mean:
-        np.maximum(block, 1e-300, out=block)
-        np.log(block, out=block)
-        np.negative(block, out=block)
-    block.reshape(-1)[:: block.shape[1] + 1] = boundary[i0 : i0 + len(block)]
+    sol._finish(block, out=block)
+    block.reshape(-1)[:: block.shape[1] + 1] = sol.boundary[i0 : i0 + len(block)]
     block[tri] = block[tri[0], tri[0]]
     return block
 
@@ -576,8 +580,7 @@ def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
     of two blocks, allocated once: memory is O(n + _BLOCK_ENTRIES).
     """
     model, f, grid = usol.model, usol.f, usol.grid
-    if (msol.model, msol.f, msol.grid) != (model, f, grid):
-        raise ValueError("the exponent and mean solutions are of different models, fields or grids")
+    msol._check_of(model, f, grid)
     n, times = grid.n_steps, grid.times()  # the times are also the ages d dt
     c0, _, _ = model.constants()
     surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))  # at x + t = label dt
@@ -597,7 +600,7 @@ def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
         B, C = scheme.by_class(scheme.B), scheme.by_class(scheme.C)
         terms = [(B[c, 1:], C[c], sol.sources[c].tolist()) for c in range(scheme.n_cls)]
         carry = np.array(sol._start(np.asarray(f(times), dtype=np.float64)))
-        sweeps.append((scheme.A[1:], terms, carry, sol.boundary, sol._mean))
+        sweeps.append((scheme.A[1:], terms, carry, sol))
     buf = np.zeros((2, max(min(_BLOCK_ENTRIES, (n + 1) ** 2), n + 1)))
     margins = np.full(4, np.inf)
     below_diagonal = {}  # block height -> its entries c < r
@@ -648,8 +651,7 @@ def immigration_exponent_integral(
     if imm.total_rate == 0.0:
         return 0.0, np.zeros(grid.n_steps + 1)
     sol = solve_exponent(model, f, grid) if exponent_solution is None else exponent_solution
-    if sol.grid != grid:
-        raise ValueError(f"exponent solution grid {sol.grid} is not the requested grid {grid}")
+    sol._check_of(model, f, grid)
     ages = imm.atom_ages()
     rays = sol.rays(ages)
     psi_vals = imm.psi_from_exponents(dict(zip(ages, rays)))
@@ -673,8 +675,7 @@ def mean_with_immigration(
     atoms = imm.atom_ages()
     ages = [*initial.ages, *atoms]
     sol = solve_mean(model, f, grid) if mean_solution is None else mean_solution
-    if sol.grid != grid:
-        raise ValueError(f"mean solution grid {sol.grid} is not the requested grid {grid}")
+    sol._check_of(model, f, grid)
     table = sol.rays(ages)
     total = sum(float(v) for v in table[: len(initial.ages), -1])
     if not atoms:

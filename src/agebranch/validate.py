@@ -304,7 +304,7 @@ def laplace_analytic(
     """
 
     def value(grid: SolverGrid) -> float:
-        sol = _solved(solutions, "exponent", model, f, grid)
+        sol = _solved(solutions, solve_exponent, model, f, grid)
         expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
         integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
         return math.exp(-(expo + integral))
@@ -336,7 +336,7 @@ def _mean_analytic(
     """``mean_with_immigration`` at t with a Richardson error estimate from dt and 2 dt."""
 
     def value(grid: SolverGrid) -> float:
-        sol = _solved(solutions, "mean", cfg.model, f, grid)
+        sol = _solved(solutions, solve_mean, cfg.model, f, grid)
         return mean_with_immigration(cfg.model, cfg.immigration, f, cfg.initial, grid, sol)
 
     return _richardson(value, t, dt)
@@ -405,19 +405,19 @@ def _bound_reports(rows: _Rows, t: float) -> list[ComparisonReport]:
 
 def monte_carlo_checks(
     cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float, stream: int, n_jobs: int,
-    martingale: bool,
     solutions: dict | None = None,
 ) -> list[ComparisonReport]:
     """The reports of ``compare_laplace`` and ``compare_mean`` with their controls,
-    if ``martingale`` of ``martingale_residual`` with its control, and of
-    ``bound_suite``, as each gives them on ``stream``, from one path set whose
-    exclusion count each carries.
+    of ``martingale_residual`` with its control where f has a derivative, and
+    of ``bound_suite``, as each gives them on ``stream``, from one path set
+    whose exclusion count each carries.
     The analytic sides read and fill the memo ``solutions`` (see ``_solved``).
     They are computed first, the mean's first, so a model they refuse (an
     infinite mean group size) is refused before any path is simulated.
     """
     mean_side = _mean_analytic(cfg, f, t, dt, solutions)
     lap_side = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, t, dt, solutions=solutions)
+    martingale = f.derivative_fn() is not None  # the martingale check needs f'
     rows = _collect(_job(cfg, f, t, stream, martingale), n, n_jobs)
     lap = ComparisonReport("laplace", _laplace(rows, -1), *lap_side)
     mean = ComparisonReport("mean", rows.estimate(rows.integral[:, -1]), *mean_side)
@@ -449,9 +449,8 @@ def solver_bound_checks(
     step count lacks), each read from the memo ``solutions`` if a run solved
     it there already (``_solved``), so a ``validate`` run solves each once.
     """
-    usol, msol, ucoarse, mcoarse = (
-        _solved(solutions, eq, model, f, g) for g in (grid, grid.coarse()) for eq in ("exponent", "mean")
-    )
+    usol, msol, ucoarse, mcoarse = (_solved(solutions, solve, model, f, g)
+                                    for g in (grid, grid.coarse()) for solve in (solve_exponent, solve_mean))
     cert_u = float(np.max(grid.richardson(usol.boundary[::2], ucoarse.boundary)))
     cert_p = float(np.max(grid.richardson(msol.boundary[::2], mcoarse.boundary)))
     nonneg, survival, below, norm = lattice_margins(usol, msol)
@@ -468,24 +467,21 @@ def solver_bound_checks(
     ]
 
 
-def _solved(
-    solutions: dict | None, equation: str, model: BranchingModel, f: ScalarField, grid: SolverGrid
-):
-    """``solve_exponent`` or ``solve_mean`` (``equation`` "exponent" or "mean") on ``grid``.
+def _solved(solutions: dict | None, solve: Callable, model: BranchingModel, f: ScalarField, grid: SolverGrid):
+    """``solve(model, f, grid)``, for ``solve`` either ``solve_exponent`` or ``solve_mean``.
 
-    ``solutions`` is a memo of one model and field, keyed by ``(equation,
+    ``solutions`` is a memo of one model and field, keyed by ``(solve,
     grid)``: a solution already in it is returned, a new one is stored.  Grids
     match only when exactly equal, quadrature included, so a rectangle grid
-    is not the identity checks' trapezoid one.  ``None`` solves every call.
+    is not the identity checks' trapezoid one.  A stored solution of another
+    model or field is refused.  ``None`` solves every call.
     """
-    solve = solve_exponent if equation == "exponent" else solve_mean
     if solutions is None:
         return solve(model, f, grid)
-    sol = solutions.get((equation, grid))
+    sol = solutions.get((solve, grid))
     if sol is None:
-        sol = solutions[equation, grid] = solve(model, f, grid)
-    elif sol.model is not model or sol.f is not f:
-        raise ValueError("the solution memo holds another model or field")
+        sol = solutions[solve, grid] = solve(model, f, grid)
+    sol._check_of(model, f, grid)
     return sol
 
 

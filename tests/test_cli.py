@@ -189,8 +189,9 @@ _CONFIG_COMMANDS = ["simulate", "solve-u", "solve-pi", "validate", "ergodic", "s
     (["identity-check", "--config", "x"], "identity-check takes no --config"),
     (["bogus", "--config", str(CONFIG_DIR / "bench_critical.json")], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
+    *[(["identity-check", "--parallelism", n], f"--parallelism must be >= 1, got {n}") for n in ("0", "-3")],
 ], ids=["abbreviated-replicates", "abbreviated-seed", *[f"{c}-without-config" for c in _CONFIG_COMMANDS],
-        "identity-check-with-config", "unknown-command", "no-command"])
+        "identity-check-with-config", "unknown-command", "no-command", "parallelism-0", "parallelism-negative"])
 def test_argument_errors_exit_2_before_any_output(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -198,6 +199,19 @@ def test_argument_errors_exit_2_before_any_output(tmp_path, capsys, argv, messag
     assert exc.value.code == 2
     assert f"agebranch: error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["identity-check"], ["solve-u", "--config", str(CONFIG_DIR / "pure_death.json")]])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "below-a-file"])
+def test_an_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, under):
+    # FileExistsError or NotADirectoryError: an I/O error, not a failed check (exit 1 under --ci)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under else afile
+    assert main([*argv, "--out", str(out), "--ci"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", [*_CONFIG_COMMANDS, "identity-check"])

@@ -517,10 +517,11 @@ def test_at_refuses_off_grid_times():
 
 
 def _count_boundary_solves(monkeypatch) -> list:
+    """The grid of each boundary solve from here on."""
     calls = []
     original = solvers._solve_boundary
     monkeypatch.setattr(
-        solvers, "_solve_boundary", lambda *a, **k: calls.append(a) or original(*a, **k)
+        solvers, "_solve_boundary", lambda kind, model, f, grid: calls.append(grid) or original(kind, model, f, grid)
     )
     return calls
 
@@ -542,7 +543,7 @@ def test_validate_solves_each_boundary_once(tmp_path, monkeypatch):
     config = Path(__file__).resolve().parent.parent / "configs" / "bench_critical.json"
     assert cli.main(["validate", "--config", str(config), "--replicates", "20",
                      "--out", str(tmp_path / "out")]) == 0
-    assert sorted(grid.dt for _, _, grid in calls) == [1e-3, 1e-3, 2e-3, 2e-3]
+    assert sorted(grid.dt for grid in calls) == [1e-3, 1e-3, 2e-3, 2e-3]
 
 
 def test_immigration_helpers_solve_the_boundary_once_without_a_solution(monkeypatch):
@@ -583,6 +584,24 @@ def test_mean_with_immigration_refuses_a_solution_from_another_grid():
     assert mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid) == pytest.approx(expect, abs=1e-4)
     with pytest.raises(ValueError, match="mean solution grid .* is not the requested grid"):
         mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(SUBCRITICAL, ONE, SolverGrid(0.01, 1.0)))
+
+
+def test_immigration_helpers_refuse_a_solution_of_another_model_or_field():
+    # unchecked, the critical model's solutions gave its own answers for the
+    # subcritical one: 0.9798 for 0.8710, and a mean of 3.0001 for 2.3188
+    imm, one = ImmigrationMechanism.single_arrivals(1.0), AgeMeasure.point(0.0)
+    grid = SolverGrid(0.02, 2.0)
+    for model, f in ((CRITICAL, ONE), (SUBCRITICAL, ScalarField.constant(2.0))):
+        with pytest.raises(ValueError, match="exponent solution is of another model or field"):
+            immigration_exponent_integral(SUBCRITICAL, imm, ONE, grid, solve_exponent(model, f, grid))
+        with pytest.raises(ValueError, match="mean solution is of another model or field"):
+            mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(model, f, grid))
+    # an equal model built anew is the same problem
+    same = BranchingModel(SUBCRITICAL.alpha, SUBCRITICAL.offspring)
+    assert immigration_exponent_integral(SUBCRITICAL, imm, ONE, grid, solve_exponent(same, ONE, grid))[0] == (
+        immigration_exponent_integral(SUBCRITICAL, imm, ONE, grid)[0])
+    assert mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(same, ONE, grid)) == (
+        mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid))
 
 
 def test_label_rows_trip_no_guard_a_single_ray_would_not():
@@ -811,14 +830,14 @@ def test_a_nan_on_the_lattice_fails_every_bound_check(monkeypatch):
     cfg, _ = _shipped("bench_critical")
     grid, memo = SolverGrid(0.01, cfg.t_end), {}
     solver_bound_checks(cfg.model, cfg.f, grid, memo)
-    start = solvers._FanSolution._start
+    start = solvers._FanSolution._start.__func__
 
-    def poisoned(self, fvals):
-        w = np.array(start(self, fvals))
+    def poisoned(cls, fvals):
+        w = np.array(start(cls, fvals))
         w[3] = math.nan
         return w
 
-    monkeypatch.setattr(solvers._FanSolution, "_start", poisoned)
+    monkeypatch.setattr(solvers._FanSolution, "_start", classmethod(poisoned))
     reports = solver_bound_checks(cfg.model, cfg.f, grid, memo)
     assert [r.name for r in reports] == BOUND_NAMES
     assert all(math.isnan(r.mc.value) and math.isfinite(r.analytic_tol) for r in reports)

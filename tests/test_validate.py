@@ -42,7 +42,7 @@ from agebranch.validate import (
     snapshot_profile,
 )
 from oracles import ObjectTrajectory, benchmark_models, chunk_rows_objects, survival_bound_rows
-from agebranch.solvers import SolverGrid, survival_lower_bound
+from agebranch.solvers import SolverGrid, solve_exponent, solve_mean, survival_lower_bound
 
 ONE = ScalarField.constant(1.0)
 NO_IMMIGRATION = ImmigrationMechanism.none()
@@ -652,7 +652,7 @@ def test_laplace_tolerance_covers_the_critical_closed_form_error(n):
 def test_solution_memo_refuses_another_field():
     grid, memo = SolverGrid(1e-2, 1.0), {}
     solver_bound_checks(CRITICAL, ONE, grid, memo)
-    assert set(memo) == {(eq, g) for eq in ("exponent", "mean") for g in (grid, SolverGrid(2e-2, 1.0))}
+    assert set(memo) == {(solve, g) for solve in (solve_exponent, solve_mean) for g in (grid, SolverGrid(2e-2, 1.0))}
     assert solver_bound_checks(CRITICAL, ONE, grid, memo) == solver_bound_checks(CRITICAL, ONE, grid)
     with pytest.raises(ValueError, match="another model or field"):
         solver_bound_checks(CRITICAL, ScalarField.constant(2.0), grid, memo)
