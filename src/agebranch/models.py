@@ -178,8 +178,8 @@ class OffspringLaw:
             raise ValueError("need at least one offspring regime")
         if len(self.thresholds) != len(self.regimes) - 1:
             raise ValueError("need exactly one threshold between consecutive regimes")
-        if not all(t > 0 for t in self.thresholds):
-            raise ValueError("regime thresholds must be > 0")
+        if bad := [t for t in self.thresholds if not 0 < t < math.inf]:  # NaN too
+            raise ValueError(f"regime thresholds must be > 0 and finite, got {bad[0]!r}")
         if any(self.thresholds[i] >= self.thresholds[i + 1] for i in range(len(self.thresholds) - 1)):
             raise ValueError("regime thresholds must be strictly increasing")
 
@@ -759,8 +759,8 @@ class ImmigrationMechanism:
             if self.total_rate > 0:
                 if self.size_law is None or not self.age_atoms:
                     raise ValueError("parametric mechanism needs a size law and age atoms")
-                if not all(a >= 0 for a, _ in self.age_atoms):
-                    raise ValueError("age atoms must be >= 0")
+                if bad := [a for a, _ in self.age_atoms if not 0 <= a < math.inf]:  # NaN too
+                    raise ValueError(f"age atoms must be >= 0 and finite, got {bad[0]!r}")
                 if not all(p >= 0 for _, p in self.age_atoms):
                     raise ValueError("age atom probabilities must be >= 0")
                 if not abs(sum(p for _, p in self.age_atoms) - 1.0) <= _NORMALIZATION_TOL:

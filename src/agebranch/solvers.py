@@ -135,8 +135,8 @@ _FIXED_POINT_MAX_ITER = 200
 _LEAF = 64  # steps of the boundary solve summed directly, below the FFT blocks
 _RAY_CHUNK = 2  # rays convolved together; a few at a time keep the peak memory O(n)
 _BLOCK_ENTRIES = 2**15  # lattice values swept per block of time rows (lattice_margins)
-# most steps of any grid: every shipped grid has at most 10,000, and
-# stationary_laplace refines zeta_groups_imm to 54,912
+# most steps of any grid: shipped grids have at most 10,000; stationary_laplace
+# refines zeta_groups_imm to 54,912, and identity-check refines to the cap itself
 _MAX_STEPS = 2**18
 
 
@@ -158,7 +158,8 @@ class SolverGrid:
     The horizon must be a whole number of steps (``_whole_steps``), at most
     ``_MAX_STEPS`` of them, refused before any array is built.  ``richardson``
     is the error estimate of a value on this grid from the same value on
-    ``coarse()``, the grid of twice the step, which an odd step count lacks.
+    ``coarse()``, the grid of twice the step, which an odd step count lacks;
+    ``refine`` halves the step until that estimate is within a tolerance.
     """
 
     dt: float
@@ -193,6 +194,28 @@ class SolverGrid:
     def richardson(self, fine, coarse):
         """``|fine - coarse| / (2^order - 1)``, elementwise for arrays."""
         return abs(fine - coarse) / (2**self.order - 1)
+
+    def refine(self, value, tol: float) -> tuple[float, float, SolverGrid]:
+        """Halve the step until ``value`` is certified; return ``(value(g), estimate, g)``.
+
+        ``value`` is evaluated on this grid and on grids of half the step until
+        ``richardson`` of the last two values is at most ``tol`` (a NaN never
+        is); refused once the next halving would pass ``_MAX_STEPS`` steps.
+        """
+        grid, prev = self, value(self)
+        while True:
+            grid = SolverGrid(grid.dt / 2.0, grid.horizon, grid.quadrature)
+            current = value(grid)
+            estimate = grid.richardson(current, prev)
+            if estimate <= tol:
+                return current, estimate, grid
+            if 2 * grid.n_steps > _MAX_STEPS:
+                raise RuntimeError(
+                    f"quadrature did not certify tolerance {tol:g}: the error estimate is "
+                    f"{estimate:.3g} at {grid.n_steps} steps and the next halving would pass "
+                    f"the cap of {_MAX_STEPS} steps"
+                )
+            prev = current
 
     def weights(self) -> np.ndarray:
         """The quadrature weights at the nodes: trapezoid, or left rectangle."""
@@ -746,11 +769,11 @@ def stationary_laplace(
     Computes ``exp(-integral_0^inf psi(u_s f) ds)``.  The truncation horizon T
     is chosen so that the analytic tail bound (exponent dominated by the norm
     bound of the moment kernel times the mechanism's first moment) is below
-    tolerance/2; step halving brings the Richardson estimate of the quadrature
-    error below tolerance/2, and is refused once the next halving would pass
-    ``_MAX_STEPS`` steps.  Refuses models that are not certified
-    ergodic, and mechanisms with infinite mean group size (the prescribed tail
-    bound is vacuous there).
+    tolerance/2; ``SolverGrid.refine`` halves the step until the Richardson
+    estimate of the quadrature error is below tolerance/2, and refuses once the
+    next halving would pass ``_MAX_STEPS`` steps.  Refuses models that are not
+    certified ergodic, and mechanisms with infinite mean group size (the
+    prescribed tail bound is vacuous there).
     """
     report = ergodicity_check(model, imm)
     if report.status != "ergodic":
@@ -770,40 +793,26 @@ def stationary_laplace(
     tail_target = tolerance / 2.0
     T = math.log(max(m1 * f.sup / (rate * tail_target), 2.0)) / rate
     dt = min(0.2 / c1, T / 64.0)
-    n = math.ceil(T / dt)
-    T = n * dt
+    T = math.ceil(T / dt) * dt
     tail_bound = m1 * f.sup * math.exp(c0 * T) / rate
 
-    prev: float | None = None
-    while True:
-        grid = SolverGrid(dt, T)
-        integral, _ = immigration_exponent_integral(model, imm, f, grid)
-        if prev is not None:
-            quad_err = grid.richardson(integral, prev)
-            if quad_err <= tolerance / 2.0:
-                return StationaryReport(
-                    math.exp(-integral), integral, T, dt, tail_bound, quad_err
-                )
-            if 2 * grid.n_steps > _MAX_STEPS:
-                raise RuntimeError(
-                    f"stationary quadrature did not certify tolerance {tolerance}: the "
-                    f"error estimate is {quad_err:.3g} at {grid.n_steps} steps and the "
-                    f"next halving would pass the cap of {_MAX_STEPS} steps"
-                )
-        prev = integral
-        dt /= 2.0
+    integral, quad_err, grid = SolverGrid(dt, T).refine(
+        lambda g: immigration_exponent_integral(model, imm, f, g)[0], tolerance / 2.0
+    )
+    return StationaryReport(math.exp(-integral), integral, T, grid.dt, tail_bound, quad_err)
 
 
 def exponential_tail_identity(a: float, c: float, group_mass: int) -> tuple[float, float]:
     """Two quadrature forms of the exponential-decay tail integral.
 
-    Left: ``integral_0^inf (1 - exp(-a n exp(-c s))) ds`` by its own composite
-    trapezoid rule on a uniform grid, outside ``SolverGrid``: truncated with a
-    certified exponential tail bound, with the steps halved from 2048 until
-    successive sums agree.  Right: the substitution ``z = a n exp(-c s)`` giving
-    ``c^-1 integral_0^{a n} (1 - exp(-z)) / z dz`` via adaptive quadrature.
-    Used as a self-test of the quadrature machinery; the two must agree, each
-    side to within ``tol = 1e-9``.
+    Left: ``integral_0^inf (1 - exp(-a n exp(-c s))) ds`` by the trapezoid rule
+    of ``SolverGrid``, truncated at S with a certified exponential tail bound,
+    and certified by ``SolverGrid.refine`` from 2048 steps, under the grid
+    cap.  Right: the substitution ``z = a n exp(-c s)`` giving ``c^-1
+    integral_0^{a n} (1 - exp(-z)) / z dz`` via adaptive quadrature.  Used as a
+    self-test of the quadrature machinery; the two must agree, each side to
+    within ``tol = 1e-9``.  Refuses ``a`` or ``c`` that is not finite and > 0,
+    and a ``group_mass`` n that is not an integer >= 1.
 
     The right side is scipy's adaptive quadrature, independent of this
     package's; scipy is imported here, not at module level, so only this
@@ -811,30 +820,19 @@ def exponential_tail_identity(a: float, c: float, group_mass: int) -> tuple[floa
     """
     from scipy.integrate import quad
 
-    if a <= 0 or c <= 0 or group_mass < 1:
-        raise ValueError("need a > 0, c > 0, group_mass >= 1")
+    if not (0 < a < math.inf and 0 < c < math.inf):  # NaN too
+        raise ValueError(f"a and c must be > 0 and finite, got {a!r} and {c!r}")
+    if isinstance(group_mass, bool) or not isinstance(group_mass, (int, np.integer)) or group_mass < 1:
+        raise ValueError(f"group_mass must be >= 1 and an integer, got {group_mass!r}")
     tol = 1e-9
     an = a * group_mass
     # truncate where the integrand's tail integral a n exp(-c S) / c < tol/4
     S = math.log(max(4.0 * an / (c * tol), 2.0)) / c
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return -np.expm1(-an * np.exp(-c * s))
-
-    n = 2048
-    prev = None
-    lhs = math.nan
-    for _ in range(16):
-        s = np.linspace(0.0, S, n + 1)
-        vals = integrand(s)
-        h = S / n
-        lhs = float(h * (vals[0] / 2.0 + vals[1:-1].sum() + vals[-1] / 2.0))
-        if prev is not None and abs(lhs - prev) / 3.0 < tol / 4.0:
-            break
-        prev = lhs
-        n *= 2
-    else:
-        raise RuntimeError("tail identity quadrature did not converge")
+    # the truncation keeps tol/4, so the quadrature has the other 3 tol/4
+    lhs, _, _ = SolverGrid(S / 2048, S).refine(
+        lambda g: float(np.dot(g.weights(), -np.expm1(-an * np.exp(-c * g.times())))), 3.0 * tol / 4.0
+    )
 
     rhs_integrand = lambda z: (-math.expm1(-z) / z) if z > 0 else 1.0
     rhs, _ = quad(rhs_integrand, 0.0, an, epsabs=tol / 10.0, epsrel=1e-12, limit=200)

@@ -677,8 +677,11 @@ INF = math.inf
     (lambda: ScalarField.pwlinear([0.0, INF], [1.0, 2.0]), "knot positions must be >= 0 and finite, got inf"),
     (lambda: ScalarField.pwlinear([0.0, 1.0], [INF, 2.0]), "field values must be >= 0 and finite, got inf"),
     (lambda: SimConfig(_SUBCRITICAL, AgeMeasure.point(0.0), INF, (0.5,)), "t_end must be > 0 and finite, got inf"),
+    (lambda: OffspringLaw((_PMF, _PMF), (INF,)), "regime thresholds must be > 0 and finite, got inf"),
+    (lambda: ImmigrationMechanism.parametric(1.0, GroupSizeLaw.table({1: 1.0}), [(INF, 1.0)]),
+     "age atoms must be >= 0 and finite, got inf"),
 ], ids=["zeta-exponent", "constant", "expdecay-amplitude", "expdecay-rate", "expdecay-floor", "rational",
-        "step-threshold", "step-value", "pwlinear-x", "pwlinear-y", "t-end"])
+        "step-threshold", "step-value", "pwlinear-x", "pwlinear-y", "t-end", "offspring-threshold", "age-atom"])
 def test_public_constructors_refuse_infinities(make, match):
     # each would build an object whose moments or suprema are inf or nan
     # (a zeta law's first moment, a field's sup), refused later or not at all

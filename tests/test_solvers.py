@@ -109,6 +109,38 @@ def test_grid_weights_are_the_quadrature_rule():
     assert list(SolverGrid(0.25, 1.0, "rectangle").weights()) == [0.25, 0.25, 0.25, 0.25, 0.0]
 
 
+def _trapezoid_of_exp(grid):
+    return float(np.dot(grid.weights(), np.exp(grid.times())))
+
+
+def test_refine_returns_the_finer_grid_once_the_estimate_is_within_tol():
+    seen = []
+    value, estimate, grid = SolverGrid(0.25, 1.0).refine(
+        lambda g: seen.append(g.dt) or _trapezoid_of_exp(g), 1e-2
+    )
+    assert seen == [0.25, 0.125] and grid == SolverGrid(0.125, 1.0)
+    assert value == _trapezoid_of_exp(grid)
+    assert estimate == abs(value - _trapezoid_of_exp(SolverGrid(0.25, 1.0))) / 3.0 <= 1e-2
+    assert value - (math.e - 1.0) == pytest.approx((math.e - 1.0) / 768, rel=1e-2)  # h^2 (e - 1) / 12 at h = 1/8
+
+
+def test_refine_refuses_at_the_cap_naming_the_estimate():
+    # the estimate is |dt - 2 dt| / 3: never within 0, so the halving runs to the cap
+    seen = []
+    with pytest.raises(RuntimeError, match=rf"estimate is 1.27e-06 at {solvers._MAX_STEPS} steps and the next "
+                                           rf"halving would pass the cap of {solvers._MAX_STEPS} steps"):
+        SolverGrid(2.0**-14, 1.0).refine(lambda g: seen.append(g.n_steps) or g.dt, 0.0)
+    assert seen == [2**14, 2**15, 2**16, 2**17, solvers._MAX_STEPS]
+
+
+def test_refine_never_certifies_a_nan():
+    # a NaN estimate passes no tolerance, not even an infinite one: it halves to the cap and refuses
+    seen = []
+    with pytest.raises(RuntimeError, match=f"estimate is nan at {solvers._MAX_STEPS} steps"):
+        SolverGrid(2.0**-16, 1.0).refine(lambda g: seen.append(g.n_steps) or math.nan, math.inf)
+    assert max(seen) == solvers._MAX_STEPS
+
+
 def test_contraction_precondition():
     fast = BranchingModel(ScalarField.constant(30.0), OffspringLaw.table({0: 1.0}))
     with pytest.raises(ValueError, match="smaller dt"):
@@ -420,6 +452,36 @@ def test_exponential_tail_identity_grid():
                 lhs, rhs = exponential_tail_identity(a, c, n)
                 worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-8
+
+
+def test_identity_check_grids_stay_within_the_step_cap(monkeypatch):
+    # every grid of the 27 identity-check cases is a SolverGrid, so none passes the cap
+    grids = []
+    original = SolverGrid.refine
+    monkeypatch.setattr(
+        SolverGrid, "refine", lambda self, value, tol: original(self, lambda g: grids.append(g.n_steps) or value(g), tol)
+    )
+    cases = [(a, c, n) for a in (0.5, 1.0, 2.0) for c in (0.5, 1.0, 2.0) for n in (1, 2, 5)]
+    for a, c, n in cases:
+        lhs, rhs = exponential_tail_identity(a, c, n)
+        assert abs(lhs - rhs) <= 1e-9
+    assert min(grids) == 2048 and max(grids) <= solvers._MAX_STEPS
+
+
+@pytest.mark.parametrize("args, match", [
+    ((math.nan, 1.0, 1), "a and c must be > 0 and finite, got nan and 1.0"),
+    ((math.inf, 1.0, 1), "a and c must be > 0 and finite, got inf and 1.0"),
+    ((1.0, math.nan, 1), "a and c must be > 0 and finite, got 1.0 and nan"),
+    ((1.0, math.inf, 1), "a and c must be > 0 and finite, got 1.0 and inf"),
+    ((1.0, 1.0, 2.5), "group_mass must be >= 1 and an integer, got 2.5"),
+    ((1.0, 1.0, True), "group_mass must be >= 1 and an integer, got True"),
+    ((1.0, 1.0, 0), "group_mass must be >= 1 and an integer, got 0"),
+], ids=["a-nan", "a-inf", "c-nan", "c-inf", "mass-fractional", "mass-bool", "mass-zero"])
+def test_exponential_tail_identity_refuses_what_it_cannot_integrate(args, match):
+    # a NaN or infinite a or c halved the trapezoid without end, and a mass of 2.5
+    # or True was integrated as a mass
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        exponential_tail_identity(*args)
 
 
 def test_evaluator_consistency_along_rays():

@@ -69,25 +69,37 @@ def moved(new: dict, old: dict) -> list[str]:
     return lines
 
 
+def runs() -> dict[str, list[str]]:
+    """Every run of the manifest, ``config command`` or ``identity-check``, to its argv."""
+    configs = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+    argvs = {f"{Path(config).stem} {command}": [command, "--config", f"configs/{config}", *FLAGS]
+             for config in configs for command in COMMANDS}
+    argvs["identity-check"] = ["identity-check"]
+    return argvs
+
+
+def digest(keys) -> dict:
+    """The manifest entries of the named runs, each in a fresh interpreter."""
+    argvs = runs()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    manifest = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "configs", work / "configs")
+        for key in keys:
+            manifest[key] = _run(work, argvs[key], env)
+            print(f"{key}: exit {manifest[key]['exit']}", flush=True)
+    return manifest
+
+
 def main() -> int:
     args = sys.argv[1:]
     if len(args) not in (1, 3) or (len(args) == 3 and args[1] != "--compare"):
         print("\n".join(line.strip() for line in __doc__.strip().splitlines()[-2:]), file=sys.stderr)
         return 2
     old = json.loads(Path(args[2]).read_text()) if len(args) == 3 else None
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    configs = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
-    runs = {f"{Path(config).stem} {command}": [command, "--config", f"configs/{config}", *FLAGS]
-            for config in configs for command in COMMANDS}
-    runs["identity-check"] = ["identity-check"]
-    manifest = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        shutil.copytree(ROOT / "configs", work / "configs")
-        for key, argv in runs.items():
-            manifest[key] = _run(work, argv, env)
-            print(f"{key}: exit {manifest[key]['exit']}", flush=True)
+    manifest = digest(runs())
     Path(args[0]).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     if old is None:
         return 0
