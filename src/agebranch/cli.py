@@ -144,9 +144,19 @@ def _read_json(path: str | Path):
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key written twice in it is refused, not overwritten."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"{key}: key written twice in one JSON object")
+        out[key] = value
+    return out
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -188,6 +188,8 @@ class ScalarField:
                 raise ValueError(
                     f"expdecay requires finite amplitude >= 0 and floor >= 0, got {a!r} and {c!r}"
                 )
+            if a + c == math.inf:
+                raise ValueError(f"expdecay's supremum, amplitude {a!r} plus floor {c!r}, is not finite")
             if not 0 < b < math.inf:
                 raise ValueError(f"expdecay requires a finite rate > 0, got {b!r}")
         elif self.kind == "rational":

@@ -36,6 +36,7 @@ __all__ = [
 
 _NORMALIZATION_TOL = 1e-12
 _PSI_TOL = 1e-12  # absolute accuracy of psi where a group-size series is truncated
+_INT64_MAX = 2**63 - 1  # counts and sizes are sampled and summed as int64
 
 
 def _sorted_table(pmf: dict[int, float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -48,8 +49,9 @@ def _check_table(what: str, law: str, values: tuple, probs: tuple, least: int, t
     """Refuse a table that is no law, on which sampling and the generating functions would disagree."""
     if len(values) != len(probs) or not values:
         raise ValueError(f"{law} table needs matching, nonempty values and probabilities")
-    if any(k < least or k != int(k) for k in values):
-        raise ValueError(f"{what} must be integers >= {least}")
+    bad = [k for k in values if not (least <= k <= _INT64_MAX and k == int(k))]  # NaN and inf fail the range
+    if bad:
+        raise ValueError(f"{what} must be integers >= {least} and < 2**63, got {bad[0]!r}")
     if not all(p >= 0 for p in probs):  # NaN fails every comparison
         raise ValueError(f"{law} probabilities must be >= 0")
     total = sum(probs) + tail
@@ -246,7 +248,14 @@ class OffspringLaw:
 
 
 def _json_pmf(d: dict) -> dict[int, float]:
-    """A JSON object from integer keys (JSON keys are strings) to finite probabilities."""
+    """A JSON object from integer keys to finite probabilities.
+
+    JSON keys are strings; each must be an integer in canonical form ("2",
+    not "02", "+2", " 2" or "2.0"), so no two keys name one value.
+    """
+    for k in d:
+        if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
+            raise ValueError(f"pmf key {k!r} is not an integer in canonical form")
     return {int(k): json_number(p, "pmf") for k, p in d.items()}
 
 

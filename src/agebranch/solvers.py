@@ -480,6 +480,29 @@ class _FanSolution:
             table[rows] = self._finish(w, out=w)
         return table
 
+    def readout(self, initial: AgeMeasure, imm: ImmigrationMechanism) -> tuple[float, np.ndarray]:
+        """The population's value at the horizon from ``initial`` and arrivals by ``imm``: ``(total, per_node)``.
+
+        One ``rays`` call over the initial ages and the atom ages.  ``per_node``
+        is the arrival term at each grid node, ``psi_from_exponents`` for the
+        exponent and ``first_moment_from_values`` for the mean (zeros without
+        atoms); ``total`` is the initial particles' rays at the horizon plus
+        its quadrature with the grid's weights.  An infinite mean group size
+        is refused.
+        """
+        atoms, k = imm.atom_ages(), len(initial.ages)
+        table = self.rays([*initial.ages, *atoms])
+        if not atoms:
+            per_node = np.zeros(self.grid.n_steps + 1)
+        elif self._mean:
+            per_node = imm.first_moment_from_values(dict(zip(atoms, table[k:])))
+            if np.isinf(per_node).any():
+                raise ValueError("mean group size is infinite; the first moment diverges")
+        else:
+            per_node = imm.psi_from_exponents(dict(zip(atoms, table[k:])))
+        total = sum(float(v) for v in table[:k, -1]) + float(np.dot(self.grid.weights(), per_node))
+        return total, per_node
+
     def along_ray(self, offset: float) -> np.ndarray:
         """Value at the fixed age ``offset`` for every grid time."""
         return self.rays([offset])[0]
@@ -657,56 +680,23 @@ def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
 
 
 def immigration_exponent_integral(
-    model: BranchingModel,
-    imm: ImmigrationMechanism,
-    f: ScalarField,
-    grid: SolverGrid,
-    exponent_solution: ExponentSolution | None = None,
+    model: BranchingModel, imm: ImmigrationMechanism, f: ScalarField, grid: SolverGrid
 ) -> tuple[float, np.ndarray]:
-    """Integral over [0, horizon] of the arrival compensation of the exponent.
+    """Integral over [0, horizon] of the arrival compensation of the exponent, and its values at the nodes.
 
-    Evaluates the exponent at each group atom age along its ray, applies the
-    mechanism's analytic functional to every grid node in one call, and
-    integrates with the grid's quadrature.  Returns (integral,
-    per-node values).  A passed ``exponent_solution`` must be solved on
-    ``grid`` itself, quadrature included.
+    The exponent's ``readout`` from an empty population; 0 without a solve for
+    the zero-rate mechanism.
     """
     if imm.total_rate == 0.0:
         return 0.0, np.zeros(grid.n_steps + 1)
-    sol = solve_exponent(model, f, grid) if exponent_solution is None else exponent_solution
-    sol._check_of(model, f, grid)
-    ages = imm.atom_ages()
-    rays = sol.rays(ages)
-    psi_vals = imm.psi_from_exponents(dict(zip(ages, rays)))
-    return float(np.dot(grid.weights(), psi_vals)), psi_vals
+    return solve_exponent(model, f, grid).readout(AgeMeasure.empty(), imm)
 
 
 def mean_with_immigration(
-    model: BranchingModel,
-    imm: ImmigrationMechanism,
-    f: ScalarField,
-    initial: AgeMeasure,
-    grid: SolverGrid,
-    mean_solution: MeanSolution | None = None,
+    model: BranchingModel, imm: ImmigrationMechanism, f: ScalarField, initial: AgeMeasure, grid: SolverGrid
 ) -> float:
-    """Expected integral of f against the population at the grid horizon.
-
-    Initial particles contribute through the moment kernel; each arrival
-    cohort contributes the kernel applied over its residual time, integrated
-    against the arrival intensity.  A passed ``mean_solution`` must be on ``grid``.
-    """
-    atoms = imm.atom_ages()
-    ages = [*initial.ages, *atoms]
-    sol = solve_mean(model, f, grid) if mean_solution is None else mean_solution
-    sol._check_of(model, f, grid)
-    table = sol.rays(ages)
-    total = sum(float(v) for v in table[: len(initial.ages), -1])
-    if not atoms:
-        return total
-    contrib = imm.first_moment_from_values(dict(zip(atoms, table[len(initial.ages) :])))
-    if np.isinf(contrib).any():
-        raise ValueError("mean group size is infinite; the first moment diverges")
-    return total + float(np.dot(grid.weights(), contrib))
+    """Expected integral of f against the population at the grid horizon: the mean's ``readout`` total."""
+    return solve_mean(model, f, grid).readout(initial, imm)[0]
 
 
 @dataclass(frozen=True)
@@ -790,8 +780,10 @@ def stationary_laplace(
             "bound cannot certify the truncation"
         )
     rate = -c0
-    tail_target = tolerance / 2.0
-    T = math.log(max(m1 * f.sup / (rate * tail_target), 2.0)) / rate
+    scale = rate * (tolerance / 2.0)  # the tail bound targets tolerance / 2
+    T = math.log(max(m1 * f.sup / scale, 2.0)) / rate if scale > 0.0 else math.inf
+    if not math.isfinite(T):
+        raise ValueError(f"tolerance {tolerance!r} needs a truncation horizon past the float range")
     dt = min(0.2 / c1, T / 64.0)
     T = math.ceil(T / dt) * dt
     tail_bound = m1 * f.sup * math.exp(c0 * T) / rate

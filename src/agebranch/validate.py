@@ -33,15 +33,7 @@ import numpy as np
 from .measures import AgeMeasure, ScalarField, segment_sums
 from .models import BranchingModel, ImmigrationMechanism
 from .simulate import SimConfig, Trajectory, replicate_rng, simulate_paths
-from .solvers import (
-    SolverGrid,
-    immigration_exponent_integral,
-    lattice_margins,
-    mean_with_immigration,
-    solve_exponent,
-    solve_mean,
-    stationary_laplace,
-)
+from .solvers import SolverGrid, lattice_margins, solve_exponent, solve_mean, stationary_laplace
 
 __all__ = [
     "McEstimate",
@@ -295,21 +287,12 @@ def laplace_analytic(
     dt: float,
     solutions: dict | None = None,
 ) -> tuple[float, float]:
-    """Analytic Laplace functional with a Richardson error estimate.
+    """Analytic Laplace functional with a Richardson error estimate (``_analytic``).
 
-    Solves the exponent by the trapezoid rule at dt and 2 dt (``_richardson``,
-    which refuses a t of no even number of steps); the difference scaled by
-    the scheme order is the returned value's error estimate.  ``solutions``
-    is a memo of one run's solutions of ``model`` and ``f`` (see ``_solved``).
+    ``solutions`` is a memo of one run's solutions of ``model`` and ``f`` (see
+    ``_solved``).
     """
-
-    def value(grid: SolverGrid) -> float:
-        sol = _solved(solutions, solve_exponent, model, f, grid)
-        expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
-        integral, _ = immigration_exponent_integral(model, imm, f, grid, sol)
-        return math.exp(-(expo + integral))
-
-    return _richardson(value, t, dt)
+    return _analytic(False, model, imm, initial, f, t, dt, solutions)
 
 
 def compare_laplace(
@@ -325,29 +308,28 @@ def compare_mean(
     cfg: SimConfig, f: ScalarField, t: float, n: int, dt: float = 1e-3, stream: int = 0, n_jobs: int = 1
 ) -> ComparisonReport:
     """Simulated first moment against the moment-kernel solver, two-sided."""
-    analytic = _mean_analytic(cfg, f, t, dt)
+    analytic = _analytic(True, cfg.model, cfg.immigration, cfg.initial, f, t, dt)
     rows = _collect(_job(cfg, f, t, stream), n, n_jobs)
     return ComparisonReport("mean", rows.estimate(rows.integral[:, -1]), *analytic)
 
 
-def _mean_analytic(
-    cfg: SimConfig, f: ScalarField, t: float, dt: float, solutions: dict | None = None
-) -> tuple[float, float]:
-    """``mean_with_immigration`` at t with a Richardson error estimate from dt and 2 dt."""
+def _analytic(mean: bool, model: BranchingModel, imm: ImmigrationMechanism, initial: AgeMeasure, f: ScalarField,
+              t: float, dt: float, solutions: dict | None = None) -> tuple[float, float]:
+    """The Laplace functional, or with ``mean`` the first moment, at t with a Richardson estimate.
+
+    The value is ``exp(-total)`` of the exponent's ``readout``, or the mean's
+    ``total``, on ``SolverGrid(dt, t)`` (trapezoid); the estimate takes the
+    same value on its ``coarse()`` grid.  Both grids end on t, so an arrival
+    integral covers [0, t], and a t of no whole or no even number of steps is
+    refused before any solve.  Solutions come from the memo ``solutions``
+    (``_solved``).
+    """
+    solve = solve_mean if mean else solve_exponent
 
     def value(grid: SolverGrid) -> float:
-        sol = _solved(solutions, solve_mean, cfg.model, f, grid)
-        return mean_with_immigration(cfg.model, cfg.immigration, f, cfg.initial, grid, sol)
+        total, _ = _solved(solutions, solve, model, f, grid).readout(initial, imm)
+        return total if mean else math.exp(-total)
 
-    return _richardson(value, t, dt)
-
-
-def _richardson(value: Callable[[SolverGrid], float], t: float, dt: float) -> tuple[float, float]:
-    """``value`` on ``SolverGrid(dt, t)`` (trapezoid), with a Richardson estimate from ``coarse()``.
-
-    Both grids end on t, so an arrival integral covers [0, t].  A t of no
-    whole or no even number of steps is refused before ``value`` is called.
-    """
     grid = SolverGrid(dt, t)
     coarse = grid.coarse()
     fine = value(grid)
@@ -415,7 +397,7 @@ def monte_carlo_checks(
     They are computed first, the mean's first, so a model they refuse (an
     infinite mean group size) is refused before any path is simulated.
     """
-    mean_side = _mean_analytic(cfg, f, t, dt, solutions)
+    mean_side = _analytic(True, cfg.model, cfg.immigration, cfg.initial, f, t, dt, solutions)
     lap_side = laplace_analytic(cfg.model, cfg.immigration, cfg.initial, f, t, dt, solutions=solutions)
     martingale = f.derivative_fn() is not None  # the martingale check needs f'
     rows = _collect(_job(cfg, f, t, stream, martingale), n, n_jobs)

@@ -146,6 +146,45 @@ def test_signed_or_nonpositive_size_tables_are_refused(tmp_path, capsys, sizes, 
     assert not out.exists()
 
 
+_BENCH_TEXT = (CONFIG_DIR / "bench_critical.json").read_text()
+_SIZES_TEXT = json.dumps({**json.loads((CONFIG_DIR / "subcritical_imm.json").read_text()),
+                          "immigration": {**_ZETA_IMM, "sizes": {"kind": "pmf", "pmf": "SIZES"}}})
+
+
+@pytest.mark.parametrize("text, command, reason", [
+    *[(_BENCH_TEXT.replace('"2": 0.5', f'"{key}": 0.5'), "simulate",
+       f"model: pmf key {key!r} is not an integer in canonical form") for key in ("1_0", " 2", "+2", "02")],
+    (_BENCH_TEXT.replace('"2": 0.5', '"2": 0.5, "02": 0.5'), "simulate", "model: pmf key '02'"),
+    (_SIZES_TEXT.replace('"SIZES"', '{"1": 0.5, "01": 0.5, "3": 0.5}'), "simulate", "immigration: pmf key '01'"),
+    (_BENCH_TEXT.replace('"seed": 7', '"seed": 1, "seed": 2'), "simulate", "seed: key written twice"),
+    (_BENCH_TEXT.replace('"2": 0.5', '"2": 0.25, "2": 0.25'), "simulate", "2: key written twice"),
+    (_BENCH_TEXT.replace('"2": 0.5', '"100000000000000000000": 0.5'), "simulate",
+     "model: offspring counts must be integers >= 0 and < 2**63, got 100000000000000000000"),
+    (_SIZES_TEXT.replace('"SIZES"', '{"1": 0.5, "100000000000000000000": 0.5}'), "simulate",
+     "immigration: group sizes must be integers >= 1 and < 2**63, got 100000000000000000000"),
+    ((CONFIG_DIR / "pure_death_imm.json").read_text().replace(
+        '"f": {"kind": "constant", "value": 1.0}', '"f": {"kind": "expdecay", "amplitude": 1e308, "rate": 1.0, "floor": 1e308}'),
+     "ergodic", "f: expdecay's supremum, amplitude 1e+308 plus floor 1e+308, is not finite"),
+], ids=["key-underscore", "key-space", "key-plus", "key-zero-padded", "key-twice-as-int", "size-key-twice-as-int",
+        "key-twice", "pmf-key-twice", "count-past-int64", "size-past-int64", "field-sup-overflows"])
+def test_ambiguous_or_overflowing_config_values_are_refused(tmp_path, capsys, text, command, reason):
+    assert text.count("SIZES") == 0 and text != _BENCH_TEXT
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {reason}")
+    assert not out.exists()
+
+
+def test_empty_population_without_immigration_prints_its_mean_as_a_double(tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config(tmp_path, initial=[])
+    assert main(["validate", "--config", str(cfg), "--replicates", "20", "--out", str(out)]) == 0
+    assert "mean,0.0,0.0,0.0,0.0,0.0,pass\n" in (out / "checks.csv").read_text()
+    assert "mean: mc=0.0 se=0.0 analytic=0.0 tol=0.0 " in (out / "summary.txt").read_text()
+
+
 def test_null_immigration_is_the_zero_rate_mechanism(tmp_path, capsys):
     configs = []
     for name, imm in (("null", None), ("zero", {"kind": "finite", "groups": []})):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -624,6 +625,29 @@ def test_size_tables_refuse_what_offspring_tables_refuse(make, match):
         make()
 
 
+@pytest.mark.parametrize("make, value", [
+    (lambda: OffspringPmf.table({0: 0.5, 10**20: 0.5}), "100000000000000000000"),
+    (lambda: GroupSizeLaw.table({1: 0.5, 2**63: 0.5}), "9223372036854775808"),
+    (lambda: GroupSizeLaw.declared({1: 0.5, 1e19: 0.5}, 0.0), "1e+19"),
+    (lambda: GroupSizeLaw.declared({1: 0.5, math.inf: 0.5}, 0.0), "inf"),
+], ids=["offspring-count", "size", "declared-float-size", "declared-infinite-size"])
+def test_tables_refuse_values_past_int64(make, value):
+    # counts and sizes are drawn as int64: a larger one overflowed in the draw
+    with pytest.raises(ValueError, match=rf"< 2\*\*63, got {re.escape(value)}$"):
+        make()
+    assert OffspringPmf.table({0: 0.5, 2**63 - 1: 0.5}).counts == (0, 2**63 - 1)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 2", "+2", "02", "2.0", "-0", "x", "\u0662"])
+def test_pmf_keys_must_be_canonical_integers(key):
+    # int() reads each of these (all but "2.0" and "x" as 10, 2 or 0), so two
+    # keys could name one count and one entry be dropped
+    for build, pmf in ((OffspringLaw.from_dict, {"0": 0.5, key: 0.5}), (GroupSizeLaw.from_dict, {"1": 0.5, key: 0.5})):
+        with pytest.raises(ValueError, match=f"pmf key {re.escape(repr(key))} is not an integer in canonical form"):
+            build({"kind": "pmf", "pmf": pmf})
+    assert OffspringLaw.from_dict({"kind": "pmf", "pmf": {"0": 0.5, "10": 0.5}}).regimes[0].counts == (0, 10)
+
+
 NAN = math.nan
 _SUBCRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.6, 2: 0.4}))
 _PMF = OffspringPmf.table({0: 0.5, 2: 0.5})
@@ -687,6 +711,13 @@ def test_public_constructors_refuse_infinities(make, match):
     # (a zeta law's first moment, a field's sup), refused later or not at all
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_expdecay_whose_supremum_overflows_is_refused():
+    # each part is finite, but f.sup = amplitude + floor is inf
+    with pytest.raises(ValueError, match=r"amplitude 1e\+308 plus floor 1e\+308, is not finite"):
+        ScalarField.exp_decay(1e308, 1.0, 1e308)
+    assert ScalarField.exp_decay(1e308, 1.0, 0.0).sup == 1e308
 
 
 def test_first_and_second_moments_of_groups():

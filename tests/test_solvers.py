@@ -362,6 +362,9 @@ def test_mean_with_immigration_subcritical_long_run():
     grid = SolverGrid(5e-3, 50.0)
     val = mean_with_immigration(SUBCRITICAL, imm, ONE, AgeMeasure.empty(), grid)
     assert val == pytest.approx((1.0 - math.exp(-0.2 * 50.0)) / 0.2, abs=1e-4)
+    # one initial particle to t = 2 adds its own decay, e^-0.4
+    val = mean_with_immigration(SUBCRITICAL, imm, ONE, AgeMeasure.point(0.0), SolverGrid(0.02, 2.0))
+    assert val == pytest.approx(math.exp(-0.4) + (1.0 - math.exp(-0.4)) / 0.2, abs=1e-4)
 
 
 def test_ergodicity_check_trichotomy():
@@ -409,6 +412,15 @@ def test_stationary_laplace_refusals():
     assert ergodicity_check(SUBCRITICAL, zeta_heavy).status == "ergodic"
     with pytest.raises(ValueError, match="infinite mean"):
         stationary_laplace(SUBCRITICAL, zeta_heavy, ONE)
+
+
+def test_stationary_laplace_refuses_a_horizon_past_the_float_range():
+    # the tail bound's horizon log(m1 sup f / (rate tolerance / 2)) / rate
+    # overflows, or its denominator underflows to 0
+    singles = ImmigrationMechanism.single_arrivals(1.0)
+    for tolerance in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"tolerance {tolerance!r} needs a truncation horizon past the float range"):
+            stationary_laplace(SUBCRITICAL, singles, ONE, tolerance)
 
 
 def test_stationary_laplace_zero_rate_is_one():
@@ -614,56 +626,22 @@ def test_immigration_helpers_solve_the_boundary_once_without_a_solution(monkeypa
     grid = SolverGrid(1e-2, 1.0)
     val, psis = immigration_exponent_integral(AGE_VARYING, imm, ONE, grid)
     assert len(calls) == 1
-    sol = solve_exponent(AGE_VARYING, ONE, grid)
-    val_sol, psis_sol = immigration_exponent_integral(AGE_VARYING, imm, ONE, grid, sol)
+    val_sol, psis_sol = solve_exponent(AGE_VARYING, ONE, grid).readout(AgeMeasure.empty(), imm)
     assert val == val_sol and psis.tobytes() == psis_sol.tobytes()
     calls.clear()
     initial = AgeMeasure.point(0.7, 3)
     mean = mean_with_immigration(AGE_VARYING, imm, ONE, initial, grid)
     assert len(calls) == 1
-    assert mean == mean_with_immigration(AGE_VARYING, imm, ONE, initial, grid, solve_mean(AGE_VARYING, ONE, grid))
+    assert mean == solve_mean(AGE_VARYING, ONE, grid).readout(initial, imm)[0]
 
 
-def test_immigration_integral_refuses_a_solution_from_another_grid():
-    # bench_critical's model with single arrivals: a rectangle solution under
-    # trapezoid weights gave 1.098173, neither rule's value
+def test_immigration_integral_follows_the_grid_quadrature():
+    # bench_critical's model with single arrivals: each rule gives its own value
     imm = ImmigrationMechanism.single_arrivals(2.0)
     grid = SolverGrid(1e-2, 1.0)
     assert immigration_exponent_integral(CRITICAL, imm, ONE, grid)[0] == pytest.approx(1.098571, abs=1e-6)
     rect = SolverGrid(1e-2, 1.0, "rectangle")
     assert immigration_exponent_integral(CRITICAL, imm, ONE, rect)[0] == pytest.approx(1.099694, abs=1e-6)
-    # the horizon a rounding away: 100 steps either way, but not the same grid
-    for other in (rect, SolverGrid(1e-2, 1.0 + 1e-13)):
-        with pytest.raises(ValueError, match="is not the requested grid"):
-            immigration_exponent_integral(CRITICAL, imm, ONE, grid, solve_exponent(CRITICAL, ONE, other))
-
-
-def test_mean_with_immigration_refuses_a_solution_from_another_grid():
-    # 100 steps either way: the solution on [0, 1] read as [0, 2] gave 2.63 for 2.32
-    imm, one = ImmigrationMechanism.single_arrivals(1.0), AgeMeasure.point(0.0)
-    grid = SolverGrid(0.02, 2.0)
-    expect = math.exp(-0.4) + (1.0 - math.exp(-0.4)) / 0.2
-    assert mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid) == pytest.approx(expect, abs=1e-4)
-    with pytest.raises(ValueError, match="mean solution grid .* is not the requested grid"):
-        mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(SUBCRITICAL, ONE, SolverGrid(0.01, 1.0)))
-
-
-def test_immigration_helpers_refuse_a_solution_of_another_model_or_field():
-    # unchecked, the critical model's solutions gave its own answers for the
-    # subcritical one: 0.9798 for 0.8710, and a mean of 3.0001 for 2.3188
-    imm, one = ImmigrationMechanism.single_arrivals(1.0), AgeMeasure.point(0.0)
-    grid = SolverGrid(0.02, 2.0)
-    for model, f in ((CRITICAL, ONE), (SUBCRITICAL, ScalarField.constant(2.0))):
-        with pytest.raises(ValueError, match="exponent solution is of another model or field"):
-            immigration_exponent_integral(SUBCRITICAL, imm, ONE, grid, solve_exponent(model, f, grid))
-        with pytest.raises(ValueError, match="mean solution is of another model or field"):
-            mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(model, f, grid))
-    # an equal model built anew is the same problem
-    same = BranchingModel(SUBCRITICAL.alpha, SUBCRITICAL.offspring)
-    assert immigration_exponent_integral(SUBCRITICAL, imm, ONE, grid, solve_exponent(same, ONE, grid))[0] == (
-        immigration_exponent_integral(SUBCRITICAL, imm, ONE, grid)[0])
-    assert mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid, solve_mean(same, ONE, grid)) == (
-        mean_with_immigration(SUBCRITICAL, imm, ONE, one, grid))
 
 
 def test_label_rows_trip_no_guard_a_single_ray_would_not():
@@ -720,10 +698,10 @@ def _count_psi_calls(monkeypatch) -> list:
 def test_immigration_integral_matches_per_node_oracle(monkeypatch, name):
     cfg = cli.load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
     grid = SolverGrid(cfg.grid_dt, cfg.t_end, cfg.quadrature)
-    sol = solve_exponent(cfg.model, cfg.f, grid)
     calls = _count_psi_calls(monkeypatch)
-    val, psis = immigration_exponent_integral(cfg.model, cfg.immigration, cfg.f, grid, sol)
+    val, psis = immigration_exponent_integral(cfg.model, cfg.immigration, cfg.f, grid)
     assert len(calls) == 1
+    sol = solve_exponent(cfg.model, cfg.f, grid)
     ages = cfg.immigration.atom_ages()
     ref_val, ref_psis = immigration_integral_per_node(cfg.immigration, ages, sol.rays(ages), grid)
     assert psis.shape == ref_psis.shape
@@ -759,6 +737,65 @@ BOUND_NAMES = [
 def _shipped(name: str, quadrature: str | None = None):
     cfg = cli.load_config(CONFIG_DIR / f"{name}.json")
     return cfg, SolverGrid(cfg.grid_dt, cfg.t_end, quadrature or cfg.quadrature)
+
+
+def _composed_total(sol, initial: AgeMeasure, imm: ImmigrationMechanism) -> float:
+    """The readout's total in separate pieces: the initial rays at the horizon, then the arrival term.
+
+    The exponent's arrival term takes its own ``rays`` call over the atoms and
+    is 0.0 for the zero-rate mechanism; the mean's shares one call with the
+    initial ages.
+    """
+    weights, atoms, k = sol.grid.weights(), imm.atom_ages(), len(initial.ages)
+    if not sol._mean:
+        expo = sum(float(v) for v in sol.rays(initial.ages)[:, -1])
+        if imm.total_rate == 0.0:
+            return expo + 0.0
+        psi = imm.psi_from_exponents(dict(zip(atoms, sol.rays(atoms))))
+        return expo + float(np.dot(weights, psi))
+    table = sol.rays([*initial.ages, *atoms])
+    total = sum(float(v) for v in table[:k, -1])
+    if not atoms:
+        return total
+    return total + float(np.dot(weights, imm.first_moment_from_values(dict(zip(atoms, table[k:])))))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_readout_total_is_the_composed_total_bit_for_bit(name):
+    cfg, grid = _shipped(name, "trapezoid")
+    finite = math.isfinite(cfg.immigration.first_moment_of(ONE))
+    for g in (grid, grid.coarse()):
+        for solve in (solve_exponent, solve_mean):
+            sol = solve(cfg.model, cfg.f, g)
+            if solve is solve_mean and not finite:
+                with pytest.raises(ValueError, match="mean group size is infinite; the first moment diverges"):
+                    sol.readout(cfg.initial, cfg.immigration)
+                continue
+            total, per_node = sol.readout(cfg.initial, cfg.immigration)
+            assert float(total).hex() == float(_composed_total(sol, cfg.initial, cfg.immigration)).hex()
+            assert per_node.shape == (g.n_steps + 1,)
+
+
+def test_readout_makes_one_rays_call(monkeypatch):
+    calls = []
+    original = solvers._FanSolution.rays
+    monkeypatch.setattr(solvers._FanSolution, "rays", lambda self, offsets: calls.append(offsets) or original(self, offsets))
+    imm = ImmigrationMechanism.finite_support([(1.5, AgeMeasure.point(2.0)), (0.5, AgeMeasure((0.0, 0.3)))])
+    initial, grid = AgeMeasure((0.7, 1.2)), SolverGrid(1e-2, 1.0)
+    for solve in (solve_exponent, solve_mean):
+        sol = solve(AGE_VARYING, ONE, grid)
+        calls.clear()
+        total, per_node = sol.readout(initial, imm)
+        assert calls == [[0.7, 1.2, 0.0, 0.3, 2.0]]
+        assert math.isfinite(total) and per_node.shape == (grid.n_steps + 1,)
+    # without atoms the arrival term is zero at every node, and the total a double
+    calls.clear()
+    total, per_node = solve_mean(CRITICAL, ONE, grid).readout(AgeMeasure.empty(), ImmigrationMechanism.none())
+    assert len(calls) == 1 and repr(total) == "0.0" and not per_node.any()
+    # the Laplace side of validate reads out once on each of its two grids
+    calls.clear()
+    validate.laplace_analytic(AGE_VARYING, imm, initial, ONE, 1.0, 1e-2)
+    assert len(calls) == 2
 
 
 def _atoms(cfg) -> tuple:
@@ -879,10 +916,19 @@ def test_lattice_margins_are_the_row_loop_bit_for_bit(monkeypatch, model, quadra
 def test_lattice_margins_refuse_solutions_of_different_problems():
     grid = SolverGrid(1e-2, 1.0)
     usol = solve_exponent(CRITICAL, ONE, grid)
-    for msol in (solve_mean(CRITICAL, ONE, SolverGrid(2e-2, 1.0)), solve_mean(CRITICAL, _LATTICE_FIELD, grid),
-                 solve_mean(SUBCRITICAL, ONE, grid)):
-        with pytest.raises(ValueError, match="different models, fields or grids"):
-            solvers.lattice_margins(usol, msol)
+    # another step; the other quadrature; 100 steps either way, but on [0, 2]
+    # or with the horizon a rounding away
+    for other in (SolverGrid(2e-2, 1.0), SolverGrid(1e-2, 1.0, "rectangle"), SolverGrid(2e-2, 2.0),
+                  SolverGrid(1e-2, 1.0 + 1e-13)):
+        with pytest.raises(ValueError, match="mean solution grid .* is not the requested grid"):
+            solvers.lattice_margins(usol, solve_mean(CRITICAL, ONE, other))
+    for model, f in ((CRITICAL, _LATTICE_FIELD), (SUBCRITICAL, ONE)):
+        with pytest.raises(ValueError, match="mean solution is of another model or field"):
+            solvers.lattice_margins(usol, solve_mean(model, f, grid))
+    # an equal model built anew is the same problem
+    same = BranchingModel(CRITICAL.alpha, CRITICAL.offspring)
+    assert solvers.lattice_margins(usol, solve_mean(same, ONE, grid)) == (
+        solvers.lattice_margins(usol, solve_mean(CRITICAL, ONE, grid)))
 
 
 def test_a_nan_on_the_lattice_fails_every_bound_check(monkeypatch):
@@ -1083,7 +1129,7 @@ def test_fft_rounding_bound_is_far_below_the_richardson_tolerances(name):
     fine, coarse = _effects(cfg, grid, False), _effects(cfg, grid.coarse(), False)
     pairs["laplace"] = (tol, fine[0] + coarse[0], fine[1] + coarse[1])
     if math.isfinite(cfg.immigration.first_moment_of(ONE)):
-        _, tol = validate._mean_analytic(cfg, cfg.f, cfg.t_end, grid.dt)
+        _, tol = validate._analytic(True, cfg.model, cfg.immigration, cfg.initial, cfg.f, cfg.t_end, grid.dt)
         fine, coarse = _effects(cfg, grid, True), _effects(cfg, grid.coarse(), True)
         pairs["mean"] = (tol, fine[0] + coarse[0], fine[1] + coarse[1])
     reports = {r.name: r for r in solver_bound_checks(cfg.model, cfg.f, grid)}
