@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "AgeMeasure", "ScalarField", "index_ranges", "interleave", "json_number", "json_numbers",
-    "segment_keys", "segment_pick", "segment_sums",
+    "segment_keys", "segment_sums",
 ]
 
 
@@ -81,29 +81,6 @@ def segment_keys(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
     keys = np.empty(len(segment), dtype=np.complex128)
     keys.real, keys.imag = segment, values
     return keys
-
-
-def segment_pick(weights, owner, first, counts, sums, segs, y) -> np.ndarray:
-    """In each segment of ``segs``, the first entry whose cumulative weight exceeds ``y * sums``.
-
-    The weights are consecutive segments, segment ``j`` holding the
-    ``counts[j]`` entries from ``first[j]`` (empty segments allowed);
-    ``owner`` is each entry's segment and ``sums`` each segment's sequential
-    sum, ``np.bincount(owner, weights=weights)``.  ``segs`` lists nonempty
-    segments, with one ``y`` each.  The cumulative sums restart at every
-    segment because a running sum minus itself is exactly 0, so each keeps
-    the bits of a cumulative sum over its segment alone; they do not
-    decrease, so one ``bincount`` of those at or below ``y * sums`` gives the
-    index of ``searchsorted(..., side="right")``, clamped to the segment's
-    last entry.  As ``y ~ Uniform[0, 1)`` entry ``i`` of segment ``s`` is
-    picked with probability ``weights[i] / sums[s]``.
-    """
-    # minus the running sum leads every segment after the first
-    led, held = interleave(weights, first[1:] + np.arange(len(first) - 1), -sums[:-1])
-    bound = np.zeros(len(first))
-    bound[segs] = y * sums[segs]
-    below = np.bincount(owner[led.cumsum()[held] <= bound[owner]], minlength=len(first))
-    return first[segs] + np.minimum(below[segs], counts[segs] - 1)
 
 
 @dataclass(frozen=True)

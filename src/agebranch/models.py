@@ -251,9 +251,14 @@ def _json_pmf(d: dict) -> dict[int, float]:
     """A JSON object from integer keys to finite probabilities.
 
     JSON keys are strings; each must be an integer in canonical form ("2",
-    not "02", "+2", " 2" or "2.0"), so no two keys name one value.
+    not "02", "+2", " 2" or "2.0"), so no two keys name one value.  A key of
+    more than 64 characters is refused by its first 20 before ``int`` reads
+    it: no table holds so large a value, and ``int`` refuses past 4,300 digits
+    without naming the key.
     """
     for k in d:
+        if len(k) > 64:
+            raise ValueError(f"pmf key {k[:20]!r}... has {len(k)} characters, too long for a count below 2**63")
         if not (k.removeprefix("-").isdecimal() and str(int(k)) == k):
             raise ValueError(f"pmf key {k!r} is not an integer in canonical form")
     return {int(k): json_number(p, "pmf") for k, p in d.items()}

@@ -4,13 +4,14 @@ Between events every age advances at unit speed, so the population is stored
 as sorted *birth offsets* (age minus elapsed time): aging is free.  Branch
 events are realized by thinning: waiting times are proposed at the dominating
 rate ``c1 * mass`` (c1 = sup of the death rate), ages advance to the
-proposal, and the proposal is accepted with probability
-``<aged state, alpha> / (c1 * mass)``.  On acceptance the dying particle is
-drawn with probability proportional to ``alpha(age)`` per atom and replaced by
-its offspring at age zero.  Because the population size is constant
-between events and ``alpha <= c1`` pointwise, this realizes the law of the
-driving point process exactly; a fresh exponential is drawn after every
-accepted or rejected proposal (memorylessness makes the redraw exact).
+proposal, one particle is picked uniformly, and the proposal is accepted with
+probability ``alpha(its age) / c1``; the accepted particle is replaced by its
+offspring at age zero.  So particle ``i`` dies with probability
+``alpha(a_i) / (c1 * mass)``, as when the path's hazard is thinned and the
+dying particle drawn in proportion to alpha.  Because the population size is
+constant between events and ``alpha <= c1`` pointwise, this realizes the law
+of the driving point process exactly; a fresh exponential is drawn after
+every accepted or rejected proposal (memorylessness makes the redraw exact).
 
 Immigration arrivals form an independent Poisson stream of the mechanism's
 total rate; the merged event stream is generated by competing exponentials.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import numpy.random  # loaded at import, not inside the first timed draw
 
-from .measures import AgeMeasure, index_ranges, interleave, segment_keys, segment_pick
+from .measures import AgeMeasure, index_ranges, interleave, segment_keys
 from .models import BranchingModel, ImmigrationMechanism
 
 __all__ = [
@@ -239,6 +240,22 @@ _ENDINGS = ("t_end", "extinction", "event_cap")
 _T_END, _EXTINCTION, _EVENT_CAP = range(3)
 
 
+def _thin(rng, alpha, c1: float, base, first, m, t, proposed) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted branch proposals and their dying particles: one particle tried per proposal.
+
+    Path ``j`` (a place in ``first``, ``m`` and ``t``) holds the ``m[j]``
+    particles of ``base`` from ``first[j]``, of age ``base + t[j]``.  All
+    acceptance uniforms ``u`` are drawn, then all index uniforms ``y``; a
+    proposal tries particle ``first + min(floor(y m), m - 1)`` and is accepted
+    iff ``u c1 < alpha(age)``, so alpha is evaluated once per proposal.
+    """
+    u = rng.random(len(proposed))
+    n = m[proposed]
+    tried = first[proposed] + np.minimum((rng.random(len(proposed)) * n).astype(np.int64), n - 1)
+    accepted = u * c1 < np.asarray(alpha(base[tried] + t[proposed]), dtype=np.float64)
+    return proposed[accepted], tried[accepted]
+
+
 def simulate_paths(
     cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_paths: int = 0
 ) -> PathSet:
@@ -247,21 +264,21 @@ def simulate_paths(
     Each pass of the loop makes one proposal on every live path, vectorised
     over them: the branch exponentials of the paths with particles, then one
     arrival exponential per path if the mechanism's rate is positive (one
-    vector draw for both), then the acceptance uniforms of the branch
-    proposals, the dying-index uniforms and the offspring counts (one vector
-    draw per regime) of the accepted ones, and last the immigrant groups of
-    the arrivals, in ascending path order (one vector draw, or group by group
-    for members spread over several ages).  A vector draw of size k consumes
-    the stream as k scalar draws and a size-0 draw consumes nothing, so at
-    ``n_paths = 1`` the stream is read in the order of a one-path event loop;
-    an exponential of scale s is ``s`` times a standard one, the bits of
+    vector draw for both), then the acceptance uniforms and the index
+    uniforms of the branch proposals (:func:`_thin`), the offspring counts
+    (one vector draw per regime) of the accepted ones, and last the immigrant
+    groups of the arrivals, in ascending path order (one vector draw, or group
+    by group for members spread over several ages).  A vector draw of size k
+    consumes the stream as k scalar draws and a size-0 draw consumes nothing,
+    so at ``n_paths = 1`` the stream is read in the order of a one-path event
+    loop; an exponential of scale s is ``s`` times a standard one, the bits of
     ``rng.exponential(s)``.  Paths leave the loop at ``t_end``, at extinction
     or at the event cap; the passes number about the longest path's
     proposals, not the sum over paths.  An empty path without immigration
     proposes at +inf, so in the same pass it records its remaining snapshots
     at mass 0 and ends by extinction.  A path with ``max_events`` events is
     cut by its next accepted event at or before ``t_end``, drawing nothing
-    after the acceptance uniform and keeping the snapshots before it.
+    after its index uniform and keeping the snapshots before it.
 
     The live particles sit in one flat array of birth offsets, path by path
     and ascending within a path, located by the cumulative sum of the live
@@ -269,11 +286,9 @@ def simulate_paths(
     running maximum and snapshot cursor are kept in live order and written
     out when a path ends.  Each pass records the ages of the snapshots its
     paths pass, keyed ``path * n_snap + snap`` and joined 16 passes at a
-    time, sums every path's hazard in sequence with one ``bincount`` and
-    picks every dying particle by counting partial sums of one cumulative
-    sum restarted at each path (:func:`~agebranch.measures.segment_pick`).
-    Only the first ``log_paths`` paths keep an ``Event`` log; the draws and
-    every recorded number are the same whichever paths are logged.
+    time, and evaluates alpha only at the particle each branch proposal
+    tries.  Only the first ``log_paths`` paths keep an ``Event`` log; the
+    draws and every recorded number are the same whichever paths are logged.
     """
     alpha = cfg.model.alpha
     offspring = cfg.model.offspring
@@ -312,12 +327,13 @@ def simulate_paths(
     while len(act):
         # below, arrays of one entry per live path are indexed by its place in act
         first = m.cumsum() - m
-        owner = np.arange(len(act)).repeat(m)  # of each live particle
         # the branch proposals of the paths with particles, then one arrival per
         # path only at a positive rate (so a stream without immigration reads no
         # arrival); an empty path without immigration proposes at +inf
         n_has = int(np.count_nonzero(m))
         n_arrivals = len(act) if rate_arrival > 0.0 else 0
+        if n_arrivals:
+            owner = np.arange(len(act)).repeat(m)  # of each live particle
         draws = rng.standard_exponential(n_has + n_arrivals)
         if n_has == len(act):
             t_next = now + draws[:n_has] * (1.0 / (c1 * m))
@@ -346,13 +362,8 @@ def simulate_paths(
             lo = stop
         live = t_next <= t_end  # the paths whose proposal falls by t_end
 
-        # thinning: accept a branch proposal with probability <alpha, aged state> / (c1 mass);
-        # the hazard of every live path is summed, and read where a branch is proposed
-        ages_now = base + t_next[owner]
-        weights = np.asarray(alpha(ages_now), dtype=np.float64)
-        hazard = np.bincount(owner, weights=weights, minlength=len(act))
         proposed = np.flatnonzero(branching & live)
-        d = proposed[rng.random(len(proposed)) * c1 * m[proposed] < hazard[proposed]]
+        d, dying = _thin(rng, alpha, c1, base, first, m, t_next, proposed)
         arriving = np.flatnonzero(live > branching)  # live and not branching
         passes += 1
         if passes > cfg.max_events:  # a path has at most one event a pass
@@ -361,12 +372,12 @@ def simulate_paths(
             cut = np.concatenate((d[full[d]], arriving[full[arriving]]))
             ending[act[cut]] = _EVENT_CAP
             live[cut] = False
-            d, arriving = d[~full[d]], arriving[~full[arriving]]
-        keep = live[owner]
+            kept = ~full[d]
+            d, dying, arriving = d[kept], dying[kept], arriving[~full[arriving]]
+        keep = live.repeat(m)
         new_pos, new_base, new_owner = [], [], []
         if len(d):
-            dying = segment_pick(weights, owner, first, m, hazard, d, rng.random(len(d)))
-            dying_age = ages_now[dying]
+            dying_age = base[dying] + t_next[d]
             kids = offspring.sample(dying_age, rng)
             keep[dying] = False
             m[d] += kids - 1

@@ -28,18 +28,17 @@ only as oracles:
   psi evaluated in scalar Python, one grid node at a time.
 * ``simulate_objects``: the simulator that stores every snapshot as a
   validated ``AgeMeasure`` and always keeps the ``Event`` log, returning an
-  ``ObjectTrajectory``; ``replay_objects`` rebuilds the path an event log
+  ``ObjectTrajectory``; one event at a time, a branch proposal tries one
+  particle picked uniformly and accepts it with probability alpha(age) / c1,
+  as the kernel does.  ``replay_objects`` rebuilds the path an event log
   describes; ``replay_statistics``, ``mass_path`` and ``log_counters`` read
-  statistics from the event log of either trajectory type;
-  ``running_hazard`` adds a path's death rates in sequence, as the kernel's
-  ``bincount`` adds them.
+  statistics from the event log of either trajectory type.
 * ``lockstep_paths``: the chunk kernel ``simulate_paths`` as it was before
-  it kept its live-path state compact and picked the dying particle by
-  counts, with its complex-key pick ``keyed_segment_pick``; it pins every
-  bit of the kernel's ``PathSet``.
-* ``weighted_index``: the dying-particle index of the chunk kernel as it was
-  before one cumulative sum served every path of a pass: the chosen
-  segments compacted, their sums and cumulative sums taken afresh.
+  it kept its live-path state compact and tried one particle per branch
+  proposal: it summed every path's hazard and picked the dying particle
+  with the complex-key pick ``keyed_segment_pick``.  Where alpha is constant
+  both rules read the same bits, so there it pins every bit of the
+  kernel's ``PathSet``.
 * ``chunk_rows_objects``: the replicate-chunk extractor reading the one row
   layout from ``AgeMeasure`` snapshots and event logs, with the martingale
   pair path by path for any test function of ``TEST_FUNCTIONS`` (the
@@ -716,33 +715,6 @@ class ObjectTrajectory:
     initial: AgeMeasure
 
 
-def weighted_index(weights: np.ndarray, y, total, counts):
-    """Index of the first entry whose cumulative weight exceeds ``y * total``, per segment.
-
-    The weights are consecutive nonempty segments of ``counts`` entries, and
-    ``y`` and ``total`` hold one entry per segment.  ``total`` is ``None`` for
-    each segment's last cumulative weight; a caller that already holds the
-    sums passes them.  The index is clamped to the segment's last entry, so
-    rounding between ``total`` and the cumulative sum cannot run past its
-    end.  As ``y ~ Uniform[0, 1)`` entry ``i`` is picked with probability
-    ``weights[i] / total``.  Each result is the same integer as a call on its
-    segment alone: the cumulative sums restart at every segment because a
-    running sum minus itself is exactly 0.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    seg = np.arange(len(counts)).repeat(counts)
-    sums = np.bincount(seg, weights=weights, minlength=len(counts))  # sequential, as cumsum
-    # minus the running sum leads every segment after the first
-    resets = (counts.cumsum() + np.arange(len(counts)))[:-1]
-    led, held = interleave(weights, resets, -sums[:-1])
-    cum = led.cumsum()[held]
-    totals = sums if total is None else np.asarray(total, dtype=np.float64)
-    if not (totals > 0.0).all():
-        raise ValueError("alpha-weighted mass is zero; alpha must be positive on atoms")
-    below = np.bincount(seg[cum <= (np.asarray(y) * totals)[seg]], minlength=len(counts))
-    return np.minimum(below, counts - 1)
-
-
 def log_counters(traj, t: float) -> tuple[int, int]:
     """sup of the population size over [0, t] and the branch events up to and including t.
 
@@ -758,15 +730,6 @@ def log_counters(traj, t: float) -> tuple[int, int]:
         best = max(best, m)
         branches += e.kind == "branch"
     return best, branches
-
-
-def running_hazard(alpha, ages: np.ndarray) -> np.ndarray:
-    """Running sums of the death rates at ``ages``, added in sequence; the last is the path's hazard.
-
-    ``ndarray.sum`` adds pairwise past 8 entries and can differ from the
-    kernel's sequential ``bincount`` in the last bit.
-    """
-    return np.cumsum(np.asarray(alpha(ages), dtype=np.float64))
 
 
 def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> ObjectTrajectory:
@@ -826,16 +789,14 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
             break
         record_through(t_next, inclusive=False)
         if t_branch <= t_arrival:
-            ages_now = np.asarray(bases) + t_next
-            cum = running_hazard(alpha, ages_now)
-            hazard = float(cum[-1])
-            if rng.random() * c1 * mass < hazard:
+            # try one particle, picked uniformly; it dies with probability alpha(age) / c1
+            u = rng.random()
+            idx = min(int(rng.random() * mass), mass - 1)
+            dying_age = bases[idx] + t_next
+            if u * c1 < float(alpha(np.array([dying_age]))[0]):
                 if n_events >= cfg.max_events:  # an accepted event past the cap cuts the path
                     terminated_by = "event_cap"
                     break
-                idx = int(np.searchsorted(cum, rng.random() * hazard, side="right"))
-                idx = min(idx, mass - 1)
-                dying_age = float(ages_now[idx])
                 k = int(offspring.sample(np.array([dying_age]), rng)[0])
                 del bases[idx]
                 if k:

@@ -162,11 +162,16 @@ _SIZES_TEXT = json.dumps({**json.loads((CONFIG_DIR / "subcritical_imm.json").rea
      "model: offspring counts must be integers >= 0 and < 2**63, got 100000000000000000000"),
     (_SIZES_TEXT.replace('"SIZES"', '{"1": 0.5, "100000000000000000000": 0.5}'), "simulate",
      "immigration: group sizes must be integers >= 1 and < 2**63, got 100000000000000000000"),
+    (_BENCH_TEXT.replace('"2": 0.5', '"%s": 0.5' % ("7" * 5000)), "simulate",
+     "model: pmf key '77777777777777777777'... has 5000 characters, too long for a count below 2**63\n"),
+    (_SIZES_TEXT.replace('"SIZES"', '{"1": 0.5, "%s": 0.5}' % ("7" * 5000)), "simulate",
+     "immigration: pmf key '77777777777777777777'... has 5000 characters, too long for a count below 2**63\n"),
     ((CONFIG_DIR / "pure_death_imm.json").read_text().replace(
         '"f": {"kind": "constant", "value": 1.0}', '"f": {"kind": "expdecay", "amplitude": 1e308, "rate": 1.0, "floor": 1e308}'),
      "ergodic", "f: expdecay's supremum, amplitude 1e+308 plus floor 1e+308, is not finite"),
 ], ids=["key-underscore", "key-space", "key-plus", "key-zero-padded", "key-twice-as-int", "size-key-twice-as-int",
-        "key-twice", "pmf-key-twice", "count-past-int64", "size-past-int64", "field-sup-overflows"])
+        "key-twice", "pmf-key-twice", "count-past-int64", "size-past-int64", "count-key-past-int-digits",
+        "size-key-past-int-digits", "field-sup-overflows"])
 def test_ambiguous_or_overflowing_config_values_are_refused(tmp_path, capsys, text, command, reason):
     assert text.count("SIZES") == 0 and text != _BENCH_TEXT
     p = tmp_path / "cfg.json"
@@ -768,7 +773,7 @@ def test_identity_check_alone_imports_scipy_integrate():
 
 
 @pytest.mark.parametrize("key", [
-    "subcritical_imm simulate", "age_varying solve-u", "age_varying solve-pi", "pure_death_imm validate",
+    "subcritical_imm simulate", "age_varying simulate", "age_varying solve-u", "age_varying solve-pi", "pure_death_imm validate",
     "pure_death_imm ergodic", "pure_death_imm stationary", "identity-check",
 ])
 def test_command_writes_the_bytes_of_the_committed_manifest(key):

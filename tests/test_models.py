@@ -648,6 +648,16 @@ def test_pmf_keys_must_be_canonical_integers(key):
     assert OffspringLaw.from_dict({"kind": "pmf", "pmf": {"0": 0.5, "10": 0.5}}).regimes[0].counts == (0, 10)
 
 
+def test_pmf_keys_past_the_int_digit_limit_are_named():
+    # int() refuses a string of more than 4,300 digits without naming it; the key
+    # is refused by its first 20 characters before int() reads it
+    key = "7" * 5000
+    for build, pmf in ((OffspringLaw.from_dict, {"0": 0.5, key: 0.5}), (GroupSizeLaw.from_dict, {"1": 0.5, key: 0.5})):
+        with pytest.raises(ValueError) as caught:
+            build({"kind": "pmf", "pmf": pmf})
+        assert str(caught.value) == "pmf key '77777777777777777777'... has 5000 characters, too long for a count below 2**63"
+
+
 NAN = math.nan
 _SUBCRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.6, 2: 0.4}))
 _PMF = OffspringPmf.table({0: 0.5, 2: 0.5})

@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,11 @@ from agebranch import (
     simulate,
 )
 from agebranch.cli import load_config
-from agebranch.measures import segment_pick, segment_sums
-from agebranch.simulate import PathSet, simulate_paths
+from agebranch.measures import segment_sums
+from agebranch.simulate import PathSet, _thin, simulate_paths
 from oracles import (
     ObjectTrajectory, lockstep_paths, log_counters, mass_path, replay_objects, replay_statistics,
-    running_hazard, simulate_objects, weighted_index,
+    simulate_objects,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -433,12 +434,14 @@ def pathset_digest(paths) -> str:
 
 
 # sha256 of a 400-path chunk read from stream (2, 1, 0), recorded (numpy 2.4.6,
-# x86-64 Linux) before the chunk kernel drew groups and exponentials by vector
+# x86-64 Linux) before the chunk kernel drew groups and exponentials by vector;
+# age_varying, whose step alpha rejects proposals, re-recorded when a branch
+# proposal came to try one particle
 _GOLDEN_CHUNKS = {
     "subcritical_imm": "4ae504ad122ad237a275a572911cb9923cc8f0046f9d4aaa5f4ce8e4156d4977",
     "pure_death_imm": "4c544f6dfb02353c61a3fde3a6e32e68c26f9314e9e5e74c8cf648d78295ded6",
     "zeta_groups_imm": "b6223a99fed2f93115a355cfce22cb80748c92ef264ad69e0d25d90ebe599ac8",
-    "age_varying": "310c53a9b33371f840929fe0c13a66ae29d43c6be0eedcefed7208761bafa4b0",
+    "age_varying": "0192b20d3c11bdc7e8a6c8af7e59a8b82d44a58e6e1e371ac2e17337084619eb",
     # the no-immigration stream, recorded while empty paths still took a pass
     # of their own; 132 of the bench_critical paths end in extinction
     "bench_critical": "a3c2af0f4119ae7eb0a251310dd104205ca37ba1a35a56fb0f563e1278602287",
@@ -452,15 +455,23 @@ def test_chunk_paths_keep_their_recorded_digest(name):
     assert pathset_digest(simulate_paths(sim, replicate_rng(2, 1, 0), 400)) == _GOLDEN_CHUNKS[name]
 
 
-@pytest.mark.parametrize("name", [n for n in SHIPPED if n != "heavy_tail_imm"])
+@pytest.mark.parametrize("name", [n for n in SHIPPED if n != "age_varying"])
 def test_kernel_keeps_every_bit_of_the_frozen_lockstep_kernel(name):
-    # lockstep_paths is the kernel before its live-path state was kept compact and the
-    # dying particle was picked by counts; no path reaches the default cap
+    # lockstep_paths is the kernel before its live-path state was kept compact and a
+    # branch proposal tried one particle; under a constant alpha both rules read the
+    # same bits.  No path reaches the default cap; heavy_tail_imm's chunks that draw
+    # past the group-size table raise alike
     sim = load_config(CONFIG_DIR / f"{name}.json").sim_config()
+    assert sim.model.alpha.inf == sim.model.alpha.sup
     for width in (1, 37, 400, 512):
         for log_paths in (0, 1, 3):
+            try:
+                want = lockstep_paths(sim, replicate_rng(2, 1, width), width, log_paths=log_paths)
+            except RuntimeError as e:
+                with pytest.raises(RuntimeError, match=re.escape(str(e))):
+                    simulate_paths(sim, replicate_rng(2, 1, width), width, log_paths=log_paths)
+                continue
             got = simulate_paths(sim, replicate_rng(2, 1, width), width, log_paths=log_paths)
-            want = lockstep_paths(sim, replicate_rng(2, 1, width), width, log_paths=log_paths)
             for f in fields(PathSet):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 if isinstance(a, np.ndarray):
@@ -511,23 +522,7 @@ def test_snapshot_view_indexing():
         assert v == m.integrate(f)
 
 
-def test_weighted_index_matches_cumsum_search():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 7, 8, 9, 33, 300):
-        w = rng.random(n) * (rng.random(n) < 0.8)
-        w[rng.integers(n)] = 0.5
-        hazard = float(w.sum())
-        for y in list(rng.random(20)) + [0.0, 1.0 - 2.0**-53]:
-            cum = np.cumsum(w)
-            expect = min(int(np.searchsorted(cum, y * hazard, side="right")), n - 1)
-            assert weighted_index(w, [y], [hazard], [n]).tolist() == [expect]
-            expect = min(int(np.searchsorted(cum, y * cum[-1], side="right")), n - 1)
-            assert weighted_index(w, [y], None, [n]).tolist() == [expect]
-    with pytest.raises(ValueError):
-        weighted_index(np.zeros(3), [0.5], None, [3])
-
-
-def test_segment_sums_and_segment_indices_match_each_segment_alone():
+def test_segment_sums_match_each_segment_alone():
     rng = np.random.default_rng(1)
     for _ in range(50):
         counts = rng.integers(0, 300, size=rng.integers(1, 12))
@@ -536,53 +531,72 @@ def test_segment_sums_and_segment_indices_match_each_segment_alone():
         bounds = np.concatenate(([0], np.cumsum(counts)))
         segments = [w[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         assert segment_sums(w, counts).tolist() == [np.add.reduce(seg) for seg in segments]
-        full = counts > 0
-        ys = rng.random(len(counts))
-        got = weighted_index(w, ys[full], None, counts[full])
-        want = [
-            min(int(np.searchsorted(np.cumsum(seg), y * np.cumsum(seg)[-1], side="right")), len(seg) - 1)
-            for seg, y in zip(segments, ys) if len(seg)
-        ]
-        assert got.tolist() == want
 
 
-def test_segment_pick_matches_weighted_index_on_random_layouts():
-    # the kernel's dying index, read from one cumulative sum over every live
-    # path of a pass, against the reference that compacts the dying paths'
-    # segments; empty segments lead, sit between and trail the layout
-    rng = np.random.default_rng(7)
-    families = (
-        lambda k: rng.random(k) * 10.0 ** rng.uniform(-3, 3, k),
-        lambda k: rng.integers(0, 4, k).astype(np.float64),  # zero weights and exact ties
-        lambda k: rng.choice([0.5, 1.0, 2.0], k),  # the shipped alpha values
-    )
-    for trial in range(300):
-        counts = rng.integers(0, 40 if trial % 3 else 9, size=rng.integers(3, 30))
-        counts[[0, rng.integers(1, len(counts) - 1), -1]] = 0
-        w = families[trial % 3](int(counts.sum()))
-        owner, first = np.arange(len(counts)).repeat(counts), counts.cumsum() - counts
-        sums = np.bincount(owner, weights=w, minlength=len(counts))
-        full = np.flatnonzero(sums > 0)
-        segs = full[rng.random(len(full)) < 0.7]
-        y = rng.random(len(segs))
-        if trial % 3 == 1:  # y * sum on a cumulative weight
-            y = rng.integers(0, 4, len(segs)) / 4.0
-        got = segment_pick(w, owner, first, counts, sums, segs, y)
-        want = first[segs] + weighted_index(w[np.isin(owner, segs)], y, sums[segs], counts[segs])
-        assert got.tolist() == want.tolist(), trial
-        # y = 1 reaches every segment's sum, past which the index is clamped to its last entry
-        last = segment_pick(w, owner, first, counts, sums, segs, np.ones(len(segs)))
-        assert last.tolist() == (first[segs] + counts[segs] - 1).tolist()
-
-
-def test_oracle_hazard_is_added_in_sequence_as_the_kernel_adds_it():
-    alpha = ScalarField.exp_decay(1.0, 0.7, 0.3)
-    ages = np.random.default_rng(1).exponential(2.0, 40)
+def test_one_particle_thinning_has_the_law_of_the_hazard_sum_and_pick():
+    # one path of eight particles under a step alpha, tried by many proposals:
+    # particle i dies with probability alpha(a_i) / (c1 m), so the dying ages
+    # follow alpha(a_i) / <alpha, population> and a proposal is accepted at
+    # rate <alpha, population> / (c1 m)
+    alpha = ScalarField.step([0.4, 1.0], [0.5, 3.0, 1.5])
+    c1 = alpha.sup
+    ages = np.array([0.05, 0.2, 0.35, 0.5, 0.7, 0.7, 1.3, 2.5])
     weights = np.asarray(alpha(ages), dtype=np.float64)
-    kernel = float(np.bincount(np.zeros(40, dtype=np.int64), weights=weights)[0])
-    assert float(running_hazard(alpha, ages)[-1]) == kernel
-    # ndarray.sum adds pairwise and lands a bit away here (27.11931145883338 against ...373)
-    assert float(weights.sum()) != kernel
+    t = np.array([9.0, 0.25])  # the population is path 1, after path 0 (three particles)
+    base = np.concatenate(([0.0, 1.0, 2.0], ages - 0.25))
+    first, m = np.array([0, 3]), np.array([3, 8])
+    n = 200_000
+    proposed = np.ones(n, dtype=np.int64)
+    d, dying = _thin(replicate_rng(9, 1), alpha, c1, base, first, m, t, proposed)
+    assert (d == 1).all() and ((dying >= 3) & (dying < 11)).all()
+    # the stream: n acceptance uniforms, then n index uniforms
+    rng = replicate_rng(9, 1)
+    u, y = rng.random(n), rng.random(n)
+    tried = np.floor(y * 8).astype(np.int64)
+    assert (dying - 3).tolist() == tried[u * c1 < weights[tried]].tolist()
+    # acceptance: hazard 13.5 against c1 m = 24; |z| <= 3 is the suite's gate
+    rate = weights.sum() / (c1 * 8)
+    z = (len(d) / n - rate) / math.sqrt(rate * (1 - rate) / n)
+    assert abs(z) <= 3, z
+    # dying ages: chi-square with 7 degrees of freedom, refused below p = 0.001
+    observed = np.bincount(dying - 3, minlength=8)
+    expected = len(d) * weights / weights.sum()
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 <= 24.32, chi2  # the 0.999 quantile of chi-square(7)
+
+
+class CountingRng:
+    """A generator that counts the standard exponentials drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.exponentials = rng, 0
+
+    def standard_exponential(self, size):
+        self.exponentials += size
+        return self.rng.standard_exponential(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_alpha_is_evaluated_once_per_branch_proposal():
+    # the kernel evaluates alpha at the particle a branch proposal tries, not at every
+    # live particle of every pass.  Without immigration each pass draws one
+    # exponential per path with particles; every draw is a proposal but the one
+    # past t_end that ends a path with particles
+    sim = load_config(CONFIG_DIR / "age_varying.json").sim_config()
+    evaluated = []
+
+    def counted(ages):
+        evaluated.append(np.size(ages))
+        return sim.model.alpha(ages)
+
+    model = SimpleNamespace(alpha=counted, offspring=sim.model.offspring, constants=sim.model.constants)
+    rng = CountingRng(replicate_rng(2, 1, 0))
+    paths = simulate_paths(replace(sim, model=model), rng, 512)
+    assert pathset_digest(paths) == pathset_digest(simulate_paths(sim, replicate_rng(2, 1, 0), 512))
+    proposals = rng.exponentials - paths.terminated_by.count("t_end")
+    assert sum(evaluated) == proposals > paths.branches.sum()  # some proposals are rejected
 
 
 def test_constants_computed_once_per_model():

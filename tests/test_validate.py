@@ -498,7 +498,8 @@ def test_estimators_keep_their_golden_bits(case):
     # recorded when every estimator simulated a set of its own, 600 replicates on stream 3;
     # compare_laplace's analytic side and tolerance again when the boundary steps closed
     # by Newton's method (at most 1.8e-15 apart); the capped case again when a path with
-    # exactly max_events events stopped counting as cut
+    # exactly max_events events stopped counting as cut; age_varying again when a branch
+    # proposal came to try one particle (its step alpha rejects proposals)
     n, stream = 600, 3
     if case == "capped":  # an event cap of 5 truncates many paths
         cfg, f, t = SimConfig(CRITICAL, AgeMeasure.point(0.0, 3), 1.5, (1.5,), NO_IMMIGRATION, 45, 0, 5), ONE, 1.5
