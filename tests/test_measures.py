@@ -2,9 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agebranch import AgeMeasure, ScalarField
 from agebranch.measures import index_ranges, interleave, json_number, json_numbers
+from oracles import weighted_index
+
+
+def weighted_inverse(nu: AgeMeasure, alpha, y: float) -> float:
+    """The atom of ``nu`` that ``weighted_index`` picks at ``y``, its population taken as one segment.
+
+    It is the right-continuous inverse of the alpha-weighted distribution
+    function: the smallest atom whose cumulative weight exceeds ``y * <nu, alpha>``.
+    """
+    w = np.asarray(alpha(nu.as_array()), dtype=np.float64)
+    return nu.ages[int(weighted_index(w, [y], None, [len(w)])[0])]
 
 
 def test_integrate_null_measure():
@@ -31,6 +44,68 @@ def test_total_mass_and_sorting():
 def test_negative_age_rejected():
     with pytest.raises(ValueError):
         AgeMeasure.from_ages([-0.5])
+
+
+def test_weighted_inverse_uniform_alpha():
+    nu = AgeMeasure.from_ages([1.0, 3.0])
+    alpha = ScalarField.constant(1.0)
+    assert weighted_inverse(nu, alpha, 0.25) == 1.0
+    assert weighted_inverse(nu, alpha, 0.6) == 3.0
+    # boundary y: the strict inequality selects the next atom
+    assert weighted_inverse(nu, alpha, 0.5) == 3.0
+
+
+def test_weighted_inverse_single_atom():
+    nu = AgeMeasure.point(2.5)
+    assert weighted_inverse(nu, ScalarField.rational(3.0), 0.99) == 2.5
+
+
+def test_weighted_inverse_empty_population():
+    with pytest.raises(ValueError, match="mass is zero"):
+        weighted_inverse(AgeMeasure.empty(), ScalarField.constant(1.0), 0.5)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=40).map(lambda k: k / 4.0), min_size=1, max_size=6),
+    st.floats(min_value=0.0, max_value=0.999),
+)
+@settings(max_examples=60, deadline=None)
+def test_weighted_inverse_galois_relation(ages, y):
+    nu = AgeMeasure.from_ages(ages)
+    alpha = ScalarField.exp_decay(1.0, 0.3, 0.5)
+    a = weighted_inverse(nu, alpha, y)
+    weights = [float(alpha(age)) for age in nu.ages]
+    total = sum(weights)
+    below = sum(w for age, w in zip(nu.ages, weights) if age < a)
+    upto = sum(w for age, w in zip(nu.ages, weights) if age <= a)
+    assert a in nu.ages
+    assert below <= y * total + 1e-12
+    assert upto > y * total - 1e-12
+
+
+def test_weighted_inverse_sampling_frequencies_match_enumeration():
+    # Monte-Carlo frequencies against the exact per-atom law alpha(a) mult(a) / <nu, alpha>
+    nu = AgeMeasure.from_ages([0.5, 0.5, 2.0, 4.0])
+    alpha = ScalarField.exp_decay(1.0, 0.5, 0.2)
+    rng = np.random.default_rng(1234)
+    n = 40_000
+    draws = [weighted_inverse(nu, alpha, rng.random()) for _ in range(n)]
+    weights = {a: 0.0 for a in set(nu.ages)}
+    for a in nu.ages:
+        weights[a] += float(alpha(a))
+    total = sum(weights.values())
+    for atom, w in weights.items():
+        p = w / total
+        freq = sum(1 for d in draws if d == atom) / n
+        se = math.sqrt(p * (1 - p) / n)
+        assert abs(freq - p) <= 3 * se
+
+
+def test_weighted_index_clamps_to_segment_end():
+    # a passed total above the cumulative sum must not pick past the segment
+    w = np.array([0.25, 0.5, 0.25, 1.0, 1.0])
+    got = weighted_index(w, [0.999, 0.999], [1.5, 4.0], [3, 2])
+    assert got.tolist() == [2, 1]
 
 
 def test_interleave_matches_np_insert():

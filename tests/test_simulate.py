@@ -26,8 +26,8 @@ from agebranch.cli import load_config
 from agebranch.measures import segment_sums
 from agebranch.simulate import PathSet, _thin, simulate_paths
 from oracles import (
-    ObjectTrajectory, lockstep_paths, log_counters, mass_path, replay_objects, replay_statistics,
-    simulate_objects,
+    ObjectTrajectory, keyed_segment_pick, lockstep_paths, log_counters, mass_path, replay_objects,
+    replay_statistics, simulate_objects, weighted_index,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -522,7 +522,23 @@ def test_snapshot_view_indexing():
         assert v == m.integrate(f)
 
 
-def test_segment_sums_match_each_segment_alone():
+def test_weighted_index_matches_cumsum_search():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 7, 8, 9, 33, 300):
+        w = rng.random(n) * (rng.random(n) < 0.8)
+        w[rng.integers(n)] = 0.5
+        hazard = float(w.sum())
+        for y in list(rng.random(20)) + [0.0, 1.0 - 2.0**-53]:
+            cum = np.cumsum(w)
+            expect = min(int(np.searchsorted(cum, y * hazard, side="right")), n - 1)
+            assert weighted_index(w, [y], [hazard], [n]).tolist() == [expect]
+            expect = min(int(np.searchsorted(cum, y * cum[-1], side="right")), n - 1)
+            assert weighted_index(w, [y], None, [n]).tolist() == [expect]
+    with pytest.raises(ValueError):
+        weighted_index(np.zeros(3), [0.5], None, [3])
+
+
+def test_segment_sums_and_segment_indices_match_each_segment_alone():
     rng = np.random.default_rng(1)
     for _ in range(50):
         counts = rng.integers(0, 300, size=rng.integers(1, 12))
@@ -531,6 +547,45 @@ def test_segment_sums_match_each_segment_alone():
         bounds = np.concatenate(([0], np.cumsum(counts)))
         segments = [w[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         assert segment_sums(w, counts).tolist() == [np.add.reduce(seg) for seg in segments]
+        full = counts > 0
+        ys = rng.random(len(counts))
+        got = weighted_index(w, ys[full], None, counts[full])
+        want = [
+            min(int(np.searchsorted(np.cumsum(seg), y * np.cumsum(seg)[-1], side="right")), len(seg) - 1)
+            for seg, y in zip(segments, ys) if len(seg)
+        ]
+        assert got.tolist() == want
+
+
+def test_segment_pick_matches_weighted_index_on_random_layouts():
+    # the frozen kernel's dying index (keyed_segment_pick), read from one
+    # cumulative sum over every live path of a pass, against the reference that
+    # compacts the dying paths' segments; empty segments lead, sit between and
+    # trail the layout.  lockstep_paths pins the kernel's bits only under a
+    # constant alpha, so its pick is checked here on weights that are not
+    rng = np.random.default_rng(7)
+    families = (
+        lambda k: rng.random(k) * 10.0 ** rng.uniform(-3, 3, k),
+        lambda k: rng.integers(0, 4, k).astype(np.float64),  # zero weights and exact ties
+        lambda k: rng.choice([0.5, 1.0, 2.0], k),  # the shipped alpha values
+    )
+    for trial in range(300):
+        counts = rng.integers(0, 40 if trial % 3 else 9, size=rng.integers(3, 30))
+        counts[[0, rng.integers(1, len(counts) - 1), -1]] = 0
+        w = families[trial % 3](int(counts.sum()))
+        owner, first = np.arange(len(counts)).repeat(counts), counts.cumsum() - counts
+        sums = np.bincount(owner, weights=w, minlength=len(counts))
+        full = np.flatnonzero(sums > 0)
+        segs = full[rng.random(len(full)) < 0.7]
+        y = rng.random(len(segs))
+        if trial % 3 == 1:  # y * sum on a cumulative weight
+            y = rng.integers(0, 4, len(segs)) / 4.0
+        got = keyed_segment_pick(w, owner, first, counts, sums, segs, y)
+        want = first[segs] + weighted_index(w[np.isin(owner, segs)], y, sums[segs], counts[segs])
+        assert got.tolist() == want.tolist(), trial
+        # y = 1 reaches every segment's sum, past which the index is clamped to its last entry
+        last = keyed_segment_pick(w, owner, first, counts, sums, segs, np.ones(len(segs)))
+        assert last.tolist() == (first[segs] + counts[segs] - 1).tolist()
 
 
 def test_one_particle_thinning_has_the_law_of_the_hazard_sum_and_pick():
