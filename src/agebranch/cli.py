@@ -461,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as e:  # an --out that is a file, too
+    except (ValueError, RuntimeError, OSError, MemoryError) as e:  # a file as --out, a huge array too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 __all__ = [
-    "AgeMeasure", "ScalarField", "index_ranges", "interleave", "json_number", "json_numbers",
-    "segment_keys", "segment_sums",
+    "AgeMeasure", "ScalarField", "index_ranges", "interleave", "json_number", "json_numbers", "segment_sums",
 ]
 
 
@@ -70,17 +69,6 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     leads = counts.cumsum() - counts + np.arange(len(counts))
     return np.add.reduceat(interleave(values, leads, 0.0)[0], leads)
-
-
-def segment_keys(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Complex keys ``segment + 1j * values``, which sort by segment, then by value.
-
-    Complex numbers order lexicographically (real part, then imaginary), so
-    one ``searchsorted`` on these keys searches each segment on its own.
-    """
-    keys = np.empty(len(segment), dtype=np.complex128)
-    keys.real, keys.imag = segment, values
-    return keys
 
 
 @dataclass(frozen=True)

@@ -788,13 +788,6 @@ class ImmigrationMechanism:
         return cls("finite", sum(w for w, _ in gs), groups=gs)
 
     @classmethod
-    def single_arrivals(cls, rate: float) -> "ImmigrationMechanism":
-        """Rate-lambda arrivals of single newborn immigrants (age 0)."""
-        if rate == 0.0:
-            return cls.none()
-        return cls.finite_support([(rate, AgeMeasure.point(0.0))])
-
-    @classmethod
     def parametric(
         cls,
         total_rate: float,

@@ -1,12 +1,17 @@
 """Exact event-driven simulation of the age-structured population.
 
 Between events every age advances at unit speed, so the population is stored
-as sorted *birth offsets* (age minus elapsed time): aging is free.  Branch
-events are realized by thinning: waiting times are proposed at the dominating
-rate ``c1 * mass`` (c1 = sup of the death rate), ages advance to the
-proposal, one particle is picked uniformly, and the proposal is accepted with
-probability ``alpha(its age) / c1``; the accepted particle is replaced by its
-offspring at age zero.  So particle ``i`` dies with probability
+as *birth offsets* (age minus elapsed time): aging is free.  A path's
+particles are kept newest first: every newcomer, newborn or immigrant, joins
+the front of its path, and the initial particles stay in ascending age at the
+back.  The order is not part of the law (the state is a multiset, and the
+thinning pick is uniform); the snapshot ages of a path are sure to be
+ascending only when every arrival is at age 0.  Branch events are realized by thinning:
+waiting times are proposed at the dominating rate ``c1 * mass`` (c1 = sup of
+the death rate), ages advance to the proposal, one particle is picked
+uniformly, and the proposal is accepted with probability
+``alpha(its age) / c1``; the accepted particle is replaced by its offspring at
+age zero.  So particle ``i`` dies with probability
 ``alpha(a_i) / (c1 * mass)``, as when the path's hazard is thinned and the
 dying particle drawn in proportion to alpha.  Because the population size is
 constant between events and ``alpha <= c1`` pointwise, this realizes the law
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import numpy.random  # loaded at import, not inside the first timed draw
 
-from .measures import AgeMeasure, index_ranges, interleave, segment_keys
+from .measures import AgeMeasure, index_ranges, interleave
 from .models import BranchingModel, ImmigrationMechanism
 
 __all__ = [
@@ -107,13 +112,6 @@ class Event:
     offspring_count: int = -1
     group: AgeMeasure | None = None
 
-    @property
-    def mass_delta(self) -> int:
-        if self.kind == "branch":
-            return self.offspring_count - 1
-        assert self.group is not None
-        return self.group.total_mass
-
 
 class _Snapshots(Sequence):
     """(time, AgeMeasure) pairs, each measure built only when it is read."""
@@ -139,9 +137,11 @@ class Trajectory:
     """What one path recorded: snapshot observers, counters and the event log.
 
     Snapshot ``i`` (time ``snapshot_times[i]``) holds ``snapshot_masses[i]``
-    particles, whose ascending ages are the next entries of the flat
-    ``snapshot_ages``.  ``branches`` and ``max_mass`` count branch events and
-    the running maximum of the population size over the whole path.
+    particles, whose ages are the next entries of the flat ``snapshot_ages``,
+    newest first (sure to be ascending only when every arrival is at age 0);
+    ``snapshots`` sorts them into ``AgeMeasure`` objects.  ``branches`` and
+    ``max_mass`` count branch events and the running maximum of the
+    population size over the whole path.
     ``events`` is the full log when the path was logged and empty otherwise;
     ``n_events`` counts events either way.
 
@@ -182,11 +182,12 @@ class PathSet:
 
     Path ``p`` holds ``snapshot_masses[p, i]`` particles at snapshot ``i``
     for the first ``recorded[p]`` snapshots (fewer than all only when the
-    event cap cut the path; the masses after them are 0).  Their ascending
-    ages are consecutive entries of the flat ``snapshot_ages``: path by path,
-    snapshot by snapshot.  ``branches``, ``max_mass`` and ``n_events`` are the
-    per-path counters of :class:`Trajectory`, ``events`` the logs of the
-    first ``log_paths`` paths (empty if none was logged).
+    event cap cut the path; the masses after them are 0).  Their ages are
+    consecutive entries of the flat ``snapshot_ages``: path by path, snapshot
+    by snapshot, each snapshot's newest first as the kernel keeps them.
+    ``branches``, ``max_mass`` and ``n_events`` are the per-path counters of
+    :class:`Trajectory`, ``events`` the logs of the first ``log_paths`` paths
+    (empty if none was logged).
     """
 
     snapshot_times: tuple[float, ...]
@@ -281,14 +282,16 @@ def simulate_paths(
     after its index uniform and keeping the snapshots before it.
 
     The live particles sit in one flat array of birth offsets, path by path
-    and ascending within a path, located by the cumulative sum of the live
-    masses, so memory is O(live particles).  The live paths' mass, clock,
-    running maximum and snapshot cursor are kept in live order and written
-    out when a path ends.  Each pass records the ages of the snapshots its
-    paths pass, keyed ``path * n_snap + snap`` and joined 16 passes at a
-    time, and evaluates alpha only at the particle each branch proposal
-    tries.  Only the first ``log_paths`` paths keep an ``Event`` log; the
-    draws and every recorded number are the same whichever paths are logged.
+    and newest first within a path, located by the cumulative sum of the live
+    masses, so memory is O(live particles); newborns and immigrants join the
+    front of their path in the order drawn, so placing them needs no search.
+    The live paths' mass, clock, running maximum and snapshot cursor are kept
+    in live order and written out when a path ends.  Each pass records the
+    ages of the snapshots its paths pass, keyed ``path * n_snap + snap`` and
+    joined 16 passes at a time, and evaluates alpha only at the particle each
+    branch proposal tries.  Only the first ``log_paths`` paths keep an
+    ``Event`` log; the draws and every recorded number are the same whichever
+    paths are logged.
     """
     alpha = cfg.model.alpha
     offspring = cfg.model.offspring
@@ -299,8 +302,8 @@ def simulate_paths(
     snap_times = np.asarray(cfg.snapshot_times, dtype=np.float64)
     n_snap = len(snap_times)
 
-    # the age of a particle at time t is its base + t; newborns get base = -t,
-    # which is below every base of their path, so they go first in its segment
+    # the age of a particle at time t is its base + t; a newcomer at time t of
+    # age a gets base a - t and goes first in its path's segment
     m0 = cfg.initial.total_mass
     base = np.tile(np.asarray(cfg.initial.ages, dtype=np.float64), n_paths)
     snap_masses = np.zeros((n_paths, n_snap), dtype=np.int64)
@@ -332,8 +335,6 @@ def simulate_paths(
         # arrival); an empty path without immigration proposes at +inf
         n_has = int(np.count_nonzero(m))
         n_arrivals = len(act) if rate_arrival > 0.0 else 0
-        if n_arrivals:
-            owner = np.arange(len(act)).repeat(m)  # of each live particle
         draws = rng.standard_exponential(n_has + n_arrivals)
         if n_has == len(act):
             t_next = now + draws[:n_has] * (1.0 / (c1 * m))
@@ -375,7 +376,7 @@ def simulate_paths(
             kept = ~full[d]
             d, dying, arriving = d[kept], dying[kept], arriving[~full[arriving]]
         keep = live.repeat(m)
-        new_pos, new_base, new_owner = [], [], []
+        new_who, new_base = [], []  # the newcomers' paths (places in act) and bases
         if len(d):
             dying_age = base[dying] + t_next[d]
             kids = offspring.sample(dying_age, rng)
@@ -384,9 +385,8 @@ def simulate_paths(
             d_paths = act[d]
             branches[d_paths] += 1
             born = d.repeat(kids)
-            new_pos.append(first[born])
+            new_who.append(born)
             new_base.append(-t_next[born])
-            new_owner.append(born)
             if logs:
                 j = d_paths.searchsorted(len(logs))  # the logged paths lead act
                 for p, t, a, k in zip(d_paths[:j].tolist(), t_next[d[:j]].tolist(), dying_age[:j].tolist(),
@@ -396,14 +396,8 @@ def simulate_paths(
         if len(arriving):
             sizes, arrived = imm.sample_groups(rng, len(arriving))
             of_new = arriving.repeat(sizes)
-            arrived_base = arrived - t_next[of_new]
-            # each newcomer goes after the particles of its path with a base at
-            # or below its own
-            new_pos.append(
-                segment_keys(owner, base).searchsorted(segment_keys(of_new, arrived_base), side="right")
-            )
-            new_base.append(arrived_base)
-            new_owner.append(of_new)
+            new_who.append(of_new)
+            new_base.append(arrived - t_next[of_new])
             m[arriving] += sizes
             a_paths = act[arriving]
             arrivals[a_paths] += 1
@@ -419,15 +413,15 @@ def simulate_paths(
                         group = group_measures[ages] = AgeMeasure(ages)
                     logs[p].append(Event(t, "immigrate", group=group))
 
-        if new_pos:
-            # the new particles listed by path have non-decreasing positions in
-            # base; each goes after the kept particles before its position
-            pos, values = np.concatenate(new_pos), np.concatenate(new_base)
-            if len(new_pos) > 1:
-                order = np.concatenate(new_owner).argsort(kind="stable")
-                pos, values = pos[order], values[order]
+        if new_who:
+            # the newcomers, listed by path, join the front of their path's
+            # segment in the order listed, before its kept particles
+            who, values = np.concatenate(new_who), np.concatenate(new_base)
+            if len(new_who) > 1:
+                order = who.argsort(kind="stable")
+                who, values = who[order], values[order]
             kept_before = np.concatenate(([0], keep.cumsum()))
-            base = interleave(base[keep], kept_before[pos] + np.arange(len(pos)), values)[0]
+            base = interleave(base[keep], kept_before[first[who]] + np.arange(len(who)), values)[0]
         elif not keep.all():
             base = base[keep]
         np.maximum(top, m, out=top)

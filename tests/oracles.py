@@ -27,17 +27,23 @@ only as oracles:
 * ``immigration_integral_per_node``: the arrival-compensation integral with
   psi evaluated in scalar Python, one grid node at a time.
 * ``simulate_objects``: the simulator that stores every snapshot as a
-  validated ``AgeMeasure`` and always keeps the ``Event`` log, returning an
-  ``ObjectTrajectory``; one event at a time, a branch proposal tries one
-  particle picked uniformly and accepts it with probability alpha(age) / c1,
-  as the kernel does.  ``replay_objects`` rebuilds the path an event log
-  describes; ``replay_statistics``, ``mass_path`` and ``log_counters`` read
-  statistics from the event log of either trajectory type.
+  validated ``KeptAges`` measure and always keeps the ``Event`` log,
+  returning an ``ObjectTrajectory``; one event at a time, a branch proposal
+  tries one particle picked uniformly and accepts it with probability
+  alpha(age) / c1, and every newcomer joins the front of the list, as the
+  kernel does.  ``replay_objects`` rebuilds the path an event log describes;
+  ``replay_statistics``, ``mass_path`` and ``log_counters`` read statistics
+  from the event log of either trajectory type, ``mass_delta`` the size
+  change of one event.  ``kept_snapshots`` reads a kernel ``Trajectory``'s
+  snapshots in the kernel's order.
+* ``single_arrivals``: the mechanism of single age-0 immigrants at a rate.
 * ``lockstep_paths``: the chunk kernel ``simulate_paths`` as it was before
-  it kept its live-path state compact and tried one particle per branch
-  proposal: it summed every path's hazard and picked the dying particle
-  with the complex-key pick ``keyed_segment_pick``.  Where alpha is constant
-  both rules read the same bits, so there it pins every bit of the
+  it kept its live-path state compact, tried one particle per branch
+  proposal and put newcomers at the front of their path: it summed every
+  path's hazard, picked the dying particle with the complex-key pick
+  ``keyed_segment_pick`` and placed arrivals in ascending order by a search
+  on ``segment_keys``.  Where alpha is constant and every arrival is at age
+  0 the rules read the same bits, so there it pins every bit of the
   kernel's ``PathSet``.
 * ``weighted_index``: the dying-particle index of the chunk kernel as it was
   before one cumulative sum served every path of a pass: the chosen
@@ -60,7 +66,6 @@ only as oracles:
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -69,10 +74,10 @@ import numpy as np
 
 from agebranch import models
 from agebranch.cli import _fmt
-from agebranch.measures import AgeMeasure, ScalarField, index_ranges, interleave, segment_keys
-from agebranch.models import BranchingModel, OffspringLaw, OffspringPmf
+from agebranch.measures import AgeMeasure, ScalarField, index_ranges, interleave
+from agebranch.models import BranchingModel, ImmigrationMechanism, OffspringLaw, OffspringPmf
 from agebranch.simulate import (
-    _ENDINGS, _EVENT_CAP, _EXTINCTION, _T_END, Event, PathSet, SimConfig, replicate_rng,
+    _ENDINGS, _EVENT_CAP, _EXTINCTION, _T_END, Event, PathSet, SimConfig, Trajectory, replicate_rng,
 )
 
 from agebranch.solvers import (
@@ -704,9 +709,47 @@ def immigration_integral_per_node(imm, ages, rays, grid, tol=1e-12):
     return float(np.dot(grid.weights(), psi)), psi
 
 
+def single_arrivals(rate: float) -> ImmigrationMechanism:
+    """Rate-lambda arrivals of single newborn immigrants (age 0)."""
+    if rate == 0.0:
+        return ImmigrationMechanism.none()
+    return ImmigrationMechanism.finite_support([(rate, AgeMeasure.point(0.0))])
+
+
+def mass_delta(e: Event) -> int:
+    """The change of the population size at event ``e``."""
+    if e.kind == "branch":
+        return e.offspring_count - 1
+    return e.group.total_mass
+
+
+class KeptAges(AgeMeasure):
+    """An ``AgeMeasure`` whose ages stay in the order given, validated as any other.
+
+    A snapshot as a simulator keeps it, newest first: its sums (``integrate``,
+    ``as_array``) run in that order, as the kernel's sums over its flat
+    snapshot ages do.
+    """
+
+    def __post_init__(self) -> None:
+        AgeMeasure(self.ages)
+
+
+def kept_snapshots(traj: Trajectory) -> tuple[tuple[float, KeptAges], ...]:
+    """A kernel ``Trajectory``'s snapshots, each's ages in the order the kernel recorded them."""
+    ends = np.cumsum(traj.snapshot_masses)
+    return tuple(
+        (s, KeptAges(tuple(traj.snapshot_ages[e - m : e].tolist())))
+        for s, m, e in zip(traj.snapshot_times, traj.snapshot_masses.tolist(), ends.tolist())
+    )
+
+
 @dataclass(frozen=True)
 class ObjectTrajectory:
     """Snapshots at requested times plus the full event log.
+
+    Each snapshot's ages are in the order the simulator kept them
+    (``KeptAges``), so a comparison with the kernel reads them bit for bit.
 
     ``terminated_by`` is "t_end" (ran to the horizon), "extinction" (the
     population died and, without immigration, can never recover) or
@@ -758,7 +801,7 @@ def log_counters(traj, t: float) -> tuple[int, int]:
     for e in traj.events:
         if e.time > t:
             break
-        m += e.mass_delta
+        m += mass_delta(e)
         best = max(best, m)
         branches += e.kind == "branch"
     return best, branches
@@ -780,9 +823,8 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
     imm = cfg.immigration
     rate_arrival = imm.total_rate if imm is not None else 0.0
 
-    # age of particle i at time t is bases[i] + t; newborns get base = -t,
-    # which is strictly smaller than every existing base, so prepending keeps
-    # the list sorted
+    # age of particle i at time t is bases[i] + t; a newcomer at time t of age
+    # a gets base a - t and joins the front of the list, newest first
     bases: list[float] = list(cfg.initial.ages)
     clock = 0.0
     events: list[Event] = []
@@ -798,7 +840,7 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
             snap_times[snap_pos] < t or (inclusive and snap_times[snap_pos] <= t)
         ):
             s = snap_times[snap_pos]
-            snapshots.append((s, AgeMeasure(tuple(b + s for b in bases))))
+            snapshots.append((s, KeptAges(tuple(b + s for b in bases))))
             snap_pos += 1
 
     n_events = 0
@@ -841,8 +883,7 @@ def simulate_objects(cfg: SimConfig, rng: np.random.Generator | None = None) -> 
                 terminated_by = "event_cap"
                 break
             group = AgeMeasure(tuple(imm.sample_groups(rng, 1)[1].tolist()))
-            for a in group.ages:
-                bisect.insort(bases, a - t_next)
+            bases[0:0] = [a - t_next for a in group.ages]
             events.append(Event(t_next, "immigrate", group=group))
             n_events += 1
         clock = t_next
@@ -855,6 +896,7 @@ def replay_objects(cfg: SimConfig, events, terminated_by: str, recorded: int | N
 
     Each branch event removes a particle of exactly its dying age (there must
     be one) and adds its offspring at age zero; each arrival adds its group.
+    Newcomers join the front of the list, as in ``simulate_objects``.
     Snapshots are taken as ``simulate_objects`` takes them, through ``t_end``
     unless the event cap cut the path.  The log does not hold the event past
     the cap that cut a path, so a cut path takes its first ``recorded``
@@ -871,7 +913,7 @@ def replay_objects(cfg: SimConfig, events, terminated_by: str, recorded: int | N
             snap_times[snap_pos] < t or (inclusive and snap_times[snap_pos] <= t)
         ):
             s = snap_times[snap_pos]
-            snapshots.append((s, AgeMeasure(tuple(b + s for b in bases))))
+            snapshots.append((s, KeptAges(tuple(b + s for b in bases))))
             snap_pos += 1
 
     for e in events:
@@ -880,13 +922,23 @@ def replay_objects(cfg: SimConfig, events, terminated_by: str, recorded: int | N
             del bases[[b + e.time for b in bases].index(e.dying_age)]
             bases[0:0] = [-e.time] * e.offspring_count
         else:
-            for a in e.group.ages:
-                bisect.insort(bases, a - e.time)
+            bases[0:0] = [a - e.time for a in e.group.ages]
     if terminated_by != "event_cap":
         record_through(cfg.t_end, inclusive=True)
     elif recorded:
         record_through(snap_times[recorded - 1], inclusive=True)
     return ObjectTrajectory(tuple(snapshots), tuple(events), terminated_by, cfg.initial)
+
+
+def segment_keys(segment: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Complex keys ``segment + 1j * values``, which sort by segment, then by value.
+
+    Complex numbers order lexicographically (real part, then imaginary), so
+    one ``searchsorted`` on these keys searches each segment on its own.
+    """
+    keys = np.empty(len(segment), dtype=np.complex128)
+    keys.real, keys.imag = segment, values
+    return keys
 
 
 def keyed_segment_pick(weights, owner, first, counts, sums, segs, y) -> np.ndarray:
@@ -1130,7 +1182,7 @@ def mass_path(traj) -> tuple[np.ndarray, np.ndarray]:
     masses = np.empty(len(traj.events), dtype=np.int64)
     m = traj.initial.total_mass
     for i, e in enumerate(traj.events):
-        m += e.mass_delta
+        m += mass_delta(e)
         times[i] = e.time
         masses[i] = m
     return times, masses

@@ -34,7 +34,7 @@ from agebranch import (
     stationary_laplace,
 )
 from agebranch.cli import main
-from oracles import benchmark_models, observed_orders
+from oracles import benchmark_models, observed_orders, single_arrivals
 
 ONE = ScalarField.constant(1.0)
 CRITICAL = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 2: 0.5}))
@@ -133,7 +133,7 @@ def test_criterion_06_generator_martingale_residual():
 
 
 def test_criterion_07_ergodicity():
-    imm3 = ImmigrationMechanism.single_arrivals(3.0)
+    imm3 = single_arrivals(3.0)
     stat = stationary_laplace(PURE_DEATH, imm3, ONE, 1e-6)
     exact = math.exp(-3.0 * (1.0 - math.exp(-1.0)))
     assert abs(stat.value - exact) <= 1e-6
@@ -142,7 +142,7 @@ def test_criterion_07_ergodicity():
     mc = estimate_laplace(cfg_of(PURE_DEATH, [], 20.0, 1007, imm=imm3), ONE, 20.0, 10_000)
     assert abs(mc.value - stat.value) <= 3.0 * mc.std_error
 
-    imm1 = ImmigrationMechanism.single_arrivals(1.0)
+    imm1 = single_arrivals(1.0)
     mass = estimate_mean(cfg_of(SUBCRITICAL, [], 50.0, 1008, imm=imm1), ONE, 50.0, 4000)
     assert abs(mass.value - 5.0) <= 3.0 * mass.std_error
     announce(7, "ergodicity", f"stationary={stat.value:.8f} (cert {stat.total_error_bound:.1e}) "
@@ -154,7 +154,7 @@ def test_criterion_08_criterion_dichotomy():
     heavy = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.log_squared_tail())
     assert ergodicity_check(SUBCRITICAL, heavy).status == "not_ergodic"
     finite_mechs = [
-        ImmigrationMechanism.single_arrivals(3.0),
+        single_arrivals(3.0),
         ImmigrationMechanism.finite_support([(1.0, AgeMeasure.point(0.0, 2))]),
         ImmigrationMechanism.finite_support(
             [(0.5, AgeMeasure.from_ages([0.0, 1.0, 2.0])), (2.0, AgeMeasure.point(1.0))]

@@ -734,6 +734,18 @@ def test_horizon_of_no_finite_step_count_is_refused(tmp_path, command, config):
     assert re.fullmatch(r"error: horizon \S+ is not a (whole|finite) number of steps of dt \S+\n", res.stderr)
 
 
+def test_an_allocation_past_any_address_space_exits_2(tmp_path):
+    # 10**15 snapshot times need 8 PB: numpy's MemoryError is reported as an
+    # error, not a traceback with exit 1
+    p = small_config(tmp_path, snapshots=10**15)
+    res = subprocess.run(
+        [sys.executable, "-m", "agebranch.cli", "simulate", "--config", str(p), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: Unable to allocate ")
+
+
 def _modules_after_import() -> list[str]:
     res = subprocess.run(
         [sys.executable, "-c", "import json, sys; sys.path.insert(0, sys.argv[1]); import agebranch, "
@@ -773,8 +785,9 @@ def test_identity_check_alone_imports_scipy_integrate():
 
 
 @pytest.mark.parametrize("key", [
-    "subcritical_imm simulate", "age_varying simulate", "age_varying solve-u", "age_varying solve-pi", "pure_death_imm validate",
-    "pure_death_imm ergodic", "pure_death_imm stationary", "identity-check",
+    "subcritical_imm simulate", "zeta_groups_imm simulate", "age_varying simulate", "age_varying solve-u",
+    "age_varying solve-pi", "pure_death_imm validate", "pure_death_imm ergodic", "pure_death_imm stationary",
+    "identity-check",
 ])
 def test_command_writes_the_bytes_of_the_committed_manifest(key):
     # one entry per command, run as tools/command_digests.py runs it: a change that

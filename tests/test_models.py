@@ -21,7 +21,7 @@ from agebranch import (
     stationary_laplace,
 )
 from agebranch import models
-from oracles import group_second_moment, pmf_second_moment
+from oracles import group_second_moment, pmf_second_moment, single_arrivals
 
 ONE = ScalarField.constant(1.0)
 
@@ -212,7 +212,7 @@ def test_alpha_must_be_bounded_away_from_zero():
 
 
 def test_psi_single_immigrants():
-    imm = ImmigrationMechanism.single_arrivals(2.0)
+    imm = single_arrivals(2.0)
     h = ScalarField.constant(1.0)
     assert imm.psi(h) == pytest.approx(2.0 * (1 - math.exp(-1)), abs=1e-12)
     assert imm.psi(ScalarField.constant(0.0)) == 0.0
@@ -247,7 +247,7 @@ def test_psi_upper_bounds():
 
 
 def test_log_moment_criterion_trichotomy():
-    singles = ImmigrationMechanism.single_arrivals(3.0)
+    singles = single_arrivals(3.0)
     assert singles.log_moment_criterion() == ("finite", 0.0)
 
     zeta3 = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.zeta_tail(3.0))
@@ -275,7 +275,7 @@ def test_finite_group_log_moment_value():
 
 
 def test_sample_group_point_mass():
-    imm = ImmigrationMechanism.single_arrivals(5.0)
+    imm = single_arrivals(5.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
         sizes, ages = imm.sample_groups(rng, 1)
@@ -367,7 +367,7 @@ _MECHANISMS = [
         (0.1, AgeMeasure.point(0.0)), (0.2, AgeMeasure.from_ages([0.5, 0.0, 2.0])),
         (0.3, AgeMeasure.point(1.0, 2)), (0.4, AgeMeasure.point(3.0)),
     ]),
-    ImmigrationMechanism.single_arrivals(3.0),
+    single_arrivals(3.0),
     ImmigrationMechanism.parametric(1.5, GroupSizeLaw.table({1: 0.5, 4: 0.5}), age_atoms=((0.7, 1.0),)),
     ImmigrationMechanism.parametric(1.5, GroupSizeLaw.zeta_tail(2.5)),
     ImmigrationMechanism.parametric(2.0, GroupSizeLaw.zeta_tail(3.0), age_atoms=((0.0, 0.3), (1.1, 0.7))),
@@ -684,7 +684,7 @@ _PMF = OffspringPmf.table({0: 0.5, 2: 0.5})
      "age atom probabilities must be >= 0"),
     (lambda: SimConfig(_SUBCRITICAL, AgeMeasure.point(0.0), 1.0, (0.5, NAN)),
      "snapshot times must lie within"),
-    (lambda: stationary_laplace(_SUBCRITICAL, ImmigrationMechanism.single_arrivals(1.0), ONE, NAN),
+    (lambda: stationary_laplace(_SUBCRITICAL, single_arrivals(1.0), ONE, NAN),
      "tolerance must be > 0, got nan"),
 ], ids=["offspring-prob", "offspring-threshold", "zeta-exponent", "size-prob", "declared-tail",
         "constant", "expdecay-amplitude", "expdecay-rate", "expdecay-floor", "rational",

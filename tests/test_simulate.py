@@ -26,8 +26,8 @@ from agebranch.cli import load_config
 from agebranch.measures import segment_sums
 from agebranch.simulate import PathSet, _thin, simulate_paths
 from oracles import (
-    ObjectTrajectory, keyed_segment_pick, lockstep_paths, log_counters, mass_path, replay_objects,
-    replay_statistics, simulate_objects, weighted_index,
+    ObjectTrajectory, keyed_segment_pick, lockstep_paths, log_counters, mass_delta, mass_path,
+    replay_objects, replay_statistics, simulate_objects, single_arrivals, weighted_index,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -72,7 +72,7 @@ def test_mass_bookkeeping_identity():
     for seed in range(8):
         traj = run(CRITICAL, AgeMeasure.point(0.0, 3), 2.0, (2.0,), seed=seed, imm=imm)
         assert traj.terminated_by == "t_end"
-        expected = 3 + sum(e.mass_delta for e in traj.events)
+        expected = 3 + sum(mass_delta(e) for e in traj.events)
         assert traj.snapshots[-1][1].total_mass == expected
 
 
@@ -119,7 +119,7 @@ def test_critical_binary_extinction_probability():
 def test_stationary_queue_oracle():
     # pure death + rate-3 single immigrants is the infinite-server queue:
     # the stationary population count is Poisson(3)
-    imm = ImmigrationMechanism.single_arrivals(3.0)
+    imm = single_arrivals(3.0)
     reps = 1500
     masses = final_masses(PURE_DEATH, AgeMeasure.empty(), 20.0, 5, reps, imm)
     assert abs(masses.mean() - 3.0) <= 3 * math.sqrt(3.0 / reps)
@@ -202,7 +202,7 @@ def test_running_max_and_mass_path():
     running = 3
     best = 3
     for e in traj.events:
-        running += e.mass_delta
+        running += mass_delta(e)
         best = max(best, running)
     assert log_counters(traj, 2.0)[0] == traj.max_mass == best
     if len(masses):
@@ -276,7 +276,8 @@ def assert_same_path(new, old, t_end):
     old_ages = [a for _, m in old.snapshots for a in m.ages]
     assert new.snapshot_masses.tolist() == old_masses
     assert new.snapshot_ages.tobytes() == np.array(old_ages, dtype=np.float64).tobytes()
-    assert [m.ages for _, m in new.snapshots] == [m.ages for _, m in old.snapshots]
+    # the kept ages above are pinned in the kernel's order; snapshots sorts them into measures
+    assert [m for _, m in new.snapshots] == [AgeMeasure(m.ages) for _, m in old.snapshots]
     assert (new.max_mass, new.branches) == log_counters(old, t_end)
     assert new.n_events == len(old.events)
 
@@ -393,7 +394,7 @@ def test_chunk_paths_match_their_replayed_event_logs():
             assert unlogged.trajectory(p) == replace(traj, events=())
             endings.add(traj.terminated_by)
             if traj.terminated_by == "extinction":
-                assert sim.initial.total_mass + sum(e.mass_delta for e in traj.events) == 0
+                assert sim.initial.total_mass + sum(mass_delta(e) for e in traj.events) == 0
                 assert sim.immigration.total_rate == 0.0
             if traj.terminated_by == "event_cap":
                 assert traj.n_events == sim.max_events
@@ -492,7 +493,7 @@ def test_counters_before_t_end_need_the_event_log():
 
 
 def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
-    imm = ImmigrationMechanism.single_arrivals(2.0)
+    imm = single_arrivals(2.0)
     sim = SimConfig(CRITICAL, AgeMeasure.point(0.0, 2), 2.0, tuple(np.linspace(0, 2, 50)), imm, 4)
     built = []
     original = AgeMeasure.__post_init__

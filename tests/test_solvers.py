@@ -42,6 +42,7 @@ from oracles import (
     row_loop_margins,
     scalar_exponent_at,
     scalar_mean_at,
+    single_arrivals,
 )
 
 ONE = ScalarField.constant(1.0)
@@ -313,7 +314,7 @@ def test_immigration_exponent_integral_trivial_cases():
     none = ImmigrationMechanism.none()
     val, psis = immigration_exponent_integral(PURE_DEATH, none, ONE, grid)
     assert val == 0.0 and np.all(psis == 0.0)
-    singles = ImmigrationMechanism.single_arrivals(2.0)
+    singles = single_arrivals(2.0)
     val0, _ = immigration_exponent_integral(PURE_DEATH, singles, ScalarField.constant(0.0), grid)
     assert val0 == pytest.approx(0.0, abs=1e-14)
 
@@ -321,7 +322,7 @@ def test_immigration_exponent_integral_trivial_cases():
 def test_immigration_exponent_integral_closed_form():
     # pure death singles: psi(u_s f) = rate (1 - e^-theta) e^-s
     theta, T, rate = 1.0, 2.0, 1.0
-    imm = ImmigrationMechanism.single_arrivals(rate)
+    imm = single_arrivals(rate)
     grid = SolverGrid(1e-3, T)
     val, psis = immigration_exponent_integral(PURE_DEATH, imm, ScalarField.constant(theta), grid)
     exact = rate * (1 - math.exp(-theta)) * (1 - math.exp(-T))
@@ -348,7 +349,7 @@ def test_immigration_integral_with_aged_atoms():
 
 def test_mean_with_immigration_queue_formula():
     # infinite-server queue: E mass at T = rate * (1 - e^-T)
-    imm = ImmigrationMechanism.single_arrivals(3.0)
+    imm = single_arrivals(3.0)
     grid = SolverGrid(1e-3, 2.0)
     val = mean_with_immigration(PURE_DEATH, imm, ONE, AgeMeasure.empty(), grid)
     assert val == pytest.approx(3.0 * (1 - math.exp(-2.0)), abs=1e-6)
@@ -358,7 +359,7 @@ def test_mean_with_immigration_queue_formula():
 
 
 def test_mean_with_immigration_subcritical_long_run():
-    imm = ImmigrationMechanism.single_arrivals(1.0)
+    imm = single_arrivals(1.0)
     grid = SolverGrid(5e-3, 50.0)
     val = mean_with_immigration(SUBCRITICAL, imm, ONE, AgeMeasure.empty(), grid)
     assert val == pytest.approx((1.0 - math.exp(-0.2 * 50.0)) / 0.2, abs=1e-4)
@@ -368,7 +369,7 @@ def test_mean_with_immigration_subcritical_long_run():
 
 
 def test_ergodicity_check_trichotomy():
-    singles = ImmigrationMechanism.single_arrivals(3.0)
+    singles = single_arrivals(3.0)
     assert ergodicity_check(SUBCRITICAL, singles).status == "ergodic"
     assert ergodicity_check(PURE_DEATH, singles).status == "ergodic"
     heavy = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.log_squared_tail())
@@ -383,7 +384,7 @@ def test_ergodicity_check_trichotomy():
 
 
 def test_stationary_laplace_queue_value():
-    imm = ImmigrationMechanism.single_arrivals(3.0)
+    imm = single_arrivals(3.0)
     rep = stationary_laplace(PURE_DEATH, imm, ONE, 1e-6)
     exact = math.exp(-3.0 * (1.0 - math.exp(-1.0)))
     assert exact == pytest.approx(0.15011378939830683, abs=1e-15)  # frozen
@@ -392,7 +393,7 @@ def test_stationary_laplace_queue_value():
 
 
 def test_stationary_laplace_monotone_to_one():
-    imm = ImmigrationMechanism.single_arrivals(2.0)
+    imm = single_arrivals(2.0)
     thetas = [2.0, 1.0, 0.5, 0.25, 0.05]
     vals = [stationary_laplace(PURE_DEATH, imm, ScalarField.constant(t), 1e-6).value for t in thetas]
     assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
@@ -401,7 +402,7 @@ def test_stationary_laplace_monotone_to_one():
 
 
 def test_stationary_laplace_refusals():
-    singles = ImmigrationMechanism.single_arrivals(1.0)
+    singles = single_arrivals(1.0)
     with pytest.raises(ValueError, match="not certified"):
         stationary_laplace(CRITICAL, singles, ONE)
     heavy = ImmigrationMechanism.parametric(1.0, GroupSizeLaw.log_squared_tail())
@@ -417,7 +418,7 @@ def test_stationary_laplace_refusals():
 def test_stationary_laplace_refuses_a_horizon_past_the_float_range():
     # the tail bound's horizon log(m1 sup f / (rate tolerance / 2)) / rate
     # overflows, or its denominator underflows to 0
-    singles = ImmigrationMechanism.single_arrivals(1.0)
+    singles = single_arrivals(1.0)
     for tolerance in (1e-320, 5e-324):
         with pytest.raises(ValueError, match=f"tolerance {tolerance!r} needs a truncation horizon past the float range"):
             stationary_laplace(SUBCRITICAL, singles, ONE, tolerance)
@@ -637,7 +638,7 @@ def test_immigration_helpers_solve_the_boundary_once_without_a_solution(monkeypa
 
 def test_immigration_integral_follows_the_grid_quadrature():
     # bench_critical's model with single arrivals: each rule gives its own value
-    imm = ImmigrationMechanism.single_arrivals(2.0)
+    imm = single_arrivals(2.0)
     grid = SolverGrid(1e-2, 1.0)
     assert immigration_exponent_integral(CRITICAL, imm, ONE, grid)[0] == pytest.approx(1.098571, abs=1e-6)
     rect = SolverGrid(1e-2, 1.0, "rectangle")
@@ -1080,7 +1081,7 @@ def test_stationary_laplace_refuses_past_the_step_cap(monkeypatch):
     )
     # the quadrature error falls about fourfold per halving from about 1e-5:
     # 1e-12 would need far more steps than the cap
-    imm = ImmigrationMechanism.single_arrivals(1.0)
+    imm = single_arrivals(1.0)
     with pytest.raises(RuntimeError, match=f"cap of {solvers._MAX_STEPS} steps"):
         stationary_laplace(SUBCRITICAL, imm, ONE, 1e-12)
     assert max(grids) <= solvers._MAX_STEPS < 2 * max(grids)
