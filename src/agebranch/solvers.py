@@ -68,10 +68,13 @@ orders are those of the march.
   the boundary's sources with the ray's own kernel over the ages
   ``x + d dt`` (``rays``).  A grid-aligned age ``K dt`` with ``K <= n`` uses
   the ages ``(K + d) dt``, the labels the march would visit.
-* ``lattice_margins`` sweeps the recurrence over the whole (time, age)
-  lattice of both solutions, driven by their known boundaries, a block of
-  time rows at a time in one reused buffer, and reduces each block to the
-  four margins of the lattice checks: O(n^2) work, O(n) memory.
+* ``lattice_margins`` runs the recurrence over the whole (time, age)
+  lattice of both solutions, driven by their known boundaries, and reduces
+  it to the four margins of the lattice checks.  Where alpha is constant
+  and the coefficients, source classes and start values hold one value over
+  the grid ages, every label column is the same, so it marches one column
+  in O(n); otherwise it sweeps a block of time rows at a time in one reused
+  buffer: O(n^2) work, O(n) memory.
 
 Rounding.  ``numpy.fft`` is pocketfft, single-threaded, so no output depends
 on a worker setting.  Its worst-case error bound for a circular convolution
@@ -602,6 +605,31 @@ def _sweep_block(block: np.ndarray, i0: int, tri, A, terms, carry, sol: _FanSolu
     return block
 
 
+def _one_valued(x: np.ndarray) -> bool:
+    """Every entry equals the first; a NaN anywhere fails."""
+    return bool((x == x[0]).all())
+
+
+def _march_column(A, terms, carry, sol: _FanSolution) -> np.ndarray:
+    """The lattice of ``sol`` where every label column is the same: ``[boundary, column]`` by time row.
+
+    ``_sweep_block``'s recurrence down one label column, in its order of
+    operations; its arguments are one-valued (``lattice_margins``), so row i
+    holds the column's value at every age > 0.  Row n has no such age and
+    repeats its age-0 node, as the sweep fills the entries that are not nodes.
+    """
+    a, w = float(A[0]), float(carry[0])
+    coefs = [(float(b[0]), float(c[0]), s) for b, c, s in terms]
+    column = [w]
+    for i in range(1, len(carry) - 1):
+        w *= a
+        for b, c, s in coefs:
+            w += b * s[i - 1]
+            w += c * s[i]
+        column.append(w)
+    return np.stack((sol.boundary, np.append(sol._finish(np.array(column)), sol.boundary[-1])))
+
+
 def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
     """The four margins of the lattice checks, each a minimum over every lattice node.
 
@@ -617,36 +645,55 @@ def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
     ``H[label] - H[x / dt]``, ``H`` the cumulative trapezoid of alpha over the
     grid ages.  A NaN at any node makes its margins NaN.
 
-    The recurrence of the renewal form's scheme is swept over both lattices,
-    driven by the known boundaries (each node's age-0 value), a block of at
-    most ``_BLOCK_ENTRIES`` values (one row if a row is longer) at a time:
-    ``block[r, c]`` is the node at time ``i0 + r`` and label ``i0 + c``.  The
-    entries ``c < r``, which are not nodes, take their own row's age-0 node, so
-    each reduction runs on whole blocks.  Every block is a view of one buffer
-    of two blocks, allocated once: memory is O(n + _BLOCK_ENTRIES).
+    The recurrence of the renewal form's scheme is run over both lattices,
+    driven by the known boundaries (each node's age-0 value), in one of two
+    ways that give the same bits:
+
+    * Age-free lattices, O(n): alpha is constant (``is_constant``) and, over
+      the grid ages, each of ``_Scheme.A[1:]``, ``B[1:]``, ``C`` and ``cls``
+      of both schemes, the start values and the survival factor ``1 -
+      exp(-f)`` holds one value.  Then every label column does the same
+      operations on the same operands, so a row holds two values, its
+      boundary node and one marched value (``_march_column``), and the
+      margins fold from those, row by row.  The column is still driven by
+      the boundary's sources and read against the boundary at every row.
+    * Every other input, O(n^2): the lattice is swept a block of at most
+      ``_BLOCK_ENTRIES`` values (one row if a row is longer) at a time:
+      ``block[r, c]`` is the node at time ``i0 + r`` and label ``i0 + c``.
+      The entries ``c < r``, which are not nodes, take their own row's age-0
+      node, so each reduction runs on whole blocks.  Every block is a view
+      of one buffer of two blocks, allocated once: memory is O(n +
+      _BLOCK_ENTRIES).
     """
     model, f, grid = usol.model, usol.f, usol.grid
     msol._check_of(model, f, grid)
     n, times = grid.n_steps, grid.times()  # the times are also the ages d dt
     c0, _, _ = model.constants()
-    surv = -np.expm1(-np.asarray(f(times), dtype=np.float64))  # at x + t = label dt
+    fvals = np.asarray(f(times), dtype=np.float64)
+    surv = -np.expm1(-fvals)  # at x + t = label dt
     sup = f.sup
     norm = np.array([math.exp(c0 * t) * sup for t in times.tolist()])
     alpha = model.alpha
     if alpha.is_constant:
         rate = float(alpha(0.0))
-        decay = np.array([math.exp(-rate * t) for t in times.tolist()])[:, None]
+        decay = np.array([math.exp(-rate * t) for t in times.tolist()])
     else:
         a = np.asarray(alpha(times), dtype=np.float64)
         H = np.concatenate(([0.0], np.cumsum(grid.dt / 2.0 * (a[1:] + a[:-1]))))
         padded = np.concatenate((np.zeros(n), H))  # window n - r reads H[c - r]
+    flat = alpha.is_constant and _one_valued(surv)
     sweeps = []
     for sol in (usol, msol):
         scheme = _Scheme(model, grid, times, sol._mean)
         B, C = scheme.by_class(scheme.B), scheme.by_class(scheme.C)
         terms = [(B[c, 1:], C[c], sol.sources[c].tolist()) for c in range(scheme.n_cls)]
-        carry = np.array(sol._start(np.asarray(f(times), dtype=np.float64)))
+        carry = np.array(sol._start(fvals))
+        flat = flat and all(map(_one_valued, (scheme.A[1:], scheme.B[1:], scheme.C, scheme.cls, carry)))
         sweeps.append((scheme.A[1:], terms, carry, sol))
+    if flat:  # reduced with numpy, whose min and max keep a NaN that Python's may drop
+        U, P = (_march_column(*sweep) for sweep in sweeps)
+        lower = decay * surv[0]
+        return [float(m) for m in (U.min(), (U - lower).min(), (P - U).min(), (norm - P.max(axis=0)).min())]
     buf = np.zeros((2, max(min(_BLOCK_ENTRIES, (n + 1) ** 2), n + 1)))
     margins = np.full(4, np.inf)
     below_diagonal = {}  # block height -> its entries c < r
@@ -661,7 +708,7 @@ def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
         U = _sweep_block(X, i0, tri, *sweeps[0])
         lower = Y  # the survival bound, then u - lower
         if alpha.is_constant:
-            np.multiply(decay[i0 : i0 + h], surv[i0:], out=lower)
+            np.multiply(decay[i0 : i0 + h, None], surv[i0:], out=lower)
         else:
             skew = np.lib.stride_tricks.sliding_window_view(padded, width)[n - h + 1 : n + 1][::-1]
             np.subtract(skew, H[i0:], out=lower)

@@ -896,18 +896,20 @@ _LATTICE_FIELD = ScalarField.exp_decay(1.0, 0.7, 0.2)
 
 @pytest.mark.parametrize("budget", ["one-row", "ragged", "default"])
 @pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
-@pytest.mark.parametrize("model", ["one-regime", "two-regimes"])
+@pytest.mark.parametrize("model", ["one-regime", "two-regimes", "age-free"])
 def test_lattice_margins_are_the_row_loop_bit_for_bit(monkeypatch, model, quadrature, budget):
     # n = 300; the two-regime model steps its alpha and offspring law at age
     # 1.5, which no node hits, so both survival hazards (alpha t and the
-    # trapezoid along the ray) and one and two source classes are swept
-    model = CRITICAL if model == "one-regime" else AGE_VARYING
+    # trapezoid along the ray) and one and two source classes are swept; the
+    # one-regime model with f = 1 is age-free and takes the O(n) column
+    f = ONE if model == "age-free" else _LATTICE_FIELD
+    model = AGE_VARYING if model == "two-regimes" else CRITICAL
     grid = SolverGrid(7e-3, 2.1, quadrature)
     if budget == "one-row":
         monkeypatch.setattr(solvers, "_BLOCK_ENTRIES", 1)
     elif budget == "ragged":  # 7 rows of 301, then blocks whose heights leave a remainder
         monkeypatch.setattr(solvers, "_BLOCK_ENTRIES", 7 * (grid.n_steps + 1) + 5)
-    usol, msol = solve_exponent(model, _LATTICE_FIELD, grid), solve_mean(model, _LATTICE_FIELD, grid)
+    usol, msol = solve_exponent(model, f, grid), solve_mean(model, f, grid)
     margins = solvers.lattice_margins(usol, msol)
     expect = row_loop_margins(usol, msol)
     assert np.array(margins).tobytes() == np.array(expect).tobytes()
@@ -932,13 +934,23 @@ def test_lattice_margins_refuse_solutions_of_different_problems():
         solvers.lattice_margins(usol, solve_mean(CRITICAL, ONE, grid)))
 
 
-def test_a_nan_on_the_lattice_fails_every_bound_check(monkeypatch):
-    # a NaN at age 3 dt of the time-0 row, which is not a boundary node: the
-    # boundaries and their error estimates stay finite, and the NaN runs
-    # along its characteristic through both lattices until it reaches age 0
-    cfg, _ = _shipped("bench_critical")
-    grid, memo = SolverGrid(0.01, cfg.t_end), {}
-    solver_bound_checks(cfg.model, cfg.f, grid, memo)
+AGE_FREE = ["bench_critical", "pure_death", "pure_death_imm", "subcritical_imm", "zeta_groups_imm"]
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    """One entry per ``_sweep_block`` call from here on."""
+    calls, sweep = [], solvers._sweep_block
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(solvers, "_sweep_block", counted)
+    return calls
+
+
+def _poisoned_start(monkeypatch):
+    """``_start`` with a NaN at age 3 dt of the time-0 row, which is not a boundary node."""
     start = solvers._FanSolution._start.__func__
 
     def poisoned(cls, fvals):
@@ -947,7 +959,70 @@ def test_a_nan_on_the_lattice_fails_every_bound_check(monkeypatch):
         return w
 
     monkeypatch.setattr(solvers._FanSolution, "_start", classmethod(poisoned))
+
+
+def test_a_nan_on_the_lattice_fails_every_bound_check(monkeypatch):
+    # a NaN at age 3 dt of the time-0 row, which is not a boundary node: the
+    # boundaries and their error estimates stay finite, and the NaN runs
+    # along its characteristic through both lattices until it reaches age 0
+    cfg, _ = _shipped("bench_critical")
+    grid, memo = SolverGrid(0.01, cfg.t_end), {}
+    solver_bound_checks(cfg.model, cfg.f, grid, memo)
+    _poisoned_start(monkeypatch)
     reports = solver_bound_checks(cfg.model, cfg.f, grid, memo)
+    assert [r.name for r in reports] == BOUND_NAMES
+    assert all(math.isnan(r.mc.value) and math.isfinite(r.analytic_tol) for r in reports)
+    assert [r.row()[-1] for r in reports] == ["fail"] * 4
+
+
+@pytest.mark.parametrize("name", AGE_FREE)
+def test_age_free_configs_take_the_column_and_match_the_sweep_bit_for_bit(monkeypatch, name):
+    cfg, grid = _shipped(name)
+    usol, msol = solve_exponent(cfg.model, cfg.f, grid), solve_mean(cfg.model, cfg.f, grid)
+    calls = _count_sweeps(monkeypatch)
+    margins = solvers.lattice_margins(usol, msol)
+    assert calls == []
+    monkeypatch.setattr(solvers, "_one_valued", lambda x: False)  # force the sweep
+    swept = solvers.lattice_margins(usol, msol)
+    assert calls
+    assert np.array(margins).tobytes() == np.array(swept).tobytes()
+
+
+@pytest.mark.parametrize("case", ["age_varying", "expdecay", "step-alpha", "poisoned-start"])
+def test_inputs_that_depend_on_age_are_swept(monkeypatch, case):
+    grid = SolverGrid(1e-2, 2.0)
+    model, f = CRITICAL, ONE
+    if case == "age_varying":
+        cfg, grid = _shipped("age_varying")
+        model, f = cfg.model, cfg.f
+    elif case == "expdecay":
+        f = _LATTICE_FIELD
+    elif case == "step-alpha":  # one value on the grid ages, but not a constant alpha
+        model = BranchingModel(ScalarField.step([5.0], [1.0, 2.0]), CRITICAL.offspring)
+        assert not model.alpha.is_constant
+    usol, msol = solve_exponent(model, f, grid), solve_mean(model, f, grid)
+    if case == "poisoned-start":
+        _poisoned_start(monkeypatch)
+    calls = _count_sweeps(monkeypatch)
+    margins = solvers.lattice_margins(usol, msol)
+    assert calls
+    assert np.array(margins).tobytes() == np.array(row_loop_margins(usol, msol)).tobytes()
+    assert all(math.isnan(m) for m in margins) == (case == "poisoned-start")
+
+
+@pytest.mark.parametrize("where", ["boundary", "sources"])
+def test_a_nan_on_an_age_free_lattice_fails_every_bound_check(monkeypatch, where):
+    # one NaN at time node 3 of both solutions: a boundary node, or the
+    # source the column reads at that step; node 3 is not a node of the
+    # coarse grid, so the error estimates stay finite
+    cfg, _ = _shipped("bench_critical")
+    grid, memo = SolverGrid(0.01, cfg.t_end), {}
+    solver_bound_checks(cfg.model, cfg.f, grid, memo)
+    for solve in (solve_exponent, solve_mean):
+        getattr(memo[solve, grid], where)[..., 3] = math.nan
+    calls = _count_sweeps(monkeypatch)
+    reports = solver_bound_checks(cfg.model, cfg.f, grid, memo)
+    assert calls == []
     assert [r.name for r in reports] == BOUND_NAMES
     assert all(math.isnan(r.mc.value) and math.isfinite(r.analytic_tol) for r in reports)
     assert [r.row()[-1] for r in reports] == ["fail"] * 4
