@@ -20,8 +20,10 @@ m_b(r) dr]``, ``A_y`` the cumulative hazard along the ray, which is exact for
 models whose mean offspring number vanishes.
 
 The scheme.  One time step moves a characteristic from age ``d dt`` to age
-``(d - 1) dt``.  With rectangle (left endpoint, first order) or trapezoid
-(second order) quadrature it is the linear recurrence
+``(d - 1) dt``.  Its quadrature rule is ``SolverGrid.ends``, the weights of
+the step's older and younger end: ``(dt/2, dt/2)`` for the trapezoid rule
+(second order), ``(dt, 0)`` for the left rectangle (first order).  With them
+the step is the linear recurrence
 
     w <- A_d w + B_d s(d, t_i) + C_(d-1) s(d - 1, t_(i+1))
 
@@ -70,11 +72,9 @@ orders are those of the march.
   the ages ``(K + d) dt``, the labels the march would visit.
 * ``lattice_margins`` runs the recurrence over the whole (time, age)
   lattice of both solutions, driven by their known boundaries, and reduces
-  it to the four margins of the lattice checks.  Where alpha is constant
-  and the coefficients, source classes and start values hold one value over
-  the grid ages, every label column is the same, so it marches one column
-  in O(n); otherwise it sweeps a block of time rows at a time in one reused
-  buffer: O(n^2) work, O(n) memory.
+  it to the four margins of the lattice checks: in O(n) on an age-free
+  lattice (its docstring states the rule), otherwise a block of time rows
+  at a time in one reused buffer, O(n^2) work and O(n) memory.
 
 Rounding.  ``numpy.fft`` is pocketfft, single-threaded, so no output depends
 on a worker setting.  Its worst-case error bound for a circular convolution
@@ -109,7 +109,7 @@ read values at grid times only; nothing interpolates between nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 import numpy.fft  # loaded at import, not inside the first timed solve
 
@@ -184,15 +184,20 @@ class SolverGrid:
         return round(self.horizon / self.dt)
 
     @property
+    def ends(self) -> tuple[float, float]:
+        """The weights of a step's older and younger end: the quadrature rule, read by everything else."""
+        return (self.dt / 2.0, self.dt / 2.0) if self.quadrature == "trapezoid" else (self.dt, 0.0)
+
+    @property
     def order(self) -> int:
-        return 2 if self.quadrature == "trapezoid" else 1
+        return 2 if self.ends[1] else 1
 
     def coarse(self) -> SolverGrid:
         """The grid of every other node: twice the step, the same horizon and quadrature."""
         if self.n_steps % 2:
             raise ValueError(f"horizon {self.horizon:g} is an odd number of steps ({self.n_steps}) "
                              f"of dt {self.dt:g}: no grid of twice the step ends on it")
-        return SolverGrid(2 * self.dt, self.horizon, self.quadrature)
+        return replace(self, dt=2 * self.dt)
 
     def richardson(self, fine, coarse):
         """``|fine - coarse| / (2^order - 1)``, elementwise for arrays."""
@@ -207,7 +212,7 @@ class SolverGrid:
         """
         grid, prev = self, value(self)
         while True:
-            grid = SolverGrid(grid.dt / 2.0, grid.horizon, grid.quadrature)
+            grid = replace(grid, dt=grid.dt / 2.0)
             current = value(grid)
             estimate = grid.richardson(current, prev)
             if estimate <= tol:
@@ -221,12 +226,9 @@ class SolverGrid:
             prev = current
 
     def weights(self) -> np.ndarray:
-        """The quadrature weights at the nodes: trapezoid, or left rectangle."""
+        """The quadrature weights at the nodes: ``dt`` inside, ``ends`` at the first and last."""
         w = np.full(self.n_steps + 1, self.dt)
-        if self.quadrature == "trapezoid":
-            w[0] = w[-1] = self.dt / 2.0
-        else:
-            w[-1] = 0.0
+        w[0], w[-1] = self.ends
         return w
 
     def times(self) -> np.ndarray:
@@ -283,7 +285,9 @@ class _Scheme:
     """The step coefficients along rows of ages ``ages[..., d] = x + d dt``.
 
     ``A[..., d]`` and ``B[..., d]`` belong to the step from age d to d - 1
-    (``d >= 1``; entry 0 is unused), ``C[..., d]`` to the step from d + 1 to d.
+    (``d >= 1``; entry 0 is unused), ``C[..., d]`` to the step from d + 1 to d,
+    with the quadrature rule ``(wl, wr) = grid.ends``: ``wl`` weighs a step's
+    older end and ``wr`` its younger end, where the exponent's step is implicit.
     ``cls[..., d]`` names the source row the age reads (the offspring regime
     for the exponent, 0 for the mean, whose coefficients carry the mean).
     ``P``, ``K`` and ``E`` are the products, kernel and edge term of the
@@ -291,11 +295,11 @@ class _Scheme:
     """
 
     def __init__(self, model: BranchingModel, grid: SolverGrid, ages: np.ndarray, mean: bool):
-        dt, half = grid.dt, grid.dt / 2.0
+        wl, wr = grid.ends
         offspring = model.offspring
         alpha = np.asarray(model.alpha(ages), dtype=np.float64)
         regimes = offspring.regime_indices(ages)
-        A, B, C = np.ones_like(alpha), np.zeros_like(alpha), np.zeros_like(alpha)
+        A, B = np.ones_like(alpha), np.zeros_like(alpha)
         a_l, a_r = alpha[..., 1:], alpha[..., :-1]  # left and right ends of each step
         if mean:
             mean_g = offspring.mean_by_regime()[regimes]
@@ -303,26 +307,19 @@ class _Scheme:
             am = alpha * mean_g
             self.cls, self.n_cls = np.zeros(ages.shape, dtype=np.intp), 1
             hazard = np.zeros_like(alpha)  # of each step, along the ray
-            if grid.quadrature == "trapezoid":
-                hazard[..., 1:] = half * (a_l + a_r)
-                B[..., 1:] = half * am[..., 1:]
-                C = half * am
-            else:
-                hazard[..., 1:] = dt * a_l
-                B[..., 1:] = dt * am[..., 1:]
+            # two forms: with wl == wr, wl a_l + wr a_r would round differently from wl (a_l + a_r)
+            hazard[..., 1:] = wl * (a_l + a_r) if wr else wl * a_l
+            B[..., 1:] = wl * am[..., 1:]
+            C = wr * am
             A = np.exp(-hazard)
             B *= A
             P = np.exp(-np.cumsum(hazard, axis=-1))  # as the discounted form accumulates it
         else:
             self.cls, self.n_cls = regimes, len(offspring.regimes)
-            if grid.quadrature == "trapezoid":
-                den = 1.0 + half * alpha
-                A[..., 1:] = (1.0 - half * a_l) / den[..., :-1]
-                B[..., 1:] = half * a_l / den[..., :-1]
-                C = half * alpha / den
-            else:
-                A[..., 1:] = 1.0 - dt * a_l
-                B[..., 1:] = dt * a_l
+            den = 1.0 + wr * alpha
+            A[..., 1:] = (1.0 - wl * a_l) / den[..., :-1]
+            B[..., 1:] = wl * a_l / den[..., :-1]
+            C = wr * alpha / den
             P = np.cumprod(A, axis=-1)
         self.A, self.B, self.C, self.P = A, B, C, P
         self.E = P * C
@@ -342,7 +339,7 @@ def _solve_boundary(kind: type[_FanSolution], model: BranchingModel, f: ScalarFi
     """
     _check_contraction(model, grid)
     mean, n = kind._mean, grid.n_steps
-    ages = grid.dt * np.arange(n + 1)
+    ages = grid.times()
     scheme = _Scheme(model, grid, ages, mean)
     w0 = kind._start(np.asarray(f(ages), dtype=np.float64))
     c0 = float(scheme.C[0])
@@ -418,16 +415,16 @@ def _solve_boundary(kind: type[_FanSolution], model: BranchingModel, f: ScalarFi
     return kind(model, f, grid, kind._finish(values), sources.T.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FanSolution:
-    """A solved boundary trace, with the model, field and grid to reach other ages."""
+    """A solved boundary trace, with the model, field and grid to reach other ages; equal only to itself."""
 
     model: BranchingModel
     f: ScalarField
     grid: SolverGrid
     boundary: np.ndarray
     # s(., t_k) by source class: what every ray's convolution reads
-    sources: np.ndarray = field(repr=False, compare=False)
+    sources: np.ndarray = field(repr=False)
 
     _mean = False  # the equation solved, exponent or mean: every solve, sweep and check reads it here
 
@@ -517,7 +514,7 @@ class _FanSolution:
         return float(self.f(offsets[0])) if i == 0 else float(self.rays(offsets)[0, i])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentSolution(_FanSolution):
     """The exponent of the population Laplace functional on a grid.
 
@@ -535,7 +532,7 @@ def solve_exponent(model: BranchingModel, f: ScalarField, grid: SolverGrid) -> E
     return _solve_boundary(ExponentSolution, model, f, grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanSolution(_FanSolution):
     """The first-moment kernel applied to f, on the same characteristic grid."""
 
@@ -672,6 +669,7 @@ def lattice_margins(usol: ExponentSolution, msol: MeanSolution) -> list[float]:
     fvals = np.asarray(f(times), dtype=np.float64)
     surv = -np.expm1(-fvals)  # at x + t = label dt
     sup = f.sup
+    # math.exp: numpy's SIMD exp differs in the last bit at some nodes, by CPU dispatch
     norm = np.array([math.exp(c0 * t) * sup for t in times.tolist()])
     alpha = model.alpha
     if alpha.is_constant:

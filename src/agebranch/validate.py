@@ -421,14 +421,10 @@ def solver_bound_checks(
     states the four margins).  The inequalities are exact for the continuous
     objects but the lattice values carry scheme error, so the allowed slack is
     ten times the Richardson estimate of each solver's boundary error (several
-    bounds are tight, e.g. the norm bound at criticality).  An age-free
-    lattice (constant alpha; step coefficients, source classes, start values
-    and ``1 - exp(-f)`` each one-valued over the grid ages) is reduced in
-    O(n) from one marched label column and the boundary; any other is swept
-    a block of time rows at a time, each block reduced to the four margins
-    as it is produced, so memory stays O(n) beyond one buffer of
-    ``solvers._BLOCK_ENTRIES`` values per lattice.  A NaN at any node fails
-    its checks.
+    bounds are tight, e.g. the norm bound at criticality).  The lattice is
+    reduced in O(n) where it is age-free and swept in O(n^2) time and O(n)
+    memory otherwise (``lattice_margins`` states the rule).  A NaN at any
+    node fails its checks.
 
     Both equations are solved on ``grid`` and ``grid.coarse()`` (which an odd
     step count lacks), each read from the memo ``solutions`` if a run solved

@@ -478,6 +478,48 @@ def test_validate_suite_passes_with_ci_on_bench_critical(tmp_path):
     assert "control control:martingale:exp: fail (as-expected)" in lines
 
 
+def _unshifted_controls(monkeypatch):
+    from dataclasses import replace
+
+    from agebranch import validate
+
+    # each control is its check, unshifted: it passes, which a control must not
+    monkeypatch.setattr(validate, "control_report", lambda r: replace(r, name=f"control:{r.name}"))
+
+
+def _identity_sides_apart(monkeypatch):
+    from agebranch import cli
+
+    monkeypatch.setattr(cli, "exponential_tail_identity", lambda a, c, n: (1.0, 1.0 + 1e-6))
+
+
+def _rising_gaps(monkeypatch):
+    from agebranch import cli
+    from agebranch.validate import ComparisonReport, McEstimate
+
+    check = ComparisonReport("ergodic:T=1", McEstimate(0.5, 0.01, 100, 0), 0.5, 0.0)
+    monkeypatch.setattr(cli, "ergodic_convergence", lambda *a, **k: (0.5, [check] * 3, [0.1, 0.2, 0.3]))
+
+
+@pytest.mark.parametrize("argv, fault, expected", [
+    (["validate", "--config", "bench_critical.json", "--replicates", "2000", "--seed", "1"], _unshifted_controls,
+     ["control control:laplace: pass (UNEXPECTED)", "suite=fail"]),
+    (["identity-check"], _identity_sides_apart, ["verdict=fail"]),
+    (["ergodic", "--config", "pure_death_imm.json"], _rising_gaps, ["gaps_decreasing=false"]),
+], ids=["validate", "identity-check", "ergodic"])
+def test_ci_maps_a_failed_check_to_exit_1(tmp_path, monkeypatch, argv, fault, expected):
+    fault(monkeypatch)
+    argv = [str(CONFIG_DIR / a) if a.endswith(".json") else a for a in argv]
+    outs = []
+    for flags in (["--ci"], []):
+        out = tmp_path / ("ci" if flags else "plain")
+        assert main([*argv, "--out", str(out), *flags]) == (1 if flags else 0)
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outs[0] == outs[1]  # --ci moves the exit code only
+    lines = outs[0]["summary.txt"].decode().splitlines()
+    assert all(line in lines for line in expected)
+
+
 def test_excluded_paths_reported(tmp_path, monkeypatch):
     from agebranch import cli
     from agebranch.validate import ComparisonReport, McEstimate, control_report

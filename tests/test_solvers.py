@@ -110,6 +110,27 @@ def test_grid_weights_are_the_quadrature_rule():
     assert list(SolverGrid(0.25, 1.0, "rectangle").weights()) == [0.25, 0.25, 0.25, 0.25, 0.0]
 
 
+@pytest.mark.parametrize("quadrature, ends, order", [("trapezoid", (0.125, 0.125), 2), ("rectangle", (0.25, 0.0), 1)])
+def test_grid_ends_carry_the_quadrature_rule(quadrature, ends, order):
+    grid = SolverGrid(0.25, 2.0, quadrature)
+    assert grid.ends == ends and grid.order == order
+    assert list(grid.weights()) == [ends[0], *[0.25] * 7, ends[1]]
+    seen = []
+    grid.refine(lambda g: seen.append(g) or 0.0, 1.0)  # one halving: the estimate is 0
+    for other, scale in ((grid.coarse(), 2.0), (seen[-1], 0.5)):
+        assert other.quadrature == quadrature and other.order == order
+        assert other.ends == (scale * ends[0], scale * ends[1])
+
+
+def test_solutions_compare_by_identity():
+    grid = SolverGrid(0.1, 1.0)
+    for solve in (solve_exponent, solve_mean):
+        a, b = solve(CRITICAL, ONE, grid), solve(CRITICAL, ONE, grid)
+        assert a.boundary.tobytes() == b.boundary.tobytes()
+        assert a == a and a != b  # no elementwise comparison of the arrays
+        assert len({a, b, a}) == 2
+
+
 def _trapezoid_of_exp(grid):
     return float(np.dot(grid.weights(), np.exp(grid.times())))
 
