@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
-    "AgeMeasure", "ScalarField", "index_ranges", "interleave", "json_number", "json_numbers", "segment_sums",
+    "AgeMeasure", "ScalarField", "SegmentSums", "index_ranges", "interleave", "json_number", "json_numbers",
+    "segment_sums",
 ]
 
 
@@ -69,6 +71,47 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     leads = counts.cumsum() - counts + np.arange(len(counts))
     return np.add.reduceat(interleave(values, leads, 0.0)[0], leads)
+
+
+class SegmentSums:
+    """Per-segment sums of per-particle weights, segment ``i`` holding ``counts.flat[i]`` particles.
+
+    ``ages`` are the particles' ages, segment by segment, or None when every
+    weight summed is one-valued: ``at`` then evaluates a field at age 0
+    alone, and each sum of k copies of that one weight is read by k from a
+    table built with the additions of the sum it stands for.  Either way a
+    sum has the same bits, and the sums have the shape of ``counts``.
+    """
+
+    def __init__(self, counts: np.ndarray, ages: np.ndarray | None) -> None:
+        self.counts, self.by_count = counts, ages is None
+        self.ages = np.zeros(1) if ages is None else ages
+
+    def at(self, field: Callable) -> np.ndarray:
+        return np.asarray(field(self.ages), dtype=np.float64)
+
+    def pairwise(self, w: np.ndarray) -> np.ndarray:
+        """``np.add.reduce`` over each segment's weights (``segment_sums``)."""
+        counts = self.counts
+        if self.by_count:  # one segment_sums call over the counts present
+            present = np.flatnonzero(np.bincount(counts.ravel()))
+            table = np.zeros(int(counts.max(initial=0)) + 1)
+            table[present] = segment_sums(np.full(int(present.sum()), w[0]), present)
+            return table[counts]
+        return segment_sums(w, counts.ravel()).reshape(counts.shape)
+
+    def sequential(self, w: np.ndarray) -> np.ndarray:
+        """Each segment's weights added one by one from 0.0 (``np.bincount``)."""
+        counts = self.counts
+        if self.by_count:  # a cumsum of copies
+            table = np.full(int(counts.max(initial=0)) + 1, w[0])
+            table[0] = 0.0
+            return np.cumsum(table, out=table)[counts]
+        return np.bincount(self._segments, weights=w, minlength=counts.size).reshape(counts.shape)
+
+    @cached_property
+    def _segments(self) -> np.ndarray:  # each particle's segment
+        return np.repeat(np.arange(self.counts.size), self.counts.ravel())
 
 
 @dataclass(frozen=True)

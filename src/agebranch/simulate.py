@@ -28,7 +28,9 @@ lock step from one generator, one proposal per live path per pass, vectorised
 over the paths; :func:`simulate` is that kernel at one path.  It records
 observers, not objects: the population size and ages at each snapshot time
 (flat arrays), the branch count and running maximum of the population size,
-and the event logs of the leading paths its caller reads, if any.  A
+and the event logs of the leading paths its caller reads, if any.  A caller
+whose reduction reads no age records the sizes alone (``record_ages``;
+``validate._run_chunk`` states when that holds).  A
 :class:`Trajectory` is one path of a :class:`PathSet` and rebuilds
 ``AgeMeasure`` snapshots on access.  Only an accepted event past the cap
 ``max_events``, at or before ``t_end``, cuts a path, and it does not happen.
@@ -56,6 +58,12 @@ __all__ = [
 
 DEFAULT_EVENT_CAP = 10_000_000
 _BLOCK = 64  # paths per block of a chunk reduction
+
+
+def _refuse_ageless(ages: np.ndarray | None) -> None:
+    if ages is None:
+        raise ValueError("these paths were simulated without snapshot ages (record_ages=False): "
+                         "only their snapshot masses are known")
 
 
 def replicate_rng(seed: int, *path: int) -> np.random.Generator:
@@ -139,7 +147,9 @@ class Trajectory:
     Snapshot ``i`` (time ``snapshot_times[i]``) holds ``snapshot_masses[i]``
     particles, whose ages are the next entries of the flat ``snapshot_ages``,
     newest first (sure to be ascending only when every arrival is at age 0);
-    ``snapshots`` sorts them into ``AgeMeasure`` objects.  ``branches`` and
+    ``snapshots`` sorts them into ``AgeMeasure`` objects.  A path of a
+    :class:`PathSet` simulated without ages has ``snapshot_ages`` None, and
+    its ``snapshots`` refuses.  ``branches`` and
     ``max_mass`` count branch events and the running maximum of the
     population size over the whole path.
     ``events`` is the full log when the path was logged and empty otherwise;
@@ -153,7 +163,7 @@ class Trajectory:
 
     snapshot_times: tuple[float, ...]
     snapshot_masses: np.ndarray
-    snapshot_ages: np.ndarray
+    snapshot_ages: np.ndarray | None
     branches: int
     max_mass: int
     n_events: int
@@ -165,6 +175,7 @@ class Trajectory:
     @property
     def snapshots(self) -> Sequence:
         """(time, AgeMeasure) per recorded snapshot; ``len`` builds no measure."""
+        _refuse_ageless(self.snapshot_ages)
         return _Snapshots(self)
 
     def __eq__(self, other: object) -> bool:
@@ -184,7 +195,10 @@ class PathSet:
     for the first ``recorded[p]`` snapshots (fewer than all only when the
     event cap cut the path; the masses after them are 0).  Their ages are
     consecutive entries of the flat ``snapshot_ages``: path by path, snapshot
-    by snapshot, each snapshot's newest first as the kernel keeps them.
+    by snapshot, each snapshot's newest first as the kernel keeps them.  A set
+    simulated with ``record_ages=False`` (for a reduction that reads no age: see
+    ``validate._run_chunk``) has ``snapshot_ages`` None, and ``blocks`` and
+    its paths' ``snapshots`` refuse rather than report empty measures.
     ``branches``, ``max_mass`` and ``n_events`` are the per-path counters of
     :class:`Trajectory`, ``events`` the logs of the first ``log_paths`` paths
     (empty if none was logged).
@@ -192,7 +206,7 @@ class PathSet:
 
     snapshot_times: tuple[float, ...]
     snapshot_masses: np.ndarray
-    snapshot_ages: np.ndarray
+    snapshot_ages: np.ndarray | None
     recorded: np.ndarray
     branches: np.ndarray
     max_mass: np.ndarray
@@ -210,26 +224,33 @@ class PathSet:
         """Paths cut by the event cap, whose statistics are biased."""
         return np.array([e == "event_cap" for e in self.terminated_by], dtype=bool)
 
-    def blocks(self):
-        """``(rows, masses, ages)`` for consecutive blocks of at most 64 paths.
+    def block_rows(self) -> list[slice]:
+        """Consecutive blocks of at most 64 paths.
 
         Reducing a chunk block by block bounds the temporaries of a reduction
-        to a few arrays of one block's snapshot ages.
+        to a few arrays of one block's snapshots.
         """
+        n = len(self.snapshot_masses)
+        return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+    def blocks(self):
+        """``(rows, masses, ages)`` for each of ``block_rows``."""
+        _refuse_ageless(self.snapshot_ages)
         masses = self.snapshot_masses
         ends = np.concatenate(([0], np.cumsum(masses.sum(axis=1))))
-        for lo in range(0, len(masses), _BLOCK):
-            hi = min(lo + _BLOCK, len(masses))
-            yield slice(lo, hi), masses[lo:hi], self.snapshot_ages[ends[lo] : ends[hi]]
+        for rows in self.block_rows():
+            yield rows, masses[rows], self.snapshot_ages[ends[rows.start] : ends[rows.stop]]
 
     def trajectory(self, p: int) -> Trajectory:
         """Path ``p`` on its own."""
         k = int(self.recorded[p])
-        lo = int(self.snapshot_masses[:p].sum())
         masses = self.snapshot_masses[p, :k].copy()
-        ages = self.snapshot_ages[lo : lo + int(masses.sum())].copy()
         masses.flags.writeable = False
-        ages.flags.writeable = False
+        ages = None
+        if self.snapshot_ages is not None:
+            lo = int(self.snapshot_masses[:p].sum())
+            ages = self.snapshot_ages[lo : lo + int(masses.sum())].copy()
+            ages.flags.writeable = False
         return Trajectory(
             self.snapshot_times[:k], masses, ages, int(self.branches[p]), int(self.max_mass[p]),
             int(self.n_events[p]), self.terminated_by[p], self.initial, self.t_end,
@@ -258,7 +279,7 @@ def _thin(rng, alpha, c1: float, base, first, m, t, proposed) -> tuple[np.ndarra
 
 
 def simulate_paths(
-    cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_paths: int = 0
+    cfg: SimConfig, rng: np.random.Generator, n_paths: int, *, log_paths: int = 0, record_ages: bool = True
 ) -> PathSet:
     """Run ``n_paths`` independent exact paths in lock step from one generator.
 
@@ -291,7 +312,9 @@ def simulate_paths(
     joined 16 passes at a time, and evaluates alpha only at the particle each
     branch proposal tries.  Only the first ``log_paths`` paths keep an
     ``Event`` log; the draws and every recorded number are the same whichever
-    paths are logged.
+    paths are logged.  With ``record_ages=False`` no snapshot age is gathered or
+    placed, and the path set holds only the masses; the draws and every other
+    number are the same.
     """
     alpha = cfg.model.alpha
     offspring = cfg.model.offspring
@@ -354,7 +377,7 @@ def simulate_paths(
             keys = index_ranges(act * n_snap + lo, cnt)
             pm = m.repeat(cnt)
             flat[keys] = pm
-            if np.count_nonzero(pm):
+            if record_ages and np.count_nonzero(pm):
                 fresh.append((keys, base[index_ranges(first.repeat(cnt), pm)]
                                + snap_times[keys % n_snap].repeat(pm)))
                 if len(fresh) == 16:
@@ -435,16 +458,18 @@ def simulate_paths(
 
     # each recorded snapshot's ages go to their place, path by path then
     # snapshot by snapshot; each record is dropped once placed
-    recorded += fresh
-    offsets = np.cumsum(flat) - flat
-    ages = np.empty(int(flat.sum()))
-    while recorded:
-        keys, block = recorded.pop()
-        ages[index_ranges(offsets[keys], flat[keys])] = block
+    placed = None
+    if record_ages:
+        recorded += fresh
+        offsets = np.cumsum(flat) - flat
+        placed = np.empty(int(flat.sum()))
+        while recorded:
+            keys, block = recorded.pop()
+            placed[index_ranges(offsets[keys], flat[keys])] = block
+        placed.flags.writeable = False
     snap_masses.flags.writeable = False
-    ages.flags.writeable = False
     return PathSet(
-        cfg.snapshot_times, snap_masses, ages, snap_pos, branches, max_mass, branches + arrivals,
+        cfg.snapshot_times, snap_masses, placed, snap_pos, branches, max_mass, branches + arrivals,
         tuple(_ENDINGS[e] for e in ending.tolist()), cfg.initial, t_end,
         tuple(tuple(log) for log in logs),
     )

@@ -271,8 +271,12 @@ def _grid_node(grid: SolverGrid, t: float) -> int:
 
 
 def _moment_guard(grid: SolverGrid, alpha: np.ndarray, mean_g: np.ndarray) -> None:
-    """Refuse a moment solve whose ages take the scheme out of its range, ray by ray."""
-    if np.any((alpha * mean_g).max(axis=-1) * grid.dt / 2.0 >= 0.95):
+    """Refuse a moment solve whose ages take the scheme out of its range, ray by ray.
+
+    Only a rule that weighs a step's younger end (``grid.ends[1]``, which the
+    rectangle rule does not) has an implicit endpoint to refuse.
+    """
+    if np.any((alpha * mean_g).max(axis=-1) * grid.ends[1] >= 0.95):
         raise ValueError("dt too large for the implicit moment endpoint; use a smaller dt")
     if np.any(alpha.max(axis=-1) * grid.horizon * np.maximum(1.0, mean_g.max(axis=-1)) > 600.0):
         raise ValueError(

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import AgeMeasure, ScalarField, segment_sums
+from .measures import AgeMeasure, ScalarField, SegmentSums
 from .models import BranchingModel, ImmigrationMechanism
 from .simulate import SimConfig, Trajectory, replicate_rng, simulate_paths
 from .solvers import SolverGrid, lattice_margins, solve_exponent, solve_mean, stationary_laplace
@@ -160,28 +160,55 @@ def _run_chunk(job: _ReplicateJob, start: int, stop: int) -> tuple[np.ndarray, T
     the event cap are NaN rows, flagged to be counted and excluded downstream.
     The first chunk also returns replicate 0 with its event log (later chunks
     ``None``): one path's log per path set.
+
+    A job is *age-free* when every per-particle weight its rows sum is
+    one-valued: f is constant (``is_constant``) and, for a martingale job,
+    alpha is constant and ``g_by_regime(exp(-f(0)))`` is one value in every
+    regime (f' of a constant f is 0).  A row is then a function of the
+    snapshot masses alone, so the chunk is simulated without ages
+    (``simulate_paths(record_ages=False)``) and each per-snapshot sum of k
+    copies of a weight is read by k from a table built in the order of
+    additions of the sum it stands for (``SegmentSums``): the rows keep every bit.
     """
     if start % _CHUNK or stop - start > _CHUNK:
         raise ValueError(f"replicates {start}..{stop} are not one chunk of {_CHUNK}")
     cfg = job.cfg
     first = start == 0
     pair = _martingale_pair_fn(job) if job.martingale else None  # refuses a field without f'
+    age_free = _age_free(job)
     paths = simulate_paths(
-        cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start, log_paths=int(first)
+        cfg, replicate_rng(cfg.seed, job.stream, start // _CHUNK), stop - start, log_paths=int(first),
+        record_ages=not age_free,
     )
     k = len(job.reads)
     out = np.empty((stop - start, 2 * k + (3 if pair is None else 5)))
-    for rows, masses, ages in paths.blocks():
-        fa = np.asarray(job.f(ages), dtype=np.float64)
+    if age_free:
+        blocks = ((rows, paths.snapshot_masses[rows], None) for rows in paths.block_rows())
+    else:
+        blocks = paths.blocks()
+    for rows, masses, ages in blocks:
+        sums = SegmentSums(masses, ages)
+        fa = sums.at(job.f)
         out[rows, :k] = masses[:, job.reads]
-        out[rows, k : 2 * k] = segment_sums(fa, masses.ravel()).reshape(masses.shape)[:, job.reads]
+        out[rows, k : 2 * k] = sums.pairwise(fa)[:, job.reads]
         if pair is not None:
-            out[rows, 2 * k + 2], out[rows, 2 * k + 3] = pair(masses, ages, fa)
+            out[rows, 2 * k + 2], out[rows, 2 * k + 3] = pair(sums, fa)
     out[:, 2 * k], out[:, 2 * k + 1] = paths.max_mass, paths.branches
     capped = paths.capped
     out[capped] = np.nan
     out[:, -1] = capped
     return out, paths.trajectory(0) if first else None
+
+
+def _age_free(job: _ReplicateJob) -> bool:
+    """Whether ``job`` is age-free (``_run_chunk`` states the rule)."""
+    if not job.f.is_constant:
+        return False
+    if not job.martingale:
+        return True
+    model = job.cfg.model
+    g0 = model.offspring.g_by_regime(math.exp(-float(job.f(0.0))))
+    return model.alpha.is_constant and bool(np.all(g0 == g0[0]))
 
 
 class _Rows:
@@ -496,13 +523,13 @@ def _residual_report(rows: _Rows, perturb: float) -> ComparisonReport:
 def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
     """Per path of a block, ``(G(v_T) - G(v_0), integral_0^T L G_f(X_s) ds)`` for G(v) = exp(-v).
 
-    ``block(masses, ages, fa)`` makes one pooled pass over the snapshot
-    particles of a block of paths, ``fa`` holding f at their ages.  With
+    ``block(sums, fa)`` makes one pooled pass over the snapshot particles of
+    a block of paths (a ``SegmentSums``), ``fa`` holding f at their ages.  With
     v = <X_s, f> the generator term is
     ``exp(-v) (<X_s, alpha (e^f g(e^-f(0)) - 1) - f'> - psi(f))``: a function
-    of v times per-particle sums, accumulated with one bincount keyed by
-    ``path * n_snap + snap``.  Everything that does not depend on the paths
-    is computed here, once.
+    of v times per-particle sums, each added in sequence
+    (``SegmentSums.sequential``).  Everything that does not depend on the paths is
+    computed here, once.
     """
     model = job.cfg.model
     f = job.f
@@ -514,19 +541,11 @@ def _martingale_pair_fn(job: _ReplicateJob) -> Callable:
     h = np.diff(np.array(job.cfg.snapshot_times))
     g0_by_regime = offspring.g_by_regime(math.exp(-float(f(0.0))))
 
-    def block(masses: np.ndarray, ages: np.ndarray, fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        shape = masses.shape
-        size = shape[0] * shape[1]
-        seg = np.repeat(np.arange(size), masses.ravel())
-
-        def per_snapshot(weights):
-            return np.bincount(seg, weights=weights, minlength=size).reshape(shape)
-
-        a_vals = np.asarray(model.alpha(ages), dtype=np.float64)
-        g0 = g0_by_regime[offspring.regime_indices(ages)]
-        vs = per_snapshot(fa)
-        seg_fp = per_snapshot(fprime(ages))
-        seg_g = per_snapshot(a_vals * (np.exp(fa) * g0 - 1.0))
+    def block(sums: SegmentSums, fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g0 = g0_by_regime[offspring.regime_indices(sums.ages)]
+        vs = sums.sequential(fa)
+        seg_fp = sums.sequential(sums.at(fprime))
+        seg_g = sums.sequential(sums.at(model.alpha) * (np.exp(fa) * g0 - 1.0))
         lg = np.exp(-vs) * (-seg_fp + seg_g - psi_f)
         integral = np.sum(h * (lg[:, :-1] + lg[:, 1:]) / 2.0, axis=1)
         return np.exp(-vs[:, -1]) - np.exp(-vs[:, 0]), integral

@@ -228,7 +228,7 @@ def march_mean(
         lattice = np.full((n + 1, n + 1), np.nan)
         lattice[0] = fvals[0, : n + 1]
 
-    if am.max() * dt / 2.0 >= 0.95:
+    if am.max() * grid.ends[1] >= 0.95:  # the rectangle rule (ends[1] = 0) has no implicit endpoint
         raise ValueError("dt too large for the implicit moment endpoint; use a smaller dt")
     if alpha_g.max() * grid.horizon * max(1.0, mean_g.max()) > 600.0:
         raise ValueError(

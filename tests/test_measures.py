@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agebranch import AgeMeasure, ScalarField
-from agebranch.measures import index_ranges, interleave, json_number, json_numbers
+from agebranch.measures import SegmentSums, index_ranges, interleave, json_number, json_numbers
 from oracles import weighted_index
 
 
@@ -123,6 +123,21 @@ def test_index_ranges_concatenates_aranges():
     starts, counts = np.array([4, 0, 9, 2]), np.array([2, 3, 0, 1])
     assert index_ranges(starts, counts).tolist() == [4, 5, 0, 1, 2, 2]
     assert index_ranges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("value", [1.0, 0.37, 1.7 * (math.exp(0.37) * 0.61 - 1.0), -0.0, 0.0])
+def test_segment_sums_by_count_have_the_bits_of_the_particle_sums(value):
+    # counts past numpy's pairwise block (128) and its 8-way unrolled loop, empty segments among them
+    rng = np.random.default_rng(5)
+    field = lambda x: np.full(np.shape(x), value)  # noqa: E731  (weights may be negative, as L G's are)
+    for top in (3, 9, 130, 700):
+        counts = rng.integers(0, top + 1, size=(11, 7))
+        ages = rng.random(int(counts.sum()))
+        by_particle, by_count = SegmentSums(counts, ages), SegmentSums(counts, None)
+        for way in ("pairwise", "sequential"):
+            want = getattr(by_particle, way)(by_particle.at(field))
+            got = getattr(by_count, way)(by_count.at(field))
+            assert got.shape == counts.shape and got.tobytes() == want.tobytes(), (top, way)
 
 
 def test_json_number_accepts_finite_numbers_only():

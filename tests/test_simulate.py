@@ -511,6 +511,30 @@ def test_snapshot_and_event_lengths_build_no_age_measure(monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("name", ["bench_critical", "pure_death_imm"])
+def test_paths_without_ages_refuse_their_snapshots_and_keep_every_other_record(name):
+    sim = load_config(CONFIG_DIR / f"{name}.json").sim_config()
+    for cap in (sim.max_events, 2):  # a cap of 2 cuts some paths
+        capped = replace(sim, max_events=cap)
+        full = simulate_paths(capped, replicate_rng(3, 1, 0), 200, log_paths=3)
+        bare = simulate_paths(capped, replicate_rng(3, 1, 0), 200, log_paths=3, record_ages=False)
+        assert bare.snapshot_ages is None
+        for f in fields(PathSet):
+            if f.name != "snapshot_ages":
+                a, b = getattr(bare, f.name), getattr(full, f.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+        assert ("event_cap" in bare.terminated_by) == (cap == 2)
+        with pytest.raises(ValueError, match="without snapshot ages"):
+            next(bare.blocks())
+        for p in range(3):
+            traj, whole = bare.trajectory(p), full.trajectory(p)
+            assert traj.events == whole.events and len(traj.events) == traj.n_events
+            assert traj.terminated_by == whole.terminated_by
+            assert traj.snapshot_masses.tobytes() == whole.snapshot_masses.tobytes()
+            with pytest.raises(ValueError, match="without snapshot ages"):
+                traj.snapshots  # never a sequence of empty measures
+
+
 def test_snapshot_view_indexing():
     traj = run(CRITICAL, AgeMeasure.point(0.0, 2), 1.0, (0.2, 0.6, 1.0), seed=3)
     snaps = traj.snapshots

@@ -666,6 +666,19 @@ def test_immigration_integral_follows_the_grid_quadrature():
     assert immigration_exponent_integral(CRITICAL, imm, ONE, rect)[0] == pytest.approx(1.099694, abs=1e-6)
 
 
+def test_only_a_rule_with_an_implicit_endpoint_refuses_a_large_mean_step():
+    # alpha mean dt / 2 = 1.05: the trapezoid's implicit endpoint is refused at dt 0.7;
+    # the rectangle rule weighs no younger end (ends[1] = 0), so it solves, as the oracle does
+    model = BranchingModel(ONE, OffspringLaw.table({0: 0.5, 6: 0.5}))
+    rect = SolverGrid(0.7, 2.1, "rectangle")
+    boundary = solve_mean(model, ONE, rect).boundary
+    assert np.allclose(boundary, march_mean(model, ONE, rect)[0], rtol=1e-14, atol=0.0)
+    assert boundary[0] == 1.0 and np.all(np.diff(boundary) > 0.0)
+    for solve in (solve_mean, march_mean):
+        with pytest.raises(ValueError, match="implicit moment endpoint"):
+            solve(model, ONE, SolverGrid(0.7, 2.1))
+
+
 def test_label_rows_trip_no_guard_a_single_ray_would_not():
     # the moment march's guards must see only the ages the boundary and the
     # requested rays visit

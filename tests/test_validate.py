@@ -38,6 +38,8 @@ from agebranch.validate import (
     _collect,
     _ReplicateJob,
     _Rows,
+    _age_free,
+    _job,
     _run_chunk,
     monte_carlo_checks,
     snapshot_profile,
@@ -409,6 +411,84 @@ def test_capped_chunk_rows_are_flagged():
     capped = data[:, -1] == 1.0
     assert capped.any() and not capped.all()
     assert np.isnan(data[capped, :-1]).all() and not np.isnan(data[~capped]).any()
+
+
+# ---------------------------------------------------------------------------
+# Age-free jobs (``_run_chunk`` states the rule) reduce from the snapshot
+# masses alone, bit for bit the rows of the ages path on the same stream.
+# ---------------------------------------------------------------------------
+
+# alpha 1.7 and f 0.37, so exp(f) and the pgf at exp(-f) are not 1; two offspring regimes
+# of one law, so g(exp(-f(0))) is one-valued though the regime varies with age; groups at
+# ages 0 and 0.8, so the ages differ where no weight reads them
+OFF_ONE = SimConfig(
+    BranchingModel(ScalarField.constant(1.7), OffspringLaw((OffspringPmf.table({0: 0.55, 2: 0.45}),) * 2, (0.5,))),
+    AgeMeasure.from_ages([0.0, 0.3]), 2.0, tuple(np.linspace(0.0, 2.0, 50)),
+    ImmigrationMechanism.parametric(1.5, GroupSizeLaw.table({1: 0.5, 3: 0.5}), age_atoms=((0.0, 0.5), (0.8, 0.5))),
+    seed=46,
+)
+AGE_FREE = ["bench_critical", "pure_death", "pure_death_imm", "subcritical_imm", "zeta_groups_imm", "off_one"]
+
+
+def command_jobs(sim, f):
+    """The jobs of ``validate``'s path set (martingale grid), ``simulate``'s profile and ``ergodic``'s read."""
+    horizons = (sim.t_end / 4.0, sim.t_end / 2.0, sim.t_end)
+    return {
+        "martingale": _job(sim, f, sim.t_end, 10, True),
+        "snapshot_profile": _ReplicateJob(sim, f, 1, tuple(range(len(sim.snapshot_times)))),
+        "ergodic": _ReplicateJob(replace(sim, snapshot_times=horizons), f, 0, (2, 0, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", AGE_FREE)
+def test_age_free_rows_are_the_ages_path_rows(name, monkeypatch):
+    # heavy_tail_imm, the other constant-alpha config, refuses before simulating
+    if name == "off_one":
+        sim, f = OFF_ONE, ScalarField.constant(0.37)
+    else:
+        run = load_config(CONFIG_DIR / f"{name}.json")
+        sim, f = run.sim_config(), run.f
+    recorded = []
+    kernel = simulate_paths
+    monkeypatch.setattr("agebranch.validate.simulate_paths",
+                        lambda *a, **k: recorded.append(k["record_ages"]) or kernel(*a, **k))
+    for kind, job in command_jobs(sim, f).items():
+        assert _age_free(job), kind
+        rows, first = _run_chunk(job, 0, 300)
+        with monkeypatch.context() as forced:
+            forced.setattr("agebranch.validate._age_free", lambda job: False)
+            aged, aged_first = _run_chunk(job, 0, 300)
+        assert rows.tobytes() == aged.tobytes(), kind
+        assert (first.events, first.terminated_by) == (aged_first.events, aged_first.terminated_by)
+    assert recorded == [False, True] * 3
+
+
+def test_jobs_whose_weights_read_age_record_ages(monkeypatch):
+    sim = load_config(CONFIG_DIR / "bench_critical.json").sim_config()
+    varying = load_config(CONFIG_DIR / "age_varying.json")
+    two_laws = OffspringLaw((OffspringPmf.table({0: 0.5, 2: 0.5}), OffspringPmf.table({0: 0.6, 2: 0.4})), (0.5,))
+    step_alpha = BranchingModel(ScalarField.step([0.5], [1.0, 0.8]), CRITICAL.offspring)
+    aged = [  # (config, f, martingale)
+        (varying.sim_config(), varying.f, False),
+        (varying.sim_config(), varying.f, True),
+        (sim, SMOOTH, False),
+        (sim, SMOOTH, True),
+        (replace(sim, model=step_alpha), ONE, True),  # alpha reads age
+        (replace(sim, model=BranchingModel(ONE, two_laws)), ONE, True),  # g(exp(-f(0))) differs by regime
+    ]
+    recorded = []
+    kernel = simulate_paths
+    monkeypatch.setattr("agebranch.validate.simulate_paths",
+                        lambda *a, **k: recorded.append(k["record_ages"]) or kernel(*a, **k))
+    for cfg, f, martingale in aged:
+        job = _ReplicateJob(cfg, f, 0, (-1,), martingale)
+        assert not _age_free(job), (cfg.model, f, martingale)
+        _run_chunk(job, 0, 20)
+    assert recorded == [True] * len(aged)
+    # outside the martingale only f is read
+    for model in (step_alpha, BranchingModel(ONE, two_laws)):
+        assert _age_free(_ReplicateJob(replace(sim, model=model), ONE, 0))
+    assert _age_free(_ReplicateJob(sim, ScalarField.step([1.0], [0.4, 0.4]), 0))
 
 
 def martingale_job(cfg, f, stream):
